@@ -246,10 +246,10 @@ impl ColumnarBatch {
     }
 }
 
-/// What flows between physical operators: row batches on the UDF/apply
-/// path, columnar batches on the scan/filter/project/aggregate hot path.
-/// The two pivot points (`from_batch`/`to_batch`) sit at the apply and
-/// output boundaries — see DESIGN.md §4f.
+/// What flows between physical operators. Every planned operator, APPLY
+/// included, produces columnar batches; row batches come from test sources
+/// and `force_row_path`. The pivot to rows (`to_batch`) sits at the output
+/// boundary and a multi-batch SORT — see DESIGN.md §4f.
 #[derive(Debug, Clone)]
 pub enum ExecBatch {
     /// Row form.

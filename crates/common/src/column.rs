@@ -1,7 +1,7 @@
 //! Typed column arrays — the columnar half of the execution engine.
 //!
-//! The non-UDF hot path (scan → filter → project → aggregate) runs over
-//! [`Column`]s instead of `Vec<Row>`: one contiguous typed vector per
+//! The operator pipeline (scan → filter → apply → project → aggregate) runs
+//! over [`Column`]s instead of `Vec<Row>`: one contiguous typed vector per
 //! column plus a validity [`Bitmap`], in the DataChunk/ArrayImpl style of
 //! vectorized engines. Predicates produce *selection vectors* instead of
 //! copying rows; see [`crate::batch::ColumnarBatch`].
@@ -40,12 +40,22 @@ impl Bitmap {
         }
     }
 
-    /// A bitmap of `len` slots, all valid.
-    pub fn all_valid(len: usize) -> Bitmap {
+    /// An empty bitmap with room for `cap` slots.
+    fn with_capacity(cap: usize) -> Bitmap {
         Bitmap {
-            bits: vec![u64::MAX; len.div_ceil(64)],
-            len,
+            bits: Vec::with_capacity(cap.div_ceil(64)),
+            len: 0,
         }
+    }
+
+    /// A bitmap of `len` slots, all valid. Bits past `len` stay clear, like
+    /// the ones [`Bitmap::push`] builds, so equal bitmaps compare equal.
+    pub fn all_valid(len: usize) -> Bitmap {
+        let mut bits = vec![u64::MAX; len.div_ceil(64)];
+        if len % 64 != 0 {
+            *bits.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
+        }
+        Bitmap { bits, len }
     }
 
     /// Append one slot.
@@ -79,16 +89,7 @@ impl Bitmap {
 
     /// Number of valid slots.
     pub fn count_valid(&self) -> usize {
-        let mut n: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        // Mask bits past `len` (they are never set by `push`, but `all_valid`
-        // saturates the last word).
-        if self.len % 64 != 0 {
-            if let Some(last) = self.bits.last() {
-                let dead = last >> (self.len % 64);
-                n -= dead.count_ones();
-            }
-        }
-        n as usize
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when every slot is valid.
@@ -333,12 +334,19 @@ impl Column {
         }
     }
 
-    /// Compact the slots at `idx` (physical indices) into a fresh column.
+    /// Compact the slots at `idx` (physical indices, repeats allowed) into
+    /// a fresh column. An all-valid source — the scan's and every detector
+    /// output's shape — skips the bit-by-bit validity rebuild.
     pub fn gather(&self, idx: &[u32]) -> Column {
-        let mut validity = Bitmap::new();
-        for &i in idx {
-            validity.push(self.validity.get(i as usize));
-        }
+        let validity = if self.validity.is_all_valid() {
+            Bitmap::all_valid(idx.len())
+        } else {
+            let mut validity = Bitmap::with_capacity(idx.len());
+            for &i in idx {
+                validity.push(self.validity.get(i as usize));
+            }
+            validity
+        };
         let data = match &self.data {
             ColumnData::Int(v) => ColumnData::Int(idx.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Float(v) => ColumnData::Float(idx.iter().map(|&i| v[i as usize]).collect()),
@@ -362,14 +370,22 @@ impl Column {
 pub struct ColumnBuilder {
     data: Option<ColumnData>,
     validity: Bitmap,
+    /// Slots to reserve once the first non-null value picks the array type.
+    capacity: usize,
 }
 
 impl ColumnBuilder {
     /// Fresh, empty builder.
     pub fn new() -> ColumnBuilder {
+        ColumnBuilder::with_capacity(0)
+    }
+
+    /// Empty builder that allocates its array once for `capacity` slots.
+    pub fn with_capacity(capacity: usize) -> ColumnBuilder {
         ColumnBuilder {
             data: None,
-            validity: Bitmap::new(),
+            validity: Bitmap::with_capacity(capacity),
+            capacity,
         }
     }
 
@@ -394,12 +410,18 @@ impl ColumnBuilder {
         // Late initialization: backfill placeholders for the nulls seen
         // before the first non-null value.
         if self.data.is_none() {
+            fn filled<T: Clone>(fill: T, n: usize, capacity: usize) -> Vec<T> {
+                let mut vec = Vec::with_capacity(capacity.max(n + 1));
+                vec.resize(n, fill);
+                vec
+            }
+            let cap = self.capacity;
             self.data = Some(match v {
-                Value::Int(_) => ColumnData::Int(vec![0; n]),
-                Value::Float(_) => ColumnData::Float(vec![0.0; n]),
-                Value::Bool(_) => ColumnData::Bool(vec![false; n]),
-                Value::Str(_) => ColumnData::Str(vec![String::new(); n]),
-                Value::Box(_) => ColumnData::BBox(vec![BBox::new(0.0, 0.0, 0.0, 0.0); n]),
+                Value::Int(_) => ColumnData::Int(filled(0, n, cap)),
+                Value::Float(_) => ColumnData::Float(filled(0.0, n, cap)),
+                Value::Bool(_) => ColumnData::Bool(filled(false, n, cap)),
+                Value::Str(_) => ColumnData::Str(filled(String::new(), n, cap)),
+                Value::Box(_) => ColumnData::BBox(filled(BBox::new(0.0, 0.0, 0.0, 0.0), n, cap)),
                 Value::Null => unreachable!(),
             });
         }
@@ -477,6 +499,9 @@ mod tests {
         assert!(!b.is_all_valid());
         assert!(Bitmap::all_valid(70).is_all_valid());
         assert_eq!(Bitmap::all_valid(70).count_valid(), 70);
+        let mut pushed = Bitmap::new();
+        (0..70).for_each(|_| pushed.push(true));
+        assert_eq!(pushed, Bitmap::all_valid(70));
     }
 
     #[test]
@@ -565,6 +590,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `gather` must agree with `value_at` slot by slot — on the all-valid
+    /// fast path, the nullable path and the tag-preserving `Mixed` path,
+    /// with repeated and out-of-order indices (the cross-apply's shape).
+    #[test]
+    fn gather_matches_value_at_for_every_representation() {
+        let idx = [2u32, 2, 0, 3, 3, 3, 1];
+        let cases = [
+            vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)],
+            vec![
+                Value::from("car"),
+                Value::Null,
+                Value::from("bus"),
+                Value::from("van"),
+            ],
+            vec![Value::Int(1), Value::Float(2.5), Value::Null, Value::Int(4)],
+        ];
+        for vals in cases {
+            let c = Column::from_values(&vals);
+            let g = c.gather(&idx);
+            assert_eq!(g.len(), idx.len());
+            assert_eq!(
+                g.validity().is_all_valid(),
+                idx.iter().all(|&i| c.is_valid(i as usize))
+            );
+            for (slot, &i) in idx.iter().enumerate() {
+                assert_eq!(
+                    g.value_at(slot),
+                    c.value_at(i as usize),
+                    "{vals:?} slot {slot}"
+                );
+                assert_eq!(
+                    std::mem::discriminant(&g.value_at(slot)),
+                    std::mem::discriminant(&vals[i as usize]),
+                    "tag preserved at slot {slot}"
+                );
+            }
+        }
+        assert!(Column::from_ints(vec![5, 6]).gather(&[]).is_empty());
+    }
+
+    #[test]
+    fn builder_with_capacity_builds_the_same_column() {
+        let vals = vec![Value::Null, Value::from("a"), Value::Null, Value::from("b")];
+        let mut b = ColumnBuilder::with_capacity(vals.len());
+        for v in &vals {
+            b.push(v);
+        }
+        assert_eq!(b.finish(), Column::from_values(&vals));
     }
 
     #[test]

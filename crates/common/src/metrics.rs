@@ -67,7 +67,7 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub columnar_rows: u64,
     /// Rows materialized from columnar to row form at a pivot boundary
-    /// (the apply/sort/output edges of the columnar hot path).
+    /// (multi-batch sort, output collection, `force_row_path`).
     #[serde(default)]
     pub rows_pivoted: u64,
     /// View segments loaded and checksum-verified by a recovery pass.

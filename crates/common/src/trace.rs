@@ -737,10 +737,10 @@ mod tests {
         assert!(text.contains("query SELECT x"), "{text}");
         assert!(text.contains("  operator Apply det"), "{text}");
         assert!(text.contains("    udf_eval det"), "{text}");
-        let parsed: Vec<serde_json::Value> =
+        let parsed: Vec<std::collections::BTreeMap<String, serde_json::Value>> =
             serde_json::from_str(&q.to_chrome_json()).expect("chrome JSON is valid");
         assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0]["ph"], "X");
+        assert_eq!(parsed[0]["ph"], serde_json::json!("X"));
     }
 
     #[test]

@@ -45,9 +45,10 @@ pub struct ExecConfig {
     /// default keeps small interactive queries — and the plan goldens —
     /// on the serial path.
     pub parallel_scan_min_rows: u64,
-    /// Testing hook: pivot scan output to row batches at the source,
-    /// forcing the whole query down the row-at-a-time path (and disabling
-    /// parallel pipelines, which are columnar-only). The differential
+    /// Testing hook: pivot the output of the two columnar producers (scan
+    /// and APPLY) to row batches, forcing every other operator down its
+    /// row-at-a-time path (and disabling parallel pipelines, which are
+    /// columnar-only). The differential
     /// fuzzer's columnar-vs-row oracle flips this; production configs leave
     /// it off.
     pub force_row_path: bool,

@@ -139,26 +139,27 @@ fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Res
             return Ok(Box::new(ParallelPipelineOp::new(seg.clone())));
         }
     }
+    // `force_row_path` pivots the output of the two columnar producers
+    // (scan, APPLY) below the instrumentation shim, so those nodes report
+    // row batches and every operator above them takes its row arm.
+    let producer = |op: BoxedOp| -> BoxedOp {
+        if force_row {
+            Box::new(PivotRowsOp::new(op))
+        } else {
+            op
+        }
+    };
     let inner: BoxedOp = match plan {
         PhysPlan::ScanFrames {
             dataset,
             range,
             schema,
             ..
-        } => {
-            let scan: BoxedOp = Box::new(ScanFramesOp::new(
-                dataset.clone(),
-                *range,
-                Arc::clone(schema),
-            ));
-            if force_row {
-                // Pivot below the instrumentation shim so the scan node
-                // reports row batches, exactly like the pre-columnar engine.
-                Box::new(PivotRowsOp::new(scan))
-            } else {
-                scan
-            }
-        }
+        } => producer(Box::new(ScanFramesOp::new(
+            dataset.clone(),
+            *range,
+            Arc::clone(schema),
+        ))),
         PhysPlan::Filter {
             input, predicate, ..
         } => Box::new(FilterOp::new(
@@ -170,14 +171,14 @@ fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Res
             spec,
             schema,
             ..
-        } => Box::new(
+        } => producer(Box::new(
             ApplyOp::new(
                 build(input, par, force_row)?,
                 spec.clone(),
                 Arc::clone(schema),
             )?
             .with_op_id(plan.op_id()),
-        ),
+        )),
         PhysPlan::Project {
             input,
             items,

@@ -14,20 +14,23 @@
 //! The FunCache baseline routes through the same operator with a hash-keyed
 //! in-memory cache instead of views, paying the per-invocation hashing cost.
 //!
-//! Reuse results flow through as `Arc<[Row]>` end to end: a probe hit, a
-//! cache hit, and a STORE append all share one allocation with the store —
-//! rows are only copied at the final cross-apply join that builds output
-//! tuples. Large batches fan UDF evaluation and view probes out to the
-//! persistent [`WorkerPool`]; every simulated-cost charge stays on the
-//! caller thread, so the `CostBreakdown` is bit-identical with or without
-//! parallelism.
+//! The operator is columnar in and out. Probe keys are read straight from
+//! the typed `frame`/`bbox` columns through the batch's selection; reuse
+//! results flow through as `Arc<[Row]>` — a probe hit, a cache hit, and a
+//! STORE append all share one allocation with the store — and the
+//! cross-apply join is a *selection expansion*: a repeat-index vector
+//! gathers the input columns while the result rows are appended to typed
+//! output columns, so downstream filters and projections stay vectorized.
+//! Large batches fan UDF evaluation and view probes out to the persistent
+//! [`WorkerPool`]; every simulated-cost charge stays on the caller thread,
+//! so the `CostBreakdown` is bit-identical with or without parallelism.
 
 use std::sync::Arc;
 
 use eva_common::hash::xxhash64;
 use eva_common::{
-    BBox, Batch, CostCategory, EvaError, ExecBatch, Failpoint, FireRule, FrameId, OpId, Result,
-    Row, Schema, SpanKind, ViewId,
+    BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, ExecBatch,
+    Failpoint, FireRule, FrameId, OpId, Result, Row, Schema, SpanKind, ViewId,
 };
 use eva_expr::Expr;
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
@@ -35,7 +38,14 @@ use eva_storage::{StorageEngine, ViewKey};
 use eva_udf::{SimUdf, UdfEvalContext};
 
 use crate::context::ExecCtx;
-use crate::ops::{into_rows, BoxedOp, Operator};
+use crate::ops::{BoxedOp, Operator};
+
+/// One UDF input: the logical `(frame, box)` pair and its view key.
+type ApplyKey = (FrameId, Option<BBox>, ViewKey);
+
+/// What the UDF produced (or the store served) per input key; `None` only
+/// transiently, while a key is still unresolved.
+type ApplyResults = Vec<Option<Arc<[Row]>>>;
 
 /// The fused probe/evaluate/store apply.
 pub struct ApplyOp {
@@ -88,15 +98,31 @@ impl ApplyOp {
         self
     }
 
-    fn key_of(&self, row: &Row) -> Result<(FrameId, Option<BBox>, ViewKey)> {
-        let frame = FrameId(row[self.frame_idx].as_int()? as u64);
-        match self.bbox_idx {
-            Some(i) => {
-                let b = row[i].as_bbox()?;
-                Ok((frame, Some(b), ViewKey::frame_box(frame, &b)))
-            }
-            None => Ok((frame, None, ViewKey::frame(frame))),
+    /// The batch's UDF inputs, one per *visible* row, read from the typed
+    /// argument columns. A NULL or wrong-typed cell reports the same
+    /// [`EvaError::Type`] as [`eva_common::Value::as_int`]/`as_bbox`.
+    fn keys_of(&self, cb: &ColumnarBatch) -> Result<Vec<ApplyKey>> {
+        let frames = cb.column(self.frame_idx);
+        let boxes = self.bbox_idx.map(|i| cb.column(i));
+        let mut keys = Vec::with_capacity(cb.len());
+        for i in 0..cb.len() {
+            let phys = cb.physical_index(i);
+            let frame = FrameId(match frames.cell(phys) {
+                CellRef::Int(f) => f,
+                other => other.to_value().as_int()?,
+            } as u64);
+            keys.push(match boxes {
+                Some(col) => {
+                    let b = match col.cell(phys) {
+                        CellRef::BBox(b) => b,
+                        other => other.to_value().as_bbox()?,
+                    };
+                    (frame, Some(b), ViewKey::frame_box(frame, &b))
+                }
+                None => (frame, None, ViewKey::frame(frame)),
+            });
         }
+        Ok(keys)
     }
 
     /// Stable identity of one UDF input, folded into keyed failpoint
@@ -300,23 +326,18 @@ impl ApplyOp {
     fn process_views(
         &self,
         ctx: &ExecCtx<'_>,
-        batch: &Batch,
+        keys: &[ApplyKey],
         segments: &[Segment],
         store: bool,
-    ) -> Result<Vec<Option<Arc<[Row]>>>> {
+    ) -> Result<ApplyResults> {
         // A degraded query stops growing materialized state: fresh UDF
         // results still serve the query but are no longer appended to views
         // (and the session drops the pending coverage commits, so partial
         // appends are never claimed). Deterministic: the degradation point
         // is itself deterministic.
         let store = store && !ctx.governor.is_degraded();
-        let n = batch.len();
-        let mut results: Vec<Option<Arc<[Row]>>> = vec![None; n];
-        let mut keys = Vec::with_capacity(n);
-        for row in batch.rows() {
-            keys.push(self.key_of(row)?);
-        }
-
+        let n = keys.len();
+        let mut results: ApplyResults = vec![None; n];
         let mut unresolved: Vec<usize> = (0..n).collect();
         for seg in segments {
             if unresolved.is_empty() {
@@ -328,7 +349,7 @@ impl ApplyOp {
             // one), so `probes == hits + misses` holds by construction.
             if let Some(view) = seg.view {
                 let probes = unresolved.len() as u64;
-                let mut exact_hits = 0u64;
+                let mut hit_idx: Vec<usize> = Vec::new();
                 let probe_started = std::time::Instant::now();
                 let probe_clock = ctx.clock.snapshot();
                 let probe_keys: Vec<ViewKey> = unresolved.iter().map(|&i| keys[i].2).collect();
@@ -337,25 +358,20 @@ impl ApplyOp {
                 for (pos, &i) in unresolved.iter().enumerate() {
                     match probed[pos].take() {
                         Some(rows) => {
-                            ctx.stats.record_reuse(
-                                &seg.udf.name,
-                                keys[i].2,
-                                seg.udf.cost_ms.unwrap_or(0.0),
-                            );
-                            exact_hits += 1;
+                            hit_idx.push(i);
                             results[i] = Some(rows);
                         }
                         None => still.push(i),
                     }
                 }
+                let exact_hits = hit_idx.len() as u64;
                 // §6 future work: fuzzy bbox matching — an exact-key miss
                 // may still reuse the result of a near-identical stored box
                 // (opt-in; trades exactness for more reuse).
-                let mut fuzzy_hits = 0u64;
                 if let (Some(min_iou), true) = (ctx.config.fuzzy_box_iou, self.bbox_idx.is_some()) {
                     let mut misses = Vec::with_capacity(still.len());
                     for &i in &still {
-                        let (frame, bbox, vkey) = keys[i];
+                        let (frame, bbox, _) = keys[i];
                         let hit = match bbox {
                             Some(b) => ctx
                                 .storage
@@ -364,12 +380,7 @@ impl ApplyOp {
                         };
                         match hit {
                             Some(rows) => {
-                                ctx.stats.record_reuse(
-                                    &seg.udf.name,
-                                    vkey,
-                                    seg.udf.cost_ms.unwrap_or(0.0),
-                                );
-                                fuzzy_hits += 1;
+                                hit_idx.push(i);
                                 results[i] = Some(rows);
                             }
                             None => misses.push(i),
@@ -388,14 +399,20 @@ impl ApplyOp {
                     probes,
                 );
                 // Every hit is a UDF call this segment avoided. Recorded on
-                // the caller thread, once per probe batch.
-                let hits = exact_hits + fuzzy_hits;
-                ctx.metrics().record_probe_batch(probes, hits, fuzzy_hits);
-                ctx.metrics().record_udf_calls(
-                    0,
-                    hits,
-                    seg.udf.cost_ms.unwrap_or(0.0) * hits as f64,
+                // the caller thread, once per probe batch (and outside the
+                // probe span, which times the store alone).
+                let hits = hit_idx.len() as u64;
+                let fuzzy_hits = hits - exact_hits;
+                let avoided_ms = seg.udf.cost_ms.unwrap_or(0.0);
+                ctx.stats.record_batch(
+                    &seg.udf.name,
+                    hit_idx.iter().map(|&i| keys[i].2),
+                    avoided_ms,
+                    true,
                 );
+                ctx.metrics().record_probe_batch(probes, hits, fuzzy_hits);
+                ctx.metrics()
+                    .record_udf_calls(0, hits, avoided_ms * hits as f64);
                 ctx.op_stats.update(self.op_id, |s| {
                     s.probes += probes;
                     s.probe_hits += hits;
@@ -427,8 +444,6 @@ impl ApplyOp {
                 let mut appends = Vec::with_capacity(evaluated.len());
                 for (i, rows) in evaluated {
                     ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                    ctx.stats
-                        .record_eval(&seg.udf.name, keys[i].2, udf.cost_ms());
                     // One shared allocation serves both the STORE append and
                     // this operator's own output — no row copies.
                     let rows: Arc<[Row]> = rows.into();
@@ -446,6 +461,12 @@ impl ApplyOp {
                     eval_started.elapsed().as_nanos() as u64,
                     n_eval,
                 );
+                ctx.stats.record_batch(
+                    &seg.udf.name,
+                    inputs.iter().map(|&(i, ..)| keys[i].2),
+                    udf.cost_ms(),
+                    false,
+                );
                 if store && !appends.is_empty() {
                     if let Some(view) = seg.view {
                         ctx.storage.view_append(view, appends, ctx.clock)?;
@@ -461,17 +482,17 @@ impl ApplyOp {
     fn process_funcache(
         &self,
         ctx: &ExecCtx<'_>,
-        batch: &Batch,
+        keys: &[ApplyKey],
         udf_def: &eva_catalog::UdfDef,
-    ) -> Result<Vec<Option<Arc<[Row]>>>> {
+    ) -> Result<ApplyResults> {
         let udf = ctx.registry.get(&udf_def.impl_id)?;
         let frame_bytes = ctx.dataset.frame_bytes();
         let lookup_started = std::time::Instant::now();
         let lookup_clock = ctx.clock.snapshot();
-        let mut results = Vec::with_capacity(batch.len());
-        let (mut cache_hits, mut cache_misses, mut rows_shared) = (0u64, 0u64, 0u64);
-        for row in batch.rows() {
-            let (frame, bbox, vkey) = self.key_of(row)?;
+        let mut results = Vec::with_capacity(keys.len());
+        let (mut hit_keys, mut miss_keys) = (Vec::new(), Vec::new());
+        let mut rows_shared = 0u64;
+        for &(frame, bbox, vkey) in keys {
             // Hash the input arguments — charged for the full frame payload
             // on every invocation, the baseline's defining overhead.
             let digest = ctx.dataset.frame_digest(frame);
@@ -491,8 +512,7 @@ impl ApplyOp {
             let key = ctx.funcache.key(&udf_def.name, &arg_bytes);
             match ctx.funcache.get(&key) {
                 Some(rows) => {
-                    ctx.stats.record_reuse(&udf_def.name, vkey, udf.cost_ms());
-                    cache_hits += 1;
+                    hit_keys.push(vkey);
                     rows_shared += rows.len() as u64;
                     results.push(Some(rows));
                 }
@@ -512,9 +532,8 @@ impl ApplyOp {
                         .into();
                     self.breaker_success(ctx);
                     ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                    ctx.stats.record_eval(&udf_def.name, vkey, udf.cost_ms());
                     ctx.funcache.insert(key, Arc::clone(&rows));
-                    cache_misses += 1;
+                    miss_keys.push(vkey);
                     results.push(Some(rows));
                 }
             }
@@ -526,8 +545,13 @@ impl ApplyOp {
             &udf_def.name,
             ctx.clock.snapshot().since(&lookup_clock).total_ms(),
             lookup_started.elapsed().as_nanos() as u64,
-            batch.len() as u64,
+            keys.len() as u64,
         );
+        let (cache_hits, cache_misses) = (hit_keys.len() as u64, miss_keys.len() as u64);
+        ctx.stats
+            .record_batch(&udf_def.name, hit_keys, udf.cost_ms(), true);
+        ctx.stats
+            .record_batch(&udf_def.name, miss_keys, udf.cost_ms(), false);
         // Cache hits serve their rows by Arc clone and each one avoided a
         // model invocation; charged once per batch on the caller thread.
         ctx.metrics().record_funcache(cache_hits, cache_misses);
@@ -541,20 +565,18 @@ impl ApplyOp {
         Ok(results)
     }
 
-    fn process_plain(&self, ctx: &ExecCtx<'_>, batch: &Batch) -> Result<Vec<Option<Arc<[Row]>>>> {
+    fn process_plain(&self, ctx: &ExecCtx<'_>, keys: &[ApplyKey]) -> Result<ApplyResults> {
         let udf_def = self
             .spec
             .fallback_udf()
             .cloned()
             .ok_or_else(|| EvaError::Exec("apply without a UDF".into()))?;
         let udf = ctx.registry.get(&udf_def.impl_id)?;
-        let mut inputs = Vec::with_capacity(batch.len());
-        let mut keys = Vec::with_capacity(batch.len());
-        for (i, row) in batch.rows().iter().enumerate() {
-            let (frame, bbox, vkey) = self.key_of(row)?;
-            inputs.push((i, frame, bbox));
-            keys.push(vkey);
-        }
+        let inputs: Vec<(usize, FrameId, Option<BBox>)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &(frame, bbox, _))| (i, frame, bbox))
+            .collect();
         let eval_started = std::time::Instant::now();
         let eval_clock = ctx.clock.snapshot();
         self.breaker_check(ctx)?;
@@ -565,10 +587,9 @@ impl ApplyOp {
         ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
         ctx.op_stats
             .update(self.op_id, |s| s.udf_executed += n_eval);
-        let mut results: Vec<Option<Arc<[Row]>>> = vec![None; batch.len()];
+        let mut results: ApplyResults = vec![None; keys.len()];
         for (i, rows) in evaluated {
             ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-            ctx.stats.record_eval(&udf_def.name, keys[i], udf.cost_ms());
             results[i] = Some(rows.into());
         }
         ctx.trace().leaf(
@@ -578,7 +599,49 @@ impl ApplyOp {
             eval_started.elapsed().as_nanos() as u64,
             n_eval,
         );
+        ctx.stats.record_batch(
+            &udf_def.name,
+            keys.iter().map(|k| k.2),
+            udf.cost_ms(),
+            false,
+        );
         Ok(results)
+    }
+
+    /// Cross-apply join by selection expansion: input row × each of its
+    /// result rows, in input order. `repeat` names every output row's
+    /// physical input row, so the input columns are one [`Column::gather`]
+    /// each; the result rows are appended to typed output columns. This is
+    /// the single place reuse results are copied. `None` when the batch
+    /// fanned out to nothing (zero detections everywhere).
+    fn join(&self, cb: &ColumnarBatch, results: &ApplyResults) -> Option<ColumnarBatch> {
+        let n_out: usize = results.iter().flatten().map(|rows| rows.len()).sum();
+        if n_out == 0 {
+            return None;
+        }
+        let mut repeat: Vec<u32> = Vec::with_capacity(n_out);
+        let mut outputs: Vec<ColumnBuilder> = (0..self.spec.output.len())
+            .map(|_| ColumnBuilder::with_capacity(n_out))
+            .collect();
+        for (i, udf_rows) in results.iter().enumerate() {
+            let Some(udf_rows) = udf_rows else { continue };
+            let phys = cb.physical_index(i) as u32;
+            for udf_row in udf_rows.iter() {
+                debug_assert_eq!(udf_row.len(), outputs.len());
+                repeat.push(phys);
+                for (builder, v) in outputs.iter_mut().zip(udf_row) {
+                    builder.push(v);
+                }
+            }
+        }
+        let columns: Vec<Arc<Column>> = cb
+            .columns()
+            .iter()
+            .map(|c| c.gather(&repeat))
+            .chain(outputs.into_iter().map(ColumnBuilder::finish))
+            .map(Arc::new)
+            .collect();
+        Some(ColumnarBatch::new(Arc::clone(&self.schema), columns, n_out))
     }
 }
 
@@ -596,40 +659,26 @@ impl Operator for ApplyOp {
             // — before the batch's UDF work, where cancellation saves the
             // most simulated (and real) time.
             ctx.governor.check(ctx.clock)?;
-            // UDF dispatch and the cross-apply join are row-oriented; this
-            // is the planned pivot point off the columnar hot path.
-            let batch = into_rows(ctx, batch);
+            // Row-form input (unit tests, `force_row_path`) is lifted once;
+            // there is one join, and it is columnar.
+            let cb = match batch {
+                ExecBatch::Columnar(cb) => cb,
+                ExecBatch::Rows(batch) => ColumnarBatch::from_batch(&batch),
+            };
             ctx.clock.charge(
                 CostCategory::Apply,
-                ctx.config.apply_overhead_ms * batch.len() as f64,
+                ctx.config.apply_overhead_ms * cb.len() as f64,
             );
+            let keys = self.keys_of(&cb)?;
             let results = match &self.spec.reuse {
-                ApplyReuse::None { .. } => self.process_plain(ctx, &batch)?,
-                ApplyReuse::FunCache { udf } => self.process_funcache(ctx, &batch, udf)?,
+                ApplyReuse::None { .. } => self.process_plain(ctx, &keys)?,
+                ApplyReuse::FunCache { udf } => self.process_funcache(ctx, &keys, udf)?,
                 ApplyReuse::Views { segments, store } => {
-                    self.process_views(ctx, &batch, segments, *store)?
+                    self.process_views(ctx, &keys, segments, *store)?
                 }
             };
-            // Cross-apply join: input row × each output row. This is the
-            // single place reuse results are copied — into fresh output
-            // tuples.
-            let n_out_cols = self.spec.output.len();
-            let mut out_rows: Vec<Row> = Vec::new();
-            for (row, result) in batch.rows().iter().zip(results) {
-                let Some(udf_rows) = result else { continue };
-                for udf_row in udf_rows.iter() {
-                    debug_assert_eq!(udf_row.len(), n_out_cols);
-                    let mut joined = Vec::with_capacity(row.len() + n_out_cols);
-                    joined.extend(row.iter().cloned());
-                    joined.extend(udf_row.iter().cloned());
-                    out_rows.push(joined);
-                }
-            }
-            if !out_rows.is_empty() {
-                return Ok(Some(ExecBatch::Rows(Batch::new(
-                    Arc::clone(&self.schema),
-                    out_rows,
-                ))));
+            if let Some(joined) = self.join(&cb, &results) {
+                return Ok(Some(ExecBatch::Columnar(joined)));
             }
         }
     }

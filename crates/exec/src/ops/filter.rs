@@ -15,8 +15,8 @@ use crate::ops::{BoxedOp, Operator};
 ///
 /// Columnar input is filtered *in place*: the vectorized evaluator returns
 /// the surviving physical indices and the batch is narrowed to that
-/// selection — no row is copied. Row input (post-APPLY) falls back to the
-/// scalar per-row evaluator.
+/// selection — no row is copied. Row input (test sources, `force_row_path`)
+/// falls back to the scalar per-row evaluator.
 pub struct FilterOp {
     input: BoxedOp,
     predicate: Expr,

@@ -15,9 +15,11 @@ use crate::context::ExecCtx;
 
 /// A pull-based operator producing batches until exhausted.
 ///
-/// Batches flow in one of two forms (see [`ExecBatch`]): the non-UDF hot
-/// path (scan → filter → project → aggregate) stays columnar; row-oriented
-/// operators (APPLY, SORT) pivot their input through [`into_rows`].
+/// Batches flow in one of two forms (see [`ExecBatch`]). Every planned
+/// pipeline — scan → filter → apply → filter → project → aggregate — stays
+/// columnar; only a multi-batch SORT and the final output collection pivot
+/// through [`into_rows`]. Row batches enter from test sources and under
+/// `force_row_path` ([`PivotRowsOp`]).
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> Arc<Schema>;
@@ -28,7 +30,7 @@ pub trait Operator {
 /// Boxed operator alias.
 pub type BoxedOp = Box<dyn Operator>;
 
-/// Pivot a batch to row form at a row-oriented boundary (APPLY input, SORT
+/// Pivot a batch to row form at a row-oriented boundary (multi-batch SORT
 /// buffering, final output collection), charging the `rows_pivoted`
 /// counter — the observable cost of leaving the columnar path.
 pub(crate) fn into_rows(ctx: &ExecCtx<'_>, b: ExecBatch) -> Batch {
@@ -44,7 +46,8 @@ pub(crate) fn into_rows(ctx: &ExecCtx<'_>, b: ExecBatch) -> Batch {
 /// Forces row-oriented flow by pivoting every columnar batch its input
 /// produces. Downstream operators then take their row-at-a-time paths —
 /// this is how benchmarks compare the legacy row pipeline against the
-/// vectorized one over the same plan.
+/// vectorized one over the same plan. `force_row_path` wraps the two
+/// columnar producers, the scan and APPLY.
 pub struct PivotRowsOp {
     input: BoxedOp,
 }

@@ -325,6 +325,12 @@ fn apply_plain_mode_fans_out_detections() {
     assert_eq!(counters.reused_invocations, 0);
     let udf_ms = env.clock.snapshot().get(CostCategory::Udf);
     assert!((udf_ms - 20.0 * 99.0).abs() < 1e-6);
+    // APPLY reads its keys from the columns and emits columnar batches:
+    // the only pivot is the drain's, over the joined output rows.
+    assert_eq!(
+        env.storage.metrics().snapshot().rows_pivoted,
+        out.len() as u64
+    );
 }
 
 #[test]
@@ -480,12 +486,25 @@ fn apply_funcache_mode_hits_and_charges_hash() {
 
 #[test]
 fn apply_box_level_uses_frame_box_keys() {
-    let env = TestEnv::new(11, 6);
+    let env = TestEnv::new(11, 128);
     let det = env.catalog.udf("fasterrcnn_resnet50").unwrap();
     let ct = env.catalog.udf("cartype").unwrap();
+    // Scan far enough that the detector emits a box whatever stream the
+    // video generator's RNG produced (the first six frames can be empty).
+    let model = env.registry.get(&det.impl_id).unwrap();
+    let detects = |f: u64| {
+        let input = eva_udf::UdfEvalContext {
+            dataset: &env.dataset,
+            frame: FrameId(f),
+            bbox: None,
+        };
+        !model.eval(&input).unwrap().is_empty()
+    };
+    let first_hit = (0..128).find(|&f| detects(f)).expect("a detection");
+    let n = (first_hit + 1).max(6);
     // Build detector rows first (plain), then cartype with views+store.
     let det_spec = detector_spec(&env, ApplyReuse::None { udf: det });
-    let det_op = ApplyOp::new(frame_source(&env, 6), det_spec, apply_schema(&env)).unwrap();
+    let det_op = ApplyOp::new(frame_source(&env, n), det_spec, apply_schema(&env)).unwrap();
 
     let view = env.storage.create_view(
         "cartype",
@@ -528,6 +547,247 @@ fn apply_rejects_non_column_args() {
         output: Arc::new(Schema::empty()),
     };
     assert!(ApplyOp::new(frame_source(&env, 5), spec, apply_schema(&env)).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// The columnar cross-apply join
+// ---------------------------------------------------------------------------
+
+/// A detector-shaped model whose output is a pure function of the frame id:
+/// frame `f` yields `f % 4` rows (so every fourth frame fans out to
+/// nothing), with a NULL label on odd rows and an `Int` score on row 0 —
+/// the join must carry NULLs and value tags through unchanged.
+struct FanoutSim {
+    schema: Arc<Schema>,
+}
+
+impl eva_udf::SimUdf for FanoutSim {
+    fn impl_id(&self) -> &str {
+        "test/fanout"
+    }
+    fn cost_ms(&self) -> f64 {
+        7.3
+    }
+    fn output_schema(&self) -> Arc<Schema> {
+        Arc::clone(&self.schema)
+    }
+    fn key_kind(&self) -> ViewKeyKind {
+        ViewKeyKind::Frame
+    }
+    fn eval(&self, ctx: &eva_udf::UdfEvalContext<'_>) -> eva_common::Result<Vec<Vec<Value>>> {
+        Ok(fanout_rows(ctx.frame.raw()))
+    }
+}
+
+fn fanout_rows(f: u64) -> Vec<Vec<Value>> {
+    (0..f % 4)
+        .map(|j| {
+            let x = (f as f32 + j as f32) / 64.0;
+            vec![
+                if j % 2 == 1 {
+                    Value::Null
+                } else {
+                    Value::from(format!("obj{f}_{j}"))
+                },
+                Value::from(eva_common::BBox::new(x, x, x + 0.1, x + 0.1)),
+                if j == 0 {
+                    Value::Int(1)
+                } else {
+                    Value::Float(0.5 + j as f64 / 8.0)
+                },
+            ]
+        })
+        .collect()
+}
+
+/// How the join tests hand the same frames to `ApplyOp`.
+#[derive(Debug, Clone, Copy)]
+enum InputForm {
+    Rows,
+    Columnar,
+    /// A 16-row columnar batch with only the wanted frames selected.
+    Selected,
+}
+
+/// Frames fed to the join tests, deliberately out of order; 0, 12 and 4
+/// have zero detections under [`FanoutSim`].
+const JOIN_FRAMES: [u32; 7] = [7, 3, 0, 12, 4, 9, 6];
+
+fn frame_row(f: u32) -> Vec<Value> {
+    vec![
+        Value::Int(f as i64),
+        Value::Int(f as i64 * 40),
+        Value::Int(f as i64),
+    ]
+}
+
+fn join_source(form: InputForm) -> BoxedOp {
+    let schema = Arc::new(eva_storage::engine::video_table_schema());
+    let wanted = || JOIN_FRAMES.iter().map(|&f| frame_row(f)).collect();
+    match form {
+        InputForm::Rows => Box::new(ValuesOp::new(schema, wanted())),
+        InputForm::Columnar => Box::new(ColumnarValuesOp::new(schema, wanted())),
+        InputForm::Selected => Box::new(ColumnarValuesOp::with_selection(
+            schema,
+            (0..16).map(frame_row).collect(),
+            JOIN_FRAMES.to_vec(),
+        )),
+    }
+}
+
+/// Everything observable about a cold pass (all keys miss: evaluate and
+/// STORE) followed by a warm pass (all keys hit) over [`JOIN_FRAMES`].
+#[derive(Debug, PartialEq)]
+struct JoinRun {
+    cold: Vec<Vec<Value>>,
+    warm: Vec<Vec<Value>>,
+    cost: eva_common::CostBreakdown,
+    metrics: eva_common::MetricsSnapshot,
+    op_stats: std::collections::BTreeMap<eva_common::OpId, eva_common::OpStats>,
+    counters: (u64, u64, u64),
+    view: Vec<Option<Vec<Vec<Value>>>>,
+}
+
+fn run_join(form: InputForm) -> JoinRun {
+    let env = TestEnv::new(30, 16);
+    let det = env.catalog.udf("fasterrcnn_resnet50").unwrap();
+    let output = Arc::new(det.output.clone());
+    env.registry.register(Arc::new(FanoutSim {
+        schema: Arc::clone(&output),
+    }));
+    let udf = eva_catalog::UdfDef {
+        name: "fanout".into(),
+        impl_id: "test/fanout".into(),
+        cost_ms: Some(7.3),
+        ..det
+    };
+    let view = env
+        .storage
+        .create_view("fanout", ViewKeyKind::Frame, Arc::clone(&output));
+    let pass = || {
+        let spec = ApplySpec {
+            display_name: "fanout".into(),
+            args: vec![Expr::col("frame")],
+            reuse: ApplyReuse::Views {
+                segments: vec![Segment {
+                    udf: udf.clone(),
+                    view: Some(view),
+                    eval: true,
+                }],
+                store: true,
+            },
+            output: Arc::clone(&output),
+        };
+        let op = ApplyOp::new(join_source(form), spec, apply_schema(&env)).unwrap();
+        env.drain(Box::new(op)).unwrap().into_rows()
+    };
+    let cold = pass();
+    assert_eq!(env.stats.get("fanout").reused_invocations, 0, "all miss");
+    let warm = pass();
+    let c = env.stats.get("fanout");
+    assert_eq!(c.reused_invocations, JOIN_FRAMES.len() as u64, "all hit");
+    let keys: Vec<ViewKey> = (0..16).map(|f| ViewKey::frame(FrameId(f))).collect();
+    let (stored, _) = env.storage.view_probe_uncharged(view, &keys).unwrap();
+    let m = env.storage.metrics().snapshot().deterministic();
+    JoinRun {
+        cold,
+        warm,
+        cost: env.clock.snapshot(),
+        metrics: eva_common::MetricsSnapshot {
+            columnar_batches: 0,
+            columnar_rows: 0,
+            rows_pivoted: 0,
+            ..m
+        },
+        op_stats: env.op_stats.snapshot(),
+        counters: (c.total_invocations, c.distinct_inputs, c.reused_invocations),
+        view: stored
+            .into_iter()
+            .map(|rows| rows.map(|r| r.to_vec()))
+            .collect(),
+    }
+}
+
+/// One join, three input forms: row batches (lifted once), columnar
+/// batches, and columnar batches under a non-trivial selection must be
+/// indistinguishable — rows in order, simulated cost, counters, per-op
+/// stats and what STORE left in the view.
+#[test]
+fn apply_join_is_identical_across_input_forms() {
+    let rows = run_join(InputForm::Rows);
+    // The expected output, spelled out: input order, each frame × its
+    // `f % 4` result rows, zero-detection frames dropped.
+    let expected: Vec<Vec<Value>> = JOIN_FRAMES
+        .iter()
+        .flat_map(|&f| {
+            fanout_rows(f as u64)
+                .into_iter()
+                .map(move |udf_row| [frame_row(f), udf_row].concat())
+        })
+        .collect();
+    assert_eq!(expected.len(), 3 + 3 + 1 + 2);
+    assert_eq!(rows.cold, expected);
+    assert_eq!(rows.warm, expected, "served from the view, same join");
+    // Tags survive the typed output columns: row 0's score stays an Int.
+    assert!(matches!(rows.cold[0][5], Value::Int(1)));
+    assert!(matches!(rows.cold[1][3], Value::Null));
+    // Zero-detection frames are still materialized (as empty results).
+    assert_eq!(rows.view[0], Some(vec![]));
+    assert_eq!(rows.view[1], None, "frame 1 was never an input");
+    assert_eq!(rows.counters, (14, 7, 7));
+
+    assert_eq!(rows, run_join(InputForm::Columnar));
+    assert_eq!(rows, run_join(InputForm::Selected));
+}
+
+/// A NULL or wrong-typed `frame`/`bbox` cell is reported exactly as the
+/// row engine's `Value::as_int`/`as_bbox` report it, whichever form the
+/// batch arrives in.
+#[test]
+fn apply_reports_key_type_errors_like_value_accessors() {
+    let env = TestEnv::new(31, 4);
+    let det = env.catalog.udf("fasterrcnn_resnet50").unwrap();
+    let ct = env.catalog.udf("cartype").unwrap();
+    let schema = Arc::new(
+        Schema::new(vec![
+            Field::new("frame", DataType::Frame),
+            Field::new("bbox", DataType::BBox),
+        ])
+        .unwrap(),
+    );
+    let good_box = Value::from(eva_common::BBox::new(0.1, 0.1, 0.2, 0.2));
+    let run = |spec: &ApplySpec, bad: Vec<Value>, columnar: bool| {
+        let rows = vec![vec![Value::Int(1), good_box.clone()], bad];
+        let src: BoxedOp = if columnar {
+            Box::new(ColumnarValuesOp::new(Arc::clone(&schema), rows))
+        } else {
+            Box::new(ValuesOp::new(Arc::clone(&schema), rows))
+        };
+        let out = Arc::new(schema.join(&spec.output));
+        env.drain(Box::new(ApplyOp::new(src, spec.clone(), out).unwrap()))
+            .unwrap_err()
+    };
+    let frame_spec = detector_spec(&env, ApplyReuse::None { udf: det });
+    let box_spec = ApplySpec {
+        display_name: "cartype".into(),
+        args: vec![Expr::col("frame"), Expr::col("bbox")],
+        output: Arc::new(ct.output.clone()),
+        reuse: ApplyReuse::None { udf: ct },
+    };
+    for columnar in [false, true] {
+        for bad in [Value::Null, Value::from("seven"), Value::Float(7.0)] {
+            let want = bad.as_int().unwrap_err();
+            assert!(matches!(want, eva_common::EvaError::Type(_)));
+            let got = run(&frame_spec, vec![bad, good_box.clone()], columnar);
+            assert_eq!(got, want, "frame cell, columnar={columnar}");
+        }
+        for bad in [Value::Null, Value::Int(3), Value::from("box")] {
+            let want = bad.as_bbox().unwrap_err();
+            assert!(matches!(want, eva_common::EvaError::Type(_)));
+            let got = run(&box_spec, vec![Value::Int(2), bad], columnar);
+            assert_eq!(got, want, "bbox cell, columnar={columnar}");
+        }
+    }
 }
 
 /// Run the standard views-mode detector query under a given config and

@@ -133,6 +133,18 @@ impl ColumnarValuesOp {
             batches: vec![batch],
         }
     }
+
+    /// Like [`ColumnarValuesOp::new`], with only the physical rows at `sel`
+    /// visible (in that order) — a batch as a filter would have left it.
+    pub fn with_selection(
+        schema: Arc<Schema>,
+        rows: Vec<Vec<Value>>,
+        sel: Vec<u32>,
+    ) -> ColumnarValuesOp {
+        let mut op = ColumnarValuesOp::new(schema, rows);
+        op.batches[0] = op.batches[0].with_selection(sel);
+        op
+    }
 }
 
 impl Operator for ColumnarValuesOp {

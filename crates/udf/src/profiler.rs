@@ -38,22 +38,23 @@ impl UdfCounters {
     }
 }
 
+/// Everything tracked for one UDF, under one map entry.
 #[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, UdfCounters>,
-    distinct: BTreeMap<String, HashSet<ViewKey>>,
+struct UdfEntry {
+    counters: UdfCounters,
+    distinct: HashSet<ViewKey>,
 }
 
 /// Thread-safe invocation statistics registry. Cheap to clone.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct InvocationStats {
-    inner: Arc<Mutex<Inner>>,
+    inner: Arc<Mutex<BTreeMap<String, UdfEntry>>>,
 }
 
-impl std::fmt::Debug for Inner {
+impl std::fmt::Debug for InvocationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inner")
-            .field("counters", &self.counters)
+        f.debug_struct("InvocationStats")
+            .field("counters", &self.all())
             .finish()
     }
 }
@@ -64,46 +65,40 @@ impl InvocationStats {
         InvocationStats::default()
     }
 
-    /// Record an invocation that ran the model.
-    pub fn record_eval(&self, udf: &str, key: ViewKey, cost_ms: f64) {
-        let mut inner = self.inner.lock();
-        let c = inner.counters.entry(udf.to_string()).or_default();
-        c.total_invocations += 1;
-        c.eval_ms += cost_ms;
-        c.per_call_ms = c.per_call_ms.max(cost_ms);
-        if inner
-            .distinct
-            .entry(udf.to_string())
-            .or_default()
-            .insert(key)
-        {
-            inner
-                .counters
-                .get_mut(udf)
-                .expect("just inserted")
-                .distinct_inputs += 1;
+    /// Record one batch of invocations of `udf`, one per key: `reused`
+    /// batches were satisfied from materialized results (`cost_ms` is what
+    /// evaluation *would* have paid), the others ran the model. Locks once
+    /// per batch and allocates only on a UDF's first appearance; an empty
+    /// batch registers nothing.
+    pub fn record_batch(
+        &self,
+        udf: &str,
+        keys: impl IntoIterator<Item = ViewKey>,
+        cost_ms: f64,
+        reused: bool,
+    ) {
+        let mut keys = keys.into_iter().peekable();
+        if keys.peek().is_none() {
+            return;
         }
-    }
-
-    /// Record an invocation satisfied from materialized results.
-    /// `cost_ms` is the cost evaluation *would* have paid.
-    pub fn record_reuse(&self, udf: &str, key: ViewKey, cost_ms: f64) {
         let mut inner = self.inner.lock();
-        let c = inner.counters.entry(udf.to_string()).or_default();
-        c.total_invocations += 1;
-        c.reused_invocations += 1;
-        c.per_call_ms = c.per_call_ms.max(cost_ms);
-        if inner
-            .distinct
-            .entry(udf.to_string())
-            .or_default()
-            .insert(key)
-        {
-            inner
-                .counters
-                .get_mut(udf)
-                .expect("just inserted")
-                .distinct_inputs += 1;
+        if !inner.contains_key(udf) {
+            inner.insert(udf.to_string(), UdfEntry::default());
+        }
+        let UdfEntry { counters, distinct } = inner.get_mut(udf).expect("just inserted");
+        for key in keys {
+            counters.total_invocations += 1;
+            if reused {
+                counters.reused_invocations += 1;
+            } else {
+                // Summed call by call, so the total is bit-identical to
+                // per-invocation recording for any cost.
+                counters.eval_ms += cost_ms;
+            }
+            counters.per_call_ms = counters.per_call_ms.max(cost_ms);
+            if distinct.insert(key) {
+                counters.distinct_inputs += 1;
+            }
         }
     }
 
@@ -111,15 +106,18 @@ impl InvocationStats {
     pub fn get(&self, udf: &str) -> UdfCounters {
         self.inner
             .lock()
-            .counters
             .get(udf)
-            .cloned()
+            .map(|e| e.counters.clone())
             .unwrap_or_default()
     }
 
     /// Snapshot of all counters.
     pub fn all(&self) -> BTreeMap<String, UdfCounters> {
-        self.inner.lock().counters.clone()
+        let inner = self.inner.lock();
+        inner
+            .iter()
+            .map(|(udf, e)| (udf.clone(), e.counters.clone()))
+            .collect()
     }
 
     /// Aggregate hit percentage across the *expensive* UDFs — Table 2's
@@ -127,7 +125,10 @@ impl InvocationStats {
     /// the paper's tables).
     pub fn hit_percentage(&self) -> f64 {
         let inner = self.inner.lock();
-        let countable = inner.counters.values().filter(|c| c.countable());
+        let countable = inner
+            .values()
+            .map(|e| &e.counters)
+            .filter(|c| c.countable());
         let (total, reused) = countable.fold((0u64, 0u64), |(t, r), c| {
             (t + c.total_invocations, r + c.reused_invocations)
         });
@@ -143,8 +144,11 @@ impl InvocationStats {
     /// be supplied by the caller from the catalog).
     pub fn totals(&self) -> (u64, u64) {
         let inner = self.inner.lock();
-        let countable: Vec<&UdfCounters> =
-            inner.counters.values().filter(|c| c.countable()).collect();
+        let countable: Vec<&UdfCounters> = inner
+            .values()
+            .map(|e| &e.counters)
+            .filter(|c| c.countable())
+            .collect();
         let total: u64 = countable.iter().map(|c| c.total_invocations).sum();
         let distinct: u64 = countable.iter().map(|c| c.distinct_inputs).sum();
         (total, distinct)
@@ -152,9 +156,7 @@ impl InvocationStats {
 
     /// Reset all counters (clean workload state).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.distinct.clear();
+        self.inner.lock().clear();
     }
 }
 
@@ -163,14 +165,15 @@ mod tests {
     use super::*;
     use eva_common::FrameId;
 
+    fn key(i: u64) -> ViewKey {
+        ViewKey::frame(FrameId(i))
+    }
+
     #[test]
     fn counts_distinct_and_total() {
         let s = InvocationStats::new();
-        let k0 = ViewKey::frame(FrameId(0));
-        let k1 = ViewKey::frame(FrameId(1));
-        s.record_eval("det", k0, 99.0);
-        s.record_eval("det", k1, 99.0);
-        s.record_reuse("det", k0, 99.0);
+        s.record_batch("det", [key(0), key(1)], 99.0, false);
+        s.record_batch("det", [key(0)], 99.0, true);
         let c = s.get("det");
         assert_eq!(c.total_invocations, 3);
         assert_eq!(c.distinct_inputs, 2);
@@ -181,22 +184,50 @@ mod tests {
     #[test]
     fn hit_percentage_over_all_udfs() {
         let s = InvocationStats::new();
-        let k = ViewKey::frame(FrameId(0));
-        s.record_eval("a", k, 1.0);
-        s.record_reuse("a", k, 1.0);
-        s.record_reuse("b", k, 1.0);
-        s.record_eval("b", k, 1.0);
+        s.record_batch("a", [key(0)], 1.0, false);
+        s.record_batch("a", [key(0)], 1.0, true);
+        s.record_batch("b", [key(0)], 1.0, true);
+        s.record_batch("b", [key(0)], 1.0, false);
         assert!((s.hit_percentage() - 50.0).abs() < 1e-9);
         let (total, distinct) = s.totals();
         assert_eq!(total, 4);
         assert_eq!(distinct, 2);
     }
 
+    /// N single-key calls and one batch of the same N keys are the same
+    /// recording — counters, distinct sets and the float `eval_ms` sum
+    /// (a cost that is not exactly representable would expose `n * cost`).
+    #[test]
+    fn single_calls_equal_one_batch() {
+        let keys: Vec<ViewKey> = (0..50).map(|i| key(i % 17)).collect();
+        let (single, batched) = (InvocationStats::new(), InvocationStats::new());
+        for (udf, cost, reused) in [("det", 0.1, false), ("det", 0.1, true), ("ct", 6.3, false)] {
+            for &k in &keys {
+                single.record_batch(udf, [k], cost, reused);
+            }
+            batched.record_batch(udf, keys.iter().copied(), cost, reused);
+        }
+        for udf in ["det", "ct"] {
+            let (a, b) = (single.get(udf), batched.get(udf));
+            assert_eq!(a.total_invocations, b.total_invocations);
+            assert_eq!(a.reused_invocations, b.reused_invocations);
+            assert_eq!(a.distinct_inputs, b.distinct_inputs);
+            assert_eq!(a.eval_ms.to_bits(), b.eval_ms.to_bits());
+            assert_eq!(a.per_call_ms.to_bits(), b.per_call_ms.to_bits());
+        }
+        assert_eq!(single.get("det").distinct_inputs, 17);
+        assert_eq!(single.hit_percentage(), batched.hit_percentage());
+        assert_eq!(single.totals(), batched.totals());
+        // An empty batch registers nothing, not even a zeroed entry.
+        batched.record_batch("idle", [], 99.0, true);
+        assert_eq!(batched.all().len(), single.all().len());
+    }
+
     #[test]
     fn empty_and_reset() {
         let s = InvocationStats::new();
         assert_eq!(s.hit_percentage(), 0.0);
-        s.record_eval("a", ViewKey::frame(FrameId(0)), 1.0);
+        s.record_batch("a", [key(0)], 1.0, false);
         s.reset();
         assert_eq!(s.get("a").total_invocations, 0);
         assert!(s.all().is_empty());

@@ -12,14 +12,19 @@
 //!   including when the input batch already carries a selection.
 //! * **Deterministic counters** — the columnar flow counters reported by
 //!   `EXPLAIN ANALYZE` sessions are reproducible run to run.
+//! * **One pivot** — UDF-free and `CROSS APPLY` queries alike pivot only
+//!   their result rows (`rows_pivoted == result rows`); `force_row_path`
+//!   answers the same with the same simulated cost.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use eva_common::{BBox, Batch, ColumnarBatch, DataType, Field, Schema, Value};
+use eva_core::{EvaDb, SessionConfig};
+use eva_exec::ExecConfig;
 use eva_expr::{filter_columnar, Expr, NoUdfs, RowContext};
-use eva_harness::test_session;
+use eva_harness::{test_dataset, test_session};
 use eva_planner::ReuseStrategy;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -227,4 +232,55 @@ fn columnar_counters_are_deterministic_across_sessions() {
     // carries wall-clock latencies, so compare the plan section only).
     let plan = |t: &str| t.split("-- runtime --").next().unwrap().to_string();
     assert_eq!(plan(&text_a), plan(&text_b));
+}
+
+/// UDF queries stay columnar through APPLY: the cross-apply join reads its
+/// keys from the `frame`/`bbox` columns and emits columnar batches, so the
+/// post-detector filter and projection run vectorized and — cold (evaluate
+/// and STORE) and warm (served from the views) alike — only the result
+/// rows cross the pivot boundary, not every scanned frame. The
+/// `force_row_path` arm, which pivots the scan's and each APPLY's output,
+/// must agree on rows and simulated cost.
+#[test]
+fn cross_apply_pivots_only_result_rows() {
+    const Q: &str = "SELECT id, label, cartype FROM video \
+                     CROSS APPLY fasterrcnn_resnet50(frame) CROSS APPLY cartype(frame, bbox) \
+                     WHERE id >= 10 AND id < 50 AND score > 0.55";
+    let session = |exec: ExecConfig| {
+        let mut db = EvaDb::new(SessionConfig {
+            exec,
+            ..SessionConfig::for_strategy(ReuseStrategy::Eva)
+        })
+        .unwrap();
+        db.load_video(test_dataset(99, 60), "video").unwrap();
+        let cold = db.execute_sql(Q).unwrap().rows().unwrap();
+        let warm = db.execute_sql(Q).unwrap().rows().unwrap();
+        (cold, warm)
+    };
+    let (cold, warm) = session(ExecConfig::default());
+    assert!(!cold.batch.is_empty(), "the query selects something");
+    assert_eq!(cold.batch.rows(), warm.batch.rows());
+    assert!(cold.metrics.udf_calls_executed > 0, "{:?}", cold.metrics);
+    assert_eq!(warm.metrics.udf_calls_executed, 0, "{:?}", warm.metrics);
+    for out in [&cold, &warm] {
+        let m = &out.metrics;
+        assert_eq!(m.frames_scanned, 40, "{m:?}");
+        assert_eq!(
+            m.rows_pivoted,
+            out.batch.len() as u64,
+            "only the final output crosses the pivot boundary: {m:?}"
+        );
+        // Scan, both applies and the operators above them emit columnar.
+        assert!(m.columnar_rows > m.frames_scanned, "{m:?}");
+    }
+
+    let (row_cold, row_warm) = session(ExecConfig {
+        force_row_path: true,
+        ..ExecConfig::default()
+    });
+    for (col, row) in [(&cold, &row_cold), (&warm, &row_warm)] {
+        assert_eq!(col.batch.rows(), row.batch.rows());
+        assert_eq!(col.breakdown, row.breakdown);
+    }
+    assert!(row_cold.metrics.rows_pivoted > cold.metrics.rows_pivoted);
 }
