@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks for the zero-copy reuse hot path: view probe
+//! Criterion micro-benchmarks for the reuse hot path: view probe
 //! and append throughput (single- and multi-threaded) plus FunCache hit
 //! throughput. The multi-threaded variants hammer one shared
 //! `StorageEngine` from several OS threads, exercising the sharded
@@ -7,7 +7,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
-use eva_common::{DataType, Field, FrameId, Row, Schema, SimClock, Value};
+use eva_bench::car_chunk;
+use eva_common::{DataType, Field, FrameId, Schema, SimClock, Value};
 use eva_exec::FunCacheTable;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
@@ -23,15 +24,8 @@ fn seeded_engine() -> (StorageEngine, eva_common::ViewId) {
     let eng = StorageEngine::new();
     let clock = SimClock::new();
     let view = eng.create_view("bench", ViewKeyKind::Frame, out_schema());
-    let entries: Vec<(ViewKey, Arc<[Row]>)> = (0..N_KEYS)
-        .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![Value::from("car")]].into(),
-            )
-        })
-        .collect();
-    eng.view_append(view, entries, &clock).unwrap();
+    let (entries, chunk) = car_chunk(0, N_KEYS);
+    eng.view_append(view, &entries, &chunk, &clock).unwrap();
     (eng, view)
 }
 
@@ -46,10 +40,9 @@ fn bench_probe(c: &mut Criterion) {
     let clock = SimClock::new();
     let keys = probe_keys(0);
 
-    // Sanity: hits must share the stored allocation (the zero-copy claim).
-    let a = eng.view_probe(view, &keys[..1], &clock).unwrap();
-    let b = eng.view_probe(view, &keys[..1], &clock).unwrap();
-    assert!(Arc::ptr_eq(a[0].as_ref().unwrap(), b[0].as_ref().unwrap()));
+    // Sanity: gathered hit rows equal the appended rows.
+    let hits = eng.view_probe_uncharged(view, &keys).unwrap();
+    assert_eq!(hits.columns, car_chunk(0, PROBE_BATCH).1);
 
     let mut group = c.benchmark_group("reuse_path/probe");
     group.throughput(Throughput::Elements(PROBE_BATCH));
@@ -65,7 +58,7 @@ fn bench_probe(c: &mut Criterion) {
                     let keys = probe_keys(t as u64 * 131);
                     std::thread::spawn(move || {
                         let clock = SimClock::new();
-                        eng.view_probe(view, &keys, &clock).unwrap().len()
+                        eng.view_probe(view, &keys, &clock).unwrap().n_rows()
                     })
                 })
                 .collect();
@@ -84,16 +77,9 @@ fn bench_append(c: &mut Criterion) {
         let clock = SimClock::new();
         let mut next = N_KEYS;
         b.iter(|| {
-            let entries: Vec<(ViewKey, Arc<[Row]>)> = (0..PROBE_BATCH)
-                .map(|i| {
-                    (
-                        ViewKey::frame(FrameId(next + i)),
-                        vec![vec![Value::from("car")]].into(),
-                    )
-                })
-                .collect();
+            let (entries, chunk) = car_chunk(next, PROBE_BATCH);
             next += PROBE_BATCH;
-            eng.view_append(view, entries, &clock).unwrap();
+            eng.view_append(view, &entries, &chunk, &clock).unwrap();
         })
     });
     group.throughput(Throughput::Elements(PROBE_BATCH * N_THREADS as u64));
@@ -112,15 +98,8 @@ fn bench_append(c: &mut Criterion) {
                     let eng = eng.clone();
                     std::thread::spawn(move || {
                         let clock = SimClock::new();
-                        let entries: Vec<(ViewKey, Arc<[Row]>)> = (0..PROBE_BATCH)
-                            .map(|i| {
-                                (
-                                    ViewKey::frame(FrameId(base + i)),
-                                    vec![vec![Value::from("car")]].into(),
-                                )
-                            })
-                            .collect();
-                        eng.view_append(view, entries, &clock).unwrap();
+                        let (entries, chunk) = car_chunk(base, PROBE_BATCH);
+                        eng.view_append(view, &entries, &chunk, &clock).unwrap();
                     })
                 })
                 .collect();
@@ -139,7 +118,7 @@ fn bench_funcache(c: &mut Criterion) {
         let mut bytes = payload.clone();
         bytes.extend_from_slice(&i.to_le_bytes());
         let k = cache.key("det", &bytes);
-        cache.insert(k, vec![vec![Value::from("car")]].into());
+        cache.insert(k, vec![vec![Value::from("car")]]);
     }
     let mut group = c.benchmark_group("reuse_path/funcache");
     group.throughput(Throughput::Elements(PROBE_BATCH));

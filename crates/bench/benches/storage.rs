@@ -4,8 +4,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
+use eva_bench::car_chunk;
 use eva_common::hash::xxhash64;
-use eva_common::{DataType, Field, FrameId, Schema, SimClock, Value};
+use eva_common::{DataType, Field, FrameId, Schema, SimClock};
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
 fn bench_views(c: &mut Criterion) {
@@ -13,15 +14,8 @@ fn bench_views(c: &mut Criterion) {
     let clock = SimClock::new();
     let schema = Arc::new(Schema::new(vec![Field::new("label", DataType::Str)]).unwrap());
     let view = eng.create_view("bench", ViewKeyKind::Frame, schema);
-    let entries: Vec<_> = (0..10_000u64)
-        .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![Value::from("car")]].into(),
-            )
-        })
-        .collect();
-    eng.view_append(view, entries, &clock).unwrap();
+    let (entries, chunk) = car_chunk(0, 10_000);
+    eng.view_append(view, &entries, &chunk, &clock).unwrap();
 
     let probe_keys: Vec<ViewKey> = (0..1024u64)
         .map(|i| ViewKey::frame(FrameId(i * 7)))
@@ -39,16 +33,9 @@ fn bench_views(c: &mut Criterion) {
     group.bench_function("view_append_1024_new", |b| {
         let mut next = 100_000u64;
         b.iter(|| {
-            let entries: Vec<_> = (0..1024u64)
-                .map(|i| {
-                    (
-                        ViewKey::frame(FrameId(next + i)),
-                        vec![vec![Value::from("car")]].into(),
-                    )
-                })
-                .collect();
+            let (entries, chunk) = car_chunk(next, 1024);
             next += 1024;
-            eng.view_append(view, entries, &clock).unwrap();
+            eng.view_append(view, &entries, &chunk, &clock).unwrap();
         })
     });
     group.finish();

@@ -1,4 +1,4 @@
-//! Wall-clock snapshot of the zero-copy reuse hot path, written to
+//! Wall-clock snapshot of the reuse hot path, written to
 //! `experiments_out/BENCH_reuse_path.json` by the experiment suite.
 //!
 //! Unlike the paper-figure binaries (which report *simulated* time), this
@@ -10,8 +10,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use eva_bench::{banner, write_json_with_metrics, TextTable};
-use eva_common::{DataType, Field, FrameId, MetricsSnapshot, Row, Schema, SimClock, Value};
+use eva_bench::{banner, car_chunk, write_json_with_metrics, TextTable};
+use eva_common::{DataType, Field, FrameId, MetricsSnapshot, Schema, SimClock, Value};
 use eva_exec::FunCacheTable;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
@@ -28,15 +28,8 @@ fn seeded_engine() -> (StorageEngine, eva_common::ViewId) {
     let eng = StorageEngine::new();
     let clock = SimClock::new();
     let view = eng.create_view("bench", ViewKeyKind::Frame, out_schema());
-    let entries: Vec<(ViewKey, Arc<[Row]>)> = (0..N_KEYS)
-        .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![Value::from("car")]].into(),
-            )
-        })
-        .collect();
-    eng.view_append(view, entries, &clock).unwrap();
+    let (entries, chunk) = car_chunk(0, N_KEYS);
+    eng.view_append(view, &entries, &chunk, &clock).unwrap();
     (eng, view)
 }
 
@@ -51,10 +44,13 @@ fn probe_single() -> (f64, MetricsSnapshot) {
     let (eng, view) = seeded_engine();
     let clock = SimClock::new();
     let ks = keys(0);
+    // Sanity: gathered hit rows equal the appended rows.
+    let hits = eng.view_probe_uncharged(view, &ks).unwrap();
+    assert_eq!(hits.columns, car_chunk(0, BATCH).1);
     let start = Instant::now();
     for _ in 0..ROUNDS {
         let out = eng.view_probe(view, &ks, &clock).unwrap();
-        assert_eq!(out.len(), ks.len());
+        assert_eq!(out.n_rows(), ks.len());
     }
     let ops = (ROUNDS * BATCH) as f64 / start.elapsed().as_secs_f64();
     (ops, eng.metrics().snapshot())
@@ -90,16 +86,9 @@ fn append_single() -> (f64, MetricsSnapshot) {
     let start = Instant::now();
     let mut next = N_KEYS;
     for _ in 0..ROUNDS {
-        let entries: Vec<(ViewKey, Arc<[Row]>)> = (0..BATCH)
-            .map(|i| {
-                (
-                    ViewKey::frame(FrameId(next + i)),
-                    vec![vec![Value::from("car")]].into(),
-                )
-            })
-            .collect();
+        let (entries, chunk) = car_chunk(next, BATCH);
         next += BATCH;
-        eng.view_append(view, entries, &clock).unwrap();
+        eng.view_append(view, &entries, &chunk, &clock).unwrap();
     }
     let ops = (ROUNDS * BATCH) as f64 / start.elapsed().as_secs_f64();
     (ops, eng.metrics().snapshot())
@@ -120,16 +109,9 @@ fn append_multi() -> (f64, MetricsSnapshot) {
                 let clock = SimClock::new();
                 let mut next = 0u64;
                 for _ in 0..ROUNDS {
-                    let entries: Vec<(ViewKey, Arc<[Row]>)> = (0..BATCH)
-                        .map(|i| {
-                            (
-                                ViewKey::frame(FrameId(next + i)),
-                                vec![vec![Value::from("car")]].into(),
-                            )
-                        })
-                        .collect();
+                    let (entries, chunk) = car_chunk(next, BATCH);
                     next += BATCH;
-                    eng.view_append(view, entries, &clock).unwrap();
+                    eng.view_append(view, &entries, &chunk, &clock).unwrap();
                 }
             })
         })
@@ -151,7 +133,7 @@ fn funcache_hits() -> (f64, MetricsSnapshot) {
         let mut bytes = payload.clone();
         bytes.extend_from_slice(&i.to_le_bytes());
         let k = cache.key("det", &bytes);
-        cache.insert(k, vec![vec![Value::from("car")]].into());
+        cache.insert(k, vec![vec![Value::from("car")]]);
     }
     let start = Instant::now();
     let mut hits = 0u64;

@@ -33,6 +33,19 @@ use eva_video::{jackson, ua_detrac, UaDetracSize, VideoDataset};
 
 pub use eva_common::table_fmt::{fmt_f, fmt_x, TextTable};
 
+/// One evaluated chunk for the view-store micro-benchmarks, in the shape
+/// STORE hands over: `n` frame keys from `first` on, one `"car"` row each.
+pub fn car_chunk(
+    first: u64,
+    n: u64,
+) -> (Vec<(eva_storage::ViewKey, u32)>, Vec<eva_common::Column>) {
+    let entries = (first..first + n)
+        .map(|i| (eva_storage::ViewKey::frame(eva_common::FrameId(i)), 1))
+        .collect();
+    let labels = vec![eva_common::Value::from("car"); n as usize];
+    (entries, vec![eva_common::Column::from_values(&labels)])
+}
+
 /// The dataset seed every experiment uses (determinism across binaries).
 pub const SEED: u64 = 7;
 

@@ -4,7 +4,7 @@
 //! GPU batch size 20 and a 200 MiB materialization batch). A [`Batch`] pairs
 //! a shared [`Schema`] with a vector of rows.
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::Column;
 use crate::error::{EvaError, Result};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -131,20 +131,15 @@ impl ColumnarBatch {
         }
     }
 
-    /// Pivot a row batch into columns (see [`ColumnBuilder`] for how the
+    /// Pivot a row batch into columns (see [`crate::column::ColumnBuilder`] for how the
     /// physical representation is inferred).
     pub fn from_batch(batch: &Batch) -> ColumnarBatch {
         let n = batch.len();
-        let width = batch.schema().len();
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
-        for row in batch.rows() {
-            for (b, v) in builders.iter_mut().zip(row) {
-                b.push(v);
-            }
-        }
+        let rows = batch.rows().iter().map(Vec::as_slice);
+        let columns = Column::from_rows(batch.schema().len(), n, rows);
         ColumnarBatch {
             schema: Arc::clone(batch.schema()),
-            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
+            columns: columns.into_iter().map(Arc::new).collect(),
             selection: None,
             n_rows: n,
         }

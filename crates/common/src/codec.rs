@@ -20,6 +20,7 @@
 //! corruption ("from the future") rather than misparsed.
 
 use crate::batch::Row;
+use crate::column::CellRef;
 use crate::error::{EvaError, Result};
 use crate::hash::xxhash64;
 use crate::schema::{DataType, Field, Schema};
@@ -220,9 +221,14 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string payload is not valid UTF-8"))
+        std::str::from_utf8(bytes).map_err(|_| corrupt("string payload is not valid UTF-8"))
     }
 
     /// Read a length-prefixed byte blob.
@@ -330,25 +336,32 @@ const TAG_BOX: u8 = 5;
 /// Encode a [`Value`]. Unlike [`Value::write_bytes`] (which quantizes boxes
 /// for hashing), this encoding is lossless: boxes keep full f32 precision.
 pub fn write_value(w: &mut ByteWriter, v: &Value) {
-    match v {
-        Value::Null => w.u8(TAG_NULL),
-        Value::Bool(b) => {
+    write_cell(w, CellRef::from_value(v));
+}
+
+/// Encode one column cell — byte for byte what [`write_value`] writes for
+/// the cell's [`Value`], so a columnar store writes the same segments a
+/// row store did.
+pub fn write_cell(w: &mut ByteWriter, cell: CellRef<'_>) {
+    match cell {
+        CellRef::Null => w.u8(TAG_NULL),
+        CellRef::Bool(b) => {
             w.u8(TAG_BOOL);
-            w.bool(*b);
+            w.bool(b);
         }
-        Value::Int(i) => {
+        CellRef::Int(i) => {
             w.u8(TAG_INT);
-            w.i64(*i);
+            w.i64(i);
         }
-        Value::Float(f) => {
+        CellRef::Float(f) => {
             w.u8(TAG_FLOAT);
-            w.f64(*f);
+            w.f64(f);
         }
-        Value::Str(s) => {
+        CellRef::Str(s) => {
             w.u8(TAG_STR);
             w.str(s);
         }
-        Value::Box(b) => {
+        CellRef::BBox(b) => {
             w.u8(TAG_BOX);
             w.f32(b.x1);
             w.f32(b.y1);
@@ -360,13 +373,18 @@ pub fn write_value(w: &mut ByteWriter, v: &Value) {
 
 /// Decode a [`Value`] written by [`write_value`].
 pub fn read_value(r: &mut ByteReader) -> Result<Value> {
+    read_cell(r).map(CellRef::to_value)
+}
+
+/// Decode one cell written by [`write_cell`]; strings borrow the buffer.
+pub fn read_cell<'a>(r: &mut ByteReader<'a>) -> Result<CellRef<'a>> {
     match r.u8()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => Ok(Value::Bool(r.bool()?)),
-        TAG_INT => Ok(Value::Int(r.i64()?)),
-        TAG_FLOAT => Ok(Value::Float(r.f64()?)),
-        TAG_STR => Ok(Value::Str(r.str()?)),
-        TAG_BOX => Ok(Value::Box(BBox {
+        TAG_NULL => Ok(CellRef::Null),
+        TAG_BOOL => Ok(CellRef::Bool(r.bool()?)),
+        TAG_INT => Ok(CellRef::Int(r.i64()?)),
+        TAG_FLOAT => Ok(CellRef::Float(r.f64()?)),
+        TAG_STR => Ok(CellRef::Str(r.str_ref()?)),
+        TAG_BOX => Ok(CellRef::BBox(BBox {
             x1: r.f32()?,
             y1: r.f32()?,
             x2: r.f32()?,

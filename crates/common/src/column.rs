@@ -18,6 +18,7 @@
 //! in `tests/property_columnar.rs`).
 
 use std::cmp::Ordering;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -29,6 +30,9 @@ use crate::value::{BBox, Value};
 pub struct Bitmap {
     bits: Vec<u64>,
     len: usize,
+    /// Set bits among the first `len` — kept beside them so the all-valid
+    /// test a gather starts with does not scan a view-sized bitmap.
+    valid: usize,
 }
 
 impl Bitmap {
@@ -37,6 +41,7 @@ impl Bitmap {
         Bitmap {
             bits: Vec::new(),
             len: 0,
+            valid: 0,
         }
     }
 
@@ -45,6 +50,7 @@ impl Bitmap {
         Bitmap {
             bits: Vec::with_capacity(cap.div_ceil(64)),
             len: 0,
+            valid: 0,
         }
     }
 
@@ -55,7 +61,11 @@ impl Bitmap {
         if len % 64 != 0 {
             *bits.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
         }
-        Bitmap { bits, len }
+        Bitmap {
+            bits,
+            len,
+            valid: len,
+        }
     }
 
     /// Append one slot.
@@ -66,8 +76,26 @@ impl Bitmap {
         }
         if valid {
             self.bits[word] |= 1u64 << bit;
+            self.valid += 1;
         }
         self.len += 1;
+    }
+
+    /// Append every slot of `other`, a word at a time (both sides keep the
+    /// bits past their length clear).
+    pub fn extend(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.bits.extend_from_slice(&other.bits);
+        } else {
+            for &word in &other.bits {
+                *self.bits.last_mut().expect("a partial word exists") |= word << shift;
+                self.bits.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.valid += other.valid;
+        self.bits.truncate(self.len.div_ceil(64));
     }
 
     /// Whether slot `i` is valid.
@@ -89,12 +117,12 @@ impl Bitmap {
 
     /// Number of valid slots.
     pub fn count_valid(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.valid
     }
 
     /// True when every slot is valid.
     pub fn is_all_valid(&self) -> bool {
-        self.count_valid() == self.len
+        self.valid == self.len
     }
 }
 
@@ -115,15 +143,50 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Booleans.
     Bool(Vec<bool>),
-    /// UTF-8 strings.
-    Str(Vec<String>),
+    /// UTF-8 strings. Cells are shared: gathering, appending and dropping
+    /// a string column moves refcounts, never string bytes.
+    Str(Vec<Arc<str>>),
     /// Bounding boxes.
     BBox(Vec<BBox>),
     /// Tag-preserving fallback for heterogeneous columns.
     Mixed(Vec<Value>),
 }
 
+/// The placeholder held in invalid slots of a string column (one shared
+/// allocation for the whole process).
+fn empty_str() -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::from("")))
+}
+
 impl ColumnData {
+    /// `n` invalid-slot placeholders in the representation of `like`.
+    fn placeholders(like: &ColumnData, n: usize) -> ColumnData {
+        match like {
+            ColumnData::Int(_) => ColumnData::Int(vec![0; n]),
+            ColumnData::Float(_) => ColumnData::Float(vec![0.0; n]),
+            ColumnData::Bool(_) => ColumnData::Bool(vec![false; n]),
+            ColumnData::Str(_) => ColumnData::Str(vec![empty_str(); n]),
+            ColumnData::BBox(_) => ColumnData::BBox(vec![BBox::new(0.0, 0.0, 0.0, 0.0); n]),
+            ColumnData::Mixed(_) => ColumnData::Mixed(vec![Value::Null; n]),
+        }
+    }
+
+    /// Typed extend; `false` (and `self` untouched) when the two arrays
+    /// differ in representation.
+    fn extend_same(&mut self, other: &ColumnData) -> bool {
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
+            (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
+            (ColumnData::BBox(a), ColumnData::BBox(b)) => a.extend_from_slice(b),
+            (ColumnData::Mixed(a), ColumnData::Mixed(b)) => a.extend_from_slice(b),
+            _ => return false,
+        }
+        true
+    }
+
     fn len(&self) -> usize {
         match self {
             ColumnData::Int(v) => v.len(),
@@ -251,6 +314,26 @@ impl Column {
         b.finish()
     }
 
+    /// Pivot rows of `width` values into one column per field, each with
+    /// its representation inferred from its values; `capacity` sizes the
+    /// arrays (the row count, when the caller knows it).
+    pub fn from_rows<'a>(
+        width: usize,
+        capacity: usize,
+        rows: impl IntoIterator<Item = &'a [Value]>,
+    ) -> Vec<Column> {
+        let mut builders: Vec<ColumnBuilder> = (0..width)
+            .map(|_| ColumnBuilder::with_capacity(capacity))
+            .collect();
+        for row in rows {
+            debug_assert_eq!(row.len(), width, "row arity");
+            for (b, v) in builders.iter_mut().zip(row) {
+                b.push(v);
+            }
+        }
+        builders.into_iter().map(ColumnBuilder::finish).collect()
+    }
+
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.validity.len()
@@ -352,7 +435,7 @@ impl Column {
             ColumnData::Float(v) => ColumnData::Float(idx.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Bool(v) => ColumnData::Bool(idx.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Str(v) => {
-                ColumnData::Str(idx.iter().map(|&i| v[i as usize].clone()).collect())
+                ColumnData::Str(idx.iter().map(|&i| Arc::clone(&v[i as usize])).collect())
             }
             ColumnData::BBox(v) => ColumnData::BBox(idx.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Mixed(v) => {
@@ -361,6 +444,65 @@ impl Column {
         };
         Column { data, validity }
     }
+
+    /// Append every slot of `other` — the view store's STORE path and the
+    /// cross-apply's chunk concatenation. Arrays of one representation
+    /// extend in place (string cells by refcount). A side with no valid
+    /// slot — empty, or all NULL, whose array is an unobservable carcass —
+    /// takes the other side's representation, so an all-NULL chunk never
+    /// demotes a typed column. Any other pairing mixes value tags and
+    /// becomes [`ColumnData::Mixed`], which keeps every tag bit-exact.
+    pub fn append(&mut self, other: &Column) {
+        if !self.data.extend_same(&other.data) {
+            if self.validity.count_valid() == 0 {
+                self.data = ColumnData::placeholders(&other.data, self.len());
+            }
+            if other.validity.count_valid() == 0 {
+                let pad = ColumnData::placeholders(&self.data, other.len());
+                self.data.extend_same(&pad);
+            } else if !self.data.extend_same(&other.data) {
+                let mut vals = mixed_values(&self.data, &self.validity);
+                vals.extend(mixed_values(&other.data, &other.validity));
+                self.data = ColumnData::Mixed(vals);
+            }
+        }
+        self.validity.extend(&other.validity);
+    }
+
+    /// Summed length of every slot's [`Value::write_bytes`] encoding (see
+    /// [`Value::encoded_len`]) — the view store's footprint counter, taken
+    /// per appended chunk without materializing a value.
+    pub fn encoded_len(&self) -> u64 {
+        let valid = self.validity.count_valid() as u64;
+        let nulls = self.len() as u64 - valid;
+        // Invalid slots hold placeholders: the empty string in a `Str`
+        // array, `Value::Null` (one byte, like any NULL) in a `Mixed` one.
+        match &self.data {
+            ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::BBox(_) => nulls + 9 * valid,
+            ColumnData::Bool(_) => nulls + 2 * valid,
+            ColumnData::Str(v) => nulls + 5 * valid + v.iter().map(|s| s.len() as u64).sum::<u64>(),
+            ColumnData::Mixed(v) => v.iter().map(|x| x.encoded_len() as u64).sum(),
+        }
+    }
+}
+
+/// The slots of a typed array as exact [`Value`]s, NULLs restored from the
+/// validity bitmap — the demotion to [`ColumnData::Mixed`].
+fn mixed_values(data: &ColumnData, validity: &Bitmap) -> Vec<Value> {
+    let cell = |i: usize| -> Value {
+        if !validity.get(i) {
+            return Value::Null;
+        }
+        match data {
+            ColumnData::Int(v) => Value::Int(v[i]),
+            ColumnData::Float(v) => Value::Float(v[i]),
+            ColumnData::Bool(v) => Value::Bool(v[i]),
+            ColumnData::Str(v) => Value::Str(v[i].to_string()),
+            ColumnData::BBox(v) => Value::Box(v[i]),
+            ColumnData::Mixed(v) => v[i].clone(),
+        }
+    };
+    (0..data.len()).map(cell).collect()
 }
 
 /// Incremental [`Column`] builder: starts optimistically typed on the
@@ -391,9 +533,15 @@ impl ColumnBuilder {
 
     /// Append one value.
     pub fn push(&mut self, v: &Value) {
+        self.push_cell(CellRef::from_value(v));
+    }
+
+    /// Append one borrowed cell (what the segment decoder reads straight
+    /// out of the file buffer).
+    pub fn push_cell(&mut self, cell: CellRef<'_>) {
         let n = self.validity.len();
-        self.validity.push(!v.is_null());
-        if v.is_null() {
+        self.validity.push(!cell.is_null());
+        if cell.is_null() {
             // Placeholder in whatever representation exists (or stays
             // pending until the first non-null value decides one).
             match &mut self.data {
@@ -401,7 +549,7 @@ impl ColumnBuilder {
                 Some(ColumnData::Int(vec)) => vec.push(0),
                 Some(ColumnData::Float(vec)) => vec.push(0.0),
                 Some(ColumnData::Bool(vec)) => vec.push(false),
-                Some(ColumnData::Str(vec)) => vec.push(String::new()),
+                Some(ColumnData::Str(vec)) => vec.push(empty_str()),
                 Some(ColumnData::BBox(vec)) => vec.push(BBox::new(0.0, 0.0, 0.0, 0.0)),
                 Some(ColumnData::Mixed(vec)) => vec.push(Value::Null),
             }
@@ -416,52 +564,29 @@ impl ColumnBuilder {
                 vec
             }
             let cap = self.capacity;
-            self.data = Some(match v {
-                Value::Int(_) => ColumnData::Int(filled(0, n, cap)),
-                Value::Float(_) => ColumnData::Float(filled(0.0, n, cap)),
-                Value::Bool(_) => ColumnData::Bool(filled(false, n, cap)),
-                Value::Str(_) => ColumnData::Str(filled(String::new(), n, cap)),
-                Value::Box(_) => ColumnData::BBox(filled(BBox::new(0.0, 0.0, 0.0, 0.0), n, cap)),
-                Value::Null => unreachable!(),
+            self.data = Some(match cell {
+                CellRef::Int(_) => ColumnData::Int(filled(0, n, cap)),
+                CellRef::Float(_) => ColumnData::Float(filled(0.0, n, cap)),
+                CellRef::Bool(_) => ColumnData::Bool(filled(false, n, cap)),
+                CellRef::Str(_) => ColumnData::Str(filled(empty_str(), n, cap)),
+                CellRef::BBox(_) => ColumnData::BBox(filled(BBox::new(0.0, 0.0, 0.0, 0.0), n, cap)),
+                CellRef::Null => unreachable!(),
             });
         }
-        match (self.data.as_mut().unwrap(), v) {
-            (ColumnData::Int(vec), Value::Int(i)) => vec.push(*i),
-            (ColumnData::Float(vec), Value::Float(f)) => vec.push(*f),
-            (ColumnData::Bool(vec), Value::Bool(b)) => vec.push(*b),
-            (ColumnData::Str(vec), Value::Str(s)) => vec.push(s.clone()),
-            (ColumnData::BBox(vec), Value::Box(b)) => vec.push(*b),
-            (ColumnData::Mixed(vec), v) => vec.push(v.clone()),
-            (_, v) => {
-                self.demote();
-                if let Some(ColumnData::Mixed(vec)) = &mut self.data {
-                    vec.push(v.clone());
-                }
+        match (self.data.as_mut().unwrap(), cell) {
+            (ColumnData::Int(vec), CellRef::Int(i)) => vec.push(i),
+            (ColumnData::Float(vec), CellRef::Float(f)) => vec.push(f),
+            (ColumnData::Bool(vec), CellRef::Bool(b)) => vec.push(b),
+            (ColumnData::Str(vec), CellRef::Str(s)) => vec.push(Arc::from(s)),
+            (ColumnData::BBox(vec), CellRef::BBox(b)) => vec.push(b),
+            (ColumnData::Mixed(vec), cell) => vec.push(cell.to_value()),
+            (typed, cell) => {
+                let mut vals = mixed_values(typed, &self.validity);
+                // `validity` already holds the new slot; `typed` does not.
+                vals.push(cell.to_value());
+                *typed = ColumnData::Mixed(vals);
             }
         }
-    }
-
-    /// Rebuild the accumulated slots as `Mixed`, restoring NULLs from the
-    /// validity bitmap.
-    fn demote(&mut self) {
-        let typed = self.data.take().unwrap();
-        let n = typed.len();
-        let mut vals = Vec::with_capacity(n + 1);
-        for i in 0..n {
-            if !self.validity.get(i) {
-                vals.push(Value::Null);
-                continue;
-            }
-            vals.push(match &typed {
-                ColumnData::Int(v) => Value::Int(v[i]),
-                ColumnData::Float(v) => Value::Float(v[i]),
-                ColumnData::Bool(v) => Value::Bool(v[i]),
-                ColumnData::Str(v) => Value::Str(v[i].clone()),
-                ColumnData::BBox(v) => Value::Box(v[i]),
-                ColumnData::Mixed(_) => unreachable!("demoting a mixed column"),
-            });
-        }
-        self.data = Some(ColumnData::Mixed(vals));
     }
 
     /// Finish the column. All-null columns get an `Int` carcass with every
@@ -630,6 +755,87 @@ mod tests {
             }
         }
         assert!(Column::from_ints(vec![5, 6]).gather(&[]).is_empty());
+    }
+
+    /// `append` must agree with concatenating `value_at` — values *and*
+    /// tags — for every pair of representations, the all-NULL carcass and
+    /// empty columns included; a side without a valid slot must not cost
+    /// the other its typed array.
+    #[test]
+    fn append_matches_value_concatenation_for_every_representation_pair() {
+        let cases: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![Value::Null, Value::Null],
+            vec![Value::Int(1), Value::Null, Value::Int(3)],
+            vec![Value::Float(0.5), Value::Float(-0.0)],
+            vec![Value::Bool(true), Value::Null],
+            vec![Value::from("car"), Value::Null, Value::from("")],
+            vec![Value::Box(BBox::new(0.1, 0.2, 0.3, 0.4))],
+            vec![Value::Int(1), Value::Float(2.5), Value::Null],
+        ];
+        let is_mixed = |c: &Column| matches!(c.data(), ColumnData::Mixed(_));
+        for left in &cases {
+            for right in &cases {
+                let (a, b) = (Column::from_values(left), Column::from_values(right));
+                let mut joined = a.clone();
+                joined.append(&b);
+                let want: Vec<&Value> = left.iter().chain(right).collect();
+                assert_eq!(joined.len(), want.len(), "{left:?} + {right:?}");
+                for (i, v) in want.iter().enumerate() {
+                    let got = joined.value_at(i);
+                    assert_eq!(&got, *v, "{left:?} + {right:?} slot {i}");
+                    assert_eq!(std::mem::discriminant(&got), std::mem::discriminant(*v));
+                }
+                let valid = want.iter().filter(|v| !v.is_null()).count();
+                assert_eq!(joined.validity().count_valid(), valid);
+                // Whatever the pair, the result is what the builder would
+                // have inferred from the concatenated values.
+                let inferred = Column::from_values(want.iter().copied());
+                assert_eq!(
+                    is_mixed(&joined),
+                    is_mixed(&inferred),
+                    "{left:?} + {right:?}: Mixed iff the values mix tags"
+                );
+                let bytes: usize = want.iter().map(|v| v.encoded_len()).sum();
+                assert_eq!(joined.encoded_len(), bytes as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_extend_matches_pushes_at_every_alignment() {
+        for head in [0usize, 1, 63, 64, 65, 130] {
+            for tail in [0usize, 1, 63, 64, 65, 200] {
+                let bit = |i: usize| i % 3 != 1;
+                let mut want = Bitmap::new();
+                (0..head + tail).for_each(|i| want.push(bit(i)));
+                let (mut a, mut b) = (Bitmap::new(), Bitmap::new());
+                (0..head).for_each(|i| a.push(bit(i)));
+                (head..head + tail).for_each(|i| b.push(bit(i)));
+                a.extend(&b);
+                assert_eq!(a, want, "head {head} tail {tail}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_rows_pivots_each_field() {
+        let rows = [
+            vec![Value::Int(1), Value::from("a")],
+            vec![Value::Null, Value::from("b")],
+        ];
+        let cols = Column::from_rows(2, rows.len(), rows.iter().map(Vec::as_slice));
+        assert_eq!(cols[0], Column::from_values(&[Value::Int(1), Value::Null]));
+        assert_eq!(
+            cols[1],
+            Column::from_values(&[Value::from("a"), Value::from("b")])
+        );
+        assert_eq!(crate::testutil::rows_of(&cols), rows);
+        assert_eq!(
+            Column::from_rows(2, 0, []).len(),
+            2,
+            "one empty column per field"
+        );
     }
 
     #[test]

@@ -1,9 +1,19 @@
-//! xxHash64 implementation.
+//! The engine's two hash functions.
 //!
-//! The paper's FunCache baseline uses xxHash to hash UDF input arguments
-//! (video frames) at every invocation. We implement the xxHash64 algorithm
-//! in-repo (~60 lines) rather than pulling an extra dependency; the reference
-//! vectors below pin the implementation to the upstream spec.
+//! **xxHash64.** The paper's FunCache baseline uses xxHash to hash UDF input
+//! arguments (video frames) at every invocation. We implement the xxHash64
+//! algorithm in-repo (~60 lines) rather than pulling an extra dependency; the
+//! reference vectors below pin the implementation to the upstream spec.
+//!
+//! **[`KeyHasher`].** Every table keyed by a view key — the view index, the
+//! per-frame fuzzy index, the invocation statistics' distinct-input sets —
+//! hashes engine-derived integers (frame ids, quantized detector boxes), a
+//! million times per session. std's SipHash defends against keys an attacker
+//! chooses; these keys are not caller-chosen strings, so one folded multiply
+//! per word replaces it. Keep the std hasher for anything keyed by input
+//! from outside the program.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PRIME64_1: u64 = 0x9E3779B185EBCA87;
 const PRIME64_2: u64 = 0xC2B2AE3D27D4EB4F;
@@ -103,6 +113,41 @@ pub fn xxhash128(data: &[u8]) -> (u64, u64) {
     (xxhash64(data, 0), xxhash64(data, 0x9E3779B97F4A7C15))
 }
 
+/// Folded-multiply hasher for engine-derived integer keys: each written
+/// word is xored into the state, multiplied by an odd 64-bit constant into
+/// 128 bits, and the two halves are xored together — so both the low bits
+/// (hashbrown's bucket index) and the high bits (its control byte) depend on
+/// every input bit. Not collision-resistant against chosen keys.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+/// `BuildHasher` for [`KeyHasher`]-keyed maps and sets.
+pub type KeyBuildHasher = BuildHasherDefault<KeyHasher>;
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        let m = u128::from(self.0 ^ v) * u128::from(PRIME64_1);
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+
+    /// Byte strings fold eight bytes at a time (zero-padded tail); the
+    /// length goes in first so `"a"` and `"a\0"` differ.
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +197,31 @@ mod tests {
     fn xxhash128_halves_differ() {
         let (lo, hi) = xxhash128(b"frame-bytes");
         assert_ne!(lo, hi);
+    }
+
+    #[test]
+    fn key_hasher_is_deterministic_and_order_sensitive() {
+        let hash = |words: &[u64]| {
+            let mut h = KeyHasher::default();
+            words.iter().for_each(|&w| h.write_u64(w));
+            h.finish()
+        };
+        assert_eq!(hash(&[7, 9]), hash(&[7, 9]), "no per-instance seed");
+        assert_ne!(hash(&[7, 9]), hash(&[9, 7]));
+        assert_ne!(hash(&[7]), hash(&[7, 0]));
+        // Neighbouring integers differ in the bits hashbrown reads at both
+        // ends of the word.
+        let (a, b) = (hash(&[1000]), hash(&[1001]));
+        assert_ne!(a & 0xFF, b & 0xFF);
+        assert_ne!(a >> 57, b >> 57);
+        // Byte strings: length-prefixed, so a zero tail is not a no-op.
+        let bytes = |b: &[u8]| {
+            let mut h = KeyHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_ne!(bytes(b"a"), bytes(b"a\0"));
+        assert_eq!(bytes(b"frame-bytes"), bytes(b"frame-bytes"));
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub struct MetricsSnapshot {
     pub probe_misses: u64,
     /// Subset of `probe_hits` resolved by the fuzzy (IoU) fallback.
     pub fuzzy_hits: u64,
-    /// Rows handed to the caller as `Arc` clones of stored rows (no copy).
+    /// Rows served from stored columns without materialising a `Row`: view
+    /// hits are gathered column to column (FunCache hits, which count here
+    /// too, share the table's rows).
     pub rows_served_zero_copy: u64,
     /// FunCache baseline lookups that hit.
     pub funcache_hits: u64,
@@ -386,7 +388,7 @@ impl MetricsSink {
         }
     }
 
-    /// Record rows handed out as `Arc` clones of stored rows (no copy).
+    /// Record rows served from stored columns without materialising a `Row`.
     pub fn record_zero_copy_rows(&self, rows: u64) {
         self.inner
             .rows_served_zero_copy

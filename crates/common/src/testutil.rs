@@ -1,4 +1,5 @@
-//! Shared test support: per-test unique temporary directories.
+//! Shared test support: per-test unique temporary directories, and the
+//! pivot from column chunks back to rows that store tests compare through.
 //!
 //! Every test binary in the workspace used to carry its own copy of a
 //! `unique_dir(tag)` helper. This is the single blessed implementation;
@@ -8,6 +9,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
+
+/// The rows of a column chunk (one [`Column`](crate::Column) per field, all
+/// of one length) — what a test compares against the rows it stored.
+pub fn rows_of(columns: &[crate::Column]) -> Vec<crate::Row> {
+    let n = columns.first().map_or(0, crate::Column::len);
+    (0..n)
+        .map(|i| columns.iter().map(|c| c.value_at(i)).collect())
+        .collect()
+}
 
 /// Create and return a fresh empty directory under the system temp dir.
 ///

@@ -74,9 +74,12 @@ impl FunCacheTable {
         self.inner.map.lock().get(key).map(Arc::clone)
     }
 
-    /// Insert results for a key.
-    pub fn insert(&self, key: FunCacheKey, rows: Arc<[Row]>) {
-        self.inner.map.lock().insert(key, rows);
+    /// Insert results for a key; returns the rows as the table now shares
+    /// them.
+    pub fn insert(&self, key: FunCacheKey, rows: Vec<Row>) -> Arc<[Row]> {
+        let rows: Arc<[Row]> = rows.into();
+        self.inner.map.lock().insert(key, Arc::clone(&rows));
+        rows
     }
 
     /// Number of cached entries.
@@ -106,7 +109,7 @@ mod tests {
         let c = FunCacheTable::new();
         let k = c.key("det", b"frame-0-bytes");
         assert!(c.get(&k).is_none());
-        c.insert(k, vec![vec![Value::Int(1)]].into());
+        c.insert(k, vec![vec![Value::Int(1)]]);
         assert_eq!(c.get(&k).unwrap()[0][0], Value::Int(1));
         assert_eq!(c.len(), 1);
         c.clear();
@@ -137,7 +140,7 @@ mod tests {
     fn hits_share_rows() {
         let c = FunCacheTable::new();
         let k = c.key("det", b"bytes");
-        c.insert(k, vec![vec![Value::Int(1)]].into());
+        c.insert(k, vec![vec![Value::Int(1)]]);
         let a = c.get(&k).unwrap();
         let b = c.get(&k).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "cache hits must be zero-copy");

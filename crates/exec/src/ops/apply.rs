@@ -14,13 +14,19 @@
 //! The FunCache baseline routes through the same operator with a hash-keyed
 //! in-memory cache instead of views, paying the per-invocation hashing cost.
 //!
-//! The operator is columnar in and out. Probe keys are read straight from
-//! the typed `frame`/`bbox` columns through the batch's selection; reuse
-//! results flow through as `Arc<[Row]>` — a probe hit, a cache hit, and a
-//! STORE append all share one allocation with the store — and the
-//! cross-apply join is a *selection expansion*: a repeat-index vector
-//! gathers the input columns while the result rows are appended to typed
-//! output columns, so downstream filters and projections stay vectorized.
+//! The operator is columnar in and out, and so is everything it handles in
+//! between. Probe keys are read straight from the typed `frame`/`bbox`
+//! columns through the batch's selection. UDF results are typed column
+//! *chunks*: a probe hands back its hit rows already gathered out of the
+//! view's columns, and each eval batch's fresh rows are pivoted once into a
+//! chunk that is lent to STORE and then joined — the only place a UDF's
+//! `Value`s are read. Per input key the operator records which rows of which
+//! chunk are its results, and the cross-apply join is a *selection
+//! expansion*: a repeat-index vector gathers the input columns, and the
+//! output columns are the source chunk itself when one chunk holds the rows
+//! in key order (all hits, or all fresh), or the chunks concatenated and
+//! permuted by one gather when hits and fresh rows interleave — so
+//! downstream filters and projections stay vectorized.
 //! Large batches fan UDF evaluation and view probes out to the persistent
 //! [`WorkerPool`]; every simulated-cost charge stays on the caller thread,
 //! so the `CostBreakdown` is bit-identical with or without parallelism.
@@ -29,12 +35,12 @@ use std::sync::Arc;
 
 use eva_common::hash::xxhash64;
 use eva_common::{
-    BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, ExecBatch,
-    Failpoint, FireRule, FrameId, OpId, Result, Row, Schema, SpanKind, ViewId,
+    BBox, CellRef, Column, ColumnarBatch, CostCategory, EvaError, ExecBatch, Failpoint, FireRule,
+    FrameId, OpId, Result, Row, Schema, SpanKind, ViewId,
 };
 use eva_expr::Expr;
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
-use eva_storage::{StorageEngine, ViewKey};
+use eva_storage::{StorageEngine, ViewHits, ViewKey};
 use eva_udf::{SimUdf, UdfEvalContext};
 
 use crate::context::ExecCtx;
@@ -43,9 +49,48 @@ use crate::ops::{BoxedOp, Operator};
 /// One UDF input: the logical `(frame, box)` pair and its view key.
 type ApplyKey = (FrameId, Option<BBox>, ViewKey);
 
-/// What the UDF produced (or the store served) per input key; `None` only
-/// transiently, while a key is still unresolved.
-type ApplyResults = Vec<Option<Arc<[Row]>>>;
+/// One eval batch as it comes back from the model: `(key index, rows)` in
+/// input order.
+type Evaluated = Vec<(usize, Vec<Row>)>;
+
+/// The UDF results of one input batch: typed column chunks, and per input
+/// key the `(chunk, first row, row count)` of its results. Every chunk row
+/// belongs to exactly one key.
+struct Resolved {
+    chunks: Vec<Vec<Column>>,
+    chunk_rows: Vec<u32>,
+    /// `None` only transiently, while a key is still unresolved.
+    slots: Vec<Option<(u32, u32, u32)>>,
+}
+
+impl Resolved {
+    fn new(n_keys: usize) -> Resolved {
+        Resolved {
+            chunks: Vec::new(),
+            chunk_rows: Vec::new(),
+            slots: vec![None; n_keys],
+        }
+    }
+
+    /// Take in a chunk whose rows belong, in order, to the keys `owners`
+    /// yields as `(key index, row count)`.
+    fn push_chunk(&mut self, columns: Vec<Column>, owners: impl IntoIterator<Item = (usize, u32)>) {
+        let chunk = self.chunks.len() as u32;
+        let mut at = 0u32;
+        for (key, len) in owners {
+            self.slots[key] = Some((chunk, at, len));
+            at += len;
+        }
+        self.chunks.push(columns);
+        self.chunk_rows.push(at);
+    }
+
+    /// Take in one eval batch, pivoted by [`ApplyOp::chunk_of`].
+    fn push_evaluated(&mut self, chunk: Vec<Column>, evaluated: &Evaluated) {
+        let owners = evaluated.iter().map(|(i, rows)| (*i, rows.len() as u32));
+        self.push_chunk(chunk, owners);
+    }
+}
 
 /// The fused probe/evaluate/store apply.
 pub struct ApplyOp {
@@ -240,7 +285,7 @@ impl ApplyOp {
         ctx: &ExecCtx<'_>,
         udf: &Arc<dyn SimUdf>,
         inputs: &[(usize, FrameId, Option<BBox>)],
-    ) -> Result<Vec<(usize, Vec<Row>)>> {
+    ) -> Result<Evaluated> {
         let threshold = ctx.config.parallel_eval_threshold;
         if threshold == 0 || inputs.len() < threshold {
             let mut out = Vec::with_capacity(inputs.len());
@@ -259,7 +304,7 @@ impl ApplyOp {
         // input order and downstream bookkeeping stays deterministic.
         let pool = ctx.pool();
         let chunk_size = inputs.len().div_ceil(pool.n_workers());
-        type EvalChunk = Result<Vec<(usize, Vec<Row>)>>;
+        type EvalChunk = Result<Evaluated>;
         let tasks: Vec<Box<dyn FnOnce() -> EvalChunk + Send>> = inputs
             .chunks(chunk_size)
             .map(|chunk| {
@@ -287,22 +332,31 @@ impl ApplyOp {
         Ok(merged)
     }
 
+    /// Pivot one eval batch's rows into a typed chunk, one column per UDF
+    /// output field.
+    fn chunk_of(&self, evaluated: &Evaluated) -> Vec<Column> {
+        let n_rows = evaluated.iter().map(|(_, rows)| rows.len()).sum();
+        let rows = evaluated.iter().flat_map(|(_, rows)| rows.iter());
+        Column::from_rows(self.spec.output.len(), n_rows, rows.map(Vec::as_slice))
+    }
+
     /// Probe a view for a batch of keys, fanning large batches out to the
-    /// worker pool. Workers probe without a clock; the caller charges the
-    /// summed row count once, which is bit-identical to the serial charge.
+    /// worker pool: one [`ViewHits`] per slice of `keys`, in key order.
+    /// Workers probe without a clock; the caller charges the summed row
+    /// count once, which is bit-identical to the serial charge.
     fn probe_view(
         &self,
         ctx: &ExecCtx<'_>,
         view: ViewId,
         keys: &[ViewKey],
-    ) -> Result<Vec<Option<Arc<[Row]>>>> {
+    ) -> Result<Vec<ViewHits>> {
         let threshold = ctx.config.parallel_probe_threshold;
         if threshold == 0 || keys.len() < threshold {
-            return ctx.storage.view_probe(view, keys, ctx.clock);
+            return Ok(vec![ctx.storage.view_probe(view, keys, ctx.clock)?]);
         }
         let pool = ctx.pool();
         let chunk_size = keys.len().div_ceil(pool.n_workers());
-        type ProbeChunk = Result<(Vec<Option<Arc<[Row]>>>, usize)>;
+        type ProbeChunk = Result<ViewHits>;
         let tasks: Vec<Box<dyn FnOnce() -> ProbeChunk + Send>> = keys
             .chunks(chunk_size)
             .map(|chunk| {
@@ -312,15 +366,10 @@ impl ApplyOp {
                     as Box<dyn FnOnce() -> ProbeChunk + Send>
             })
             .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut rows_read = 0usize;
-        for chunk in pool.run(tasks) {
-            let (part, read) = chunk?;
-            rows_read += read;
-            out.extend(part);
-        }
+        let parts = pool.run(tasks).into_iter().collect::<Result<Vec<_>>>()?;
+        let rows_read = parts.iter().map(ViewHits::rows_read).sum();
         ctx.storage.charge_view_read(rows_read, ctx.clock);
-        Ok(out)
+        Ok(parts)
     }
 
     fn process_views(
@@ -329,7 +378,7 @@ impl ApplyOp {
         keys: &[ApplyKey],
         segments: &[Segment],
         store: bool,
-    ) -> Result<ApplyResults> {
+    ) -> Result<Resolved> {
         // A degraded query stops growing materialized state: fresh UDF
         // results still serve the query but are no longer appended to views
         // (and the session drops the pending coverage commits, so partial
@@ -337,7 +386,7 @@ impl ApplyOp {
         // is itself deterministic.
         let store = store && !ctx.governor.is_degraded();
         let n = keys.len();
-        let mut results: ApplyResults = vec![None; n];
+        let mut resolved = Resolved::new(n);
         let mut unresolved: Vec<usize> = (0..n).collect();
         for seg in segments {
             if unresolved.is_empty() {
@@ -353,16 +402,20 @@ impl ApplyOp {
                 let probe_started = std::time::Instant::now();
                 let probe_clock = ctx.clock.snapshot();
                 let probe_keys: Vec<ViewKey> = unresolved.iter().map(|&i| keys[i].2).collect();
-                let mut probed = self.probe_view(ctx, view, &probe_keys)?;
                 let mut still = Vec::with_capacity(unresolved.len());
-                for (pos, &i) in unresolved.iter().enumerate() {
-                    match probed[pos].take() {
-                        Some(rows) => {
-                            hit_idx.push(i);
-                            results[i] = Some(rows);
+                let mut probed = unresolved.iter().copied();
+                for ViewHits { lens, columns } in self.probe_view(ctx, view, &probe_keys)? {
+                    let mut owners = Vec::with_capacity(lens.len());
+                    for (len, i) in lens.into_iter().zip(probed.by_ref()) {
+                        match len {
+                            Some(n) => {
+                                hit_idx.push(i);
+                                owners.push((i, n));
+                            }
+                            None => still.push(i),
                         }
-                        None => still.push(i),
                     }
+                    resolved.push_chunk(columns, owners);
                 }
                 let exact_hits = hit_idx.len() as u64;
                 // §6 future work: fuzzy bbox matching — an exact-key miss
@@ -379,9 +432,10 @@ impl ApplyOp {
                             None => None,
                         };
                         match hit {
-                            Some(rows) => {
+                            Some(hit) => {
                                 hit_idx.push(i);
-                                results[i] = Some(rows);
+                                let n_rows = hit.n_rows() as u32;
+                                resolved.push_chunk(hit.columns, [(i, n_rows)]);
                             }
                             None => misses.push(i),
                         }
@@ -441,16 +495,8 @@ impl ApplyOp {
                 ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
                 ctx.op_stats
                     .update(self.op_id, |s| s.udf_executed += n_eval);
-                let mut appends = Vec::with_capacity(evaluated.len());
-                for (i, rows) in evaluated {
+                for _ in &evaluated {
                     ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                    // One shared allocation serves both the STORE append and
-                    // this operator's own output — no row copies.
-                    let rows: Arc<[Row]> = rows.into();
-                    if store && seg.view.is_some() {
-                        appends.push((keys[i].2, Arc::clone(&rows)));
-                    }
-                    results[i] = Some(rows);
                 }
                 // One leaf span per eval batch: retries + evaluations + the
                 // per-invocation Udf charges, before the STORE append.
@@ -467,16 +513,22 @@ impl ApplyOp {
                     udf.cost_ms(),
                     false,
                 );
-                if store && !appends.is_empty() {
-                    if let Some(view) = seg.view {
-                        ctx.storage.view_append(view, appends, ctx.clock)?;
-                    }
+                // One typed chunk serves both the STORE append and this
+                // operator's own output.
+                let chunk = self.chunk_of(&evaluated);
+                if let (true, Some(view)) = (store, seg.view) {
+                    let entries: Vec<(ViewKey, u32)> = evaluated
+                        .iter()
+                        .map(|(i, rows)| (keys[*i].2, rows.len() as u32))
+                        .collect();
+                    ctx.storage.view_append(view, &entries, &chunk, ctx.clock)?;
                 }
+                resolved.push_evaluated(chunk, &evaluated);
                 unresolved.clear();
             }
         }
         debug_assert!(unresolved.is_empty(), "apply left rows unresolved");
-        Ok(results)
+        Ok(resolved)
     }
 
     fn process_funcache(
@@ -484,11 +536,13 @@ impl ApplyOp {
         ctx: &ExecCtx<'_>,
         keys: &[ApplyKey],
         udf_def: &eva_catalog::UdfDef,
-    ) -> Result<ApplyResults> {
+    ) -> Result<Resolved> {
         let udf = ctx.registry.get(&udf_def.impl_id)?;
         let frame_bytes = ctx.dataset.frame_bytes();
         let lookup_started = std::time::Instant::now();
         let lookup_clock = ctx.clock.snapshot();
+        // The cache table is the one row-form store left; its rows are
+        // pivoted into a chunk below, like an eval batch's.
         let mut results = Vec::with_capacity(keys.len());
         let (mut hit_keys, mut miss_keys) = (Vec::new(), Vec::new());
         let mut rows_shared = 0u64;
@@ -514,7 +568,7 @@ impl ApplyOp {
                 Some(rows) => {
                     hit_keys.push(vkey);
                     rows_shared += rows.len() as u64;
-                    results.push(Some(rows));
+                    results.push(rows);
                 }
                 None => {
                     self.breaker_check(ctx)?;
@@ -523,18 +577,15 @@ impl ApplyOp {
                         &udf_def.name,
                         std::iter::once((frame, bbox)),
                     )?;
-                    let rows: Arc<[Row]> = udf
-                        .eval(&UdfEvalContext {
-                            dataset: &ctx.dataset,
-                            frame,
-                            bbox,
-                        })?
-                        .into();
+                    let rows = udf.eval(&UdfEvalContext {
+                        dataset: &ctx.dataset,
+                        frame,
+                        bbox,
+                    })?;
                     self.breaker_success(ctx);
                     ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                    ctx.funcache.insert(key, Arc::clone(&rows));
                     miss_keys.push(vkey);
-                    results.push(Some(rows));
+                    results.push(ctx.funcache.insert(key, rows));
                 }
             }
         }
@@ -562,10 +613,21 @@ impl ApplyOp {
             s.udf_executed += cache_misses;
             s.udf_avoided += cache_hits;
         });
-        Ok(results)
+        let n_rows = results.iter().map(|rows| rows.len()).sum();
+        let rows = results.iter().flat_map(|rows| rows.iter());
+        let chunk = Column::from_rows(self.spec.output.len(), n_rows, rows.map(Vec::as_slice));
+        let mut resolved = Resolved::new(keys.len());
+        resolved.push_chunk(
+            chunk,
+            results
+                .iter()
+                .enumerate()
+                .map(|(i, rows)| (i, rows.len() as u32)),
+        );
+        Ok(resolved)
     }
 
-    fn process_plain(&self, ctx: &ExecCtx<'_>, keys: &[ApplyKey]) -> Result<ApplyResults> {
+    fn process_plain(&self, ctx: &ExecCtx<'_>, keys: &[ApplyKey]) -> Result<Resolved> {
         let udf_def = self
             .spec
             .fallback_udf()
@@ -587,10 +649,8 @@ impl ApplyOp {
         ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
         ctx.op_stats
             .update(self.op_id, |s| s.udf_executed += n_eval);
-        let mut results: ApplyResults = vec![None; keys.len()];
-        for (i, rows) in evaluated {
+        for _ in &evaluated {
             ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-            results[i] = Some(rows.into());
         }
         ctx.trace().leaf(
             SpanKind::UdfEval,
@@ -605,40 +665,69 @@ impl ApplyOp {
             udf.cost_ms(),
             false,
         );
-        Ok(results)
+        let mut resolved = Resolved::new(keys.len());
+        resolved.push_evaluated(self.chunk_of(&evaluated), &evaluated);
+        Ok(resolved)
     }
 
     /// Cross-apply join by selection expansion: input row × each of its
     /// result rows, in input order. `repeat` names every output row's
     /// physical input row, so the input columns are one [`Column::gather`]
-    /// each; the result rows are appended to typed output columns. This is
-    /// the single place reuse results are copied. `None` when the batch
-    /// fanned out to nothing (zero detections everywhere).
-    fn join(&self, cb: &ColumnarBatch, results: &ApplyResults) -> Option<ColumnarBatch> {
-        let n_out: usize = results.iter().flatten().map(|rows| rows.len()).sum();
+    /// each. `order` names every output row's place among the result chunks
+    /// laid end to end: when that is already `0, 1, 2, …` — one chunk, or
+    /// chunks that resolved the keys in key order — the output columns *are*
+    /// the (concatenated) chunks, otherwise one more gather permutes them.
+    /// `None` when the batch fanned out to nothing (zero detections
+    /// everywhere).
+    fn join(&self, cb: &ColumnarBatch, resolved: Resolved) -> Option<ColumnarBatch> {
+        let Resolved {
+            chunks,
+            chunk_rows,
+            slots,
+        } = resolved;
+        // Where each chunk starts once the chunks are laid end to end.
+        let mut offsets = Vec::with_capacity(chunk_rows.len());
+        let mut n_out = 0usize;
+        for &n in &chunk_rows {
+            offsets.push(n_out as u32);
+            n_out += n as usize;
+        }
         if n_out == 0 {
             return None;
         }
         let mut repeat: Vec<u32> = Vec::with_capacity(n_out);
-        let mut outputs: Vec<ColumnBuilder> = (0..self.spec.output.len())
-            .map(|_| ColumnBuilder::with_capacity(n_out))
-            .collect();
-        for (i, udf_rows) in results.iter().enumerate() {
-            let Some(udf_rows) = udf_rows else { continue };
-            let phys = cb.physical_index(i) as u32;
-            for udf_row in udf_rows.iter() {
-                debug_assert_eq!(udf_row.len(), outputs.len());
-                repeat.push(phys);
-                for (builder, v) in outputs.iter_mut().zip(udf_row) {
-                    builder.push(v);
-                }
+        let mut order: Vec<u32> = Vec::with_capacity(n_out);
+        for (i, slot) in slots.iter().enumerate() {
+            let Some((chunk, start, len)) = *slot else {
+                continue;
+            };
+            let first = offsets[chunk as usize] + start;
+            repeat.extend(std::iter::repeat(cb.physical_index(i) as u32).take(len as usize));
+            order.extend(first..first + len);
+        }
+        debug_assert_eq!(order.len(), n_out, "a chunk row without an owner");
+        let mut parts = chunks
+            .into_iter()
+            .zip(&chunk_rows)
+            .filter_map(|(chunk, &n)| (n > 0).then_some(chunk));
+        let mut outputs = parts.next().expect("n_out > 0");
+        for part in parts {
+            for (out, more) in outputs.iter_mut().zip(&part) {
+                out.append(more);
             }
+        }
+        if order
+            .iter()
+            .enumerate()
+            .any(|(at, &row)| row as usize != at)
+        {
+            outputs = outputs.iter().map(|c| c.gather(&order)).collect();
         }
         let columns: Vec<Arc<Column>> = cb
             .columns()
             .iter()
             .map(|c| c.gather(&repeat))
-            .chain(outputs.into_iter().map(ColumnBuilder::finish))
+            .chain(outputs)
             .map(Arc::new)
             .collect();
         Some(ColumnarBatch::new(Arc::clone(&self.schema), columns, n_out))
@@ -670,14 +759,14 @@ impl Operator for ApplyOp {
                 ctx.config.apply_overhead_ms * cb.len() as f64,
             );
             let keys = self.keys_of(&cb)?;
-            let results = match &self.spec.reuse {
+            let resolved = match &self.spec.reuse {
                 ApplyReuse::None { .. } => self.process_plain(ctx, &keys)?,
                 ApplyReuse::FunCache { udf } => self.process_funcache(ctx, &keys, udf)?,
                 ApplyReuse::Views { segments, store } => {
                     self.process_views(ctx, &keys, segments, *store)?
                 }
             };
-            if let Some(joined) = self.join(&cb, &results) {
+            if let Some(joined) = self.join(&cb, resolved) {
                 return Ok(Some(ExecBatch::Columnar(joined)));
             }
         }

@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use eva_common::{CostCategory, DataType, Field, FrameId, Schema, Value};
+use eva_common::testutil::rows_of;
+use eva_common::{Column, CostCategory, DataType, Field, FrameId, Schema, Value, ViewId};
 use eva_expr::{AggFunc, Expr};
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
 use eva_storage::{ViewKey, ViewKeyKind};
@@ -16,6 +17,29 @@ use crate::ops::scan::ScanFramesOp;
 use crate::ops::sort_limit::{LimitOp, SortOp};
 use crate::ops::BoxedOp;
 use crate::testing::{ColumnarValuesOp, TestEnv, ValuesOp};
+
+/// STORE row-form entries into a view as one chunk.
+fn store_rows(env: &TestEnv, view: ViewId, entries: &[(ViewKey, Vec<Vec<Value>>)]) {
+    let lens: Vec<(ViewKey, u32)> = entries
+        .iter()
+        .map(|(k, rows)| (*k, rows.len() as u32))
+        .collect();
+    let width = env.storage.view_def(view).unwrap().output_schema.len();
+    let rows = entries.iter().flat_map(|(_, rows)| rows.iter());
+    let chunk = Column::from_rows(width, 0, rows.map(Vec::as_slice));
+    env.storage
+        .view_append(view, &lens, &chunk, &env.clock)
+        .unwrap();
+}
+
+/// What a view holds for each of `keys`, in row form (`None`: not
+/// materialized).
+fn stored_rows(env: &TestEnv, view: ViewId, keys: &[ViewKey]) -> Vec<Option<Vec<Vec<Value>>>> {
+    let hits = env.storage.view_probe_uncharged(view, keys).unwrap();
+    let mut rows = rows_of(&hits.columns).into_iter();
+    let mut take = |n: u32| rows.by_ref().take(n as usize).collect();
+    hits.lens.iter().map(|len| len.map(&mut take)).collect()
+}
 
 fn int_schema() -> Arc<Schema> {
     Arc::new(
@@ -343,18 +367,15 @@ fn apply_views_mode_probes_then_stores() {
     // Pre-materialize frames 0..10 with sentinel rows.
     let entries: Vec<_> = (0..10u64)
         .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![
-                    Value::from("sentinel"),
-                    Value::from(eva_common::BBox::new(0.0, 0.0, 0.5, 0.5)),
-                    Value::Float(1.0),
-                ]]
-                .into(),
-            )
+            let row = vec![
+                Value::from("sentinel"),
+                Value::from(eva_common::BBox::new(0.0, 0.0, 0.5, 0.5)),
+                Value::Float(1.0),
+            ];
+            (ViewKey::frame(FrameId(i)), vec![row])
         })
         .collect();
-    env.storage.view_append(view, entries, &env.clock).unwrap();
+    store_rows(&env, view, &entries);
 
     let spec = detector_spec(
         &env,
@@ -412,18 +433,15 @@ fn apply_multi_segment_probes_in_order() {
     // rcnn101 view covers frames 0..6.
     let entries: Vec<_> = (0..6u64)
         .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![
-                    Value::from("from101"),
-                    Value::from(eva_common::BBox::new(0.0, 0.0, 0.2, 0.2)),
-                    Value::Float(0.9),
-                ]]
-                .into(),
-            )
+            let row = vec![
+                Value::from("from101"),
+                Value::from(eva_common::BBox::new(0.0, 0.0, 0.2, 0.2)),
+                Value::Float(0.9),
+            ];
+            (ViewKey::frame(FrameId(i)), vec![row])
         })
         .collect();
-    env.storage.view_append(v101, entries, &env.clock).unwrap();
+    store_rows(&env, v101, &entries);
     let vy = env
         .storage
         .create_view("yolo", ViewKeyKind::Frame, Arc::clone(&schema_out));
@@ -635,8 +653,19 @@ fn join_source(form: InputForm) -> BoxedOp {
     }
 }
 
-/// Everything observable about a cold pass (all keys miss: evaluate and
-/// STORE) followed by a warm pass (all keys hit) over [`JOIN_FRAMES`].
+/// Frames the *interleaved* join runs find already materialized: in a
+/// second detector's view (probed first, never evaluated) and in the
+/// fallback's own view. The rest of [`JOIN_FRAMES`] — 3, 12, 4 — are
+/// evaluated fresh, so in input order the keys resolve alt, fresh, own,
+/// fresh, fresh, alt, own, and each of the three chunks holds rows: no
+/// single chunk has them in key order.
+const IN_ALT_VIEW: [u64; 2] = [7, 9];
+const IN_OWN_VIEW: [u64; 2] = [0, 6];
+
+/// Everything observable about a cold pass followed by a warm pass (all
+/// keys hit) over [`JOIN_FRAMES`]. Cold means all keys miss (evaluate and
+/// STORE), or, `interleaved`, that they resolve from two views and fresh
+/// evaluation in turn.
 #[derive(Debug, PartialEq)]
 struct JoinRun {
     cold: Vec<Vec<Value>>,
@@ -648,7 +677,7 @@ struct JoinRun {
     view: Vec<Option<Vec<Vec<Value>>>>,
 }
 
-fn run_join(form: InputForm) -> JoinRun {
+fn run_join(form: InputForm, interleaved: bool) -> JoinRun {
     let env = TestEnv::new(30, 16);
     let det = env.catalog.udf("fasterrcnn_resnet50").unwrap();
     let output = Arc::new(det.output.clone());
@@ -661,19 +690,41 @@ fn run_join(form: InputForm) -> JoinRun {
         cost_ms: Some(7.3),
         ..det
     };
+    let alt = eva_catalog::UdfDef {
+        name: "fanout_alt".into(),
+        ..udf.clone()
+    };
+    let alt_view = env
+        .storage
+        .create_view("fanout_alt", ViewKeyKind::Frame, Arc::clone(&output));
     let view = env
         .storage
         .create_view("fanout", ViewKeyKind::Frame, Arc::clone(&output));
+    if interleaved {
+        let entries =
+            |frames: [u64; 2]| frames.map(|f| (ViewKey::frame(FrameId(f)), fanout_rows(f)));
+        store_rows(&env, alt_view, &entries(IN_ALT_VIEW));
+        store_rows(&env, view, &entries(IN_OWN_VIEW));
+        env.clock.reset();
+        env.storage.metrics().reset();
+    }
     let pass = || {
         let spec = ApplySpec {
             display_name: "fanout".into(),
             args: vec![Expr::col("frame")],
             reuse: ApplyReuse::Views {
-                segments: vec![Segment {
-                    udf: udf.clone(),
-                    view: Some(view),
-                    eval: true,
-                }],
+                segments: vec![
+                    Segment {
+                        udf: alt.clone(),
+                        view: Some(alt_view),
+                        eval: false,
+                    },
+                    Segment {
+                        udf: udf.clone(),
+                        view: Some(view),
+                        eval: true,
+                    },
+                ],
                 store: true,
             },
             output: Arc::clone(&output),
@@ -681,13 +732,41 @@ fn run_join(form: InputForm) -> JoinRun {
         let op = ApplyOp::new(join_source(form), spec, apply_schema(&env)).unwrap();
         env.drain(Box::new(op)).unwrap().into_rows()
     };
+    let n_alt = if interleaved {
+        IN_ALT_VIEW.len() as u64
+    } else {
+        0
+    };
+    let n_own = if interleaved {
+        IN_OWN_VIEW.len() as u64
+    } else {
+        0
+    };
+    let n = JOIN_FRAMES.len() as u64;
     let cold = pass();
-    assert_eq!(env.stats.get("fanout").reused_invocations, 0, "all miss");
+    let reused = |udf: &str| env.stats.get(udf).reused_invocations;
+    assert_eq!((reused("fanout_alt"), reused("fanout")), (n_alt, n_own));
+    let c = env.stats.get("fanout");
+    assert_eq!(
+        c.total_invocations - c.reused_invocations,
+        n - n_alt - n_own
+    );
     let warm = pass();
     let c = env.stats.get("fanout");
-    assert_eq!(c.reused_invocations, JOIN_FRAMES.len() as u64, "all hit");
+    assert_eq!(
+        reused("fanout_alt") + c.reused_invocations,
+        n + n_alt + n_own
+    );
+    // Between them the two views hold each input exactly once.
     let keys: Vec<ViewKey> = (0..16).map(|f| ViewKey::frame(FrameId(f))).collect();
-    let (stored, _) = env.storage.view_probe_uncharged(view, &keys).unwrap();
+    let stored = stored_rows(&env, view, &keys)
+        .into_iter()
+        .zip(stored_rows(&env, alt_view, &keys))
+        .map(|(own, alt)| {
+            assert!(own.is_none() || alt.is_none());
+            own.or(alt)
+        })
+        .collect();
     let m = env.storage.metrics().snapshot().deterministic();
     JoinRun {
         cold,
@@ -701,20 +780,20 @@ fn run_join(form: InputForm) -> JoinRun {
         },
         op_stats: env.op_stats.snapshot(),
         counters: (c.total_invocations, c.distinct_inputs, c.reused_invocations),
-        view: stored
-            .into_iter()
-            .map(|rows| rows.map(|r| r.to_vec()))
-            .collect(),
+        view: stored,
     }
 }
 
 /// One join, three input forms: row batches (lifted once), columnar
 /// batches, and columnar batches under a non-trivial selection must be
 /// indistinguishable — rows in order, simulated cost, counters, per-op
-/// stats and what STORE left in the view.
+/// stats and what STORE left in the view. And one join, however the keys
+/// resolve: a batch served from two views and fresh evaluation in turn
+/// (chunks concatenated, then permuted into key order) must produce the
+/// rows and leave the view contents of the all-fresh run.
 #[test]
 fn apply_join_is_identical_across_input_forms() {
-    let rows = run_join(InputForm::Rows);
+    let rows = run_join(InputForm::Rows, false);
     // The expected output, spelled out: input order, each frame × its
     // `f % 4` result rows, zero-detection frames dropped.
     let expected: Vec<Vec<Value>> = JOIN_FRAMES
@@ -736,8 +815,20 @@ fn apply_join_is_identical_across_input_forms() {
     assert_eq!(rows.view[1], None, "frame 1 was never an input");
     assert_eq!(rows.counters, (14, 7, 7));
 
-    assert_eq!(rows, run_join(InputForm::Columnar));
-    assert_eq!(rows, run_join(InputForm::Selected));
+    assert_eq!(rows, run_join(InputForm::Columnar, false));
+    assert_eq!(rows, run_join(InputForm::Selected, false));
+
+    let mixed = run_join(InputForm::Rows, true);
+    assert_eq!(mixed.cold, expected, "two views and fresh rows interleaved");
+    assert_eq!(mixed.warm, expected, "two views interleaved");
+    assert_eq!(mixed.view, rows.view);
+    // Cold: 3 fresh calls, 2 + 2 hits on 7 + 5 probes. Warm: 2 + 5 hits.
+    assert_eq!(mixed.counters, (3 + 2 + 5, 5, 2 + 5));
+    let m = &mixed.metrics;
+    assert_eq!((m.udf_calls_executed, m.udf_calls_avoided), (3, 4 + 7));
+    assert_eq!((m.probes, m.probe_hits), (7 + 5 + 7 + 5, 4 + 7));
+    assert_eq!(mixed, run_join(InputForm::Columnar, true));
+    assert_eq!(mixed, run_join(InputForm::Selected, true));
 }
 
 /// A NULL or wrong-typed `frame`/`bbox` cell is reported exactly as the
@@ -819,18 +910,15 @@ fn run_views_query_faulty(
     // evaluate-and-store paths run.
     let entries: Vec<_> = (0..32u64)
         .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![
-                    Value::from("sentinel"),
-                    Value::from(eva_common::BBox::new(0.0, 0.0, 0.5, 0.5)),
-                    Value::Float(1.0),
-                ]]
-                .into(),
-            )
+            let row = vec![
+                Value::from("sentinel"),
+                Value::from(eva_common::BBox::new(0.0, 0.0, 0.5, 0.5)),
+                Value::Float(1.0),
+            ];
+            (ViewKey::frame(FrameId(i)), vec![row])
         })
         .collect();
-    env.storage.view_append(view, entries, &env.clock).unwrap();
+    store_rows(&env, view, &entries);
     env.clock.reset();
 
     let spec = detector_spec(

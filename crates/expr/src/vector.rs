@@ -337,7 +337,7 @@ fn cmp_col_lit(op: CmpOp, col: &Vals<'_>, lit: &Vals<'_>, active: &[u32]) -> Opt
                     if !validity.get(i) {
                         return None;
                     }
-                    op.test(Some(vals[i].as_str().cmp(lit.as_str())))
+                    op.test(Some((*vals[i]).cmp(lit.as_str())))
                 })
                 .collect(),
         ),

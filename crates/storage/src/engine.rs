@@ -4,8 +4,10 @@
 //! per-view locks in a sharded registry, so probes and appends on
 //! different views never contend, and probes on the *same* view share a
 //! read lock. Registry shards are only locked for the instant it takes to
-//! look up a view's handle. Probe results are `Arc<[Row]>` — hits are
-//! refcount bumps, never row copies.
+//! look up a view's handle. A probe gathers its hit rows out of the view's
+//! columns into typed chunks while it holds that read lock, so what it
+//! returns is the caller's own: no stored range outlives the lock, and a
+//! concurrent append or `clear_views` cannot invalidate a result.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -22,7 +24,7 @@ use eva_video::VideoDataset;
 use crate::cost::IoCostModel;
 use crate::recovery::RecoveryReport;
 use crate::segment;
-use crate::view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
+use crate::view::{MaterializedView, ViewDef, ViewHits, ViewKey, ViewKeyKind};
 
 /// Number of registry shards. Sequential view ids round-robin across
 /// shards, so concurrent sessions touching different views hit different
@@ -349,13 +351,16 @@ impl StorageEngine {
         Ok(self.shared.view(id)?.read().n_rows())
     }
 
-    /// Append result rows for a batch of keys (STORE operator), charging
-    /// materialization IO. Entries are `Arc<[Row]>` so the caller can keep
-    /// sharing the same rows it hands to the view (no copy on store).
+    /// Append one evaluated chunk (STORE operator), charging materialization
+    /// IO: `entries` names, in chunk order, each input key and how many
+    /// consecutive rows of `chunk` (one typed column per output field) are
+    /// its results — see [`MaterializedView::append`]. The chunk is
+    /// borrowed: the caller goes on to join the very columns it stored.
     pub fn view_append(
         &self,
         id: ViewId,
-        entries: Vec<(ViewKey, Arc<[Row]>)>,
+        entries: &[(ViewKey, u32)],
+        chunk: &[Column],
         clock: &SimClock,
     ) -> Result<()> {
         let handle = self.shared.view(id)?;
@@ -375,11 +380,8 @@ impl StorageEngine {
                 g
             }
         };
-        let mut written = 0usize;
-        for (k, rows) in entries {
-            written += rows.len().max(1);
-            view.append(k, rows)?;
-        }
+        view.append(entries, chunk)?;
+        let written: usize = entries.iter().map(|&(_, n)| n.max(1) as usize).sum();
         clock.charge(
             CostCategory::Materialize,
             self.cost.view_row_write_ms * written as f64,
@@ -392,52 +394,31 @@ impl StorageEngine {
     /// charging `view_join_factor ×` the per-row read cost for probed keys,
     /// per Eq. 3's `3·C_M` model.
     ///
-    /// Returns, per key, `Some(rows)` when materialized and `None` when
-    /// missing (the conditional-APPLY guard then fires). Hits share the
-    /// stored rows (`Arc` bump) — no per-row copies.
-    #[allow(clippy::type_complexity)]
-    pub fn view_probe(
-        &self,
-        id: ViewId,
-        keys: &[ViewKey],
-        clock: &SimClock,
-    ) -> Result<Vec<Option<Arc<[Row]>>>> {
-        let (out, rows_read) = self.view_probe_uncharged(id, keys)?;
-        self.charge_view_read(rows_read, clock);
-        Ok(out)
+    /// Returns, per key, `Some(row count)` when materialized and `None` when
+    /// missing (the conditional-APPLY guard then fires), plus the hit rows
+    /// gathered in key order into typed columns — see [`ViewHits`].
+    pub fn view_probe(&self, id: ViewId, keys: &[ViewKey], clock: &SimClock) -> Result<ViewHits> {
+        let hits = self.view_probe_uncharged(id, keys)?;
+        self.charge_view_read(hits.rows_read(), clock);
+        Ok(hits)
     }
 
-    /// The probe itself, without touching a clock: returns per-key results
-    /// plus the number of rows read. Lets callers fan a large probe out to
-    /// worker threads (the clock is not `Sync`) and charge the summed row
-    /// count once — integer summation keeps the simulated cost bit-identical
-    /// to a serial probe.
-    #[allow(clippy::type_complexity)]
-    pub fn view_probe_uncharged(
-        &self,
-        id: ViewId,
-        keys: &[ViewKey],
-    ) -> Result<(Vec<Option<Arc<[Row]>>>, usize)> {
+    /// The probe itself, without touching a clock. Lets callers fan a large
+    /// probe out to worker threads (the clock is not `Sync`) and charge the
+    /// summed [`ViewHits::rows_read`] once — integer summation keeps the
+    /// simulated cost bit-identical to a serial probe. Index lookups and the
+    /// gather both run under the view's one read lock.
+    pub fn view_probe_uncharged(&self, id: ViewId, keys: &[ViewKey]) -> Result<ViewHits> {
         let handle = self.shared.view(id)?;
-        let view = handle.read();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut rows_read = 0usize;
-        for k in keys {
-            match view.get(k) {
-                Some(rows) => {
-                    rows_read += rows.len().max(1);
-                    out.push(Some(Arc::clone(rows)));
-                }
-                None => out.push(None),
-            }
-        }
-        Ok((out, rows_read))
+        let hits = handle.read().probe(keys);
+        Ok(hits)
     }
 
     /// Charge the view-read IO for `rows_read` probed rows (the `3·C_M`
     /// model applied by [`StorageEngine::view_probe`]), and record them in
-    /// the metrics sink. Probe hits are `Arc` clones of stored rows, so every
-    /// row read here was also served zero-copy. Called on the *caller*
+    /// the metrics sink. Probe hits are gathered column to column, so every
+    /// row read here was also served without materialising a `Row` (the
+    /// `rows_zero_copy` counter). Called on the *caller*
     /// thread, like every clock charge — uncharged worker probes report
     /// their row counts back and the caller invokes this once.
     pub fn charge_view_read(&self, rows_read: usize, clock: &SimClock) {
@@ -459,10 +440,10 @@ impl StorageEngine {
         bbox: &eva_common::BBox,
         min_iou: f32,
         clock: &SimClock,
-    ) -> Result<Option<Arc<[Row]>>> {
+    ) -> Result<Option<ViewHits>> {
         let handle = self.shared.view(id)?;
-        let (rows, scanned) = handle.read().fuzzy_get(frame, bbox, min_iou);
-        let matched = rows.as_ref().map(|r| r.len()).unwrap_or(0);
+        let (hits, scanned) = handle.read().fuzzy_probe(frame, bbox, min_iou);
+        let matched = hits.as_ref().map_or(0, ViewHits::n_rows);
         let read = scanned + matched;
         clock.charge(
             CostCategory::ReadView,
@@ -470,7 +451,7 @@ impl StorageEngine {
         );
         self.shared.metrics.record_view_rows_read(read as u64);
         self.shared.metrics.record_zero_copy_rows(matched as u64);
-        Ok(rows)
+        Ok(hits)
     }
 
     /// Does the view contain the key? (No IO charge — membership is answered
@@ -680,6 +661,12 @@ mod tests {
         Arc::new(Schema::new(vec![Field::new("label", DataType::Str)]).unwrap())
     }
 
+    /// A one-column chunk of labels, one row each.
+    fn labels(labels: &[&str]) -> Vec<Column> {
+        let values: Vec<Value> = labels.iter().map(|l| Value::from(*l)).collect();
+        vec![Column::from_values(&values)]
+    }
+
     #[test]
     fn scan_charges_read_cost() {
         let eng = StorageEngine::new();
@@ -704,18 +691,13 @@ mod tests {
         let id = eng.create_view("det", ViewKeyKind::Frame, out_schema());
         let k0 = ViewKey::frame(FrameId(0));
         let k1 = ViewKey::frame(FrameId(1));
-        eng.view_append(
-            id,
-            vec![(k0, vec![vec![Value::from("car")]].into())],
-            &clock,
-        )
-        .unwrap();
+        eng.view_append(id, &[(k0, 1)], &labels(&["car"]), &clock)
+            .unwrap();
         assert_eq!(eng.view_n_keys(id).unwrap(), 1);
         assert_eq!(eng.view_n_rows(id).unwrap(), 1);
 
         let probed = eng.view_probe(id, &[k0, k1], &clock).unwrap();
-        assert!(probed[0].is_some());
-        assert!(probed[1].is_none());
+        assert_eq!(probed.lens, vec![Some(1), None]);
         let s = clock.snapshot();
         assert!(s.get(CostCategory::Materialize) > 0.0);
         assert!(s.get(CostCategory::ReadView) > 0.0);
@@ -724,17 +706,24 @@ mod tests {
     }
 
     #[test]
-    fn probe_hits_share_stored_rows() {
+    fn probe_hits_equal_the_appended_rows() {
         let eng = StorageEngine::new();
         let clock = SimClock::new();
         let id = eng.create_view("det", ViewKeyKind::Frame, out_schema());
-        let k = ViewKey::frame(FrameId(0));
-        eng.view_append(id, vec![(k, vec![vec![Value::from("car")]].into())], &clock)
-            .unwrap();
-        let a = eng.view_probe(id, &[k], &clock).unwrap();
-        let b = eng.view_probe(id, &[k], &clock).unwrap();
-        let (a, b) = (a[0].as_ref().unwrap(), b[0].as_ref().unwrap());
-        assert!(Arc::ptr_eq(a, b), "probe hits must be zero-copy");
+        let keys: Vec<ViewKey> = (0..3).map(|f| ViewKey::frame(FrameId(f))).collect();
+        let chunk = labels(&["car", "bus", "van"]);
+        // Key 1 produced nothing; key 2 owns the last two rows.
+        let entries = [(keys[0], 1), (keys[1], 0), (keys[2], 2)];
+        eng.view_append(id, &entries, &chunk, &clock).unwrap();
+        let hits = eng.view_probe(id, &keys, &clock).unwrap();
+        assert_eq!(hits.lens, vec![Some(1), Some(0), Some(2)]);
+        assert_eq!(
+            hits.columns, chunk,
+            "gathered hit rows equal the appended rows"
+        );
+        // A probe's result is its own: a later append or clear leaves it be.
+        eng.clear_views();
+        assert_eq!(hits.columns, chunk);
     }
 
     #[test]
@@ -744,22 +733,18 @@ mod tests {
         let id = eng.create_view("det", ViewKeyKind::Frame, out_schema());
         let k0 = ViewKey::frame(FrameId(0));
         let k1 = ViewKey::frame(FrameId(1));
-        eng.view_append(
-            id,
-            vec![(k0, vec![vec![Value::from("car")]].into())],
-            &clock,
-        )
-        .unwrap();
+        eng.view_append(id, &[(k0, 1)], &labels(&["car"]), &clock)
+            .unwrap();
         let before = clock.snapshot();
-        let (out, rows_read) = eng.view_probe_uncharged(id, &[k0, k1]).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(rows_read, 1);
+        let hits = eng.view_probe_uncharged(id, &[k0, k1]).unwrap();
+        assert_eq!(hits.lens.len(), 2);
+        assert_eq!(hits.rows_read(), 1);
         assert_eq!(
             clock.snapshot().get(CostCategory::ReadView),
             before.get(CostCategory::ReadView),
             "uncharged probe must not touch the clock"
         );
-        eng.charge_view_read(rows_read, &clock);
+        eng.charge_view_read(hits.rows_read(), &clock);
         assert!((clock.snapshot().get(CostCategory::ReadView) - 0.15).abs() < 1e-9);
     }
 
@@ -772,12 +757,8 @@ mod tests {
         let id = eng.create_view("det", ViewKeyKind::Frame, out_schema());
         let k0 = ViewKey::frame(FrameId(0));
         let k1 = ViewKey::frame(FrameId(1));
-        eng.view_append(
-            id,
-            vec![(k0, vec![vec![Value::from("car")]].into())],
-            &clock,
-        )
-        .unwrap();
+        eng.view_append(id, &[(k0, 1)], &labels(&["car"]), &clock)
+            .unwrap();
         eng.view_probe(id, &[k0, k1], &clock).unwrap();
         let m = eng.metrics().snapshot();
         assert_eq!(m.frames_scanned, 10);
@@ -794,7 +775,7 @@ mod tests {
         let clock = SimClock::new();
         assert!(eng.view_probe(ViewId(99), &[], &clock).is_err());
         assert!(eng.view_n_keys(ViewId(99)).is_err());
-        assert!(eng.view_append(ViewId(99), vec![], &clock).is_err());
+        assert!(eng.view_append(ViewId(99), &[], &[], &clock).is_err());
     }
 
     #[test]
@@ -803,24 +784,11 @@ mod tests {
         let clock = SimClock::new();
         let a = eng.create_view("a", ViewKeyKind::Frame, out_schema());
         let b = eng.create_view("b", ViewKeyKind::Frame, out_schema());
-        eng.view_append(
-            a,
-            vec![(
-                ViewKey::frame(FrameId(0)),
-                vec![vec![Value::from("car")]].into(),
-            )],
-            &clock,
-        )
-        .unwrap();
-        eng.view_append(
-            b,
-            vec![(
-                ViewKey::frame(FrameId(0)),
-                vec![vec![Value::from("bus")]].into(),
-            )],
-            &clock,
-        )
-        .unwrap();
+        let k0 = ViewKey::frame(FrameId(0));
+        eng.view_append(a, &[(k0, 1)], &labels(&["car"]), &clock)
+            .unwrap();
+        eng.view_append(b, &[(k0, 1)], &labels(&["bus"]), &clock)
+            .unwrap();
         assert!(eng.total_view_bytes() > 0);
         assert_eq!(eng.view_defs().len(), 2);
         eng.clear_views();
@@ -859,24 +827,17 @@ mod tests {
         let eng = StorageEngine::new();
         let clock = SimClock::new();
         let id = eng.create_view("det", ViewKeyKind::Frame, out_schema());
-        eng.view_append(
-            id,
-            vec![(
-                ViewKey::frame(FrameId(7)),
-                vec![vec![Value::from("car")]].into(),
-            )],
-            &clock,
-        )
-        .unwrap();
+        let k7 = ViewKey::frame(FrameId(7));
+        eng.view_append(id, &[(k7, 1)], &labels(&["car"]), &clock)
+            .unwrap();
         eng.save_views(&dir).unwrap();
 
         let eng2 = StorageEngine::new();
         eng2.load_views(&dir).unwrap();
         assert_eq!(eng2.view_n_keys(id).unwrap(), 1);
-        let probed = eng2
-            .view_probe(id, &[ViewKey::frame(FrameId(7))], &clock)
-            .unwrap();
-        assert_eq!(probed[0].as_ref().unwrap()[0][0], Value::from("car"));
+        let probed = eng2.view_probe(id, &[k7], &clock).unwrap();
+        assert_eq!(probed.lens, vec![Some(1)]);
+        assert_eq!(probed.columns, labels(&["car"]));
         // New views get fresh ids after load.
         let id2 = eng2.create_view("x", ViewKeyKind::Frame, out_schema());
         assert!(id2.raw() > id.raw());

@@ -21,4 +21,4 @@ pub mod view;
 pub use cost::IoCostModel;
 pub use engine::StorageEngine;
 pub use recovery::{QuarantinedSegment, RecoveryReport};
-pub use view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
+pub use view::{MaterializedView, ViewDef, ViewHits, ViewKey, ViewKeyKind};

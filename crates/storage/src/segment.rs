@@ -13,9 +13,14 @@
 //! view_id | name | key_kind | output_schema | n_keys | n_rows | entries…
 //! ```
 //!
-//! Entries are written in key order, so byte output is deterministic for a
-//! given view. Decoding cross-checks the header counts against the decoded
-//! entries and the view id against the file name — any mismatch is
+//! Entries are written in key order, each as its key, a row count and that
+//! many count-prefixed rows of tagged values, so byte output is
+//! deterministic for a given view and does not depend on how the store lays
+//! the rows out in memory: the encoder walks the view's columns cell by
+//! cell, the decoder fills one column builder per field and appends the
+//! whole file as one chunk. Decoding cross-checks the header counts against
+//! the decoded entries, every row's value count against the segment's own
+//! schema, and the view id against the file name — any mismatch is
 //! [`EvaError::Corrupt`] and the recovery pass quarantines the file.
 //!
 //! Writes go through [`write_atomic`]: bytes land in a `.tmp` sibling,
@@ -31,7 +36,7 @@ use std::sync::Arc;
 
 use eva_common::codec::{self, ByteReader, ByteWriter};
 use eva_common::hash::xxhash64;
-use eva_common::{EvaError, Failpoint, FailpointRegistry, Result, Row, ViewId};
+use eva_common::{ColumnBuilder, EvaError, Failpoint, FailpointRegistry, Result, ViewId};
 
 use crate::view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
 
@@ -110,9 +115,7 @@ fn read_key(r: &mut ByteReader) -> Result<ViewKey> {
 /// Encode a view into a sealed segment (deterministic: entries in key order).
 pub fn encode_segment(view: &MaterializedView) -> Vec<u8> {
     let def = view.def();
-    let mut entries: Vec<(&ViewKey, &Arc<[Row]>)> = view.iter().collect();
-    entries.sort_by_key(|(k, _)| **k);
-
+    let columns = view.columns();
     let mut w = ByteWriter::with_capacity(view.approx_bytes() as usize + 256);
     w.u64(def.id.raw());
     w.str(&def.name);
@@ -120,11 +123,14 @@ pub fn encode_segment(view: &MaterializedView) -> Vec<u8> {
     codec::write_schema(&mut w, &def.output_schema);
     w.u64(view.n_keys());
     w.u64(view.n_rows());
-    for (key, rows) in entries {
-        write_key(&mut w, key);
-        w.count(rows.len());
-        for row in rows.iter() {
-            codec::write_row(&mut w, row);
+    for (key, start, len) in view.sorted_entries() {
+        write_key(&mut w, &key);
+        w.count(len as usize);
+        for row in start..start + len {
+            w.count(columns.len());
+            for column in columns {
+                codec::write_cell(&mut w, column.cell(row as usize));
+            }
         }
     }
     codec::seal(SEGMENT_MAGIC, FORMAT_VERSION, w.as_slice())
@@ -147,6 +153,7 @@ pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<Materia
     let name = r.str()?;
     let key_kind = key_kind_from_tag(r.u8()?)?;
     let output_schema = Arc::new(codec::read_schema(&mut r)?);
+    let width = output_schema.len();
     let n_keys = r.u64()?;
     let n_rows = r.u64()?;
     let mut view = MaterializedView::new(ViewDef {
@@ -155,17 +162,33 @@ pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<Materia
         key_kind,
         output_schema,
     });
+    // Header counts are only trusted as far as the bytes that remain.
+    let mut entries = Vec::with_capacity(n_keys.min(r.remaining() as u64) as usize);
+    let mut builders: Vec<ColumnBuilder> = (0..width)
+        .map(|_| ColumnBuilder::with_capacity(n_rows.min(r.remaining() as u64) as usize))
+        .collect();
     for _ in 0..n_keys {
         let key = read_key(&mut r)?;
         let count = r.count()?;
-        let mut rows = Vec::with_capacity(count);
         for _ in 0..count {
-            rows.push(codec::read_row(&mut r)?);
+            let n_values = r.count()?;
+            if n_values != width {
+                return Err(EvaError::Corrupt(format!(
+                    "row of {n_values} values in a segment whose schema has {width} columns"
+                )));
+            }
+            for builder in &mut builders {
+                builder.push_cell(codec::read_cell(&mut r)?);
+            }
         }
-        view.append(key, rows.into())
-            .map_err(|e| EvaError::Corrupt(format!("inconsistent segment entry: {e}")))?;
+        let count = u32::try_from(count)
+            .map_err(|_| EvaError::Corrupt(format!("entry of {count} rows")))?;
+        entries.push((key, count));
     }
     r.expect_end()?;
+    let chunk: Vec<_> = builders.into_iter().map(ColumnBuilder::finish).collect();
+    view.append(&entries, &chunk)
+        .map_err(|e| EvaError::Corrupt(format!("inconsistent segment entries: {e}")))?;
     if view.n_keys() != n_keys || view.n_rows() != n_rows {
         return Err(EvaError::Corrupt(format!(
             "header claims {n_keys} keys / {n_rows} rows, segment holds {} / {}",
@@ -283,7 +306,7 @@ pub fn quarantine_file(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_common::{DataType, Field, FireRule, FrameId, Schema, Value};
+    use eva_common::{Column, DataType, Field, FireRule, FrameId, Schema, Value};
 
     fn demo_view(id: u64) -> MaterializedView {
         let mut v = MaterializedView::new(ViewDef {
@@ -300,11 +323,10 @@ mod tests {
         });
         for f in 0..5u64 {
             let bbox = eva_common::BBox::new(0.1, 0.1, 0.4, 0.4 + f as f32 * 0.01);
-            v.append(
-                ViewKey::frame_box(FrameId(f), &bbox),
-                vec![vec![Value::from("car"), Value::Float(0.9)]].into(),
-            )
-            .unwrap();
+            let row = [Value::from("car"), Value::Float(0.9)];
+            let chunk = Column::from_rows(2, 1, [row.as_slice()]);
+            v.append(&[(ViewKey::frame_box(FrameId(f), &bbox), 1)], &chunk)
+                .unwrap();
         }
         v
     }
@@ -318,9 +340,8 @@ mod tests {
         assert_eq!(back.n_keys(), v.n_keys());
         assert_eq!(back.n_rows(), v.n_rows());
         assert_eq!(back.approx_bytes(), v.approx_bytes());
-        for (k, rows) in v.iter() {
-            assert_eq!(back.get(k).unwrap().as_ref(), rows.as_ref());
-        }
+        let keys: Vec<ViewKey> = v.sorted_entries().iter().map(|e| e.0).collect();
+        assert_eq!(back.probe(&keys), v.probe(&keys));
     }
 
     #[test]

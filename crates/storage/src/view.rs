@@ -10,17 +10,27 @@
 //! input (a detector emits one row per detected object, possibly zero —
 //! which still records "this frame was processed").
 //!
-//! Entries are stored as `Arc<[Row]>` so probe hits hand back a refcount
-//! bump instead of deep-copying every row — the zero-copy half of the
-//! reuse hot path. Probes go through a hash index (O(1) per key); box-level
-//! views additionally keep a per-frame secondary index so fuzzy probes scan
-//! only the boxes stored on the probed frame.
+//! The store is columnar, like the Parquet files the paper keeps its views
+//! in: one append-only typed [`Column`] per output field, and a hash index
+//! from key to the contiguous `(first row, row count)` range that key's rows
+//! occupy. STORE appends a whole evaluated chunk with one typed extend per
+//! column; a probe resolves its keys through the index and gathers the hit
+//! ranges into fresh typed columns ([`ViewHits`]) — the form the cross-apply
+//! join consumes — so no `Value` is built on the reuse path and string cells
+//! move by refcount. Ranges never leave this module: a probe gathers while
+//! the caller holds the view's lock, so nothing a concurrent append or
+//! `clear_views` does can invalidate what it returns. The index hashes with
+//! [`KeyBuildHasher`] (keys are engine-derived integers). Box-level views
+//! additionally keep a per-frame secondary index so fuzzy probes scan only
+//! the boxes stored on the probed frame.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use eva_common::{BBox, EvaError, FrameId, Result, Row, Schema, ViewId};
+use eva_common::hash::KeyBuildHasher;
+use eva_common::{BBox, Column, EvaError, FrameId, Result, Schema, ViewId};
 
 /// The kind of key a view uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,12 +42,29 @@ pub enum ViewKeyKind {
 }
 
 /// A concrete view key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ViewKey {
     /// Frame-level key.
     Frame(u64),
     /// Box-level key (frame id + quantized box corners).
     FrameBox(u64, [u16; 4]),
+}
+
+/// One word per component (the derive would also hash the discriminant and
+/// the corner array's length): a table only ever holds one kind of key, and
+/// equal keys still hash equally.
+impl Hash for ViewKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            ViewKey::Frame(f) => state.write_u64(*f),
+            ViewKey::FrameBox(f, corners) => {
+                state.write_u64(*f);
+                let [a, b, c, d] = corners.map(u64::from);
+                state.write_u64(a | b << 16 | c << 32 | d << 48);
+            }
+        }
+    }
 }
 
 impl ViewKey {
@@ -65,6 +92,14 @@ impl ViewKey {
             ViewKey::Frame(f) | ViewKey::FrameBox(f, _) => FrameId(*f),
         }
     }
+
+    /// Serialized size of the key (part of the footprint counter).
+    fn encoded_len(&self) -> u64 {
+        match self {
+            ViewKey::Frame(_) => 8,
+            ViewKey::FrameBox(..) => 16,
+        }
+    }
 }
 
 /// View metadata.
@@ -80,79 +115,57 @@ pub struct ViewDef {
     pub output_schema: Arc<Schema>,
 }
 
-/// A materialized view: key → output rows (shared, immutable per key).
-///
-/// Serialized through [`ViewSnapshot`] because JSON object keys must be
-/// strings while view keys are structured; snapshots list entries in key
-/// order so the on-disk format stays deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(into = "ViewSnapshot", from = "ViewSnapshot")]
+/// What a probe hands back: per probed key whether it is materialized, and
+/// the hit rows gathered, in key order, into one typed column per output
+/// field.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ViewHits {
+    /// Per probed key: `None` when the key is not materialized, otherwise
+    /// how many of the gathered rows are its (`Some(0)`: the UDF ran on this
+    /// input and produced nothing).
+    pub lens: Vec<Option<u32>>,
+    /// The hit rows: key `i`'s rows follow those of every earlier hit.
+    pub columns: Vec<Column>,
+}
+
+impl ViewHits {
+    /// Rows gathered into [`ViewHits::columns`].
+    pub fn n_rows(&self) -> usize {
+        self.lens.iter().flatten().map(|&n| n as usize).sum()
+    }
+
+    /// Rows the probe read, as the IO model counts them: a hit on an empty
+    /// entry still reads its "processed" marker.
+    pub fn rows_read(&self) -> usize {
+        self.lens.iter().flatten().map(|&n| n.max(1) as usize).sum()
+    }
+}
+
+/// A materialized view: a key index over append-only typed columns.
+#[derive(Debug, Clone)]
 pub struct MaterializedView {
     def: ViewDef,
-    data: HashMap<ViewKey, Arc<[Row]>>,
+    /// Key → `(first row, row count)` in `columns`.
+    index: HashMap<ViewKey, (u32, u32), KeyBuildHasher>,
+    /// One column per output field; all of length `total_rows`.
+    columns: Vec<Column>,
     /// Box-level views only: frame id → keys stored on that frame, sorted.
     /// Sorted order preserves the tie-breaking the old full-index range scan
     /// had (first key in key order wins among equal-IoU candidates).
-    by_frame: HashMap<u64, Vec<ViewKey>>,
-    total_rows: u64,
+    by_frame: HashMap<u64, Vec<ViewKey>, KeyBuildHasher>,
+    total_rows: u32,
     approx_bytes: u64,
-}
-
-/// Flat, JSON-friendly encoding of a [`MaterializedView`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ViewSnapshot {
-    def: ViewDef,
-    entries: Vec<(ViewKey, Vec<Row>)>,
-}
-
-impl From<MaterializedView> for ViewSnapshot {
-    fn from(v: MaterializedView) -> ViewSnapshot {
-        let mut entries: Vec<(ViewKey, Vec<Row>)> = v
-            .data
-            .into_iter()
-            .map(|(k, rows)| (k, rows.to_vec()))
-            .collect();
-        entries.sort_by_key(|(k, _)| *k);
-        ViewSnapshot {
-            def: v.def,
-            entries,
-        }
-    }
-}
-
-impl From<ViewSnapshot> for MaterializedView {
-    fn from(s: ViewSnapshot) -> MaterializedView {
-        let mut view = MaterializedView::new(s.def);
-        for (key, rows) in s.entries {
-            // Snapshots were written by `append`, so re-appending cannot
-            // violate the key-kind invariant; ignore rather than panic.
-            let _ = view.append(key, rows.into());
-        }
-        view
-    }
-}
-
-/// Serialized size of one entry: key bytes plus each value's byte encoding.
-fn entry_bytes(key: &ViewKey, rows: &[Row]) -> u64 {
-    let key_bytes: u64 = match key {
-        ViewKey::Frame(_) => 8,
-        ViewKey::FrameBox(..) => 16,
-    };
-    key_bytes
-        + rows
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|v| v.encoded_len() as u64)
-            .sum::<u64>()
 }
 
 impl MaterializedView {
     /// New empty view.
     pub fn new(def: ViewDef) -> MaterializedView {
+        let columns = vec![Column::from_ints(Vec::new()); def.output_schema.len()];
         MaterializedView {
             def,
-            data: HashMap::new(),
-            by_frame: HashMap::new(),
+            index: HashMap::default(),
+            columns,
+            by_frame: HashMap::default(),
             total_rows: 0,
             approx_bytes: 0,
         }
@@ -165,91 +178,148 @@ impl MaterializedView {
 
     /// Number of distinct keys materialized.
     pub fn n_keys(&self) -> u64 {
-        self.data.len() as u64
+        self.index.len() as u64
     }
 
     /// Total stored output rows.
     pub fn n_rows(&self) -> u64 {
-        self.total_rows
+        u64::from(self.total_rows)
     }
 
     /// Is the key materialized? (Zero output rows still counts: the UDF ran
     /// and produced nothing.)
     pub fn contains(&self, key: &ViewKey) -> bool {
-        self.data.contains_key(key)
+        self.index.contains_key(key)
     }
 
-    /// Output rows for a key, if materialized. Cloning the returned `Arc`
-    /// shares the rows without copying them.
-    pub fn get(&self, key: &ViewKey) -> Option<&Arc<[Row]>> {
-        self.data.get(key)
-    }
-
-    /// Record the UDF's output rows for a key. Re-appending an existing key
-    /// is a no-op (results are deterministic per input), which makes STORE
-    /// idempotent under plan retries.
-    pub fn append(&mut self, key: ViewKey, rows: Arc<[Row]>) -> Result<()> {
-        if key.kind() != self.def.key_kind {
-            return Err(EvaError::Storage(format!(
-                "key kind mismatch appending to view '{}'",
-                self.def.name
+    /// Record one evaluated chunk: `entries` names, in chunk order, each
+    /// input key and how many consecutive rows of `chunk` the UDF produced
+    /// for it. A key that is already materialized — by an earlier append or
+    /// earlier in this chunk — is skipped (results are deterministic per
+    /// input), which makes STORE idempotent under plan retries. A malformed
+    /// chunk is rejected whole, before anything is stored.
+    pub fn append(&mut self, entries: &[(ViewKey, u32)], chunk: &[Column]) -> Result<()> {
+        let malformed = |what: String| {
+            EvaError::Storage(format!("{what} appending to view '{}'", self.def.name))
+        };
+        if entries.iter().any(|(k, _)| k.kind() != self.def.key_kind) {
+            return Err(malformed("key kind mismatch".into()));
+        }
+        if chunk.len() != self.columns.len() {
+            return Err(malformed(format!(
+                "chunk of {} columns for a schema of {}",
+                chunk.len(),
+                self.columns.len()
             )));
         }
-        debug_assert!(
-            rows.iter().all(|r| r.len() == self.def.output_schema.len()),
-            "row arity mismatch in view '{}'",
-            self.def.name
-        );
-        if let std::collections::hash_map::Entry::Vacant(e) = self.data.entry(key) {
-            self.total_rows += rows.len() as u64;
-            self.approx_bytes += entry_bytes(&key, &rows);
-            if let ViewKey::FrameBox(frame, _) = key {
-                let keys = self.by_frame.entry(frame).or_default();
-                if let Err(pos) = keys.binary_search(&key) {
-                    keys.insert(pos, key);
+        let chunk_rows: u64 = entries.iter().map(|&(_, n)| u64::from(n)).sum();
+        if chunk.iter().any(|c| c.len() as u64 != chunk_rows) {
+            return Err(malformed(format!(
+                "entries name {chunk_rows} rows, columns disagree"
+            )));
+        }
+        if u64::from(self.total_rows) + chunk_rows > u64::from(u32::MAX) {
+            return Err(malformed("row index overflow".into()));
+        }
+
+        // Index the new keys; `kept` lists the chunk rows that get stored.
+        let mut kept: Vec<u32> = Vec::with_capacity(chunk_rows as usize);
+        let mut key_bytes = 0u64;
+        let mut at = 0u32;
+        for &(key, len) in entries {
+            let start = self.total_rows + kept.len() as u32;
+            if let std::collections::hash_map::Entry::Vacant(e) = self.index.entry(key) {
+                e.insert((start, len));
+                key_bytes += key.encoded_len();
+                kept.extend(at..at + len);
+                if let ViewKey::FrameBox(frame, _) = key {
+                    let keys = self.by_frame.entry(frame).or_default();
+                    if let Err(pos) = keys.binary_search(&key) {
+                        keys.insert(pos, key);
+                    }
                 }
             }
-            e.insert(rows);
+            at += len;
         }
+        let all_kept = kept.len() as u64 == chunk_rows;
+        let mut value_bytes = 0u64;
+        for (stored, fresh) in self.columns.iter_mut().zip(chunk) {
+            if all_kept {
+                value_bytes += fresh.encoded_len();
+                stored.append(fresh);
+            } else {
+                let fresh = fresh.gather(&kept);
+                value_bytes += fresh.encoded_len();
+                stored.append(&fresh);
+            }
+        }
+        self.total_rows += kept.len() as u32;
+        self.approx_bytes += key_bytes + value_bytes;
         Ok(())
     }
 
-    /// Iterate all entries (order unspecified — the store is a hash index).
-    pub fn iter(&self) -> impl Iterator<Item = (&ViewKey, &Arc<[Row]>)> {
-        self.data.iter()
+    /// Resolve `keys` through the index and gather the hit rows into typed
+    /// columns, in key order.
+    pub fn probe(&self, keys: &[ViewKey]) -> ViewHits {
+        let mut rows: Vec<u32> = Vec::with_capacity(keys.len());
+        let lens = keys
+            .iter()
+            .map(|key| {
+                let &(start, len) = self.index.get(key)?;
+                rows.extend(start..start + len);
+                Some(len)
+            })
+            .collect();
+        ViewHits {
+            lens,
+            columns: self.columns.iter().map(|c| c.gather(&rows)).collect(),
+        }
     }
 
     /// Fuzzy lookup for box-level views (§6 future work): find the stored
     /// box on the same frame with the highest IoU against `bbox`, if it
-    /// clears `min_iou`. Returns the matched rows and the number of
-    /// candidate keys scanned (for IO accounting). Only the boxes indexed
-    /// under `frame` are scanned, not the whole view.
-    pub fn fuzzy_get(
+    /// clears `min_iou`. Returns the one-key probe of the matched box and
+    /// the number of candidate keys scanned (for IO accounting). Only the
+    /// boxes indexed under `frame` are scanned, not the whole view.
+    pub fn fuzzy_probe(
         &self,
         frame: FrameId,
         bbox: &BBox,
         min_iou: f32,
-    ) -> (Option<Arc<[Row]>>, usize) {
+    ) -> (Option<ViewHits>, usize) {
         debug_assert_eq!(self.def.key_kind, ViewKeyKind::FrameBox);
-        let Some(candidates) = self.by_frame.get(&frame.raw()) else {
-            return (None, 0);
-        };
-        let mut best: Option<(&ViewKey, f32)> = None;
-        let mut scanned = 0usize;
+        let candidates = self
+            .by_frame
+            .get(&frame.raw())
+            .map_or(&[][..], Vec::as_slice);
+        let mut best: Option<(ViewKey, f32)> = None;
         for key in candidates {
-            scanned += 1;
             let ViewKey::FrameBox(_, corners) = key else {
                 continue;
             };
-            let stored = BBox::from_key(*corners);
-            let iou = stored.iou(bbox);
+            let iou = BBox::from_key(*corners).iou(bbox);
             if iou >= min_iou && best.map(|(_, b)| iou > b).unwrap_or(true) {
-                best = Some((key, iou));
+                best = Some((*key, iou));
             }
         }
-        let rows =
-            best.map(|(key, _)| Arc::clone(self.data.get(key).expect("frame index out of sync")));
-        (rows, scanned)
+        (best.map(|(key, _)| self.probe(&[key])), candidates.len())
+    }
+
+    /// Every entry as `(key, first row, row count)`, in key order — the
+    /// deterministic order segments are written in.
+    pub(crate) fn sorted_entries(&self) -> Vec<(ViewKey, u32, u32)> {
+        let mut entries: Vec<(ViewKey, u32, u32)> = self
+            .index
+            .iter()
+            .map(|(key, &(start, len))| (*key, start, len))
+            .collect();
+        entries.sort_unstable_by_key(|(key, ..)| *key);
+        entries
+    }
+
+    /// The stored columns, one per output field.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
     }
 
     /// Approximate storage footprint in bytes (the Table "storage overhead"
@@ -258,20 +328,14 @@ impl MaterializedView {
     pub fn approx_bytes(&self) -> u64 {
         self.approx_bytes
     }
-
-    /// Remove everything (used when workloads restart from a clean state).
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.by_frame.clear();
-        self.total_rows = 0;
-        self.approx_bytes = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_common::{DataType, Field, Value};
+    use eva_common::testutil::rows_of;
+    use eva_common::{ColumnData, DataType, Field, Row, Value};
+    use std::hash::BuildHasher;
 
     fn demo_view(kind: ViewKeyKind) -> MaterializedView {
         MaterializedView::new(ViewDef {
@@ -288,43 +352,73 @@ mod tests {
         })
     }
 
-    #[test]
-    fn append_and_get() {
-        let mut v = demo_view(ViewKeyKind::Frame);
-        let key = ViewKey::frame(FrameId(3));
-        v.append(
-            key,
-            vec![vec![Value::from("car"), Value::Float(0.9)]].into(),
-        )
-        .unwrap();
-        assert!(v.contains(&key));
-        assert_eq!(v.get(&key).unwrap().len(), 1);
-        assert_eq!(v.n_keys(), 1);
-        assert_eq!(v.n_rows(), 1);
-        assert!(!v.contains(&ViewKey::frame(FrameId(4))));
+    /// Append row-form entries as one chunk (the shape STORE hands over).
+    fn append_rows(v: &mut MaterializedView, entries: &[(ViewKey, Vec<Row>)]) -> Result<()> {
+        let lens: Vec<(ViewKey, u32)> = entries
+            .iter()
+            .map(|(k, rows)| (*k, rows.len() as u32))
+            .collect();
+        let rows = entries.iter().flat_map(|(_, rows)| rows.iter());
+        let width = v.def().output_schema.len();
+        let chunk = Column::from_rows(width, 0, rows.map(Vec::as_slice));
+        v.append(&lens, &chunk)
+    }
+
+    /// The rows a probe of one key gathers, `None` on a miss.
+    fn rows_at(v: &MaterializedView, key: ViewKey) -> Option<Vec<Row>> {
+        let hits = v.probe(&[key]);
+        hits.lens[0].map(|_| rows_of(&hits.columns))
+    }
+
+    fn car(score: f64) -> Row {
+        vec![Value::from("car"), Value::Float(score)]
     }
 
     #[test]
-    fn get_shares_rows_without_copying() {
+    fn append_and_probe() {
         let mut v = demo_view(ViewKeyKind::Frame);
         let key = ViewKey::frame(FrameId(3));
-        v.append(
-            key,
-            vec![vec![Value::from("car"), Value::Float(0.9)]].into(),
+        append_rows(&mut v, &[(key, vec![car(0.9)])]).unwrap();
+        assert!(v.contains(&key));
+        assert_eq!(rows_at(&v, key), Some(vec![car(0.9)]));
+        assert_eq!(v.n_keys(), 1);
+        assert_eq!(v.n_rows(), 1);
+        assert!(!v.contains(&ViewKey::frame(FrameId(4))));
+        assert_eq!(rows_at(&v, ViewKey::frame(FrameId(4))), None);
+    }
+
+    #[test]
+    fn probe_gathers_hit_rows_in_key_order() {
+        let mut v = demo_view(ViewKeyKind::Frame);
+        let k = |f| ViewKey::frame(FrameId(f));
+        append_rows(
+            &mut v,
+            &[
+                (k(0), vec![car(0.1), car(0.2)]),
+                (k(1), vec![]),
+                (k(2), vec![car(0.3)]),
+            ],
         )
         .unwrap();
-        let a = Arc::clone(v.get(&key).unwrap());
-        let b = Arc::clone(v.get(&key).unwrap());
-        assert!(Arc::ptr_eq(&a, &b), "hits must share one allocation");
+        // Out of storage order, with a miss, a repeat and an empty entry.
+        let hits = v.probe(&[k(2), k(9), k(0), k(1), k(2)]);
+        assert_eq!(hits.lens, vec![Some(1), None, Some(2), Some(0), Some(1)]);
+        assert_eq!(
+            rows_of(&hits.columns),
+            vec![car(0.3), car(0.1), car(0.2), car(0.3)],
+            "gathered hit rows equal the appended rows"
+        );
+        assert_eq!(hits.n_rows(), 4);
+        assert_eq!(hits.rows_read(), 5, "an empty hit still reads its marker");
     }
 
     #[test]
     fn empty_result_still_marks_processed() {
         let mut v = demo_view(ViewKeyKind::Frame);
         let key = ViewKey::frame(FrameId(9));
-        v.append(key, vec![].into()).unwrap();
+        append_rows(&mut v, &[(key, vec![])]).unwrap();
         assert!(v.contains(&key));
-        assert_eq!(v.get(&key).unwrap().len(), 0);
+        assert_eq!(rows_at(&v, key), Some(vec![]));
         assert_eq!(v.n_rows(), 0);
     }
 
@@ -332,27 +426,29 @@ mod tests {
     fn reappend_is_idempotent() {
         let mut v = demo_view(ViewKeyKind::Frame);
         let key = ViewKey::frame(FrameId(1));
-        v.append(
-            key,
-            vec![vec![Value::from("car"), Value::Float(0.9)]].into(),
-        )
-        .unwrap();
+        append_rows(&mut v, &[(key, vec![car(0.9)])]).unwrap();
         let bytes = v.approx_bytes();
-        v.append(
-            key,
-            vec![vec![Value::from("bus"), Value::Float(0.5)]].into(),
-        )
-        .unwrap();
+        let bus = vec![Value::from("bus"), Value::Float(0.5)];
+        append_rows(&mut v, &[(key, vec![bus])]).unwrap();
         assert_eq!(v.n_rows(), 1);
         assert_eq!(v.approx_bytes(), bytes, "no-op append leaves bytes alone");
-        assert_eq!(v.get(&key).unwrap()[0][0], Value::from("car"));
+        assert_eq!(rows_at(&v, key), Some(vec![car(0.9)]));
     }
 
     #[test]
-    fn key_kind_enforced() {
+    fn malformed_chunks_are_rejected_whole() {
         let mut v = demo_view(ViewKeyKind::Frame);
+        let good = ViewKey::frame(FrameId(0));
         let bad = ViewKey::frame_box(FrameId(0), &BBox::new(0.0, 0.0, 0.1, 0.1));
-        assert!(v.append(bad, vec![].into()).is_err());
+        // A wrong-kind key anywhere in the chunk stores nothing.
+        assert!(append_rows(&mut v, &[(good, vec![car(0.9)]), (bad, vec![])]).is_err());
+        assert!(!v.contains(&good));
+        // Entries that name more rows than the columns hold.
+        let chunk = Column::from_rows(2, 1, [car(0.9).as_slice()]);
+        assert!(v.append(&[(good, 2)], &chunk).is_err());
+        // A chunk of the wrong width.
+        assert!(v.append(&[(good, 1)], &chunk[..1]).is_err());
+        assert_eq!((v.n_keys(), v.n_rows(), v.approx_bytes()), (0, 0, 0));
     }
 
     #[test]
@@ -360,40 +456,37 @@ mod tests {
         let mut v = demo_view(ViewKeyKind::FrameBox);
         let b1 = BBox::new(0.0, 0.0, 0.1, 0.1);
         let b2 = BBox::new(0.5, 0.5, 0.9, 0.9);
-        v.append(ViewKey::frame_box(FrameId(0), &b1), vec![].into())
-            .unwrap();
+        append_rows(&mut v, &[(ViewKey::frame_box(FrameId(0), &b1), vec![])]).unwrap();
         assert!(v.contains(&ViewKey::frame_box(FrameId(0), &b1)));
         assert!(!v.contains(&ViewKey::frame_box(FrameId(0), &b2)));
         assert!(!v.contains(&ViewKey::frame_box(FrameId(1), &b1)));
     }
 
     #[test]
-    fn fuzzy_get_scans_only_the_probed_frame() {
+    fn fuzzy_probe_scans_only_the_probed_frame() {
         let mut v = demo_view(ViewKeyKind::FrameBox);
         let near = BBox::new(0.10, 0.10, 0.40, 0.40);
         let far = BBox::new(0.60, 0.60, 0.90, 0.90);
-        v.append(
-            ViewKey::frame_box(FrameId(0), &near),
-            vec![vec![Value::from("near"), Value::Float(1.0)]].into(),
-        )
-        .unwrap();
-        v.append(
-            ViewKey::frame_box(FrameId(0), &far),
-            vec![vec![Value::from("far"), Value::Float(1.0)]].into(),
-        )
-        .unwrap();
-        v.append(
-            ViewKey::frame_box(FrameId(5), &near),
-            vec![vec![Value::from("other-frame"), Value::Float(1.0)]].into(),
+        let labelled = |l: &str| vec![vec![Value::from(l), Value::Float(1.0)]];
+        append_rows(
+            &mut v,
+            &[
+                (ViewKey::frame_box(FrameId(0), &near), labelled("near")),
+                (ViewKey::frame_box(FrameId(0), &far), labelled("far")),
+                (
+                    ViewKey::frame_box(FrameId(5), &near),
+                    labelled("other-frame"),
+                ),
+            ],
         )
         .unwrap();
 
         let probe = BBox::new(0.11, 0.11, 0.41, 0.41);
-        let (hit, scanned) = v.fuzzy_get(FrameId(0), &probe, 0.5);
-        assert_eq!(hit.unwrap()[0][0], Value::from("near"));
+        let (hit, scanned) = v.fuzzy_probe(FrameId(0), &probe, 0.5);
+        assert_eq!(rows_of(&hit.unwrap().columns), labelled("near"));
         assert_eq!(scanned, 2, "only frame 0's boxes are candidates");
 
-        let (miss, scanned) = v.fuzzy_get(FrameId(7), &probe, 0.5);
+        let (miss, scanned) = v.fuzzy_probe(FrameId(7), &probe, 0.5);
         assert!(miss.is_none());
         assert_eq!(scanned, 0, "unindexed frames scan nothing");
     }
@@ -402,9 +495,8 @@ mod tests {
     fn approx_bytes_grows_and_matches_encoding() {
         let mut v = demo_view(ViewKeyKind::Frame);
         assert_eq!(v.approx_bytes(), 0);
-        let rows = vec![vec![Value::from("car"), Value::Float(0.9)]];
-        v.append(ViewKey::frame(FrameId(0)), rows.clone().into())
-            .unwrap();
+        let rows = vec![car(0.9), vec![Value::Null, Value::Int(1)]];
+        append_rows(&mut v, &[(ViewKey::frame(FrameId(0)), rows.clone())]).unwrap();
         // Running counter must equal the serialized size: 8 key bytes plus
         // each value's write_bytes encoding.
         let mut expected = 8u64;
@@ -419,16 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut v = demo_view(ViewKeyKind::Frame);
-        v.append(ViewKey::frame(FrameId(0)), vec![].into()).unwrap();
-        v.clear();
-        assert_eq!(v.n_keys(), 0);
-        assert_eq!(v.n_rows(), 0);
-        assert_eq!(v.approx_bytes(), 0);
-    }
-
-    #[test]
     fn key_ordering_by_frame() {
         let k1 = ViewKey::frame(FrameId(1));
         let k2 = ViewKey::frame(FrameId(2));
@@ -440,12 +522,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_counters() {
+    fn segment_round_trip_preserves_counters() {
         let mut v = demo_view(ViewKeyKind::FrameBox);
         let b1 = BBox::new(0.0, 0.0, 0.1, 0.1);
-        v.append(
-            ViewKey::frame_box(FrameId(2), &b1),
-            vec![vec![Value::from("car"), Value::Float(0.9)]].into(),
+        append_rows(
+            &mut v,
+            &[(ViewKey::frame_box(FrameId(2), &b1), vec![car(0.9)])],
         )
         .unwrap();
         let bytes = crate::segment::encode_segment(&v);
@@ -453,7 +535,183 @@ mod tests {
         assert_eq!(back.n_keys(), v.n_keys());
         assert_eq!(back.n_rows(), v.n_rows());
         assert_eq!(back.approx_bytes(), v.approx_bytes());
-        let (hit, _) = back.fuzzy_get(FrameId(2), &b1, 0.9);
+        let (hit, _) = back.fuzzy_probe(FrameId(2), &b1, 0.9);
         assert!(hit.is_some(), "frame index rebuilt on load");
+    }
+
+    /// The columnar store against a row-form reference (`Vec<Row>` per key):
+    /// generated chunks with zero-row keys, keys repeated inside one chunk
+    /// and across chunks, NULLs, all-NULL chunks and `Int`s in the `FLOAT`
+    /// column. Probes, counters and the footprint must agree after every
+    /// append, and value tags must survive bit for bit.
+    #[test]
+    fn columnar_store_matches_a_row_form_reference() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        let mut v = demo_view(ViewKeyKind::Frame);
+        let mut reference: std::collections::BTreeMap<ViewKey, Vec<Row>> = Default::default();
+        let mut ref_bytes = 0u64;
+        for chunk_no in 0..60 {
+            // Chunk 0 is all NULL (the store must adopt a type later), and
+            // later all-NULL chunks must not demote the typed columns.
+            let all_null = chunk_no % 7 == 0;
+            let entries: Vec<(ViewKey, Vec<Row>)> = (0..next(6) + 1)
+                .map(|_| {
+                    let key = ViewKey::frame(FrameId(next(200)));
+                    let rows = (0..next(4))
+                        .map(|_| {
+                            let label = match next(4) {
+                                _ if all_null => Value::Null,
+                                0 => Value::Null,
+                                n => Value::from(["car", "bus", "van"][n as usize - 1]),
+                            };
+                            let score = match next(8) {
+                                _ if all_null => Value::Null,
+                                0 => Value::Null,
+                                // Int-in-FLOAT, only once the column is typed.
+                                1 if chunk_no > 30 => Value::Int(next(5) as i64),
+                                n => Value::Float(n as f64 / 8.0),
+                            };
+                            vec![label, score]
+                        })
+                        .collect();
+                    (key, rows)
+                })
+                .collect();
+            append_rows(&mut v, &entries).unwrap();
+            for (key, rows) in entries {
+                if let std::collections::btree_map::Entry::Vacant(e) = reference.entry(key) {
+                    let values = rows.iter().flatten();
+                    ref_bytes += 8 + values.map(|x| x.encoded_len() as u64).sum::<u64>();
+                    e.insert(rows);
+                }
+            }
+            if chunk_no == 30 {
+                let typed = |c: &Column| !matches!(c.data(), ColumnData::Mixed(_));
+                assert!(
+                    v.columns().iter().all(typed),
+                    "all-NULL chunks demoted a column"
+                );
+            }
+            assert_eq!(v.n_keys(), reference.len() as u64);
+            assert_eq!(
+                v.n_rows(),
+                reference.values().map(|r| r.len() as u64).sum::<u64>()
+            );
+            assert_eq!(v.approx_bytes(), ref_bytes);
+            let keys: Vec<ViewKey> = (0..205).map(|f| ViewKey::frame(FrameId(f))).collect();
+            let hits = v.probe(&keys);
+            let want_lens: Vec<Option<u32>> = keys
+                .iter()
+                .map(|k| reference.get(k).map(|rows| rows.len() as u32))
+                .collect();
+            assert_eq!(hits.lens, want_lens);
+            let want_rows: Vec<Row> = keys
+                .iter()
+                .filter_map(|k| reference.get(k))
+                .flatten()
+                .cloned()
+                .collect();
+            let got_rows = rows_of(&hits.columns);
+            assert_eq!(got_rows, want_rows);
+            // `Value`'s equality is strict about tags already; pin it anyway.
+            for (got, want) in got_rows.iter().flatten().zip(want_rows.iter().flatten()) {
+                assert_eq!(std::mem::discriminant(got), std::mem::discriminant(want));
+            }
+        }
+        assert!(
+            matches!(v.columns()[1].data(), ColumnData::Mixed(_)),
+            "the generator never stored an Int in the FLOAT column"
+        );
+        // And the whole view survives its own segment, byte for byte.
+        let bytes = crate::segment::encode_segment(&v);
+        let back = crate::segment::decode_segment(&bytes, Some(ViewId(1))).unwrap();
+        assert_eq!(crate::segment::encode_segment(&back), bytes);
+        assert_eq!(back.approx_bytes(), v.approx_bytes());
+    }
+
+    /// Share of `keys` in the fullest of `2^bits` buckets, relative to a
+    /// uniform spread, for the bits hashbrown uses: the low ones pick the
+    /// bucket, the top seven are the control byte.
+    fn worst_load(keys: &[ViewKey], bits: u32) -> (f64, f64) {
+        let build = KeyBuildHasher::default();
+        let mut low = vec![0u32; 1 << bits];
+        let mut high = vec![0u32; 1 << 7];
+        for key in keys {
+            let h = build.hash_one(key);
+            low[(h & ((1 << bits) - 1)) as usize] += 1;
+            high[(h >> 57) as usize] += 1;
+        }
+        let load = |counts: &[u32]| {
+            let uniform = keys.len() as f64 / counts.len() as f64;
+            f64::from(*counts.iter().max().unwrap()) / uniform
+        };
+        (load(&low), load(&high))
+    }
+
+    #[test]
+    fn key_hasher_spreads_view_keys() {
+        let build = KeyBuildHasher::default();
+        let k = ViewKey::frame(FrameId(12345));
+        assert_eq!(build.hash_one(k), build.hash_one(k), "deterministic");
+        assert_eq!(
+            build.hash_one(k),
+            KeyBuildHasher::default().hash_one(k),
+            "no per-table seed"
+        );
+        // Sequential frame ids — a detector view's whole key set.
+        let frames: Vec<ViewKey> = (0..1u64 << 14)
+            .map(|f| ViewKey::frame(FrameId(f)))
+            .collect();
+        // (At a mean of 4 keys per bucket a random spread already peaks
+        // above 3x uniform, hence the wider bound for 2^12 buckets.)
+        for (bits, bound) in [(4, 1.5), (8, 1.5), (12, 4.0)] {
+            let (low, high) = worst_load(&frames, bits);
+            assert!(
+                low <= bound,
+                "2^{bits} buckets: fullest holds {low:.2}x uniform"
+            );
+            assert!(
+                high <= 1.5,
+                "control bytes: fullest holds {high:.2}x uniform"
+            );
+        }
+        // The boxes of one frame — what a box-level view sees per frame —
+        // and the same small boxes across many frames.
+        let boxes: Vec<ViewKey> = (0..1u32 << 10)
+            .map(|i| {
+                let (x, y) = (
+                    f32::from((i % 32) as u8) / 40.0,
+                    f32::from((i / 32) as u8) / 40.0,
+                );
+                ViewKey::frame_box(FrameId(77), &BBox::new(x, y, x + 0.1, y + 0.15))
+            })
+            .collect();
+        for bits in [4, 8] {
+            let (low, high) = worst_load(&boxes, bits);
+            assert!(
+                low <= 2.5,
+                "2^{bits} buckets: fullest holds {low:.2}x uniform"
+            );
+            assert!(
+                high <= 2.5,
+                "control bytes: fullest holds {high:.2}x uniform"
+            );
+        }
+        let distinct: std::collections::HashSet<u64> = frames
+            .iter()
+            .chain(&boxes)
+            .map(|k| build.hash_one(k))
+            .collect();
+        assert_eq!(
+            distinct.len(),
+            frames.len() + boxes.len(),
+            "no full-hash collision"
+        );
     }
 }

@@ -5,8 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use eva_common::codec;
-use eva_common::{DataType, Field, FrameId, Schema, SimClock, Value, ViewId};
+use eva_common::codec::{self, ByteWriter};
+use eva_common::{Column, DataType, Field, FrameId, Schema, SimClock, Value, ViewId};
 use eva_storage::segment;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
@@ -30,15 +30,12 @@ fn saved_store(dir: &Path) -> StorageEngine {
     let clock = SimClock::new();
     for v in 0..3u64 {
         let id = eng.create_view(format!("det{v}"), ViewKeyKind::Frame, out_schema());
-        let entries = (0..4 + v)
-            .map(|f| {
-                (
-                    ViewKey::frame(FrameId(f)),
-                    vec![vec![Value::from("car"), Value::Float(0.5 + v as f64)]].into(),
-                )
-            })
+        let entries: Vec<(ViewKey, u32)> = (0..4 + v)
+            .map(|f| (ViewKey::frame(FrameId(f)), 1))
             .collect();
-        eng.view_append(id, entries, &clock).unwrap();
+        let row = [Value::from("car"), Value::Float(0.5 + v as f64)];
+        let chunk = Column::from_rows(2, entries.len(), entries.iter().map(|_| row.as_slice()));
+        eng.view_append(id, &entries, &chunk, &clock).unwrap();
     }
     eng.save_views(dir).unwrap();
     eng
@@ -70,7 +67,7 @@ fn assert_quarantines_only(dir: &Path, damaged: ViewId, expect_reason_fragment: 
         let probed = eng
             .view_probe(*id, &[ViewKey::frame(FrameId(0))], &clock)
             .unwrap();
-        assert!(probed[0].is_some(), "view {id} lost its entries");
+        assert_eq!(probed.lens, vec![Some(1)], "view {id} lost its entries");
     }
     // …the quarantined view is simply cold (unknown to the engine)…
     assert!(eng.view_n_keys(damaged).is_err());
@@ -143,6 +140,40 @@ fn future_format_version_quarantines() {
     std::fs::write(dir.join("view_2.seg"), sealed).unwrap();
     assert_quarantines_only(&dir, ViewId(2), "future");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksum-valid segment, every header field in order, whose one row
+/// carries fewer or more values than the segment's own schema has columns.
+/// Nothing but the decoder's arity check stands between it and the store
+/// (the envelope is sealed correctly), so that check must hold in release
+/// builds: the segment quarantines and the view is simply cold.
+#[test]
+fn ragged_row_segment_quarantines() {
+    for n_values in [1usize, 3] {
+        let dir = unique_dir("ragged");
+        saved_store(&dir);
+        let mut w = ByteWriter::new();
+        w.u64(2); // view id
+        w.str("det1");
+        w.u8(0); // key kind: Frame
+        codec::write_schema(&mut w, &out_schema());
+        w.u64(1); // keys
+        w.u64(1); // rows
+        w.u8(0); // key tag: Frame
+        w.u64(0);
+        w.count(1);
+        codec::write_row(&mut w, &vec![Value::Float(0.5); n_values]);
+        let sealed = codec::seal(
+            segment::SEGMENT_MAGIC,
+            segment::FORMAT_VERSION,
+            w.as_slice(),
+        );
+        let err = segment::decode_segment(&sealed, Some(ViewId(2))).unwrap_err();
+        assert_eq!(err.stage(), "corrupt", "{err}");
+        std::fs::write(dir.join("view_2.seg"), sealed).unwrap();
+        assert_quarantines_only(&dir, ViewId(2), "schema has 2 columns");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

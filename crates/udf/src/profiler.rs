@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+use eva_common::hash::KeyBuildHasher;
 use eva_storage::ViewKey;
 
 /// UDFs cheaper than this per call are excluded from hit-percentage and
@@ -42,7 +43,7 @@ impl UdfCounters {
 #[derive(Default)]
 struct UdfEntry {
     counters: UdfCounters,
-    distinct: HashSet<ViewKey>,
+    distinct: HashSet<ViewKey, KeyBuildHasher>,
 }
 
 /// Thread-safe invocation statistics registry. Cheap to clone.

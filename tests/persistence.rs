@@ -1,7 +1,8 @@
 //! Persistence integration tests: materialized views survive a save/load
 //! round trip through the storage engine and keep serving reuse.
 
-use eva_common::{FrameId, SimClock, Value};
+use eva_common::testutil::rows_of;
+use eva_common::{BBox, Column, FrameId, SimClock, Value, ViewId};
 use eva_harness::test_session;
 use eva_planner::ReuseStrategy;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
@@ -55,29 +56,85 @@ fn loaded_views_serve_probes() {
         .unwrap(),
     );
     let view = engine.create_view("det", ViewKeyKind::Frame, schema);
+    let label = |i: u64| Value::from(if i % 2 == 0 { "car" } else { "bus" });
     let entries: Vec<_> = (0..500u64)
-        .map(|i| {
-            (
-                ViewKey::frame(FrameId(i)),
-                vec![vec![Value::from(if i % 2 == 0 { "car" } else { "bus" })]].into(),
-            )
-        })
+        .map(|i| (ViewKey::frame(FrameId(i)), 1))
         .collect();
-    engine.view_append(view, entries, &clock).unwrap();
+    let labels: Vec<Value> = (0..500).map(label).collect();
+    let chunk = [Column::from_values(&labels)];
+    engine.view_append(view, &entries, &chunk, &clock).unwrap();
     engine.save_views(&dir).unwrap();
 
     let restored = StorageEngine::new();
     restored.load_views(&dir).unwrap();
     let keys: Vec<ViewKey> = (0..600u64).map(|i| ViewKey::frame(FrameId(i))).collect();
     let probed = restored.view_probe(view, &keys, &clock).unwrap();
-    for (i, result) in probed.iter().enumerate() {
-        if (i as u64) < 500 {
-            let rows = result.as_ref().expect("materialized");
-            let want = if i % 2 == 0 { "car" } else { "bus" };
-            assert_eq!(rows[0][0], Value::from(want));
-        } else {
-            assert!(result.is_none(), "key {i} was never materialized");
-        }
+    for (i, len) in probed.lens.iter().enumerate() {
+        let want = ((i as u64) < 500).then_some(1);
+        assert_eq!(*len, want, "key {i}: only 0..500 were materialized");
+    }
+    assert_eq!(probed.columns, chunk, "hit rows equal the appended rows");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tests/goldens/segments/` holds a two-view store written by the commit
+/// before the view store became columnar (PR 12's row-entry store). The
+/// segment format did not change with the store, and this pins it: the old
+/// files load and probe correctly, and saving the loaded store reproduces
+/// every file byte for byte — so `FORMAT_VERSION` staying at 1 is checked,
+/// not assumed, and a store saved by either side loads in the other.
+#[test]
+fn golden_segments_load_and_re_encode_byte_for_byte() {
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/segments");
+    let engine = StorageEngine::new();
+    let report = engine.load_views(&golden).unwrap();
+    assert!(
+        report.quarantined.is_empty() && !report.manifest_fallback,
+        "{report}"
+    );
+    assert_eq!(report.loaded, vec![ViewId(1), ViewId(2)]);
+
+    // View 1: a detector view with a zero-row key, NULLs in every column
+    // and an Int in the FLOAT column.
+    let clock = SimClock::new();
+    let b = |i: u64| BBox::new(0.05 * i as f32, 0.1, 0.05 * i as f32 + 0.3, 0.55);
+    let keys: Vec<ViewKey> = (0..6).map(|f| ViewKey::frame(FrameId(f))).collect();
+    let hits = engine.view_probe(ViewId(1), &keys, &clock).unwrap();
+    assert_eq!(
+        hits.lens,
+        vec![Some(2), Some(0), Some(1), None, None, Some(3)]
+    );
+    let want = vec![
+        vec![Value::from("car"), Value::Box(b(0)), Value::Float(0.91)],
+        vec![Value::from("bus"), Value::Box(b(1)), Value::Float(0.62)],
+        vec![Value::Null, Value::Box(b(2)), Value::Int(1)],
+        vec![Value::from("truck"), Value::Box(b(3)), Value::Float(0.5)],
+        vec![Value::from("car"), Value::Null, Value::Null],
+        vec![Value::from("car"), Value::Box(b(4)), Value::Float(0.77)],
+    ];
+    let got = rows_of(&hits.columns);
+    assert_eq!(got, want);
+    assert!(matches!(got[2][2], Value::Int(1)), "the Int tag survives");
+    // View 2: box-keyed.
+    let keys = [(0, 0), (0, 1), (5, 4), (5, 3)].map(|(f, i)| ViewKey::frame_box(FrameId(f), &b(i)));
+    let hits = engine.view_probe(ViewId(2), &keys, &clock).unwrap();
+    assert_eq!(hits.lens, vec![Some(1), Some(1), Some(1), None]);
+    let want = ["Toyota", "Volvo", "Nissan"].map(|t| vec![Value::from(t)]);
+    assert_eq!(rows_of(&hits.columns), want);
+
+    let dir = temp_dir("golden");
+    engine.save_views(&dir).unwrap();
+    for file in ["view_1.seg", "view_2.seg", "views.manifest"] {
+        let (old, new) = (
+            std::fs::read(golden.join(file)),
+            std::fs::read(dir.join(file)),
+        );
+        assert_eq!(
+            old.unwrap(),
+            new.unwrap(),
+            "{file} must re-encode byte for byte"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
