@@ -8,8 +8,11 @@
 //! CarType/ColorDet, mildly for the detector's monadic `id` predicates.
 
 use eva_baselines::ReuseStrategy;
-use eva_bench::{banner, medium_dataset, session_with, write_json_with_metrics, TextTable};
-use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
+use eva_bench::{
+    banner, medium_dataset, session_with, symbolic_reduction_history, write_json_with_metrics,
+    TextTable,
+};
+use eva_vbench::{vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {
     banner("Figure 7: Symbolic predicate reduction vs `simplify`");
@@ -23,14 +26,9 @@ fn main() -> eva_common::Result<()> {
         ),
     );
     let mut db = session_with(ReuseStrategy::Eva, &ds)?;
-    run_workload(&mut db, &workload)?;
-
-    let history = db.manager().atom_history();
+    let history = symbolic_reduction_history(&mut db, &workload)?;
     let mut json = Vec::new();
     for (sig, points) in &history {
-        if points.is_empty() {
-            continue;
-        }
         println!("\nUDF {sig} — atomic formulae per analysis (inter/diff/union):");
         let mut table = TextTable::new(vec![
             "analysis#",
@@ -44,24 +42,21 @@ fn main() -> eva_common::Result<()> {
         for (i, p) in points.iter().enumerate() {
             table.row(vec![
                 (i + 1).to_string(),
-                p.eva_inter.to_string(),
-                p.eva_diff.to_string(),
-                p.eva_union.to_string(),
-                p.naive_inter.to_string(),
-                p.naive_diff.to_string(),
-                p.naive_union.to_string(),
+                p.eva[0].to_string(),
+                p.eva[1].to_string(),
+                p.eva[2].to_string(),
+                p.naive[0].to_string(),
+                p.naive[1].to_string(),
+                p.naive[2].to_string(),
             ]);
-            json.push((
-                sig.to_string(),
-                i,
-                [p.eva_inter, p.eva_diff, p.eva_union],
-                [p.naive_inter, p.naive_diff, p.naive_union],
-            ));
+            json.push((sig.to_string(), i, p.eva, p.naive));
         }
         println!("{}", table.render());
-        let last = points.last().expect("nonempty");
-        let eva_max = last.eva_inter.max(last.eva_diff).max(last.eva_union);
-        let naive_max = last.naive_inter.max(last.naive_diff).max(last.naive_union);
+        let last = points
+            .last()
+            .expect("a signature enters the history with its first point");
+        let eva_max = last.eva.into_iter().max().expect("three counts");
+        let naive_max = last.naive.into_iter().max().expect("three counts");
         println!("  final: EVA max {eva_max} atoms vs simplify max {naive_max} atoms");
     }
     write_json_with_metrics("fig7_symbolic_reduction", &json, &db.metrics_snapshot());

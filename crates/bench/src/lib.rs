@@ -24,11 +24,18 @@
 //! Reported "time" is simulated time from the virtual clock (DESIGN.md §1),
 //! so results are deterministic for a fixed dataset seed.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use eva_baselines::ReuseStrategy;
-use eva_common::Result;
+use eva_common::{EvaError, Result, SimClock};
 use eva_core::{EvaDb, SessionConfig};
+use eva_parser::{parse, Statement};
+use eva_planner::{Binder, CommitLog, Optimizer};
+use eva_symbolic::naive::ops as naive_ops;
+use eva_symbolic::{diff, inter, union, Dnf, NaiveDnf};
+use eva_udf::UdfSignature;
+use eva_vbench::Workload;
 use eva_video::{jackson, ua_detrac, UaDetracSize, VideoDataset};
 
 pub use eva_common::table_fmt::{fmt_f, fmt_x, TextTable};
@@ -76,6 +83,72 @@ pub fn session_with_config(config: SessionConfig, dataset: &VideoDataset) -> Res
     let mut db = EvaDb::new(config)?;
     db.load_video(dataset.clone(), "video")?;
     Ok(db)
+}
+
+/// One Fig. 7 data point: the atoms of `[INTER, DIFF, UNION](p_u, q)` for one
+/// coverage commit, under EVA's reduction and under the naive `simplify`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AtomCounts {
+    /// Atoms under EVA's reduction (Algorithm 1).
+    pub eva: [usize; 3],
+    /// Atoms under the naive simplifier.
+    pub naive: [usize; 3],
+}
+
+/// Fig. 7's data: run `workload` on `db` from a clean state and, for every
+/// coverage commit each query makes, count the atoms of the three derived
+/// predicates against the signature's history — once with EVA's algebra and
+/// once with the naive baseline, which starts from the predicate as written.
+///
+/// The engine keeps no such history (its commit is `p_u ← UNION(p_u, q)` and
+/// nothing else), so each query is planned here first to see the commits it
+/// will make, folded into this function's own per-signature aggregates, and
+/// then executed so the next query plans against the views it left.
+pub fn symbolic_reduction_history(
+    db: &mut EvaDb,
+    workload: &Workload,
+) -> Result<BTreeMap<UdfSignature, Vec<AtomCounts>>> {
+    db.reset_reuse_state();
+    let mut aggregates: BTreeMap<UdfSignature, (Dnf, NaiveDnf)> = BTreeMap::new();
+    let mut history: BTreeMap<UdfSignature, Vec<AtomCounts>> = BTreeMap::new();
+    for q in &workload.queries {
+        let Statement::Select(stmt) = parse(&q.sql)? else {
+            return Err(EvaError::Plan(format!("not a SELECT: {}", q.sql)));
+        };
+        let logical = Binder::new(db.catalog()).bind_select(&stmt)?;
+        let log = CommitLog::new();
+        let optimizer = Optimizer {
+            catalog: db.catalog(),
+            manager: db.manager(),
+            stats: db.stats_catalog(),
+            config: db.config().planner,
+            commits: Some(&log),
+        };
+        optimizer.optimize(&logical, &SimClock::new())?;
+        for c in log.pending() {
+            let (agg, naive_agg) = aggregates
+                .entry(c.sig.clone())
+                .or_insert_with(|| (Dnf::false_(), NaiveDnf::false_()));
+            let naive_q = NaiveDnf::from_expr(&c.assoc_expr);
+            let p_union = union(agg, &c.assoc);
+            let naive_union = naive_ops::union(naive_agg, &naive_q);
+            history.entry(c.sig).or_default().push(AtomCounts {
+                eva: [
+                    inter(agg, &c.assoc).atom_count(),
+                    diff(agg, &c.assoc).atom_count(),
+                    p_union.atom_count(),
+                ],
+                naive: [
+                    naive_ops::inter(naive_agg, &naive_q).atom_count(),
+                    naive_ops::diff(naive_agg, &naive_q).atom_count(),
+                    naive_union.atom_count(),
+                ],
+            });
+            (*agg, *naive_agg) = (p_union, naive_union);
+        }
+        db.execute_select(&stmt)?;
+    }
+    Ok(history)
 }
 
 /// Directory where experiments drop their JSON results.
@@ -204,19 +277,77 @@ mod tests {
         assert_eq!(jackson_dataset().len(), 14_000);
     }
 
-    #[test]
-    fn session_builders_work() {
-        let ds = eva_video::generator::generate(eva_video::VideoConfig {
+    fn small_dataset(n_frames: u64) -> VideoDataset {
+        eva_video::generator::generate(eva_video::VideoConfig {
             name: "t".into(),
-            n_frames: 10,
+            n_frames,
             width: 10,
             height: 10,
             fps: 25.0,
             target_density: 1.0,
             person_fraction: 0.0,
             seed: 1,
-        });
-        let db = session_with(ReuseStrategy::Eva, &ds).unwrap();
+        })
+    }
+
+    #[test]
+    fn session_builders_work() {
+        let db = session_with(ReuseStrategy::Eva, &small_dataset(10)).unwrap();
         assert!(db.catalog().table("video").is_ok());
+    }
+
+    fn detector_query(name: &str, hi: u64) -> eva_vbench::QuerySpec {
+        eva_vbench::QuerySpec {
+            name: name.into(),
+            window: (0.0, 1.0),
+            sql: format!(
+                "SELECT id FROM video CROSS APPLY fasterrcnn_resnet50(frame) WHERE id < {hi}"
+            ),
+            n_udf_preds: 0,
+            accuracy: "LOW",
+        }
+    }
+
+    #[test]
+    fn reduction_history_tracks_both_engines() {
+        let mut db = session_with(ReuseStrategy::Eva, &small_dataset(20)).unwrap();
+        let workload = Workload::new(
+            "two-windows",
+            vec![detector_query("Q1", 5), detector_query("Q2", 8)],
+        );
+        let history = symbolic_reduction_history(&mut db, &workload).unwrap();
+        let det = UdfSignature::new("fasterrcnn_resnet50", "video", &["frame"]);
+        assert_eq!(history.keys().collect::<Vec<_>>(), vec![&det]);
+        let points = &history[&det];
+        assert_eq!(points.len(), 2, "one point per coverage commit");
+        // EVA's union of id<5 and id<8 reduces to one atom; naive keeps 2.
+        assert_eq!(points[1].eva[2], 1);
+        assert_eq!(points[1].naive[2], 2);
+        // The history is this function's own: the engine committed the same
+        // two predicates and nothing more.
+        assert_eq!(db.manager().aggregated(&det).atom_count(), 1);
+    }
+
+    #[test]
+    fn eva_never_needs_more_atoms_than_simplify_on_vbench_high() {
+        let ds = small_dataset(300);
+        let detector = eva_vbench::DetectorKind::Physical("fasterrcnn_resnet50");
+        let workload = Workload::new(
+            "vbench-high",
+            eva_vbench::vbench_high(ds.len(), detector, false),
+        );
+        let mut db = session_with(ReuseStrategy::Eva, &ds).unwrap();
+        let history = symbolic_reduction_history(&mut db, &workload).unwrap();
+        assert!(
+            history.len() >= 3,
+            "detector, cartype, colordet: {history:?}"
+        );
+        for (sig, points) in &history {
+            for (i, p) in points.iter().enumerate() {
+                for k in 0..3 {
+                    assert!(p.eva[k] <= p.naive[k], "{sig} point {i}: {p:?}");
+                }
+            }
+        }
     }
 }

@@ -13,11 +13,10 @@
 //!   order, so "the 3rd write crashes" is perfectly reproducible.
 //! * **Keyed sites** (`udf_transient`) decide per *input key* via a seeded
 //!   hash, never per hit order — a UDF invocation for frame 17 fails on the
-//!   same attempts whether it is evaluated serially or fanned out to the
-//!   worker pool. This is what preserves the parallel == serial
-//!   `CostBreakdown` identity under injected faults: the *set* of failures
-//!   is scheduling-independent, and the executor charges all retry backoff
-//!   on the caller thread.
+//!   same attempts whatever batch it lands in and in whatever order the
+//!   batch is evaluated. The *set* of failures is a function of the keys, so
+//!   the `CostBreakdown` under injected faults repeats exactly; the executor
+//!   charges all retry backoff on the caller thread.
 //!
 //! Nothing here touches wall-clock time: injected failures are free, and
 //! the *response* to them (retry backoff in the executor) is charged to the

@@ -359,7 +359,7 @@ impl EvaDb {
         )
         .with_external_cancel(Arc::clone(&self.cancel_flag));
         let commits = CommitLog::new();
-        let plan = self.plan_select_deferred(stmt, &commits)?;
+        let plan = self.plan(stmt, Some(&commits))?;
         let result = execute_governed(
             &plan,
             &self.storage,
@@ -392,29 +392,21 @@ impl EvaDb {
         }
     }
 
-    /// Produce the physical plan for a SELECT without executing it. Commits
-    /// coverage eagerly (no execution follows to defer for).
+    /// Produce the physical plan for a SELECT without executing it. Claims
+    /// no coverage: only a query that ran to completion folds into `p_u`.
     pub fn plan_select(&self, stmt: &SelectStmt) -> Result<PhysPlan> {
-        let logical = Binder::new(&self.catalog).bind_select(stmt)?;
-        let optimizer = Optimizer {
-            catalog: &self.catalog,
-            manager: &self.manager,
-            stats: &self.stats_catalog,
-            config: self.config.planner,
-            commits: None,
-        };
-        optimizer.optimize(&logical, &self.clock)
+        self.plan(stmt, None)
     }
 
-    /// [`EvaDb::plan_select`] with coverage commits deferred into `log`.
-    fn plan_select_deferred(&self, stmt: &SelectStmt, log: &CommitLog) -> Result<PhysPlan> {
+    /// Bind and optimize, recording the plan's coverage commits in `commits`.
+    fn plan(&self, stmt: &SelectStmt, commits: Option<&CommitLog>) -> Result<PhysPlan> {
         let logical = Binder::new(&self.catalog).bind_select(stmt)?;
         let optimizer = Optimizer {
             catalog: &self.catalog,
             manager: &self.manager,
             stats: &self.stats_catalog,
             config: self.config.planner,
-            commits: Some(log),
+            commits,
         };
         optimizer.optimize(&logical, &self.clock)
     }
@@ -910,6 +902,34 @@ mod tests {
         let out = db.execute_sql(Q).unwrap().rows().unwrap();
         assert!(out.n_rows() > 0);
         assert!(!db.manager().aggregated(&det_sig).is_false());
+    }
+
+    #[test]
+    fn explain_claims_no_coverage_and_leaves_later_plans_alone() {
+        const CARTYPE_Q: &str = "SELECT id FROM video CROSS APPLY \
+             fasterrcnn_resnet50(frame) WHERE id < 120 AND label = 'car' \
+             AND cartype(frame, bbox) = 'Toyota'";
+        const BOTH_Q: &str = "SELECT id FROM video CROSS APPLY \
+             fasterrcnn_resnet50(frame) WHERE id < 120 AND label = 'car' \
+             AND cartype(frame, bbox) = 'Toyota' AND colordet(frame, bbox) = 'Gray'";
+        let db = session(ReuseStrategy::Eva);
+        let first = db.explain(CARTYPE_Q).unwrap();
+        // Nothing ran, so nothing is covered — by the detector's view or
+        // by cartype's.
+        let views = db.manager().view_sizes();
+        assert_eq!(views.len(), 2, "{views:?}");
+        for sig in views.keys() {
+            assert!(db.manager().aggregated(sig).is_false(), "{sig}");
+        }
+        assert_eq!(
+            db.explain(CARTYPE_Q).unwrap(),
+            first,
+            "EXPLAIN is idempotent"
+        );
+        // A session that EXPLAINed plans the next query exactly like one
+        // that did not (coverage claimed for cartype would rank it first).
+        let fresh = session(ReuseStrategy::Eva);
+        assert_eq!(db.explain(BOTH_Q).unwrap(), fresh.explain(BOTH_Q).unwrap());
     }
 
     #[test]

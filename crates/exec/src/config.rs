@@ -10,27 +10,18 @@ pub struct ExecConfig {
     /// Simulated per-input-row overhead of the APPLY machinery (argument
     /// marshalling, join bookkeeping) — the "Apply" series of Fig. 6b.
     pub apply_overhead_ms: f64,
-    /// Evaluate UDF batches on worker threads when a batch has at least
-    /// this many misses (wall-clock speedup only; simulated cost is
-    /// identical either way). `0` disables threading.
-    pub parallel_eval_threshold: usize,
     /// Fuzzy bbox reuse for box-level UDF views (the paper's §6 future
     /// work): on an exact-key miss, accept the stored result of the
     /// highest-IoU box on the same frame when IoU ≥ this threshold.
     /// `None` (the default) keeps reuse exact.
     pub fuzzy_box_iou: Option<f32>,
-    /// Probe views on worker threads when a batch probes at least this many
-    /// keys (wall-clock speedup only; the read cost is summed as an integer
-    /// row count and charged once, so the simulated cost is bit-identical
-    /// either way). `0` disables threading.
-    pub parallel_probe_threshold: usize,
     /// How many times a transient UDF failure (a flaky model server) is
     /// retried before the query gives up with an error. `0` fails on the
     /// first transient error.
     pub udf_retry_budget: u32,
     /// Simulated backoff before retry k (1-based): `backoff_ms · 2^(k−1)`.
-    /// Charged to the `Apply` cost category on the caller thread, so the
-    /// parallel == serial cost identity survives injected faults.
+    /// Charged to the `Apply` cost category per input key, before the batch
+    /// is evaluated, so the charge never depends on evaluation order.
     pub udf_retry_backoff_ms: f64,
     /// Frames per morsel for morsel-driven parallel scans. Equal to
     /// `batch_size` by default so an engaged parallel pipeline emits
@@ -59,9 +50,7 @@ impl Default for ExecConfig {
         ExecConfig {
             batch_size: 1024,
             apply_overhead_ms: 0.05,
-            parallel_eval_threshold: 256,
             fuzzy_box_iou: None,
-            parallel_probe_threshold: 1024,
             udf_retry_budget: 2,
             udf_retry_backoff_ms: 5.0,
             morsel_rows: 1024,

@@ -27,20 +27,19 @@
 //! in key order (all hits, or all fresh), or the chunks concatenated and
 //! permuted by one gather when hits and fresh rows interleave — so
 //! downstream filters and projections stay vectorized.
-//! Large batches fan UDF evaluation and view probes out to the persistent
-//! [`WorkerPool`]; every simulated-cost charge stays on the caller thread,
-//! so the `CostBreakdown` is bit-identical with or without parallelism.
+//! Probe and evaluation run inline on the caller thread, which is also where
+//! every simulated-cost charge, counter and span is recorded.
 
 use std::sync::Arc;
 
 use eva_common::hash::xxhash64;
 use eva_common::{
     BBox, CellRef, Column, ColumnarBatch, CostCategory, EvaError, ExecBatch, Failpoint, FireRule,
-    FrameId, OpId, Result, Row, Schema, SpanKind, ViewId,
+    FrameId, OpId, Result, Row, Schema, SpanKind,
 };
 use eva_expr::Expr;
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
-use eva_storage::{StorageEngine, ViewHits, ViewKey};
+use eva_storage::{ViewHits, ViewKey};
 use eva_udf::{SimUdf, UdfEvalContext};
 
 use crate::context::ExecCtx;
@@ -190,10 +189,8 @@ impl ApplyOp {
     /// Deterministic transient-failure model (the `udf_transient` failpoint):
     /// decide per input *key* how many injected failures this evaluation
     /// suffers, charge the exponential retry backoff to the clock, and bump
-    /// the retry counters — all on the caller thread *before* any worker-pool
-    /// fan-out, so the failure set and every charge are
-    /// scheduling-independent and the parallel == serial `CostBreakdown`
-    /// identity survives injected faults.
+    /// the retry counters *before* the batch is evaluated, so the failure set
+    /// and every charge depend on the keys alone, never on evaluation order.
     ///
     /// Returns `Err` when an input keeps failing past the retry budget.
     fn charge_transient_failures<I>(
@@ -277,59 +274,24 @@ impl ApplyOp {
         }
     }
 
-    /// Evaluate the model on the rows at `miss_idx`, fanning large batches
-    /// out to the worker pool; charges the simulated cost and stats on the
-    /// caller's thread to keep the clock deterministic.
+    /// Evaluate the model on `inputs`, in input order. The caller charges
+    /// the simulated cost and stats.
     fn eval_rows(
         &self,
         ctx: &ExecCtx<'_>,
         udf: &Arc<dyn SimUdf>,
         inputs: &[(usize, FrameId, Option<BBox>)],
     ) -> Result<Evaluated> {
-        let threshold = ctx.config.parallel_eval_threshold;
-        if threshold == 0 || inputs.len() < threshold {
-            let mut out = Vec::with_capacity(inputs.len());
-            for (idx, frame, bbox) in inputs {
-                let rows = udf.eval(&UdfEvalContext {
-                    dataset: &ctx.dataset,
-                    frame: *frame,
-                    bbox: *bbox,
-                })?;
-                out.push((*idx, rows));
-            }
-            return Ok(out);
+        let mut out = Vec::with_capacity(inputs.len());
+        for (idx, frame, bbox) in inputs {
+            let rows = udf.eval(&UdfEvalContext {
+                dataset: &ctx.dataset,
+                frame: *frame,
+                bbox: *bbox,
+            })?;
+            out.push((*idx, rows));
         }
-        // Parallel wall-clock evaluation on the persistent pool; chunk
-        // results come back in submission order, so the merged list keeps
-        // input order and downstream bookkeeping stays deterministic.
-        let pool = ctx.pool();
-        let chunk_size = inputs.len().div_ceil(pool.n_workers());
-        type EvalChunk = Result<Evaluated>;
-        let tasks: Vec<Box<dyn FnOnce() -> EvalChunk + Send>> = inputs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let chunk = chunk.to_vec();
-                let udf = Arc::clone(udf);
-                let dataset = Arc::clone(&ctx.dataset);
-                Box::new(move || {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for (idx, frame, bbox) in chunk {
-                        let rows = udf.eval(&UdfEvalContext {
-                            dataset: &dataset,
-                            frame,
-                            bbox,
-                        })?;
-                        out.push((idx, rows));
-                    }
-                    Ok(out)
-                }) as Box<dyn FnOnce() -> EvalChunk + Send>
-            })
-            .collect();
-        let mut merged = Vec::with_capacity(inputs.len());
-        for chunk in pool.run(tasks) {
-            merged.extend(chunk?);
-        }
-        Ok(merged)
+        Ok(out)
     }
 
     /// Pivot one eval batch's rows into a typed chunk, one column per UDF
@@ -338,38 +300,6 @@ impl ApplyOp {
         let n_rows = evaluated.iter().map(|(_, rows)| rows.len()).sum();
         let rows = evaluated.iter().flat_map(|(_, rows)| rows.iter());
         Column::from_rows(self.spec.output.len(), n_rows, rows.map(Vec::as_slice))
-    }
-
-    /// Probe a view for a batch of keys, fanning large batches out to the
-    /// worker pool: one [`ViewHits`] per slice of `keys`, in key order.
-    /// Workers probe without a clock; the caller charges the summed row
-    /// count once, which is bit-identical to the serial charge.
-    fn probe_view(
-        &self,
-        ctx: &ExecCtx<'_>,
-        view: ViewId,
-        keys: &[ViewKey],
-    ) -> Result<Vec<ViewHits>> {
-        let threshold = ctx.config.parallel_probe_threshold;
-        if threshold == 0 || keys.len() < threshold {
-            return Ok(vec![ctx.storage.view_probe(view, keys, ctx.clock)?]);
-        }
-        let pool = ctx.pool();
-        let chunk_size = keys.len().div_ceil(pool.n_workers());
-        type ProbeChunk = Result<ViewHits>;
-        let tasks: Vec<Box<dyn FnOnce() -> ProbeChunk + Send>> = keys
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let chunk = chunk.to_vec();
-                let storage: StorageEngine = ctx.storage.clone();
-                Box::new(move || storage.view_probe_uncharged(view, &chunk))
-                    as Box<dyn FnOnce() -> ProbeChunk + Send>
-            })
-            .collect();
-        let parts = pool.run(tasks).into_iter().collect::<Result<Vec<_>>>()?;
-        let rows_read = parts.iter().map(ViewHits::rows_read).sum();
-        ctx.storage.charge_view_read(rows_read, ctx.clock);
-        Ok(parts)
     }
 
     fn process_views(
@@ -403,20 +333,19 @@ impl ApplyOp {
                 let probe_clock = ctx.clock.snapshot();
                 let probe_keys: Vec<ViewKey> = unresolved.iter().map(|&i| keys[i].2).collect();
                 let mut still = Vec::with_capacity(unresolved.len());
-                let mut probed = unresolved.iter().copied();
-                for ViewHits { lens, columns } in self.probe_view(ctx, view, &probe_keys)? {
-                    let mut owners = Vec::with_capacity(lens.len());
-                    for (len, i) in lens.into_iter().zip(probed.by_ref()) {
-                        match len {
-                            Some(n) => {
-                                hit_idx.push(i);
-                                owners.push((i, n));
-                            }
-                            None => still.push(i),
+                let ViewHits { lens, columns } =
+                    ctx.storage.view_probe(view, &probe_keys, ctx.clock)?;
+                let mut owners = Vec::with_capacity(lens.len());
+                for (len, &i) in lens.into_iter().zip(&unresolved) {
+                    match len {
+                        Some(n) => {
+                            hit_idx.push(i);
+                            owners.push((i, n));
                         }
+                        None => still.push(i),
                     }
-                    resolved.push_chunk(columns, owners);
                 }
+                resolved.push_chunk(columns, owners);
                 let exact_hits = hit_idx.len() as u64;
                 // §6 future work: fuzzy bbox matching — an exact-key miss
                 // may still reuse the result of a near-identical stored box

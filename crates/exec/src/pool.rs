@@ -1,10 +1,9 @@
-//! A persistent worker pool for wall-clock parallelism on the reuse hot
-//! path (UDF evaluation and large view probes).
+//! A persistent worker pool for wall-clock parallelism on morsel-driven
+//! pipelines (`ops::parallel`).
 //!
-//! The previous implementation spawned a fresh `crossbeam::thread::scope`
-//! per batch — thread creation on every batch of every query. The pool
-//! keeps a fixed set of workers parked on a channel instead; apply
-//! operators submit closures and block for the indexed results.
+//! A fixed set of workers stays parked on a channel; a pipeline submits one
+//! work-stealing round per scan range ([`WorkerPool::run_stealing_cancellable`])
+//! and blocks for the indexed results.
 //!
 //! Invariant (see DESIGN.md): workers never touch a [`SimClock`] — the
 //! clock is not `Sync`, and all simulated-cost charges stay on the caller
@@ -84,16 +83,16 @@ impl WorkerPool {
         WorkerPool { tx, n_workers: n }
     }
 
-    /// Number of worker threads (callers size their chunking to this).
+    /// Number of worker threads (the most lanes a stealing round uses).
     pub fn n_workers(&self) -> usize {
         self.n_workers
     }
 
-    /// Run every task on the pool and return their results in task order.
-    /// Blocks the calling thread until all tasks finish. A panicking task
-    /// is re-raised on the caller without poisoning the worker.
+    /// Run every lane task on the pool and return their results in task
+    /// order. Blocks the calling thread until all tasks finish. A panicking
+    /// task is re-raised on the caller without poisoning the worker.
     #[allow(clippy::type_complexity)]
-    pub fn run<T: Send + 'static>(
+    fn run<T: Send + 'static>(
         &self,
         tasks: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
     ) -> Vec<T> {
@@ -239,37 +238,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_task_order() {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32)
-            .map(|i: usize| Box::new(move || i * 2) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = pool.run(tasks);
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_survives_across_rounds() {
-        let pool = WorkerPool::new(2);
-        for round in 0..10 {
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8)
-                .map(|i: usize| Box::new(move || round + i) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            assert_eq!(pool.run(tasks).len(), 8);
-        }
-    }
-
-    #[test]
     fn global_pool_is_shared_and_concurrent() {
         let mut joins = Vec::new();
         for t in 0..4 {
             joins.push(std::thread::spawn(move || {
-                let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16)
-                    .map(|i: usize| {
-                        Box::new(move || t * 100 + i) as Box<dyn FnOnce() -> usize + Send>
-                    })
-                    .collect();
-                WorkerPool::global().run(tasks)
+                WorkerPool::global()
+                    .run_stealing(16, move |i| t * 100 + i)
+                    .0
             }));
         }
         for (t, j) in joins.into_iter().enumerate() {
@@ -380,16 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn task_panic_propagates_to_caller() {
+    fn item_panic_propagates_to_caller() {
         let pool = WorkerPool::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
-                vec![Box::new(|| 1), Box::new(|| panic!("boom"))];
-            pool.run(tasks);
+            pool.run_stealing(2, |i| if i == 1 { panic!("boom") } else { i });
         }));
         assert!(result.is_err());
         // The worker that caught the panic is still usable.
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(|| 7), Box::new(|| 8)];
-        assert_eq!(pool.run(tasks), vec![7, 8]);
+        assert_eq!(pool.run_stealing(2, |i| i + 7).0, vec![7, 8]);
     }
 }

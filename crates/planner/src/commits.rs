@@ -1,15 +1,16 @@
-//! Deferred coverage commits.
+//! Coverage commits, recorded at plan time and applied after execution.
 //!
 //! The optimizer decides at *plan* time which views a query will STORE into,
-//! and folds the query's associated predicate into the view's aggregated
-//! predicate `p_u` (§4.1). Committing eagerly is wrong under cancellation: a
-//! query that is cancelled mid-execution has only materialized a prefix of
-//! its rows, yet the committed predicate would claim full coverage and later
-//! queries would trust the view for rows that were never written.
+//! but the query's associated predicate may only be folded into a view's
+//! aggregated predicate `p_u` (§4.1) once the rows are really there: a query
+//! that is cancelled mid-execution has materialized a prefix of its rows, and
+//! a plan that is only explained has materialized none.
 //!
-//! [`CommitLog`] fixes this by recording the would-be commits at plan time
-//! and letting the session apply them only after the query completes
-//! successfully (or drop them when the query was cancelled or degraded).
+//! So the optimizer never commits. It records the would-be commits in a
+//! [`CommitLog`], and the session applies them after the query completes
+//! successfully or drops them when it was cancelled or degraded.
+//! [`CommitLog::apply`] is the one caller of `UdfManager::commit`; planning
+//! without a log (`EXPLAIN`, `plan_select`) claims nothing.
 
 use std::cell::RefCell;
 
@@ -24,8 +25,9 @@ pub struct PendingCommit {
     pub sig: UdfSignature,
     /// Associated predicate in DNF (what the query covers).
     pub assoc: Dnf,
-    /// The exact expression form, for the analyzer's Fig. 7 data point.
-    pub assoc_expr: Option<Expr>,
+    /// The same predicate as written, before any reduction — what a
+    /// baseline simplifier (Fig. 7) has to start from.
+    pub assoc_expr: Expr,
 }
 
 /// Plan-time log of coverage commits, applied or dropped after execution.
@@ -44,7 +46,7 @@ impl CommitLog {
     }
 
     /// Record a commit the optimizer deferred.
-    pub fn record(&self, sig: UdfSignature, assoc: Dnf, assoc_expr: Option<Expr>) {
+    pub fn record(&self, sig: UdfSignature, assoc: Dnf, assoc_expr: Expr) {
         self.pending.borrow_mut().push(PendingCommit {
             sig,
             assoc,
@@ -62,16 +64,20 @@ impl CommitLog {
         self.pending.borrow().is_empty()
     }
 
+    /// A copy of the pending commits, in the order the optimizer recorded
+    /// them.
+    pub fn pending(&self) -> Vec<PendingCommit> {
+        self.pending.borrow().clone()
+    }
+
     /// Apply every pending commit to the manager (the query completed), in
     /// the order the optimizer recorded them. Returns how many were applied.
     pub fn apply(&self, manager: &UdfManager) -> usize {
-        let drained: Vec<PendingCommit> = self.pending.borrow_mut().drain(..).collect();
-        let n = drained.len();
-        for c in drained {
-            manager.analyze(&c.sig, &c.assoc, c.assoc_expr.as_ref());
-            manager.commit(&c.sig, &c.assoc, c.assoc_expr.as_ref());
+        let drained = std::mem::take(&mut *self.pending.borrow_mut());
+        for c in &drained {
+            manager.commit(&c.sig, &c.assoc);
         }
-        n
+        drained.len()
     }
 
     /// Drop every pending commit without applying (the query was cancelled
@@ -106,8 +112,8 @@ mod tests {
     #[test]
     fn apply_drains_and_commits() {
         let log = CommitLog::new();
-        log.record(sig(), Dnf::true_(), None);
-        log.record(sig(), Dnf::true_(), None);
+        log.record(sig(), Dnf::true_(), Expr::true_());
+        log.record(sig(), Dnf::true_(), Expr::true_());
         assert_eq!(log.len(), 2);
         let manager = manager_with_view();
         assert_eq!(log.apply(&manager), 2);
@@ -118,7 +124,7 @@ mod tests {
     #[test]
     fn discard_drops_without_committing() {
         let log = CommitLog::new();
-        log.record(sig(), Dnf::true_(), None);
+        log.record(sig(), Dnf::true_(), Expr::true_());
         let manager = manager_with_view();
         assert_eq!(log.discard(), 1);
         assert!(log.is_empty());

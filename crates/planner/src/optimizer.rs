@@ -108,9 +108,10 @@ pub struct Optimizer<'a> {
     pub stats: &'a StatsCatalog,
     /// Configuration.
     pub config: PlannerConfig,
-    /// When set, coverage commits are deferred into this log instead of
-    /// being applied at plan time, so a cancelled query never claims
-    /// coverage for rows it did not materialize. `None` commits eagerly.
+    /// Where the plan's coverage commits are recorded, for the caller to
+    /// apply once the query has completed (a cancelled query never claims
+    /// coverage for rows it did not materialize). `None` plans without
+    /// claiming anything — what `EXPLAIN` and planner benchmarks want.
     pub commits: Option<&'a CommitLog>,
 }
 
@@ -406,8 +407,8 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Build the eval-capable fallback segment for a physical UDF,
-    /// registering its view and committing the associated predicate when
-    /// this session materializes results.
+    /// registering its view and recording the associated predicate as a
+    /// pending coverage commit when this session materializes results.
     fn fallback_segment(
         &self,
         def: &UdfDef,
@@ -441,17 +442,8 @@ impl<'a> Optimizer<'a> {
         } else {
             None
         };
-        if store {
-            // Record the Fig. 7 data point, then fold into p_u (§4.1) —
-            // deferred until successful completion when a commit log is
-            // attached, so cancelled queries never over-claim coverage.
-            match self.commits {
-                Some(log) => log.record(sig.clone(), assoc.clone(), Some(assoc_expr.clone())),
-                None => {
-                    self.manager.analyze(&sig, assoc, Some(assoc_expr));
-                    self.manager.commit(&sig, assoc, Some(assoc_expr));
-                }
-            }
+        if let (true, Some(log)) = (store, self.commits) {
+            log.record(sig, assoc.clone(), assoc_expr.clone());
         }
         Ok(Segment {
             udf: def.clone(),
@@ -861,11 +853,13 @@ mod tests {
         );
         // The cartype predicate was rewritten onto the output column.
         assert!(text.contains("Filter cartype = 'Nissan'"), "{text}");
-        // Commit happened: the aggregated predicates are non-false.
+        // Planning alone claims no coverage, though both views now exist.
         let det_sig = UdfSignature::new("fasterrcnn_resnet50", "video", &["frame"]);
-        assert!(!manager.aggregated(&det_sig).is_false());
         let ct_sig = UdfSignature::new("cartype", "video", &["frame", "bbox"]);
-        assert!(!manager.aggregated(&ct_sig).is_false());
+        for sig in [det_sig, ct_sig] {
+            assert!(manager.view_of(&sig).is_some());
+            assert!(manager.aggregated(&sig).is_false());
+        }
     }
 
     #[test]

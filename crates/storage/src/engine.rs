@@ -403,11 +403,9 @@ impl StorageEngine {
         Ok(hits)
     }
 
-    /// The probe itself, without touching a clock. Lets callers fan a large
-    /// probe out to worker threads (the clock is not `Sync`) and charge the
-    /// summed [`ViewHits::rows_read`] once — integer summation keeps the
-    /// simulated cost bit-identical to a serial probe. Index lookups and the
-    /// gather both run under the view's one read lock.
+    /// The probe itself, without touching a clock or a counter — what the
+    /// micro-benchmarks time. Index lookups and the gather both run under
+    /// the view's one read lock.
     pub fn view_probe_uncharged(&self, id: ViewId, keys: &[ViewKey]) -> Result<ViewHits> {
         let handle = self.shared.view(id)?;
         let hits = handle.read().probe(keys);
@@ -418,9 +416,8 @@ impl StorageEngine {
     /// model applied by [`StorageEngine::view_probe`]), and record them in
     /// the metrics sink. Probe hits are gathered column to column, so every
     /// row read here was also served without materialising a `Row` (the
-    /// `rows_zero_copy` counter). Called on the *caller*
-    /// thread, like every clock charge — uncharged worker probes report
-    /// their row counts back and the caller invokes this once.
+    /// `rows_zero_copy` counter). Called on the *caller* thread, like every
+    /// clock charge.
     pub fn charge_view_read(&self, rows_read: usize, clock: &SimClock) {
         clock.charge(
             CostCategory::ReadView,

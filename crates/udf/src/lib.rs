@@ -25,7 +25,7 @@ pub mod signature;
 pub mod zoo;
 
 pub use breaker::{UdfBreaker, BREAKER_BASE_COOLDOWN_MS, BREAKER_TRIP_THRESHOLD};
-pub use manager::{ReuseAnalysis, UdfManager, MANAGER_FILE};
+pub use manager::{UdfManager, MANAGER_FILE};
 pub use profiler::InvocationStats;
 pub use registry::UdfRegistry;
 pub use runtime::{SimUdf, UdfEvalContext};

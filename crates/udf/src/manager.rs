@@ -5,24 +5,20 @@
 //! * the **materialized view** holding all results computed so far,
 //! * the **aggregated predicate** `p_u` — the union of the predicates of
 //!   every committed invocation, kept reduced by Algorithm 1 (this is what
-//!   "the tuples for which results exist" means symbolically),
-//! * a parallel aggregated predicate maintained with the *naive* simplifier,
-//!   plus per-operation atom-count history — the data behind Fig. 7.
+//!   "the tuples for which results exist" means symbolically).
 //!
-//! `analyze` computes the derived predicates `p∩ = INTER(p_u, q)` and
-//! `p₋ = DIFF(p_u, q)` for a new invocation; `commit` folds the invocation's
-//! predicate into `p_u` once the optimizer decides the results will be
-//! materialized.
+//! The planner reads `p_u` through [`UdfManager::aggregated`] and derives
+//! `p∩ = INTER(p_u, q)` and `p₋ = DIFF(p_u, q)` itself;
+//! [`UdfManager::commit`] is §4.1's `p_u ← UNION(p_u, q)`, called once a
+//! query that stored into the view has completed.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use eva_common::{Schema, ViewId};
-use eva_expr::Expr;
 use eva_storage::{StorageEngine, ViewKeyKind};
-use eva_symbolic::naive::ops as naive_ops;
-use eva_symbolic::{diff, inter, union, Dnf, NaiveDnf};
+use eva_symbolic::{union, Dnf};
 
 use crate::signature::UdfSignature;
 
@@ -36,58 +32,9 @@ const MANAGER_VERSION: u32 = 1;
 /// File the manager state persists to.
 pub const MANAGER_FILE: &str = "udf_manager.bin";
 
-/// Atom counts recorded for one `analyze` call — one data point per curve of
-/// Fig. 7 (EVA's reduction vs the naive `simplify`, for each of the three
-/// derived predicates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AtomCounts {
-    /// Atoms of `INTER(p_u, q)` under EVA's reduction.
-    pub eva_inter: usize,
-    /// Atoms of `DIFF(p_u, q)` under EVA's reduction.
-    pub eva_diff: usize,
-    /// Atoms of `UNION(p_u, q)` under EVA's reduction.
-    pub eva_union: usize,
-    /// Atoms of the intersection under the naive simplifier.
-    pub naive_inter: usize,
-    /// Atoms of the difference under the naive simplifier.
-    pub naive_diff: usize,
-    /// Atoms of the union under the naive simplifier.
-    pub naive_union: usize,
-}
-
-/// Result of analyzing one UDF invocation against its signature history.
-#[derive(Debug, Clone)]
-pub struct ReuseAnalysis {
-    /// The view holding previously materialized results (`None` when the
-    /// signature has never been seen).
-    pub view_id: Option<ViewId>,
-    /// `INTER(p_u, q)`: tuples whose results may be read from the view.
-    pub p_inter: Dnf,
-    /// `DIFF(p_u, q)`: tuples on which the UDF must still run.
-    pub p_diff: Dnf,
-    /// Number of keys currently materialized in the view.
-    pub view_n_keys: u64,
-}
-
-impl ReuseAnalysis {
-    /// The view provably covers the whole invocation (`p₋ = FALSE`), so the
-    /// APPLY branch can be dropped (§4.4).
-    pub fn fully_covered(&self) -> bool {
-        self.p_diff.is_false()
-    }
-
-    /// The view provably contains nothing useful (`p∩ = FALSE`), so the
-    /// LEFT OUTER JOIN can be skipped (§4.4).
-    pub fn no_overlap(&self) -> bool {
-        self.p_inter.is_false()
-    }
-}
-
 struct SigState {
     view: ViewId,
     agg: Dnf,
-    naive_agg: NaiveDnf,
-    history: Vec<AtomCounts>,
 }
 
 /// Thread-safe UDF manager. Cheap to clone.
@@ -138,8 +85,6 @@ impl UdfManager {
             SigState {
                 view,
                 agg: Dnf::false_(),
-                naive_agg: NaiveDnf::false_(),
-                history: Vec::new(),
             },
         );
         view
@@ -163,74 +108,13 @@ impl UdfManager {
             .unwrap_or_else(Dnf::false_)
     }
 
-    /// Analyze a new invocation: derive `p∩` and `p₋` against the signature
-    /// history and record the Fig. 7 atom counts (both engines). `q_expr` is
-    /// the raw predicate used to feed the naive baseline.
-    pub fn analyze(&self, sig: &UdfSignature, q: &Dnf, q_expr: Option<&Expr>) -> ReuseAnalysis {
-        let inner = self.inner.read();
-        match inner.get(sig) {
-            Some(s) => {
-                let p_inter = inter(&s.agg, q);
-                let p_diff = diff(&s.agg, q);
-                let p_union = union(&s.agg, q);
-                let view_n_keys = self.storage.view_n_keys(s.view).unwrap_or(0);
-                // Naive-engine bookkeeping for Fig. 7.
-                let counts = q_expr.map(|e| {
-                    let nq = NaiveDnf::from_expr(e);
-                    AtomCounts {
-                        eva_inter: p_inter.atom_count(),
-                        eva_diff: p_diff.atom_count(),
-                        eva_union: p_union.atom_count(),
-                        naive_inter: naive_ops::inter(&s.naive_agg, &nq).atom_count(),
-                        naive_diff: naive_ops::diff(&s.naive_agg, &nq).atom_count(),
-                        naive_union: naive_ops::union(&s.naive_agg, &nq).atom_count(),
-                    }
-                });
-                drop(inner);
-                if let Some(c) = counts {
-                    if let Some(s) = self.inner.write().get_mut(sig) {
-                        s.history.push(c);
-                    }
-                }
-                ReuseAnalysis {
-                    view_id: Some(self.view_id(sig)),
-                    p_inter,
-                    p_diff,
-                    view_n_keys,
-                }
-            }
-            None => ReuseAnalysis {
-                view_id: None,
-                p_inter: Dnf::false_(),
-                p_diff: q.clone().reduced(),
-                view_n_keys: 0,
-            },
-        }
-    }
-
-    fn view_id(&self, sig: &UdfSignature) -> ViewId {
-        self.inner.read().get(sig).expect("checked by caller").view
-    }
-
     /// Fold an executed invocation's predicate into the aggregate:
-    /// `p_u ← UNION(p_u, q)` (both engines).
-    pub fn commit(&self, sig: &UdfSignature, q: &Dnf, q_expr: Option<&Expr>) {
-        let mut inner = self.inner.write();
-        if let Some(s) = inner.get_mut(sig) {
+    /// `p_u ← UNION(p_u, q)`. A signature without a view has nothing to
+    /// claim coverage for and is left alone.
+    pub fn commit(&self, sig: &UdfSignature, q: &Dnf) {
+        if let Some(s) = self.inner.write().get_mut(sig) {
             s.agg = union(&s.agg, q);
-            if let Some(e) = q_expr {
-                s.naive_agg = naive_ops::union(&s.naive_agg, &NaiveDnf::from_expr(e));
-            }
         }
-    }
-
-    /// Atom-count history per signature (Fig. 7 data).
-    pub fn atom_history(&self) -> BTreeMap<UdfSignature, Vec<AtomCounts>> {
-        self.inner
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.history.clone()))
-            .collect()
     }
 
     /// Known signatures with their view sizes — Fig. 8(b)'s "materialized
@@ -254,8 +138,6 @@ impl UdfManager {
     /// envelope and via the same crash-safe atomic-rename protocol as view
     /// segments. Views persist separately via the storage engine; together
     /// the two restore a session's full reuse capability after a restart.
-    /// (The naive-simplify bookkeeping used only by the Fig. 7 experiment is
-    /// session-local and not persisted.)
     pub fn save(&self, dir: &std::path::Path) -> eva_common::Result<()> {
         std::fs::create_dir_all(dir)?;
         let inner = self.inner.read();
@@ -295,15 +177,7 @@ impl UdfManager {
         r.expect_end()?;
         let mut inner = self.inner.write();
         for (sig, view, agg) in state {
-            inner.insert(
-                sig,
-                SigState {
-                    view,
-                    agg,
-                    naive_agg: NaiveDnf::false_(),
-                    history: Vec::new(),
-                },
-            );
+            inner.insert(sig, SigState { view, agg });
         }
         Ok(())
     }
@@ -332,6 +206,8 @@ impl UdfManager {
 mod tests {
     use super::*;
     use eva_common::{DataType, Field};
+    use eva_expr::Expr;
+    use eva_symbolic::{diff, inter};
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::new(vec![Field::new("label", DataType::Str)]).unwrap())
@@ -349,11 +225,11 @@ mod tests {
     #[test]
     fn first_sight_has_no_view() {
         let mgr = UdfManager::new(StorageEngine::new());
-        let a = mgr.analyze(&sig(), &pred(0.0, 100.0), None);
-        assert!(a.view_id.is_none());
-        assert!(a.no_overlap());
-        assert!(!a.fully_covered());
-        assert_eq!(a.p_diff, pred(0.0, 100.0));
+        assert!(mgr.view_of(&sig()).is_none());
+        // An unknown signature covers nothing: p∩ = FALSE, p₋ = q.
+        let (p_u, q) = (mgr.aggregated(&sig()), pred(0.0, 100.0));
+        assert!(inter(&p_u, &q).is_false());
+        assert_eq!(diff(&p_u, &q), q);
     }
 
     #[test]
@@ -368,53 +244,34 @@ mod tests {
     }
 
     #[test]
-    fn commit_then_analyze_full_coverage() {
+    fn commit_then_derive_coverage() {
         let mgr = UdfManager::new(StorageEngine::new());
         mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        mgr.commit(&sig(), &pred(0.0, 1000.0), None);
-        // Subset query: fully covered.
-        let a = mgr.analyze(&sig(), &pred(100.0, 200.0), None);
-        assert!(a.fully_covered());
-        assert!(!a.no_overlap());
-        // Disjoint query: no overlap.
-        let a = mgr.analyze(&sig(), &pred(5000.0, 6000.0), None);
-        assert!(a.no_overlap());
-        assert!(!a.fully_covered());
-        // Partial overlap.
-        let a = mgr.analyze(&sig(), &pred(500.0, 1500.0), None);
-        assert!(!a.fully_covered());
-        assert!(!a.no_overlap());
+        mgr.commit(&sig(), &pred(0.0, 1000.0));
+        let p_u = mgr.aggregated(&sig());
+        // (p∩ = FALSE, p₋ = FALSE) for a subset, a disjoint and a partially
+        // overlapping query.
+        for (q, no_overlap, fully_covered) in [
+            (pred(100.0, 200.0), false, true),
+            (pred(5000.0, 6000.0), true, false),
+            (pred(500.0, 1500.0), false, false),
+        ] {
+            assert_eq!(inter(&p_u, &q).is_false(), no_overlap, "{q}");
+            assert_eq!(diff(&p_u, &q).is_false(), fully_covered, "{q}");
+        }
     }
 
     #[test]
     fn aggregate_reduces_over_commits() {
         let mgr = UdfManager::new(StorageEngine::new());
         mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        mgr.commit(&sig(), &pred(0.0, 100.0), None);
-        mgr.commit(&sig(), &pred(100.0, 200.0), None);
-        mgr.commit(&sig(), &pred(50.0, 150.0), None);
+        mgr.commit(&sig(), &pred(0.0, 100.0));
+        mgr.commit(&sig(), &pred(100.0, 200.0));
+        mgr.commit(&sig(), &pred(50.0, 150.0));
         let agg = mgr.aggregated(&sig());
         // Three overlapping/adjacent ranges collapse to one conjunct.
         assert_eq!(agg.conjuncts().len(), 1);
         assert_eq!(agg.atom_count(), 2);
-    }
-
-    #[test]
-    fn atom_history_tracks_both_engines() {
-        let mgr = UdfManager::new(StorageEngine::new());
-        mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        let e1 = Expr::col("id").lt(100);
-        let q1 = eva_symbolic::to_dnf(&e1).unwrap();
-        mgr.commit(&sig(), &q1, Some(&e1));
-        let e2 = Expr::col("id").lt(200);
-        let q2 = eva_symbolic::to_dnf(&e2).unwrap();
-        mgr.analyze(&sig(), &q2, Some(&e2));
-        let hist = mgr.atom_history();
-        let h = &hist[&sig()];
-        assert_eq!(h.len(), 1);
-        // EVA's union of id<100 and id<200 reduces to one atom; naive keeps 2.
-        assert_eq!(h[0].eva_union, 1);
-        assert_eq!(h[0].naive_union, 2);
     }
 
     #[test]
@@ -423,7 +280,7 @@ mod tests {
         let storage = StorageEngine::new();
         let mgr = UdfManager::new(storage.clone());
         mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        mgr.commit(&sig(), &pred(0.0, 500.0), None);
+        mgr.commit(&sig(), &pred(0.0, 500.0));
         mgr.save(&dir).unwrap();
 
         let mgr2 = UdfManager::new(storage);
@@ -431,9 +288,7 @@ mod tests {
         assert_eq!(mgr2.aggregated(&sig()), mgr.aggregated(&sig()));
         assert_eq!(mgr2.view_of(&sig()), mgr.view_of(&sig()));
         // Restored aggregates answer coverage questions identically.
-        assert!(mgr2
-            .analyze(&sig(), &pred(10.0, 20.0), None)
-            .fully_covered());
+        assert!(diff(&mgr2.aggregated(&sig()), &pred(10.0, 20.0)).is_false());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -443,7 +298,7 @@ mod tests {
         let storage = StorageEngine::new();
         let mgr = UdfManager::new(storage.clone());
         mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        mgr.commit(&sig(), &pred(0.0, 500.0), None);
+        mgr.commit(&sig(), &pred(0.0, 500.0));
         mgr.save(&dir).unwrap();
         let path = dir.join(super::MANAGER_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -464,7 +319,7 @@ mod tests {
         let storage = StorageEngine::new();
         let mgr = UdfManager::new(storage.clone());
         mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        mgr.commit(&sig(), &pred(0.0, 1000.0), None);
+        mgr.commit(&sig(), &pred(0.0, 1000.0));
         assert!(mgr.prune_dangling().is_empty(), "live views are kept");
 
         // Simulate recovery quarantining the view: it vanishes from storage.
@@ -472,16 +327,15 @@ mod tests {
         let pruned = mgr.prune_dangling();
         assert_eq!(pruned, vec![sig()]);
         // The signature is cold again: no claimed coverage, no view.
-        let a = mgr.analyze(&sig(), &pred(10.0, 20.0), None);
-        assert!(a.view_id.is_none());
-        assert!(!a.fully_covered());
+        assert!(mgr.view_of(&sig()).is_none());
+        assert!(mgr.aggregated(&sig()).is_false());
     }
 
     #[test]
     fn reset_clears_state() {
         let mgr = UdfManager::new(StorageEngine::new());
         mgr.view_for(&sig(), ViewKeyKind::Frame, schema());
-        mgr.commit(&sig(), &pred(0.0, 10.0), None);
+        mgr.commit(&sig(), &pred(0.0, 10.0));
         mgr.reset();
         assert!(mgr.aggregated(&sig()).is_false());
         assert!(mgr.view_sizes().is_empty());
