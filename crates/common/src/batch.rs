@@ -244,7 +244,7 @@ impl ColumnarBatch {
 /// What flows between physical operators. Every planned operator, APPLY
 /// included, produces columnar batches; row batches come from test sources
 /// and `force_row_path`. The pivot to rows (`to_batch`) sits at the output
-/// boundary and a multi-batch SORT — see DESIGN.md §4f.
+/// boundary — see DESIGN.md §4f.
 #[derive(Debug, Clone)]
 pub enum ExecBatch {
     /// Row form.

@@ -279,6 +279,34 @@ impl<'a> CellRef<'a> {
             }
         }
     }
+
+    /// The order `ORDER BY` sorts by: like [`CellRef::sql_cmp`] wherever
+    /// that decides, and decided everywhere else, so that it is a weak order
+    /// a sort may rely on (`sql_cmp`'s `None` read as "equal" is not: NULL
+    /// would equal both 1 and 2). NULL sorts before every value, numbers
+    /// compare through `f64::total_cmp` (NaN after every number), boxes by
+    /// their quantized key, and cells of different kinds by a fixed rank:
+    /// NULL, booleans, numbers, strings, boxes.
+    pub fn sort_cmp(self, other: CellRef<'_>) -> Ordering {
+        fn rank(c: CellRef<'_>) -> u8 {
+            match c {
+                CellRef::Null => 0,
+                CellRef::Bool(_) => 1,
+                CellRef::Int(_) | CellRef::Float(_) => 2,
+                CellRef::Str(_) => 3,
+                CellRef::BBox(_) => 4,
+            }
+        }
+        match (self, other) {
+            (CellRef::Bool(a), CellRef::Bool(b)) => a.cmp(&b),
+            (CellRef::Str(a), CellRef::Str(b)) => a.cmp(b),
+            (CellRef::BBox(a), CellRef::BBox(b)) => a.key().cmp(&b.key()),
+            _ => match (self.as_number(), other.as_number()) {
+                (Some(a), Some(b)) => a.total_cmp(&b),
+                _ => rank(self).cmp(&rank(other)),
+            },
+        }
+    }
 }
 
 /// One column: a typed array plus validity. Immutable once built — batches
@@ -657,6 +685,51 @@ mod tests {
         assert!(c.value_at(0).is_null());
         assert!(c.value_at(1).is_null());
         assert_eq!(c.validity().count_valid(), 0);
+    }
+
+    /// `sort_cmp` is a weak order over every kind of cell — the comparator
+    /// contract `slice::sort_by` checks — and says what `sql_cmp` says
+    /// wherever `sql_cmp` says anything (NaN and the zeros' signs aside).
+    #[test]
+    fn sort_cmp_is_a_weak_order_that_extends_sql_cmp() {
+        let cells = [
+            CellRef::Null,
+            CellRef::Bool(false),
+            CellRef::Bool(true),
+            CellRef::Int(-3),
+            CellRef::Int(2),
+            CellRef::Float(2.0),
+            CellRef::Float(2.5),
+            CellRef::Float(f64::NAN),
+            CellRef::Int(i64::MAX),
+            CellRef::Int(i64::MAX - 1),
+            CellRef::Str("a"),
+            CellRef::Str("b"),
+            CellRef::BBox(BBox::new(0.1, 0.1, 0.2, 0.2)),
+            CellRef::BBox(BBox::new(0.1, 0.1, 0.3, 0.2)),
+        ];
+        for a in cells {
+            assert_eq!(a.sort_cmp(a), Ordering::Equal, "{a:?}");
+            for b in cells {
+                assert_eq!(a.sort_cmp(b), b.sort_cmp(a).reverse(), "{a:?} {b:?}");
+                if let Some(ord) = a.sql_cmp(b) {
+                    assert_eq!(a.sort_cmp(b), ord, "{a:?} {b:?}");
+                }
+                for c in cells {
+                    if a.sort_cmp(b).is_le() && b.sort_cmp(c).is_le() {
+                        assert!(a.sort_cmp(c).is_le(), "{a:?} {b:?} {c:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            CellRef::Null.sort_cmp(CellRef::Int(i64::MIN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            CellRef::Float(f64::NAN).sort_cmp(CellRef::Int(9)),
+            Ordering::Greater
+        );
     }
 
     #[test]

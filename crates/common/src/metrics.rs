@@ -69,7 +69,7 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub columnar_rows: u64,
     /// Rows materialized from columnar to row form at a pivot boundary
-    /// (multi-batch sort, output collection, `force_row_path`).
+    /// (output collection, `force_row_path`).
     #[serde(default)]
     pub rows_pivoted: u64,
     /// View segments loaded and checksum-verified by a recovery pass.
@@ -431,7 +431,7 @@ impl MetricsSink {
     }
 
     /// Record rows materialized from columnar to row form at a pivot
-    /// boundary (apply input, blocking sort, final output collection).
+    /// boundary (final output collection, `force_row_path`).
     pub fn record_rows_pivoted(&self, rows: u64) {
         self.inner.rows_pivoted.fetch_add(rows, Ordering::Relaxed);
     }

@@ -137,6 +137,12 @@ impl EvaDb {
         &self.storage
     }
 
+    /// The registry of simulated models `CREATE UDF … IMPL` resolves
+    /// against.
+    pub fn registry(&self) -> &UdfRegistry {
+        &self.registry
+    }
+
     /// The UDF manager.
     pub fn manager(&self) -> &UdfManager {
         &self.manager

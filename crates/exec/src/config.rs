@@ -37,9 +37,10 @@ pub struct ExecConfig {
     /// on the serial path.
     pub parallel_scan_min_rows: u64,
     /// Testing hook: pivot the output of the two columnar producers (scan
-    /// and APPLY) to row batches, forcing every other operator down its
-    /// row-at-a-time path (and disabling parallel pipelines, which are
-    /// columnar-only). The differential
+    /// and APPLY) to row batches, forcing filter and project down their
+    /// row-at-a-time paths and aggregate and sort to lift their input
+    /// (and disabling parallel pipelines, which are columnar-only). The
+    /// differential
     /// fuzzer's columnar-vs-row oracle flips this; production configs leave
     /// it off.
     pub force_row_path: bool,

@@ -134,6 +134,17 @@ fn op_label(plan: &PhysPlan) -> &'static str {
 /// [`ParallelPipelineOp`], which replays the subsumed operators' accounting
 /// itself (wrapping it would double-count rows and cost).
 fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Result<BoxedOp> {
+    build_node(plan, par, force_row, None)
+}
+
+/// [`build`], where `limit` is the row bound of a `Limit` directly above
+/// `plan` (used by a `Sort`, ignored by every other node).
+fn build_node(
+    plan: &PhysPlan,
+    par: Option<&ParallelSegment>,
+    force_row: bool,
+    limit: Option<u64>,
+) -> Result<BoxedOp> {
     if let Some(seg) = par {
         if seg.root_op_id == plan.op_id() {
             return Ok(Box::new(ParallelPipelineOp::new(seg.clone())));
@@ -141,7 +152,7 @@ fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Res
     }
     // `force_row_path` pivots the output of the two columnar producers
     // (scan, APPLY) below the instrumentation shim, so those nodes report
-    // row batches and every operator above them takes its row arm.
+    // row batches and the operators above them receive row-form input.
     let producer = |op: BoxedOp| -> BoxedOp {
         if force_row {
             Box::new(PivotRowsOp::new(op))
@@ -202,10 +213,16 @@ fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Res
             Arc::clone(schema),
         )),
         PhysPlan::Sort { input, keys, .. } => {
-            Box::new(SortOp::new(build(input, par, force_row)?, keys.clone()))
+            let sort = SortOp::new(build(input, par, force_row)?, keys.clone());
+            Box::new(match limit {
+                Some(k) => sort.with_limit(k),
+                None => sort,
+            })
         }
         PhysPlan::Limit { input, n, .. } => {
-            Box::new(LimitOp::new(build(input, par, force_row)?, *n))
+            // A sort directly below needs only the first `n` of its order.
+            let bound = matches!(**input, PhysPlan::Sort { .. }).then_some(*n);
+            Box::new(LimitOp::new(build_node(input, par, force_row, bound)?, *n))
         }
     };
     Ok(Box::new(InstrumentedOp {

@@ -1,4 +1,4 @@
-//! Hash aggregation (GROUP BY).
+//! Hash aggregation (GROUP BY) over typed columns.
 //!
 //! Aggregation is structured around *mergeable partial states*: every input
 //! batch folds into a fresh partial [`Groups`] table which is then merged
@@ -8,21 +8,39 @@
 //! morsel boundaries reproduce the serial batch boundaries, merging
 //! per-morsel partials in morsel order is *bit-identical* to the serial
 //! fold — including float accumulation order.
+//!
+//! There is one fold, and it is columnar: row-form input (test sources,
+//! `force_row_path`) is lifted once with [`ColumnarBatch::from_batch`].
+//!
+//! - **No `GROUP BY`:** no hash table. The one state vector folds each
+//!   argument column at a time — a loop over the `i64`/`f64` slice through
+//!   the selection, or cell by cell for nullable and `Mixed` columns — and
+//!   the aggregate always emits exactly one row, over empty input too.
+//! - **With keys:** [`Groups`] is a flat table. A group is found through its
+//!   key's [`Column::write_value_bytes`] encoding, written into one reused
+//!   scratch buffer and hashed with [`KeyHasher`]; key bytes live in one
+//!   arena, key cells once in a [`ColumnBuilder`] per key column, states in
+//!   one vector of stride `n_aggs`. A fold allocates only when a group is
+//!   new, a merge updates states in place, and [`AggPlan::finish`] sorts
+//!   group *ids* by key bytes and gathers straight into a columnar batch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::hash::Hasher;
 use std::sync::Arc;
 
+use eva_common::hash::KeyHasher;
 use eva_common::{
-    Batch, CellRef, Column, ColumnarBatch, EvaError, ExecBatch, Result, Row, Schema, Value,
+    CellRef, Column, ColumnBuilder, ColumnData, ColumnarBatch, EvaError, ExecBatch, Result, Schema,
+    Value,
 };
-use eva_expr::eval::NoUdfs;
 use eva_expr::vector::eval_columnar;
-use eva_expr::{AggFunc, Expr, RowContext};
+use eva_expr::{AggFunc, Expr};
 
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
 
-/// One aggregate's running state.
+/// One aggregate's running state. `Min`/`Max` keep the winning cell with its
+/// tag, so an `Int` stored in a `FLOAT` column comes back an `Int`.
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     Count(i64),
@@ -38,6 +56,69 @@ fn cell_float(c: CellRef<'_>) -> Result<f64> {
         .ok_or_else(|| EvaError::Type(format!("expected FLOAT, got {}", c.to_value())))
 }
 
+/// A non-NULL cell of an `Int` or `Float` array.
+trait Number: Copy {
+    fn as_f64(self) -> f64;
+    fn cell(self) -> CellRef<'static>;
+}
+
+impl Number for i64 {
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    fn cell(self) -> CellRef<'static> {
+        CellRef::Int(self)
+    }
+}
+
+impl Number for f64 {
+    fn as_f64(self) -> f64 {
+        self
+    }
+    fn cell(self) -> CellRef<'static> {
+        CellRef::Float(self)
+    }
+}
+
+/// `MIN`/`MAX` step: `c` replaces the current extreme only when it compares
+/// strictly `want` to it, so the earlier cell wins ties.
+fn update_extreme(m: &mut Option<Value>, c: CellRef<'_>, want: Ordering) {
+    let replace = match m {
+        Some(cur) => c.sql_cmp(CellRef::from_value(cur)) == Some(want),
+        None => true,
+    };
+    if replace {
+        *m = Some(c.to_value());
+    }
+}
+
+/// [`update_extreme`] over a run of numbers, comparing `f64`s in a register
+/// (how `sql_cmp` compares any two numbers) and storing the winner once.
+fn fold_extreme<T: Number>(m: &mut Option<Value>, mut xs: impl Iterator<Item = T>, want: Ordering) {
+    let mut cur = match m.as_ref().map(|v| CellRef::from_value(v).as_number()) {
+        Some(Some(cur)) => cur,
+        // A non-numeric extreme: some earlier cell was no number.
+        Some(None) => return xs.for_each(|x| update_extreme(m, x.cell(), want)),
+        None => match xs.next() {
+            Some(first) => {
+                *m = Some(first.cell().to_value());
+                first.as_f64()
+            }
+            None => return,
+        },
+    };
+    let mut best = None;
+    for x in xs {
+        if x.as_f64().partial_cmp(&cur) == Some(want) {
+            cur = x.as_f64();
+            best = Some(x);
+        }
+    }
+    if let Some(x) = best {
+        *m = Some(x.cell().to_value());
+    }
+}
+
 impl AggState {
     fn new(func: AggFunc) -> AggState {
         match func {
@@ -49,22 +130,16 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        match v {
-            // COUNT(*): no argument, count the row.
-            None => {
-                if let AggState::Count(c) = self {
-                    *c += 1;
-                }
-                Ok(())
-            }
-            Some(val) => self.update_cell(CellRef::from_value(val)),
+    /// `COUNT(*)` over `rows` rows (a no-op for any other function, which
+    /// never has a star argument).
+    fn count_rows(&mut self, rows: usize) {
+        if let AggState::Count(n) = self {
+            *n += rows as i64;
         }
     }
 
-    /// Update from an argument cell without materializing a [`Value`] —
-    /// the vectorized path. NULL arguments are skipped by every function,
-    /// matching the row semantics.
+    /// Update from one argument cell. NULL arguments are skipped by every
+    /// function.
     fn update_cell(&mut self, c: CellRef<'_>) -> Result<()> {
         if c.is_null() {
             return Ok(());
@@ -72,34 +147,29 @@ impl AggState {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::Sum(s) => *s += cell_float(c)?,
-            AggState::Min(m) => {
-                let replace = match m {
-                    Some(cur) => {
-                        c.sql_cmp(CellRef::from_value(cur)) == Some(std::cmp::Ordering::Less)
-                    }
-                    None => true,
-                };
-                if replace {
-                    *m = Some(c.to_value());
-                }
-            }
-            AggState::Max(m) => {
-                let replace = match m {
-                    Some(cur) => {
-                        c.sql_cmp(CellRef::from_value(cur)) == Some(std::cmp::Ordering::Greater)
-                    }
-                    None => true,
-                };
-                if replace {
-                    *m = Some(c.to_value());
-                }
-            }
+            AggState::Min(m) => update_extreme(m, c, Ordering::Less),
+            AggState::Max(m) => update_extreme(m, c, Ordering::Greater),
             AggState::Avg { sum, n } => {
                 *sum += cell_float(c)?;
                 *n += 1;
             }
         }
         Ok(())
+    }
+
+    /// [`AggState::update_cell`] for each of `xs` in order, with the state
+    /// matched once and the accumulator in a register.
+    fn fold_numbers<T: Number>(&mut self, xs: impl Iterator<Item = T>) {
+        match self {
+            AggState::Count(n) => *n += xs.count() as i64,
+            AggState::Sum(s) => xs.for_each(|x| *s += x.as_f64()),
+            AggState::Min(m) => fold_extreme(m, xs, Ordering::Less),
+            AggState::Max(m) => fold_extreme(m, xs, Ordering::Greater),
+            AggState::Avg { sum, n } => xs.for_each(|x| {
+                *sum += x.as_f64();
+                *n += 1;
+            }),
+        }
     }
 
     /// Fold a later partial into this one. Merging is the associative half
@@ -111,34 +181,13 @@ impl AggState {
         match (self, later) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::Sum(a), AggState::Sum(b)) => *a += b,
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(v) = b {
-                    let replace = match a {
-                        Some(cur) => {
-                            CellRef::from_value(&v).sql_cmp(CellRef::from_value(cur))
-                                == Some(std::cmp::Ordering::Less)
-                        }
-                        None => true,
-                    };
-                    if replace {
-                        *a = Some(v);
-                    }
-                }
+            (AggState::Min(a), AggState::Min(Some(v))) => {
+                update_extreme(a, CellRef::from_value(&v), Ordering::Less)
             }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(v) = b {
-                    let replace = match a {
-                        Some(cur) => {
-                            CellRef::from_value(&v).sql_cmp(CellRef::from_value(cur))
-                                == Some(std::cmp::Ordering::Greater)
-                        }
-                        None => true,
-                    };
-                    if replace {
-                        *a = Some(v);
-                    }
-                }
+            (AggState::Max(a), AggState::Max(Some(v))) => {
+                update_extreme(a, CellRef::from_value(&v), Ordering::Greater)
             }
+            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
             (AggState::Avg { sum: a, n: an }, AggState::Avg { sum: b, n: bn }) => {
                 *a += b;
                 *an += bn;
@@ -147,25 +196,22 @@ impl AggState {
         }
     }
 
-    fn finish(self) -> Value {
+    /// The aggregate's result cell.
+    fn finish(&self) -> CellRef<'_> {
         match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Sum(s) => Value::Float(s),
-            AggState::Min(m) => m.unwrap_or(Value::Null),
-            AggState::Max(m) => m.unwrap_or(Value::Null),
-            AggState::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
+            AggState::Count(c) => CellRef::Int(*c),
+            AggState::Sum(s) => CellRef::Float(*s),
+            AggState::Min(m) | AggState::Max(m) => {
+                m.as_ref().map_or(CellRef::Null, CellRef::from_value)
             }
+            AggState::Avg { n: 0, .. } => CellRef::Null,
+            AggState::Avg { sum, n } => CellRef::Float(sum / *n as f64),
         }
     }
 }
 
 /// One aggregate's argument, resolved once against the input schema so the
-/// per-row loop never re-binds names.
+/// fold never re-binds names.
 enum ArgPlan {
     /// `COUNT(*)`.
     Star,
@@ -175,8 +221,91 @@ enum ArgPlan {
     Expr(Expr),
 }
 
-/// The hash table: key bytes → (key row, per-aggregate states).
-pub(crate) type Groups = HashMap<Vec<u8>, (Row, Vec<AggState>)>;
+/// The group table: every group seen so far, numbered in order of first
+/// appearance. Without `GROUP BY` it holds at most the one group of the
+/// empty key.
+pub(crate) struct Groups {
+    /// Open-addressing index over the groups: `id + 1`, or 0 for a free
+    /// slot. A power of two long and at most half full.
+    slots: Vec<u32>,
+    /// Each group's key hash (what `slots` is probed and regrown by).
+    hashes: Vec<u64>,
+    /// Every group's encoded key, back to back.
+    key_bytes: Vec<u8>,
+    /// Where each group's key ends in `key_bytes`.
+    key_ends: Vec<usize>,
+    /// Each group's key cells, one builder per key column.
+    key_cells: Vec<ColumnBuilder>,
+    /// Each group's aggregate states, `n_aggs` per group.
+    states: Vec<AggState>,
+}
+
+fn hash_key(key: &[u8]) -> u64 {
+    let mut h = KeyHasher::default();
+    h.write(key);
+    h.finish()
+}
+
+impl Groups {
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn key(&self, id: usize) -> &[u8] {
+        let start = if id == 0 { 0 } else { self.key_ends[id - 1] };
+        &self.key_bytes[start..self.key_ends[id]]
+    }
+
+    /// The id of the group whose encoded key is `key` (hashing to `hash`),
+    /// or `Err(id)` of the group just opened for it — whose key cells and
+    /// states the caller must push.
+    fn find_or_open(&mut self, hash: u64, key: &[u8]) -> std::result::Result<usize, usize> {
+        self.reserve(1);
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => break,
+                slot => {
+                    let id = slot as usize - 1;
+                    if self.hashes[id] == hash && self.key(id) == key {
+                        return Ok(id);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+        let id = self.len();
+        self.slots[at] = u32::try_from(id + 1).expect("fewer than 2^32 groups");
+        self.hashes.push(hash);
+        self.key_bytes.extend_from_slice(key);
+        self.key_ends.push(self.key_bytes.len());
+        Err(id)
+    }
+
+    /// Make room for `additional` more groups without regrowing.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        if self.slots.len() < 2 * (self.len() + additional) {
+            self.regrow(self.len() + additional);
+        }
+    }
+
+    /// Regrow the index to hold `groups` groups at most half full (from the
+    /// hashes alone: no key is read).
+    fn regrow(&mut self, groups: usize) {
+        let len = (2 * groups).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (id, hash) in self.hashes.iter().enumerate() {
+            let mut at = *hash as usize & (len - 1);
+            while self.slots[at] != 0 {
+                at = (at + 1) & (len - 1);
+            }
+            self.slots[at] = id as u32 + 1;
+        }
+    }
+}
 
 /// A resolved aggregation: group-key positions and argument plans bound
 /// against a concrete input schema. Shared by the serial [`AggregateOp`]
@@ -184,10 +313,9 @@ pub(crate) type Groups = HashMap<Vec<u8>, (Row, Vec<AggState>)>;
 /// partial [`Groups`] through this and merge partials in arrival order.
 /// `Send + Sync`, so workers can fold morsels through a shared `Arc`.
 pub(crate) struct AggPlan {
-    aggs: Vec<(AggFunc, Option<Expr>, String)>,
+    funcs: Vec<AggFunc>,
     key_idx: Vec<usize>,
     args: Vec<ArgPlan>,
-    in_schema: Arc<Schema>,
 }
 
 impl AggPlan {
@@ -195,7 +323,7 @@ impl AggPlan {
     pub(crate) fn resolve(
         group_by: &[String],
         aggs: &[(AggFunc, Option<Expr>, String)],
-        in_schema: Arc<Schema>,
+        in_schema: &Schema,
     ) -> Result<AggPlan> {
         let key_idx: Vec<usize> = group_by
             .iter()
@@ -219,129 +347,218 @@ impl AggPlan {
             })
             .collect();
         Ok(AggPlan {
-            aggs: aggs.to_vec(),
+            funcs: aggs.iter().map(|(f, _, _)| *f).collect(),
             key_idx,
             args,
-            in_schema,
         })
     }
 
-    fn fresh_states(&self) -> Vec<AggState> {
-        self.aggs
-            .iter()
-            .map(|(f, _, _)| AggState::new(*f))
-            .collect()
+    /// An empty group table for this aggregation.
+    pub(crate) fn new_groups(&self) -> Groups {
+        Groups {
+            slots: Vec::new(),
+            hashes: Vec::new(),
+            key_bytes: Vec::new(),
+            key_ends: Vec::new(),
+            key_cells: self.key_idx.iter().map(|_| ColumnBuilder::new()).collect(),
+            states: Vec::new(),
+        }
+    }
+
+    fn push_fresh_states(&self, groups: &mut Groups) {
+        groups
+            .states
+            .extend(self.funcs.iter().map(|f| AggState::new(*f)));
+    }
+
+    /// Without `GROUP BY`, every row belongs to the group of the empty key.
+    fn open_global_group(&self, groups: &mut Groups) {
+        if groups.find_or_open(hash_key(&[]), &[]).is_err() {
+            self.push_fresh_states(groups);
+        }
     }
 
     /// Fold one batch (either form) into `groups`.
     pub(crate) fn consume(&self, batch: &ExecBatch, groups: &mut Groups) -> Result<()> {
         match batch {
             ExecBatch::Columnar(cb) => self.consume_columnar(cb, groups),
-            ExecBatch::Rows(b) => self.consume_rows(b, groups),
+            ExecBatch::Rows(b) => self.consume_columnar(&ColumnarBatch::from_batch(b), groups),
         }
     }
 
-    fn consume_rows(&self, batch: &Batch, groups: &mut Groups) -> Result<()> {
-        for row in batch.rows() {
-            let mut key = Vec::new();
-            for &i in &self.key_idx {
-                row[i].write_bytes(&mut key);
-            }
-            let entry = groups.entry(key).or_insert_with(|| {
-                let key_row: Row = self.key_idx.iter().map(|&i| row[i].clone()).collect();
-                (key_row, self.fresh_states())
-            });
-            for (arg, state) in self.args.iter().zip(entry.1.iter_mut()) {
-                match arg {
-                    ArgPlan::Star => state.update(None)?,
-                    ArgPlan::Col(i) => state.update_cell(CellRef::from_value(&row[*i]))?,
-                    ArgPlan::Expr(e) => {
-                        let rc = RowContext::new(&self.in_schema, row, &NoUdfs);
-                        let v = e.eval(&rc)?;
-                        state.update(Some(&v))?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Columnar fold: group keys hash each cell's [`Value::write_bytes`]
-    /// encoding (identical to the row path, so grouping and output order
-    /// cannot diverge) and argument cells update [`AggState`] without
-    /// materializing rows.
+    /// The fold. Each visible row is resolved to its group first (keys
+    /// encode exactly like [`Value::write_bytes`], the order `finish` sorts
+    /// by); then every aggregate folds its argument column into the states
+    /// of those groups, in row order.
     pub(crate) fn consume_columnar(&self, cb: &ColumnarBatch, groups: &mut Groups) -> Result<()> {
         let active = cb.physical_indices();
-        // Computed arguments evaluate once per batch into compact columns;
-        // bare columns are read in place through the selection.
-        let mut computed: Vec<Option<Column>> = Vec::with_capacity(self.args.len());
-        for arg in &self.args {
-            computed.push(match arg {
-                ArgPlan::Expr(e) => Some(eval_columnar(e, cb, &active)?),
-                _ => None,
-            });
+        if active.is_empty() {
+            return Ok(());
         }
-        for (pos, &phys) in active.iter().enumerate() {
-            let phys = phys as usize;
-            let mut key = Vec::new();
-            for &i in &self.key_idx {
-                cb.column(i).write_value_bytes(phys, &mut key);
+        // `None`: no GROUP BY, and no row is hashed.
+        let group_of: Option<Vec<usize>> = if self.key_idx.is_empty() {
+            self.open_global_group(groups);
+            None
+        } else {
+            let keys: Vec<&Column> = self.key_idx.iter().map(|&i| &**cb.column(i)).collect();
+            let mut group_of = Vec::with_capacity(active.len());
+            // The batch's one key buffer.
+            let mut scratch = Vec::new();
+            for &phys in &active {
+                scratch.clear();
+                for key in &keys {
+                    key.write_value_bytes(phys as usize, &mut scratch);
+                }
+                group_of.push(match groups.find_or_open(hash_key(&scratch), &scratch) {
+                    Ok(id) => id,
+                    Err(id) => {
+                        for (cells, key) in groups.key_cells.iter_mut().zip(&keys) {
+                            cells.push_cell(key.cell(phys as usize));
+                        }
+                        self.push_fresh_states(groups);
+                        id
+                    }
+                });
             }
-            let entry = groups.entry(key).or_insert_with(|| {
-                let key_row: Row = self
-                    .key_idx
-                    .iter()
-                    .map(|&i| cb.column(i).value_at(phys))
-                    .collect();
-                (key_row, self.fresh_states())
-            });
-            for ((arg, col), state) in self.args.iter().zip(&computed).zip(entry.1.iter_mut()) {
-                match (arg, col) {
-                    (ArgPlan::Star, _) => state.update(None)?,
-                    (ArgPlan::Col(i), _) => state.update_cell(cb.column(*i).cell(phys))?,
-                    (ArgPlan::Expr(_), Some(col)) => state.update_cell(col.cell(pos))?,
-                    (ArgPlan::Expr(_), None) => unreachable!("computed column missing"),
+            Some(group_of)
+        };
+        let stride = self.args.len();
+        // A computed argument is a compact column: visible row `i` sits at
+        // its position `i`.
+        let mut compact: Option<Vec<u32>> = None;
+        for (nth, arg) in self.args.iter().enumerate() {
+            let computed;
+            let (col, rows): (&Column, &[u32]) = match arg {
+                ArgPlan::Star => {
+                    match &group_of {
+                        None => groups.states[nth].count_rows(active.len()),
+                        Some(ids) => ids
+                            .iter()
+                            .for_each(|id| groups.states[id * stride + nth].count_rows(1)),
+                    }
+                    continue;
+                }
+                ArgPlan::Col(i) => (&**cb.column(*i), &active[..]),
+                ArgPlan::Expr(e) => {
+                    computed = eval_columnar(e, cb, &active)?;
+                    let all = compact.get_or_insert_with(|| (0..active.len() as u32).collect());
+                    (&computed, &all[..])
+                }
+            };
+            // Group `id`'s state for this aggregate.
+            let states = &mut groups.states[nth..];
+            let group_of = group_of.as_deref();
+            match (col.data(), col.validity().is_all_valid()) {
+                (ColumnData::Int(v), true) => {
+                    let xs = rows.iter().map(|&r| v[r as usize]);
+                    fold_numbers(states, stride, group_of, xs)
+                }
+                (ColumnData::Float(v), true) => {
+                    let xs = rows.iter().map(|&r| v[r as usize]);
+                    fold_numbers(states, stride, group_of, xs)
+                }
+                _ => {
+                    for (i, &row) in rows.iter().enumerate() {
+                        let id = group_of.map_or(0, |ids| ids[i]);
+                        states[id * stride].update_cell(col.cell(row as usize))?;
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Merge a *later* partial into the running total. Per-key state
-    /// arithmetic is independent across keys, so the hash map's iteration
-    /// order cannot affect the result — determinism needs only that the
-    /// caller present partials in batch/morsel order.
+    /// Merge a *later* partial into the running total, its groups in their
+    /// order of first appearance: states of known groups update in place,
+    /// new groups append. Determinism needs only that the caller present
+    /// partials in batch/morsel order.
     pub(crate) fn merge_into(&self, total: &mut Groups, later: Groups) {
-        for (key, (key_row, states)) in later {
-            match total.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (cur, new) in e.get_mut().1.iter_mut().zip(states) {
-                        cur.merge(new);
+        // An empty total with no more room reserved than `later` has.
+        if total.len() == 0 && total.slots.len() <= later.slots.len() {
+            *total = later;
+            return;
+        }
+        let stride = self.args.len();
+        let later_keys: Vec<Column> = later
+            .key_cells
+            .into_iter()
+            .map(ColumnBuilder::finish)
+            .collect();
+        let mut later_states = later.states.into_iter();
+        let mut start = 0;
+        for (id, (&hash, &end)) in later.hashes.iter().zip(&later.key_ends).enumerate() {
+            match total.find_or_open(hash, &later.key_bytes[start..end]) {
+                Ok(known) => {
+                    for cur in &mut total.states[known * stride..][..stride] {
+                        cur.merge(later_states.next().expect("one state per aggregate"));
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((key_row, states));
+                Err(_) => {
+                    for (cells, key) in total.key_cells.iter_mut().zip(&later_keys) {
+                        cells.push_cell(key.cell(id));
+                    }
+                    total.states.extend(later_states.by_ref().take(stride));
                 }
             }
+            start = end;
         }
     }
 
     /// Finalize: one output row per group, sorted by key bytes for
-    /// reproducibility.
-    pub(crate) fn finish(&self, groups: Groups, out_schema: &Arc<Schema>) -> Batch {
-        let mut out: Vec<(Vec<u8>, Row)> = groups
-            .into_iter()
-            .map(|(key, (key_row, states))| {
-                let mut row = key_row;
-                for s in states {
-                    row.push(s.finish());
-                }
-                (key, row)
-            })
+    /// reproducibility — and, without `GROUP BY`, exactly one row even when
+    /// no input row arrived.
+    pub(crate) fn finish(&self, mut groups: Groups, out_schema: &Arc<Schema>) -> ColumnarBatch {
+        if self.key_idx.is_empty() {
+            self.open_global_group(&mut groups);
+        }
+        // Order ids by key bytes. A key's first eight bytes read as a
+        // big-endian word (zero-padded, which puts a key before its
+        // extensions, as byte order does) decide nearly every comparison
+        // without touching the arena.
+        let prefix = |id: usize| {
+            let key = groups.key(id);
+            let mut word = [0u8; 8];
+            let n = key.len().min(8);
+            word[..n].copy_from_slice(&key[..n]);
+            u64::from_be_bytes(word)
+        };
+        let mut order: Vec<(u64, u32)> = (0..groups.len())
+            .map(|id| (prefix(id), id as u32))
             .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        let rows: Vec<Row> = out.into_iter().map(|(_, r)| r).collect();
-        Batch::new(Arc::clone(out_schema), rows)
+        order.sort_unstable_by(|a, b| {
+            let by_key = || groups.key(a.1 as usize).cmp(groups.key(b.1 as usize));
+            a.0.cmp(&b.0).then_with(by_key)
+        });
+        let ids: Vec<u32> = order.into_iter().map(|(_, id)| id).collect();
+        let stride = self.args.len();
+        let keys = std::mem::take(&mut groups.key_cells);
+        let keys = keys.into_iter().map(|cells| cells.finish().gather(&ids));
+        let results = (0..stride).map(|nth| {
+            let mut out = ColumnBuilder::with_capacity(ids.len());
+            for &id in &ids {
+                out.push_cell(groups.states[id as usize * stride + nth].finish());
+            }
+            out.finish()
+        });
+        let columns = keys.chain(results).map(Arc::new).collect();
+        ColumnarBatch::new(Arc::clone(out_schema), columns, ids.len())
+    }
+}
+
+/// Fold a run of non-NULL numbers into one aggregate's states (group `id`'s
+/// at `states[id * stride]`): the whole run at once without `GROUP BY`,
+/// visible row `i`'s number into its group `group_of[i]`'s state with.
+fn fold_numbers<T: Number>(
+    states: &mut [AggState],
+    stride: usize,
+    group_of: Option<&[usize]>,
+    xs: impl Iterator<Item = T>,
+) {
+    match group_of {
+        None => states[0].fold_numbers(xs),
+        Some(ids) => xs
+            .zip(ids)
+            .for_each(|(x, id)| states[id * stride].fold_numbers(std::iter::once(x))),
     }
 }
 
@@ -350,43 +567,20 @@ impl AggPlan {
 /// be a pure function of the group count, never of allocator behavior.
 pub(crate) const AGG_GROUP_BYTES: u64 = 64;
 
-/// The degraded-mode spill: groups flushed out of the hash table, keyed by
-/// their encoded group key. A `BTreeMap` so the final emission is already in
-/// the exact key-byte order [`AggPlan::finish`] sorts into.
-type Spill = BTreeMap<Vec<u8>, (Row, Vec<AggState>)>;
-
-/// Fold the hash table into the spill, merging per key with the same
-/// earlier-partial-wins [`AggState::merge`] the in-memory path uses — so the
-/// degraded result is bit-identical to the never-degraded one.
-fn flush_into_spill(total: &mut Groups, spill: &mut Spill) {
-    for (key, (key_row, states)) in total.drain() {
-        match spill.entry(key) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                for (cur, new) in e.get_mut().1.iter_mut().zip(states) {
-                    cur.merge(new);
-                }
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((key_row, states));
-            }
-        }
-    }
-}
-
-/// Blocking hash aggregation: drains its input, then emits one batch of
-/// groups (key order deterministic by first appearance, then sorted by key
-/// bytes for reproducibility). Each input batch folds into a fresh partial
-/// table merged in arrival order — see the module docs for why.
+/// Blocking hash aggregation: drains its input, then emits one columnar
+/// batch of groups, sorted by key bytes for reproducibility. Each input
+/// batch folds into a fresh partial table merged in arrival order — see the
+/// module docs for why.
 ///
 /// ## Graceful degradation
 ///
 /// Under a governed query with a byte budget, the operator charges its
 /// retained group state to the memory accountant per batch. When the budget
-/// trips it does **not** fail: it enters a streaming/merging mode — the hash
-/// table is flushed into a sorted spill after every batch, so in-flight
-/// state stays bounded by one batch's groups. Because the flush uses the
-/// same per-key merge as the in-memory fold and the spill iterates in the
-/// same key-byte order `finish` sorts into, the degraded result is
+/// trips it does **not** fail: it enters a streaming/merging mode — the
+/// group table is flushed into a spill after every batch, so in-flight
+/// state stays bounded by one batch's groups. The spill is a second group
+/// table (it stands in for a run on disk) and the flush is the same
+/// in-order merge the in-memory fold uses, so the degraded result is
 /// bit-identical to the never-degraded one; only `degraded_queries` (and
 /// the planner's materialization-skip) reveal the downgrade.
 pub struct AggregateOp {
@@ -426,23 +620,23 @@ impl Operator for AggregateOp {
         }
         self.done = true;
 
-        let plan = AggPlan::resolve(&self.group_by, &self.aggs, self.input.schema())?;
+        let plan = AggPlan::resolve(&self.group_by, &self.aggs, &self.input.schema())?;
         let governor = &ctx.governor;
         let budgeted = governor.config().budget_bytes.is_some();
-        let mut total: Groups = HashMap::new();
-        let mut spill: Option<Spill> = None;
+        let mut total = plan.new_groups();
+        let mut spill: Option<Groups> = None;
         let mut charged = 0u64;
         while let Some(batch) = self.input.next(ctx)? {
             governor.check(ctx.clock)?;
-            let mut partial: Groups = HashMap::new();
+            let mut partial = plan.new_groups();
             plan.consume(&batch, &mut partial)?;
-            plan.merge_into(&mut total, partial);
             if let Some(sp) = spill.as_mut() {
-                // Already degraded: stream every batch's groups into the
-                // spill so the hash table never outgrows one batch.
-                flush_into_spill(&mut total, sp);
+                // Already degraded: every batch's groups stream into the
+                // spill, so no table in memory outgrows one batch.
+                plan.merge_into(sp, partial);
                 continue;
             }
+            plan.merge_into(&mut total, partial);
             if budgeted {
                 let want = total.len() as u64 * AGG_GROUP_BYTES;
                 if want > charged {
@@ -456,30 +650,13 @@ impl Operator for AggregateOp {
                         }
                         governor.release_bytes(want);
                         charged = 0;
-                        let mut sp = Spill::new();
-                        flush_into_spill(&mut total, &mut sp);
-                        spill = Some(sp);
+                        spill = Some(std::mem::replace(&mut total, plan.new_groups()));
                     }
                 }
             }
         }
         governor.release_bytes(charged);
-        let batch = match spill {
-            Some(mut sp) => {
-                flush_into_spill(&mut total, &mut sp);
-                let rows: Vec<Row> = sp
-                    .into_values()
-                    .map(|(mut row, states)| {
-                        for s in states {
-                            row.push(s.finish());
-                        }
-                        row
-                    })
-                    .collect();
-                Batch::new(Arc::clone(&self.schema), rows)
-            }
-            None => plan.finish(total, &self.schema),
-        };
-        Ok(Some(ExecBatch::Rows(batch)))
+        let groups = spill.unwrap_or(total);
+        Ok(Some(ExecBatch::Columnar(plan.finish(groups, &self.schema))))
     }
 }

@@ -16,8 +16,8 @@ use crate::context::ExecCtx;
 /// A pull-based operator producing batches until exhausted.
 ///
 /// Batches flow in one of two forms (see [`ExecBatch`]). Every planned
-/// pipeline — scan → filter → apply → filter → project → aggregate — stays
-/// columnar; only a multi-batch SORT and the final output collection pivot
+/// pipeline — scan → filter → apply → filter → project → aggregate → sort
+/// → limit — stays columnar; only the final output collection pivots
 /// through [`into_rows`]. Row batches enter from test sources and under
 /// `force_row_path` ([`PivotRowsOp`]).
 pub trait Operator {
@@ -30,9 +30,9 @@ pub trait Operator {
 /// Boxed operator alias.
 pub type BoxedOp = Box<dyn Operator>;
 
-/// Pivot a batch to row form at a row-oriented boundary (multi-batch SORT
-/// buffering, final output collection), charging the `rows_pivoted`
-/// counter — the observable cost of leaving the columnar path.
+/// Pivot a batch to row form at a row-oriented boundary (final output
+/// collection, `force_row_path`), charging the `rows_pivoted` counter — the
+/// observable cost of leaving the columnar path.
 pub(crate) fn into_rows(ctx: &ExecCtx<'_>, b: ExecBatch) -> Batch {
     match b {
         ExecBatch::Rows(b) => b,
@@ -44,10 +44,11 @@ pub(crate) fn into_rows(ctx: &ExecCtx<'_>, b: ExecBatch) -> Batch {
 }
 
 /// Forces row-oriented flow by pivoting every columnar batch its input
-/// produces. Downstream operators then take their row-at-a-time paths —
-/// this is how benchmarks compare the legacy row pipeline against the
-/// vectorized one over the same plan. `force_row_path` wraps the two
-/// columnar producers, the scan and APPLY.
+/// produces. Filter and project downstream then take their row-at-a-time
+/// paths — this is how benchmarks compare the legacy row pipeline against
+/// the vectorized one over the same plan — while APPLY, aggregate and sort
+/// lift row batches back once. `force_row_path` wraps the two columnar
+/// producers, the scan and APPLY.
 pub struct PivotRowsOp {
     input: BoxedOp,
 }

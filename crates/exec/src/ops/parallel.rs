@@ -22,20 +22,25 @@
 //!
 //! - non-aggregating segments emit surviving batches in morsel order —
 //!   bit-identical to a serial run with `batch_size = morsel_rows`;
-//! - an aggregate breaker merges per-morsel partial states in morsel order
-//!   with the same merge the serial operator applies per batch, so even
-//!   float accumulation order matches;
+//! - an aggregate breaker merges the per-morsel group tables in morsel
+//!   order into one total sized for them up front, with the same merge the
+//!   serial operator applies per batch — states update in place, only new
+//!   groups append, no row moves — so even float accumulation order
+//!   matches, and emits the same single columnar batch (one row for an
+//!   ungrouped aggregate whose every morsel filtered empty);
 //! - all accounting (IO charges, counters, per-op stats) is *replayed* on
 //!   the caller thread, morsel by morsel, mirroring exactly what the
 //!   instrumented serial operators would have recorded for the same batch
-//!   boundaries. The only new counters are `morsels_dispatched` /
-//!   `parallel_pipelines` (deterministic) and `morsels_stolen`
-//!   (scheduling-dependent, masked by `MetricsSnapshot::deterministic`).
+//!   boundaries — a stage's cumulative cost as the same clock differences
+//!   its serial wrapper would take, from one emission to the next, so the
+//!   two agree to the last bit. The only new counters are
+//!   `morsels_dispatched` / `parallel_pipelines` (deterministic) and
+//!   `morsels_stolen` (scheduling-dependent, masked by
+//!   `MetricsSnapshot::deterministic`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use eva_common::{Batch, ColumnarBatch, ExecBatch, Result, Schema, SpanKind, SpanRef};
+use eva_common::{ColumnarBatch, CostBreakdown, ExecBatch, Result, Schema, SpanKind, SpanRef};
 use eva_expr::vector::filter_columnar;
 use eva_expr::Expr;
 use eva_planner::{ParallelSegment, ParallelStage};
@@ -107,14 +112,16 @@ fn run_morsel(
         };
         stage_rows.push(cur.as_ref().map_or(0, |c| c.len() as u64));
     }
-    let partial = match (agg, &cur) {
-        (Some(plan), Some(cb)) => {
-            let mut groups: Groups = HashMap::new();
-            plan.consume_columnar(cb, &mut groups)?;
+    // Breaker mode: a morsel filtered empty ships an empty partial.
+    let partial = match agg {
+        Some(plan) => {
+            let mut groups = plan.new_groups();
+            if let Some(cb) = &cur {
+                plan.consume_columnar(cb, &mut groups)?;
+            }
             Some(groups)
         }
-        (Some(_), None) => Some(HashMap::new()),
-        (None, _) => None,
+        None => None,
     };
     Ok(MorselOut {
         scanned,
@@ -129,10 +136,23 @@ fn run_morsel(
 /// per-op stats — exactly what the instrumented serial pipeline would have
 /// recorded for the same batch boundaries. Returns the simulated
 /// milliseconds charged.
-fn replay_morsel(ctx: &ExecCtx<'_>, seg: &ParallelSegment, m: &MorselOut) -> f64 {
+///
+/// `entered[k]` is the clock reading stage `k`'s serial wrapper would have
+/// taken on entering its pending `next()` call. A stage's cumulative cost
+/// grows when it emits, by the clock's advance since that reading — one
+/// subtraction spanning every morsel a filter above the scan skipped, as the
+/// serial wrapper takes it, so the two agree to the last bit whatever the
+/// clock read when the query began.
+fn replay_morsel(
+    ctx: &ExecCtx<'_>,
+    seg: &ParallelSegment,
+    m: &MorselOut,
+    entered: &mut [CostBreakdown],
+) -> f64 {
     let before = ctx.clock.snapshot();
     ctx.storage.charge_frame_scan(m.scanned, ctx.clock);
-    let delta = ctx.clock.snapshot().since(&before);
+    let after = ctx.clock.snapshot();
+    let delta = after.since(&before);
     // The scan's emission: serial scans only reach their instrumented
     // wrapper with non-empty batches (ranges are clamped to the dataset).
     if m.scanned > 0 {
@@ -145,28 +165,19 @@ fn replay_morsel(ctx: &ExecCtx<'_>, seg: &ParallelSegment, m: &MorselOut) -> f64
             s.batches += 1;
         }
     });
-    // Each stage's cumulative cost includes everything below it (the serial
-    // wrappers nest), so every stage absorbs the scan delta per morsel; rows
-    // and batches are recorded only when the stage actually emitted.
-    for (stage, &rows) in seg.stages.iter().zip(&m.stage_rows) {
+    // A stage that emitted returns to its caller, which re-enters it at the
+    // current clock; one that filtered the morsel empty (and every stage
+    // above it, which never ran) stays inside its pending call.
+    for ((stage, &rows), entered) in seg.stages.iter().zip(&m.stage_rows).zip(entered) {
         if rows > 0 {
             ctx.metrics().record_columnar_batch(rows);
-        }
-        ctx.op_stats.update(stage.op_id(), |s| {
-            s.cum = s.cum.plus(&delta);
-            if rows > 0 {
+            ctx.op_stats.update(stage.op_id(), |s| {
+                s.cum = s.cum.plus(&after.since(entered));
                 s.rows_out += rows;
                 s.batches += 1;
-            }
-        });
-    }
-    // The breaker consumes every morsel inside one `next()` call, so its
-    // cumulative cost also spans all of them; its single emission is
-    // recorded when the merged batch goes out.
-    if let Some(b) = &seg.breaker {
-        ctx.op_stats.update(b.op_id, |s| {
-            s.cum = s.cum.plus(&delta);
-        });
+            });
+            *entered = after;
+        }
     }
     delta.total_ms()
 }
@@ -178,7 +189,7 @@ struct RunState {
     /// Next morsel whose accounting has not been replayed yet.
     cursor: usize,
     /// The merged aggregate output, if this segment has a breaker.
-    agg_batch: Option<Batch>,
+    agg_batch: Option<ColumnarBatch>,
 }
 
 /// Executor-internal operator running a parallel-safe segment morsel-wise.
@@ -240,7 +251,7 @@ impl ParallelPipelineOp {
             }
         }
         let agg = match &self.seg.breaker {
-            Some(b) => Some(AggPlan::resolve(&b.group_by, &b.aggs, schema)?),
+            Some(b) => Some(AggPlan::resolve(&b.group_by, &b.aggs, &schema)?),
             None => None,
         };
         Ok((kernels, agg))
@@ -321,8 +332,9 @@ impl ParallelPipelineOp {
             // counters, per-op stats) before unwinding, so the deterministic
             // counters of a cancelled run cover exactly the morsels that
             // completed — bit-identical at any worker-pool width.
+            let mut entered = vec![ctx.clock.snapshot(); self.seg.stages.len()];
             for m in &results {
-                replay_morsel(ctx, &self.seg, m);
+                replay_morsel(ctx, &self.seg, m, &mut entered);
             }
             return Err(err);
         }
@@ -347,15 +359,19 @@ impl ParallelPipelineOp {
                 r.executed,
             );
         }
-        // Breaker mode: merge per-morsel partials in morsel order and
-        // finalize — the same fold the serial operator applies per batch.
+        // Breaker mode: merge per-morsel partials in morsel order (states
+        // update in place, only new groups append) and finalize — the same
+        // fold the serial operator applies per batch.
         let agg_batch = match (&agg, &self.seg.breaker) {
             (Some(plan), Some(b)) => {
-                let mut total: Groups = HashMap::new();
-                for m in &mut results {
-                    if let Some(partial) = m.partial.take() {
-                        plan.merge_into(&mut total, partial);
-                    }
+                let partials = results.iter_mut().filter_map(|m| m.partial.take());
+                let partials: Vec<Groups> = partials.collect();
+                let mut total = plan.new_groups();
+                // The partials' group counts bound the total's: size its
+                // index once instead of regrowing it through the merge.
+                total.reserve(partials.iter().map(Groups::len).sum());
+                for partial in partials {
+                    plan.merge_into(&mut total, partial);
                 }
                 Some(plan.finish(total, &b.schema))
             }
@@ -377,33 +393,43 @@ impl ParallelPipelineOp {
         }
         let seg = &self.seg;
         let state = self.state.as_mut().expect("dispatched");
-        if let Some(b) = &seg.breaker {
-            // Breaker mode: replay every morsel, then emit the single
-            // merged batch. The aggregate's own emission stats land here.
-            while state.cursor < state.results.len() {
-                *sim_ms += replay_morsel(ctx, seg, &state.results[state.cursor]);
-                state.cursor += 1;
-            }
-            let batch = state.agg_batch.take().expect("one aggregate emission");
-            ctx.op_stats.update(b.op_id, |s| {
-                s.rows_out += batch.len() as u64;
-                s.batches += 1;
-            });
-            self.done = true;
-            return Ok(Some(ExecBatch::Rows(batch)));
-        }
-        // Concat mode: replay morsels in order until one produced output and
-        // emit it; trailing empty morsels are replayed on the final call.
+        // Whoever pulls this operator would be entering every serial wrapper
+        // of the segment now.
+        let entry = ctx.clock.snapshot();
+        let mut entered = vec![entry; seg.stages.len()];
+        // Replay morsels in order. Without a breaker, stop at the first one
+        // that produced output and emit it; trailing empty morsels are
+        // replayed on the final call.
         while state.cursor < state.results.len() {
             let idx = state.cursor;
-            *sim_ms += replay_morsel(ctx, seg, &state.results[idx]);
+            *sim_ms += replay_morsel(ctx, seg, &state.results[idx], &mut entered);
             state.cursor += 1;
             if let Some(cb) = state.results[idx].batch.take() {
                 return Ok(Some(ExecBatch::Columnar(cb)));
             }
         }
+        // Exhausted: every pending call returns, and its wrapper books the
+        // morsels it skipped since it last emitted.
+        let end = ctx.clock.snapshot();
+        for (stage, entered) in seg.stages.iter().zip(&entered) {
+            ctx.op_stats
+                .update(stage.op_id(), |s| s.cum = s.cum.plus(&end.since(entered)));
+        }
         self.done = true;
-        Ok(None)
+        let Some(b) = &seg.breaker else {
+            return Ok(None);
+        };
+        // Breaker mode: the aggregate consumed every morsel inside this one
+        // `next()` call, so its cumulative cost spans all of them, and it
+        // emits the single merged batch.
+        let batch = state.agg_batch.take().expect("one aggregate emission");
+        ctx.metrics().record_columnar_batch(batch.len() as u64);
+        ctx.op_stats.update(b.op_id, |s| {
+            s.cum = s.cum.plus(&end.since(&entry));
+            s.rows_out += batch.len() as u64;
+            s.batches += 1;
+        });
+        Ok(Some(ExecBatch::Columnar(batch)))
     }
 }
 

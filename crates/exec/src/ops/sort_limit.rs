@@ -1,25 +1,34 @@
 //! Sort and limit.
+//!
+//! [`SortOp`] is columnar inside and out. It buffers its input as one
+//! columnar batch — a single batch is used where it stands, several are
+//! concatenated column by column ([`Column::gather`] through each batch's
+//! selection, then [`Column::append`]), row-form batches (test sources,
+//! `force_row_path`) are lifted once with [`ColumnarBatch::from_batch`] — and
+//! orders a *selection vector* over it: key cells are compared in place, no
+//! row is built, `rows_pivoted` is untouched.
+//!
+//! The order is total: [`CellRef::sort_cmp`] on each key in turn (reversed
+//! for `DESC`), then arrival position. So an unstable sort returns what a
+//! stable sort by the keys would, and when a `LIMIT k` sits directly above,
+//! selecting the `k` smallest first (`select_nth_unstable_by`, O(n)
+//! comparisons) and sorting only those returns exactly the stable sort's
+//! first `k` rows.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use eva_common::{Batch, EvaError, ExecBatch, Result, Row, Schema};
+use eva_common::{Batch, Column, ColumnarBatch, EvaError, ExecBatch, Result, Row, Schema};
 
 use crate::context::ExecCtx;
-use crate::ops::{into_rows, BoxedOp, Operator};
+use crate::ops::{BoxedOp, Operator};
 
-/// Blocking sort by column keys.
-///
-/// Input buffers in whatever form it arrives. When the whole input is one
-/// columnar batch — the common shape on the vectorized hot path — the sort
-/// permutes the batch's *selection vector* by comparing key cells in place:
-/// columns stay `Arc`-shared, nothing pivots, and `rows_pivoted` stays
-/// untouched (downstream consumers pivot only if and when they must).
-/// Multi-batch or row-form input falls back to materializing rows, charging
-/// `rows_pivoted` only for the columnar-sourced ones.
+/// Blocking sort by column keys, optionally bounded to the first `k` rows of
+/// the order (see the module docs).
 pub struct SortOp {
     input: BoxedOp,
     keys: Vec<(String, bool)>,
+    limit: Option<u64>,
     done: bool,
 }
 
@@ -29,23 +38,39 @@ impl SortOp {
         SortOp {
             input,
             keys,
+            limit: None,
             done: false,
         }
     }
+
+    /// Emit only the first `k` rows of the order — for a `LIMIT k` directly
+    /// above, which then passes them through.
+    pub fn with_limit(mut self, k: u64) -> SortOp {
+        self.limit = Some(k);
+        self
+    }
 }
 
-/// Compare by keys, ties keeping arrival order via stable sort; NULLs
-/// compare equal everywhere (`sql_cmp` yields `None`), matching the
-/// row-path comparator exactly.
-fn chain_ordering<I: Iterator<Item = Option<Ordering>>>(cmps: I, descs: &[bool]) -> Ordering {
-    for (cmp, &desc) in cmps.zip(descs) {
-        let ord = cmp.unwrap_or(Ordering::Equal);
-        let ord = if desc { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
+/// All of `batches`' visible rows, in arrival order, as one columnar batch.
+fn concat(schema: Arc<Schema>, mut batches: Vec<ColumnarBatch>) -> ColumnarBatch {
+    if batches.len() == 1 {
+        return batches.pop().expect("one batch");
     }
-    Ordering::Equal
+    let columns: Vec<Arc<Column>> = (0..schema.len())
+        .map(|i| {
+            let mut parts = batches.iter().map(|cb| match cb.selection() {
+                Some(sel) => cb.column(i).gather(sel),
+                None => Column::clone(cb.column(i)),
+            });
+            let mut all = parts
+                .next()
+                .unwrap_or_else(|| Column::from_ints(Vec::new()));
+            parts.for_each(|part| all.append(&part));
+            Arc::new(all)
+        })
+        .collect();
+    let n_rows = batches.iter().map(ColumnarBatch::len).sum();
+    ColumnarBatch::new(schema, columns, n_rows)
 }
 
 impl Operator for SortOp {
@@ -59,44 +84,51 @@ impl Operator for SortOp {
         }
         self.done = true;
         let schema = self.input.schema();
-        let key_idx: Vec<usize> = self
+        let keys: Vec<(usize, bool)> = self
             .keys
             .iter()
-            .map(|(c, _)| {
-                schema
-                    .index_of(c)
-                    .ok_or_else(|| EvaError::Exec(format!("unknown sort column '{c}'")))
+            .map(|(c, desc)| match schema.index_of(c) {
+                Some(i) => Ok((i, *desc)),
+                None => Err(EvaError::Exec(format!("unknown sort column '{c}'"))),
             })
             .collect::<Result<_>>()?;
-        let descs: Vec<bool> = self.keys.iter().map(|(_, d)| *d).collect();
-        // Buffer unpivoted: the single-columnar-batch case sorts in place.
-        let mut batches: Vec<ExecBatch> = Vec::new();
+        let mut batches: Vec<ColumnarBatch> = Vec::new();
         while let Some(batch) = self.input.next(ctx)? {
-            batches.push(batch);
+            batches.push(match batch {
+                ExecBatch::Columnar(cb) => cb,
+                ExecBatch::Rows(batch) => ColumnarBatch::from_batch(&batch),
+            });
         }
-        if batches.len() == 1 {
-            if let ExecBatch::Columnar(cb) = &batches[0] {
-                let mut sel = cb.physical_indices();
-                sel.sort_by(|&a, &b| {
-                    chain_ordering(
-                        key_idx.iter().map(|&i| {
-                            let col = cb.column(i);
-                            col.cell(a as usize).sql_cmp(col.cell(b as usize))
-                        }),
-                        &descs,
-                    )
-                });
-                return Ok(Some(ExecBatch::Columnar(cb.with_selection(sel))));
+        let cb = concat(schema, batches);
+        // Visible row `i` (arrival position) sits in physical slot `sel[i]`.
+        let sel = cb.physical_indices();
+        let keys: Vec<(&Column, bool)> = keys
+            .iter()
+            .map(|&(i, desc)| (&**cb.column(i), desc))
+            .collect();
+        let by_keys_then_arrival = |a: &u32, b: &u32| -> Ordering {
+            let (slot_a, slot_b) = (sel[*a as usize] as usize, sel[*b as usize] as usize);
+            for &(col, desc) in &keys {
+                let ord = col.cell(slot_a).sort_cmp(col.cell(slot_b));
+                if ord != Ordering::Equal {
+                    return if desc { ord.reverse() } else { ord };
+                }
             }
+            a.cmp(b)
+        };
+        let mut order: Vec<u32> = (0..sel.len() as u32).collect();
+        let k = self
+            .limit
+            .map_or(order.len(), |k| k.min(order.len() as u64) as usize);
+        if k < order.len() {
+            if k > 0 {
+                order.select_nth_unstable_by(k - 1, by_keys_then_arrival);
+            }
+            order.truncate(k);
         }
-        // General case: materialize rows in arrival order (columnar batches
-        // charge `rows_pivoted` here) and stable-sort them.
-        let mut rows: Vec<Row> = Vec::new();
-        for batch in batches {
-            rows.extend(into_rows(ctx, batch).into_rows());
-        }
-        rows.sort_by(|a, b| chain_ordering(key_idx.iter().map(|&i| a[i].sql_cmp(&b[i])), &descs));
-        Ok(Some(ExecBatch::Rows(Batch::new(schema, rows))))
+        order.sort_unstable_by(by_keys_then_arrival);
+        let sorted = order.into_iter().map(|i| sel[i as usize]).collect();
+        Ok(Some(ExecBatch::Columnar(cb.with_selection(sorted))))
     }
 }
 

@@ -4,10 +4,14 @@
 use std::sync::Arc;
 
 use eva_common::testutil::rows_of;
-use eva_common::{Column, CostCategory, DataType, Field, FrameId, Schema, Value, ViewId};
+use eva_common::{
+    CellRef, Column, CostCategory, DataType, Field, FrameId, GovernorConfig, QueryGovernor, Schema,
+    Value, ViewId,
+};
 use eva_expr::{AggFunc, Expr};
-use eva_planner::{ApplyReuse, ApplySpec, Segment};
+use eva_planner::{ApplyReuse, ApplySpec, PhysPlan, Segment};
 use eva_storage::{ViewKey, ViewKeyKind};
+use eva_udf::runtime::DetRng;
 
 use crate::ops::aggregate::AggregateOp;
 use crate::ops::apply::ApplyOp;
@@ -304,6 +308,665 @@ fn pivot_counter_charges_only_columnar_flows() {
     let env = TestEnv::new(23, 4);
     env.drain(source(false)).unwrap();
     assert_eq!(env.storage.metrics().snapshot().rows_pivoted, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline breakers: aggregate, sort, top-k
+// ---------------------------------------------------------------------------
+
+/// The breaker tests' only randomness: a seeded SplitMix64 stream, so they
+/// run under the hermetic build.
+fn rng(seed: u64) -> DetRng {
+    DetRng::new(seed, FrameId(0), 0)
+}
+
+fn below(r: &mut DetRng, n: u64) -> u64 {
+    r.next_u64() % n
+}
+
+/// `(k, j, a, b, f)`: `k` (strings) and `j` (small integers) are nullable
+/// keys that recur; `a` is a nullable FLOAT column that also carries `Int`s
+/// — a `Mixed` array, or a nullable or plain `Int`/`Float` one in a batch
+/// that happens to hold a single tag; `b` and `f` are NULL-free typed arrays.
+fn breaker_schema() -> Arc<Schema> {
+    Arc::new(
+        Schema::new(vec![
+            Field::new("k", DataType::Str),
+            Field::new("j", DataType::Int),
+            Field::new("a", DataType::Float),
+            Field::new("b", DataType::Int),
+            Field::new("f", DataType::Float),
+        ])
+        .unwrap(),
+    )
+}
+
+fn breaker_rows(r: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
+    (0..n)
+        .map(|_| {
+            vec![
+                match below(r, 5) {
+                    0 => Value::Null,
+                    k => Value::from(format!("k{k}")),
+                },
+                match below(r, 4) {
+                    0 => Value::Null,
+                    j => Value::Int(j as i64 - 2),
+                },
+                match below(r, 4) {
+                    0 => Value::Null,
+                    1 => Value::Int(below(r, 9) as i64 - 4),
+                    _ => Value::Float(r.next_signed() * 8.0),
+                },
+                Value::Int(below(r, 50) as i64 - 25),
+                Value::Float(r.next_signed() * 100.0),
+            ]
+        })
+        .collect()
+}
+
+/// How the breaker tests hand the same visible rows to an operator.
+#[derive(Debug, Clone, Copy)]
+enum BatchForm {
+    Rows,
+    Columnar,
+    /// Columnar batches of twice the rows, every other one selected.
+    Selected,
+}
+
+const BATCH_FORMS: [BatchForm; 3] = [BatchForm::Rows, BatchForm::Columnar, BatchForm::Selected];
+
+fn breaker_source(form: BatchForm, batches: &[Vec<Vec<Value>>]) -> BoxedOp {
+    let schema = breaker_schema();
+    match form {
+        BatchForm::Rows => Box::new(ValuesOp::batches(schema, batches.to_vec())),
+        BatchForm::Columnar => Box::new(ColumnarValuesOp::batches(
+            schema,
+            batches.iter().map(|b| (b.clone(), None)).collect(),
+        )),
+        BatchForm::Selected => {
+            let mut decoys = rng(99);
+            let padded = batches.iter().map(|b| {
+                let hidden = breaker_rows(&mut decoys, b.len());
+                let rows = hidden.into_iter().zip(b.iter().cloned());
+                let sel = (0..b.len() as u32).map(|i| 2 * i + 1).collect();
+                (rows.flat_map(|(h, v)| [h, v]).collect(), Some(sel))
+            });
+            Box::new(ColumnarValuesOp::batches(schema, padded.collect()))
+        }
+    }
+}
+
+/// Three splits of the same rows: one batch, batches of seven, and seeded
+/// sizes from 0 (an empty batch) to 40.
+fn splits(rows: &[Vec<Value>]) -> Vec<Vec<Vec<Vec<Value>>>> {
+    let mut r = rng(5);
+    let mut ragged = Vec::new();
+    let mut rest = rows;
+    while !rest.is_empty() {
+        let (head, tail) = rest.split_at((below(&mut r, 41) as usize).min(rest.len()));
+        ragged.push(head.to_vec());
+        rest = tail;
+    }
+    vec![
+        vec![rows.to_vec()],
+        rows.chunks(7).map(<[_]>::to_vec).collect(),
+        ragged,
+    ]
+}
+
+/// Rows with every float spelled by its bits, so `assert_eq!` compares
+/// `SUM`/`AVG` to the last one.
+fn bitwise(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+        other => format!("{other:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+}
+
+/// Every function's state at once, row at a time over `Value`s.
+#[derive(Clone, Default)]
+struct RefState {
+    count: i64,
+    sum: f64,
+    n: u64,
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+impl RefState {
+    fn extreme(cur: &mut Option<Value>, v: &Value, want: std::cmp::Ordering) {
+        if cur.as_ref().is_none_or(|c| v.sql_cmp(c) == Some(want)) {
+            *cur = Some(v.clone());
+        }
+    }
+
+    /// `None` is `COUNT(*)`'s missing argument.
+    fn update(&mut self, arg: Option<&Value>) {
+        match arg {
+            None => self.count += 1,
+            Some(v) if v.is_null() => {}
+            Some(v) => {
+                self.count += 1;
+                if let Some(x) = CellRef::from_value(v).as_number() {
+                    self.sum += x;
+                    self.n += 1;
+                }
+                Self::extreme(&mut self.min, v, std::cmp::Ordering::Less);
+                Self::extreme(&mut self.max, v, std::cmp::Ordering::Greater);
+            }
+        }
+    }
+
+    fn merge(&mut self, later: &RefState) {
+        self.count += later.count;
+        self.sum += later.sum;
+        self.n += later.n;
+        if let Some(v) = &later.min {
+            Self::extreme(&mut self.min, v, std::cmp::Ordering::Less);
+        }
+        if let Some(v) = &later.max {
+            Self::extreme(&mut self.max, v, std::cmp::Ordering::Greater);
+        }
+    }
+
+    fn finish(&self, func: AggFunc) -> Value {
+        match func {
+            AggFunc::Count => Value::Int(self.count),
+            AggFunc::Sum => Value::Float(self.sum),
+            AggFunc::Avg if self.n == 0 => Value::Null,
+            AggFunc::Avg => Value::Float(self.sum / self.n as f64),
+            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
+            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// What the aggregate documents, as a row fold: every batch folds into a
+/// fresh partial, partials merge in arrival order (which fixes the float
+/// accumulation order), groups come out in key-byte order, and no `GROUP BY`
+/// means exactly one row.
+fn reference_aggregate(
+    batches: &[Vec<Vec<Value>>],
+    keys: &[usize],
+    aggs: &[(AggFunc, Option<usize>)],
+) -> Vec<Vec<Value>> {
+    type Table = std::collections::BTreeMap<Vec<u8>, (Vec<Value>, Vec<RefState>)>;
+    let fresh = || vec![RefState::default(); aggs.len()];
+    let mut total = Table::new();
+    for batch in batches {
+        let mut partial = Table::new();
+        for row in batch {
+            let mut key = Vec::new();
+            keys.iter().for_each(|&k| row[k].write_bytes(&mut key));
+            let group = partial
+                .entry(key)
+                .or_insert_with(|| (keys.iter().map(|&k| row[k].clone()).collect(), fresh()));
+            for (state, (_, arg)) in group.1.iter_mut().zip(aggs) {
+                state.update(arg.map(|i| &row[i]));
+            }
+        }
+        for (key, (cells, states)) in partial {
+            match total.get_mut(&key) {
+                Some(known) => known
+                    .1
+                    .iter_mut()
+                    .zip(&states)
+                    .for_each(|(s, l)| s.merge(l)),
+                None => {
+                    total.insert(key, (cells, states));
+                }
+            }
+        }
+    }
+    if keys.is_empty() && total.is_empty() {
+        total.insert(Vec::new(), (Vec::new(), fresh()));
+    }
+    let finish = |(mut row, states): (Vec<Value>, Vec<RefState>)| {
+        row.extend(states.iter().zip(aggs).map(|(s, (f, _))| s.finish(*f)));
+        row
+    };
+    total.into_values().map(finish).collect()
+}
+
+/// All five functions over the `Mixed`, `Int` and `Float` columns, and a
+/// string `MIN`.
+const BREAKER_AGGS: [(AggFunc, Option<usize>); 11] = [
+    (AggFunc::Count, None),
+    (AggFunc::Count, Some(2)),
+    (AggFunc::Sum, Some(2)),
+    (AggFunc::Avg, Some(2)),
+    (AggFunc::Min, Some(2)),
+    (AggFunc::Max, Some(2)),
+    (AggFunc::Sum, Some(3)),
+    (AggFunc::Min, Some(3)),
+    (AggFunc::Max, Some(4)),
+    (AggFunc::Avg, Some(4)),
+    (AggFunc::Min, Some(0)),
+];
+
+fn breaker_aggregate(input: BoxedOp, keys: &[usize]) -> AggregateOp {
+    let schema = breaker_schema();
+    let name = |i: usize| schema.fields()[i].name.clone();
+    let mut fields: Vec<Field> = keys.iter().map(|&k| schema.fields()[k].clone()).collect();
+    let mut aggs = Vec::new();
+    for (nth, (func, arg)) in BREAKER_AGGS.iter().enumerate() {
+        fields.push(Field::new(format!("agg{nth}"), DataType::Float));
+        aggs.push((*func, arg.map(|i| Expr::col(name(i))), format!("agg{nth}")));
+    }
+    AggregateOp::new(
+        input,
+        keys.iter().map(|&k| name(k)).collect(),
+        aggs,
+        Arc::new(Schema::new(fields).unwrap()),
+    )
+}
+
+/// The aggregate equals the row-fold reference — rows in order, `SUM`/`AVG`
+/// to the bit — for no key, a string key, a two-column key and an integer
+/// key, over three splits of the same rows held to the same split in the
+/// reference, in each input form, and over no batch at all.
+#[test]
+fn aggregate_matches_a_row_fold_reference_across_splits_and_forms() {
+    let rows = breaker_rows(&mut rng(1), 400);
+    let mut inputs = splits(&rows);
+    inputs.push(Vec::new());
+    for keys in [&[][..], &[0], &[0, 1], &[3]] {
+        for batches in &inputs {
+            let want = reference_aggregate(batches, keys, &BREAKER_AGGS);
+            assert_eq!(want.is_empty(), batches.is_empty() && !keys.is_empty());
+            for form in BATCH_FORMS {
+                let env = TestEnv::new(40, 4);
+                let op = breaker_aggregate(breaker_source(form, batches), keys);
+                let got = env.drain(Box::new(op)).unwrap();
+                assert_eq!(
+                    bitwise(got.rows()),
+                    bitwise(&want),
+                    "keys {keys:?}, {} batch(es), {form:?}",
+                    batches.len()
+                );
+            }
+        }
+    }
+}
+
+/// An ungrouped aggregate owes exactly one row whatever arrives: `COUNT` 0,
+/// a fresh `SUM`, NULL for the rest. A grouped one over nothing has no
+/// group to report.
+#[test]
+fn ungrouped_aggregate_over_empty_input_yields_one_row() {
+    let aggs = || {
+        vec![
+            (AggFunc::Count, None, "n".to_string()),
+            (AggFunc::Min, Some(Expr::col("a")), "mn".to_string()),
+            (AggFunc::Max, Some(Expr::col("a")), "mx".to_string()),
+            (AggFunc::Avg, Some(Expr::col("a")), "av".to_string()),
+            (AggFunc::Sum, Some(Expr::col("a")), "s".to_string()),
+        ]
+    };
+    let out_schema = |grouped: bool| {
+        let mut fields = vec![Field::new("b", DataType::Str)];
+        fields.truncate(grouped as usize);
+        fields.extend(
+            aggs()
+                .into_iter()
+                .map(|(_, _, n)| Field::new(n, DataType::Float)),
+        );
+        Arc::new(Schema::new(fields).unwrap())
+    };
+    let empty_sources = || -> Vec<BoxedOp> {
+        vec![
+            Box::new(ValuesOp::batches(int_schema(), vec![])),
+            Box::new(ValuesOp::batches(int_schema(), vec![vec![]])),
+            Box::new(ColumnarValuesOp::new(int_schema(), vec![])),
+            // A batch a filter left nothing of.
+            Box::new(ColumnarValuesOp::with_selection(
+                int_schema(),
+                null_rows(),
+                vec![],
+            )),
+        ]
+    };
+    for src in empty_sources() {
+        let env = TestEnv::new(41, 4);
+        let op = AggregateOp::new(src, vec![], aggs(), out_schema(false));
+        let out = env.drain(Box::new(op)).unwrap();
+        let nothing = vec![
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Float(0.0),
+        ];
+        assert_eq!(out.rows(), [nothing]);
+    }
+    for src in empty_sources() {
+        let env = TestEnv::new(41, 4);
+        let op = AggregateOp::new(src, vec!["b".into()], aggs(), out_schema(true));
+        assert_eq!(env.drain(Box::new(op)).unwrap().len(), 0);
+    }
+}
+
+/// What stable sort + `take(k)` returns under the sort's order.
+fn reference_sort(
+    mut rows: Vec<Vec<Value>>,
+    keys: &[(usize, bool)],
+    k: Option<usize>,
+) -> Vec<Vec<Value>> {
+    rows.sort_by(|a, b| {
+        let by_key = keys.iter().map(|&(i, desc)| {
+            let ord = CellRef::from_value(&a[i]).sort_cmp(CellRef::from_value(&b[i]));
+            if desc {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+        by_key
+            .into_iter()
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows.truncate(k.unwrap_or(usize::MAX));
+    rows
+}
+
+/// Top-k equals stable sort + `take(k)` for every interesting `k`, over
+/// ties, `DESC`, a nullable `Mixed` key and two keys, on multi-batch input
+/// in each form — and builds rows for nothing but the result.
+#[test]
+fn top_k_matches_stable_sort_then_take() {
+    let rows = breaker_rows(&mut rng(2), 300);
+    let batches = splits(&rows).pop().unwrap();
+    assert!(batches.len() > 8);
+    let n = rows.len();
+    let name = |i: usize| breaker_schema().fields()[i].name.clone();
+    for keys in [
+        &[(3, false)][..],
+        &[(3, true)],
+        &[(2, false)],
+        &[(0, true), (3, false)],
+    ] {
+        for k in [None, Some(0), Some(1), Some(n - 1), Some(n), Some(n + 1)] {
+            let want = reference_sort(rows.clone(), keys, k);
+            for form in BATCH_FORMS {
+                let env = TestEnv::new(42, 4);
+                let by = keys.iter().map(|&(i, desc)| (name(i), desc)).collect();
+                let sort = SortOp::new(breaker_source(form, &batches), by);
+                let op: BoxedOp = match k {
+                    Some(k) => {
+                        Box::new(LimitOp::new(Box::new(sort.with_limit(k as u64)), k as u64))
+                    }
+                    None => Box::new(sort),
+                };
+                let got = env.drain(op).unwrap();
+                assert_eq!(
+                    bitwise(got.rows()),
+                    bitwise(&want),
+                    "{keys:?} k={k:?} {form:?}"
+                );
+                assert_eq!(
+                    env.storage.metrics().snapshot().rows_pivoted,
+                    want.len() as u64
+                );
+            }
+        }
+    }
+}
+
+/// `ORDER BY` over NULLs and mixed tags. `sql_cmp` read as "`None` is
+/// equal" is not an order (NULL equals both 1 and 2), which `sort_by` may
+/// answer with a panic; the sort's own order is total. Three hundred seeded
+/// columns, a third NULL: the output ascends (descends) under
+/// [`CellRef::sort_cmp`], ties keep arrival order, and no row is lost.
+#[test]
+fn sort_is_total_over_nullable_and_mixed_columns() {
+    let schema = Arc::new(
+        Schema::new(vec![
+            Field::new("v", DataType::Float),
+            Field::new("at", DataType::Int),
+        ])
+        .unwrap(),
+    );
+    let mut r = rng(3);
+    for case in 0..300u64 {
+        let len = 50 + below(&mut r, 2601) as usize;
+        let cell = |r: &mut DetRng| match (below(r, 3), case % 3) {
+            (0, _) => Value::Null,
+            (_, 0) => Value::Int(below(r, 40) as i64),
+            (1, _) => Value::Float(below(r, 80) as f64 / 2.0),
+            (_, 1) => Value::Int(below(r, 40) as i64),
+            _ => match below(r, 3) {
+                0 => Value::from(format!("s{}", below(r, 9))),
+                1 => Value::Bool(below(r, 2) == 1),
+                _ => Value::Float(f64::NAN),
+            },
+        };
+        let rows: Vec<Vec<Value>> = (0..len)
+            .map(|at| vec![cell(&mut r), Value::Int(at as i64)])
+            .collect();
+        let desc = case % 2 == 1;
+        let env = TestEnv::new(43, 4);
+        let src = ColumnarValuesOp::new(Arc::clone(&schema), rows);
+        let sort = SortOp::new(Box::new(src), vec![("v".into(), desc)]);
+        let out = env.drain(Box::new(sort)).unwrap();
+        for pair in out.rows().windows(2) {
+            let ord = CellRef::from_value(&pair[0][0]).sort_cmp(CellRef::from_value(&pair[1][0]));
+            let ord = if desc { ord.reverse() } else { ord };
+            let in_arrival_order = pair[0][1].as_int().unwrap() < pair[1][1].as_int().unwrap();
+            assert!(
+                ord.is_lt() || (ord.is_eq() && in_arrival_order),
+                "case {case}: {:?} before {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        let mut seen: Vec<i64> = out.rows().iter().map(|r| r[1].as_int().unwrap()).collect();
+        seen.sort_unstable();
+        assert!(seen.into_iter().eq(0..len as i64), "case {case}");
+        // NULLs lead ascending and trail descending.
+        let nulls = out.rows().iter().filter(|r| r[0].is_null()).count();
+        let block = if desc {
+            &out.rows()[len - nulls..]
+        } else {
+            &out.rows()[..nulls]
+        };
+        assert!(block.iter().all(|r| r[0].is_null()), "case {case}");
+    }
+}
+
+/// `Scan → Filter → Project`, under an aggregate unless `group_by` is
+/// `None`, over the test video's 100 frames.
+fn segment_plan(predicate: Expr, group_by: Option<&[&str]>) -> PhysPlan {
+    let id = eva_common::OpId::UNSET;
+    let scan = PhysPlan::ScanFrames {
+        id,
+        table: "video".into(),
+        dataset: "t".into(),
+        range: (0, 100),
+        schema: Arc::new(eva_storage::engine::video_table_schema()),
+    };
+    let filter = PhysPlan::Filter {
+        id,
+        input: Box::new(scan),
+        predicate,
+    };
+    let fields = vec![
+        Field::new("id", DataType::Int),
+        Field::new("timestamp", DataType::Int),
+        Field::new("early", DataType::Bool),
+    ];
+    let project = PhysPlan::Project {
+        id,
+        input: Box::new(filter),
+        items: vec![
+            (Expr::col("id"), "id".into()),
+            (Expr::col("timestamp"), "timestamp".into()),
+            (Expr::col("id").lt(37), "early".into()),
+        ],
+        schema: Arc::new(Schema::new(fields.clone()).unwrap()),
+    };
+    let Some(group_by) = group_by else {
+        let mut plan = project;
+        plan.assign_op_ids();
+        return plan;
+    };
+    let aggs = vec![
+        (AggFunc::Count, None, "n".to_string()),
+        (AggFunc::Sum, Some(Expr::col("id")), "s".to_string()),
+        (AggFunc::Avg, Some(Expr::col("timestamp")), "av".to_string()),
+        (AggFunc::Min, Some(Expr::col("timestamp")), "mn".to_string()),
+        (AggFunc::Max, Some(Expr::col("id")), "mx".to_string()),
+    ];
+    let mut out: Vec<Field> = fields
+        .into_iter()
+        .filter(|f| group_by.contains(&f.name.as_str()))
+        .collect();
+    out.extend(
+        aggs.iter()
+            .map(|(_, _, n)| Field::new(n.clone(), DataType::Float)),
+    );
+    let mut plan = PhysPlan::Aggregate {
+        id,
+        input: Box::new(project),
+        group_by: group_by.iter().map(|g| g.to_string()).collect(),
+        aggs,
+        schema: Arc::new(Schema::new(out).unwrap()),
+    };
+    plan.assign_op_ids();
+    plan
+}
+
+/// Run `plan` on a fresh 100-frame environment whose clock already reads
+/// `clock_ms` — serially when `width` is `None`, else morsel-parallel on a
+/// pool that wide — in batches / morsels of `morsel` frames.
+fn run_segment(
+    plan: &PhysPlan,
+    morsel: usize,
+    width: Option<usize>,
+    clock_ms: f64,
+    governor: GovernorConfig,
+) -> (TestEnv, eva_common::Result<crate::engine::QueryOutput>) {
+    let env = TestEnv::new(44, 100);
+    env.clock.charge(CostCategory::ReadVideo, clock_ms);
+    let config = crate::config::ExecConfig {
+        batch_size: morsel,
+        morsel_rows: morsel,
+        parallel_scan_min_rows: width.is_some() as u64,
+        ..crate::config::ExecConfig::default()
+    };
+    let pool = width.map(crate::pool::WorkerPool::new);
+    let out = crate::engine::execute_governed(
+        plan,
+        &env.storage,
+        &env.registry,
+        &env.stats,
+        &env.clock,
+        &env.funcache,
+        config,
+        pool.as_ref(),
+        QueryGovernor::new(governor, env.clock.total_ms()),
+        None,
+    );
+    (env, out)
+}
+
+/// Everything a parallel run must share with the serial one.
+fn observable(out: &crate::engine::QueryOutput) -> impl PartialEq + std::fmt::Debug {
+    let mut counters = out.metrics.deterministic();
+    counters.morsels_dispatched = 0;
+    counters.parallel_pipelines = 0;
+    (
+        bitwise(out.batch.rows()),
+        out.breakdown,
+        out.op_stats.clone(),
+        counters,
+    )
+}
+
+/// The morsel-parallel breaker equals the serial `AggregateOp` — rows to the
+/// bit, cost, per-operator stats, counters — at every pool width, for no
+/// key, a recurring key, an all-distinct key and a filter that leaves
+/// nothing; and a run cancelled after four of ten morsels accounts for
+/// exactly that prefix at every width.
+#[test]
+fn parallel_breaker_matches_serial_aggregate_at_every_width() {
+    let kept = || Expr::col("id").ge(3).and(Expr::col("id").lt(95));
+    let nothing = || Expr::col("timestamp").lt(0);
+    let free = GovernorConfig::default;
+    for (predicate, group_by) in [
+        (kept(), &[][..]),
+        (kept(), &["early"]),
+        (kept(), &["timestamp"]),
+        (kept(), &["early", "id"]),
+        (nothing(), &[]),
+        (nothing(), &["early"]),
+    ] {
+        let plan = segment_plan(predicate, Some(group_by));
+        let (_, serial) = run_segment(&plan, 10, None, 0.0, free());
+        let serial = serial.unwrap();
+        assert_eq!(serial.metrics.parallel_pipelines, 0);
+        assert_eq!(
+            serial.batch.len(),
+            match (group_by, serial.metrics.columnar_rows > 200) {
+                ([], _) => 1,
+                (_, false) => 0,
+                (["early"], true) => 2,
+                _ => 92,
+            }
+        );
+        for width in [1, 2, 4] {
+            let (_, par) = run_segment(&plan, 10, Some(width), 0.0, free());
+            let par = par.unwrap();
+            assert_eq!(par.metrics.morsels_dispatched, 10);
+            assert_eq!(
+                format!("{:?}", observable(&par)),
+                format!("{:?}", observable(&serial)),
+                "group by {group_by:?} at width {width}"
+            );
+        }
+    }
+    let plan = segment_plan(kept(), Some(&["early"]));
+    let cancelled = |width: usize| {
+        let gate = GovernorConfig {
+            cancel_at_morsel: Some(4),
+            ..GovernorConfig::default()
+        };
+        let (env, out) = run_segment(&plan, 10, Some(width), 0.0, gate);
+        let err = out.expect_err("the gate refuses morsel 4");
+        let counters = env.storage.metrics().snapshot().deterministic();
+        assert_eq!(counters.frames_scanned, 40, "width {width}");
+        (err.to_string(), env.clock.snapshot(), counters)
+    };
+    assert_eq!(cancelled(1), cancelled(2));
+    assert_eq!(cancelled(1), cancelled(4));
+}
+
+/// A serial wrapper books a stage's cost as one clock difference spanning
+/// every batch the filter above the scan skipped; the replay must take the
+/// same differences, or the two drift apart in the last bits once the
+/// session clock no longer reads zero when the query starts.
+#[test]
+fn replayed_operator_costs_match_serial_on_a_running_clock() {
+    let sparse = Expr::col("timestamp")
+        .ge(400)
+        .and(Expr::col("timestamp").lt(600));
+    for group_by in [None, Some(&["early"][..])] {
+        let plan = segment_plan(sparse.clone(), group_by);
+        for clock_ms in [0.0, 0.1, 0.7, 3.3, 1234.5678] {
+            let free = GovernorConfig::default;
+            let (_, serial) = run_segment(&plan, 1, None, clock_ms, free());
+            let (_, par) = run_segment(&plan, 1, Some(2), clock_ms, free());
+            let (serial, par) = (serial.unwrap(), par.unwrap());
+            assert!(serial.op_stats.values().any(|s| s.batches > 1));
+            assert_eq!(
+                format!("{:?}", observable(&par)),
+                format!("{:?}", observable(&serial)),
+                "breaker {group_by:?}, clock at {clock_ms}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

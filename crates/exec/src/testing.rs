@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use eva_common::{Batch, ColumnarBatch, ExecBatch, Result, Schema, SimClock, Value};
+use eva_common::{Batch, ColumnarBatch, ExecBatch, Result, Row, Schema, SimClock, Value};
 use eva_storage::StorageEngine;
 use eva_udf::registry::install_standard_zoo;
 use eva_udf::{InvocationStats, UdfRegistry};
@@ -105,6 +105,17 @@ impl ValuesOp {
             batches: vec![batch],
         }
     }
+
+    /// One row batch per element of `batches`, emitted in that order.
+    pub fn batches(schema: Arc<Schema>, batches: Vec<Vec<Row>>) -> ValuesOp {
+        let batches = batches.into_iter().rev();
+        ValuesOp {
+            batches: batches
+                .map(|rows| Batch::new(Arc::clone(&schema), rows))
+                .collect(),
+            schema,
+        }
+    }
 }
 
 impl Operator for ValuesOp {
@@ -144,6 +155,25 @@ impl ColumnarValuesOp {
         let mut op = ColumnarValuesOp::new(schema, rows);
         op.batches[0] = op.batches[0].with_selection(sel);
         op
+    }
+
+    /// One columnar batch per `(rows, selection)` element, emitted in that
+    /// order; a `None` selection leaves every row visible.
+    pub fn batches(
+        schema: Arc<Schema>,
+        batches: Vec<(Vec<Row>, Option<Vec<u32>>)>,
+    ) -> ColumnarValuesOp {
+        let pivot = |(rows, sel): (Vec<Row>, Option<Vec<u32>>)| {
+            let cb = ColumnarBatch::from_batch(&Batch::new(Arc::clone(&schema), rows));
+            match sel {
+                Some(sel) => cb.with_selection(sel),
+                None => cb,
+            }
+        };
+        ColumnarValuesOp {
+            batches: batches.into_iter().rev().map(pivot).collect(),
+            schema: Arc::clone(&schema),
+        }
     }
 }
 

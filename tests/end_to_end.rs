@@ -1,10 +1,16 @@
 //! End-to-end integration tests: the full parse → bind → optimize → execute
 //! lifecycle over the public API, covering the statement surface of EVA-QL.
 
-use eva_common::{CostCategory, Value};
-use eva_core::StatementResult;
-use eva_harness::test_session;
+use std::sync::Arc;
+
+use eva_common::{
+    BBox, CellRef, CostCategory, DataType, Field, GovernorConfig, Row, Schema, Value,
+};
+use eva_core::{EvaDb, SessionConfig, StatementResult};
+use eva_exec::ExecConfig;
+use eva_harness::{test_dataset, test_session};
 use eva_planner::ReuseStrategy;
+use eva_storage::ViewKeyKind;
 
 #[test]
 fn full_lifecycle_with_projection_udf() {
@@ -135,4 +141,182 @@ fn timestamps_follow_fps() {
         .map(|r| r[1].as_int().unwrap())
         .collect();
     assert_eq!(ts, vec![0, 40, 80], "25 fps ⇒ 40 ms per frame");
+}
+
+/// An ungrouped aggregate answers with exactly one row even when its window
+/// holds no frame or its filter keeps none — serial, morsel-parallel (whose
+/// every morsel filters empty), on the forced row path, and under each reuse
+/// strategy — and a budget trip on a non-empty window still degrades to the
+/// ungoverned answer. A grouped aggregate over nothing has no group.
+#[test]
+fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
+    let serial = ExecConfig::default();
+    let parallel = ExecConfig {
+        batch_size: 8,
+        morsel_rows: 8,
+        parallel_scan_min_rows: 1,
+        ..serial
+    };
+    let row_path = ExecConfig {
+        force_row_path: true,
+        ..serial
+    };
+    let nothing = [Value::Int(0), Value::Null, Value::Null];
+    for strategy in [
+        ReuseStrategy::NoReuse,
+        ReuseStrategy::Eva,
+        ReuseStrategy::HashStash,
+        ReuseStrategy::FunCache,
+    ] {
+        for exec in [serial, parallel, row_path] {
+            let mut cfg = SessionConfig::for_strategy(strategy);
+            cfg.exec = exec;
+            let mut db = EvaDb::new(cfg).unwrap();
+            db.load_video(test_dataset(108, 40), "video").unwrap();
+            for window in ["id >= 5 AND id < 5", "id > 10 AND id < 5", "timestamp < 0"] {
+                let what = format!("{strategy:?} {exec:?} {window}");
+                let sql = format!("SELECT COUNT(*), MIN(id), MAX(id) FROM video WHERE {window}");
+                let out = db.execute_sql(&sql).unwrap().rows().unwrap();
+                assert_eq!(out.batch.rows(), [nothing.to_vec()], "{what}");
+                let parallel_ran = out.metrics.parallel_pipelines == 1;
+                assert_eq!(parallel_ran, exec == parallel && window == "timestamp < 0");
+                let sql = format!(
+                    "SELECT timestamp, COUNT(*) FROM video WHERE {window} GROUP BY timestamp"
+                );
+                let out = db.execute_sql(&sql).unwrap().rows().unwrap();
+                assert_eq!(out.n_rows(), 0, "{what}");
+            }
+            let sql = "SELECT COUNT(*), MIN(id), MAX(id) FROM video WHERE id >= 3";
+            let whole = db.execute_sql(sql).unwrap().rows().unwrap();
+            assert_eq!(
+                whole.batch.rows(),
+                [vec![Value::Int(37), Value::Int(3), Value::Int(39)]]
+            );
+            // The serial operator is the one that degrades; the parallel
+            // breaker keeps no budgeted state.
+            if exec != parallel {
+                db.set_governor(GovernorConfig {
+                    budget_bytes: Some(32),
+                    ..GovernorConfig::default()
+                });
+                let degraded = db.execute_sql(sql).unwrap().rows().unwrap();
+                assert_eq!(degraded.metrics.degraded_queries, 1);
+                assert_eq!(degraded.batch.rows(), whole.batch.rows());
+            }
+        }
+    }
+}
+
+/// A detector whose `label` is NULL on every third frame and whose `score`
+/// is an `Int` on even ones — the output columns `ORDER BY` finds hardest.
+struct PatchyDetector {
+    schema: Arc<Schema>,
+}
+
+impl eva_udf::SimUdf for PatchyDetector {
+    fn impl_id(&self) -> &str {
+        "test/patchy"
+    }
+    fn cost_ms(&self) -> f64 {
+        2.0
+    }
+    fn output_schema(&self) -> Arc<Schema> {
+        Arc::clone(&self.schema)
+    }
+    fn key_kind(&self) -> ViewKeyKind {
+        ViewKeyKind::Frame
+    }
+    fn eval(&self, ctx: &eva_udf::UdfEvalContext<'_>) -> eva_common::Result<Vec<Row>> {
+        let f = ctx.frame.raw();
+        let row = |j: u64| {
+            vec![
+                match (f + j) % 3 {
+                    0 => Value::Null,
+                    m => Value::from(format!("kind{m}")),
+                },
+                Value::from(BBox::new(0.1, 0.1, 0.2 + j as f32 / 10.0, 0.3)),
+                match f % 2 {
+                    0 => Value::Int((f % 5) as i64),
+                    _ => Value::Float((f % 7) as f64 / 2.0),
+                },
+            ]
+        };
+        Ok((0..1 + f % 2).map(row).collect())
+    }
+}
+
+/// `ORDER BY` on a nullable, mixed-tag UDF output, end to end: NULL labels
+/// sort first ascending and last descending, numbers compare across `Int`
+/// and `Float`, ties keep the unsorted query's order, and `LIMIT` returns
+/// the sorted prefix.
+#[test]
+fn order_by_a_nullable_udf_output() {
+    let mut db = test_session(ReuseStrategy::Eva, 109, 60);
+    let fields = vec![
+        Field::new("label", DataType::Str),
+        Field::new("bbox", DataType::BBox),
+        Field::new("score", DataType::Float),
+    ];
+    db.registry().register(Arc::new(PatchyDetector {
+        schema: Arc::new(Schema::new(fields).unwrap()),
+    }));
+    db.execute_sql(
+        "CREATE UDF patchy INPUT = (frame FRAME) OUTPUT = (label STR, bbox BBOX, score FLOAT) \
+         IMPL = 'test/patchy' LOGICAL_TYPE = objectdetector",
+    )
+    .unwrap();
+    let from = "SELECT id, label, score FROM video CROSS APPLY patchy(frame) WHERE id < 48";
+    let mut rows = |tail: &str| -> Vec<Row> {
+        let out = db.execute_sql(&format!("{from} {tail}")).unwrap();
+        out.rows().unwrap().batch.into_rows()
+    };
+    let unsorted = rows("");
+    assert!(unsorted.iter().any(|r| r[1].is_null()));
+    let cmp = |a: &Value, b: &Value| CellRef::from_value(a).sort_cmp(CellRef::from_value(b));
+
+    let mut want = unsorted.clone();
+    want.sort_by(|a, b| cmp(&a[1], &b[1]).then(cmp(&a[2], &b[2])));
+    let asc = rows("ORDER BY label, score");
+    assert_eq!(asc, want);
+    let nulls = unsorted.iter().filter(|r| r[1].is_null()).count();
+    assert!(asc[..nulls].iter().all(|r| r[1].is_null()));
+    assert!(asc[nulls..].iter().all(|r| !r[1].is_null()));
+    assert_eq!(rows("ORDER BY label, score LIMIT 9"), want[..9]);
+
+    want.sort_by(|a, b| cmp(&b[1], &a[1]).then(cmp(&a[2], &b[2])));
+    let desc = rows("ORDER BY label DESC, score");
+    assert_eq!(desc, want);
+    assert!(desc[desc.len() - nulls..].iter().all(|r| r[1].is_null()));
+}
+
+/// A `LIMIT` directly above a `Sort` bounds it: the sort hands up `k` rows,
+/// not its whole input, and the answer is the full sort's first `k`.
+#[test]
+fn limit_bounds_the_sort_below_it() {
+    let mut db = test_session(ReuseStrategy::NoReuse, 110, 60);
+    let sql = "SELECT id, timestamp FROM video WHERE id >= 4 ORDER BY id DESC";
+    let full = db.execute_sql(sql).unwrap().rows().unwrap();
+    assert_eq!(full.n_rows(), 56);
+    let (text, top) = db.explain_analyze_query(&format!("{sql} LIMIT 7")).unwrap();
+    assert_eq!(top.batch.rows(), &full.batch.rows()[..7]);
+    assert_eq!(top.metrics.rows_pivoted, 7);
+    let rows_of = |op: &str| {
+        let line = text.lines().find(|l| l.trim_start().starts_with(op));
+        let line = line.unwrap_or_else(|| panic!("no {op} in\n{text}"));
+        line.split("rows=")
+            .nth(1)
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(rows_of("Limit"), "7");
+    assert_eq!(rows_of("Sort"), "7");
+    let (text, _) = db
+        .explain_analyze_query(&format!("{sql} LIMIT 99"))
+        .unwrap();
+    assert!(text
+        .lines()
+        .any(|l| l.trim_start().starts_with("Sort") && l.contains("rows=56 ")));
 }
