@@ -7,8 +7,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
-use eva_bench::car_chunk;
-use eva_common::{DataType, Field, FrameId, Schema, SimClock, Value};
+use eva_bench::{car_chunk, funcache_car_batch};
+use eva_common::{DataType, Field, FrameId, Schema, SimClock};
 use eva_exec::FunCacheTable;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
@@ -113,27 +113,13 @@ fn bench_append(c: &mut Criterion) {
 
 fn bench_funcache(c: &mut Criterion) {
     let cache = FunCacheTable::new();
-    let payload: Vec<u8> = (0..64usize).map(|i| i as u8).collect();
-    for i in 0..N_KEYS {
-        let mut bytes = payload.clone();
-        bytes.extend_from_slice(&i.to_le_bytes());
-        let k = cache.key("det", &bytes);
-        cache.insert(k, vec![vec![Value::from("car")]]);
-    }
+    funcache_car_batch(&cache, 0..N_KEYS);
     let mut group = c.benchmark_group("reuse_path/funcache");
     group.throughput(Throughput::Elements(PROBE_BATCH));
     group.bench_function("hit_1024", |b| {
         b.iter(|| {
-            let mut hits = 0usize;
-            for i in 0..PROBE_BATCH {
-                let mut bytes = payload.clone();
-                bytes.extend_from_slice(&((i * 7) % N_KEYS).to_le_bytes());
-                let k = cache.key("det", &bytes);
-                if cache.get(&k).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
+            let ids = (0..PROBE_BATCH).map(|i| (i * 7) % N_KEYS);
+            black_box(funcache_car_batch(&cache, ids))
         })
     });
     group.finish();

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use eva_bench::{banner, car_chunk, write_json_with_metrics, TextTable};
-use eva_common::{DataType, Field, FrameId, MetricsSnapshot, Schema, SimClock, Value};
+use eva_bench::{banner, car_chunk, funcache_car_batch, write_json_with_metrics, TextTable};
+use eva_common::{DataType, Field, FrameId, MetricsSnapshot, Schema, SimClock};
 use eva_exec::FunCacheTable;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
@@ -123,29 +123,16 @@ fn append_multi() -> (f64, MetricsSnapshot) {
     (ops, eng.metrics().snapshot())
 }
 
-/// FunCache hits per second (hash + intern + lookup), single caller.
-/// The raw table records no engine metrics (the apply operator does that in
-/// real queries), so its snapshot is empty.
+/// FunCache hits per second (hash + lookup + the batch's gather), single
+/// caller. The raw table records no engine metrics (the apply operator does
+/// that in real queries), so its snapshot is empty.
 fn funcache_hits() -> (f64, MetricsSnapshot) {
     let cache = FunCacheTable::new();
-    let payload: Vec<u8> = (0..64usize).map(|i| i as u8).collect();
-    for i in 0..N_KEYS {
-        let mut bytes = payload.clone();
-        bytes.extend_from_slice(&i.to_le_bytes());
-        let k = cache.key("det", &bytes);
-        cache.insert(k, vec![vec![Value::from("car")]]);
-    }
+    funcache_car_batch(&cache, 0..N_KEYS);
     let start = Instant::now();
     let mut hits = 0u64;
     for _ in 0..ROUNDS {
-        for i in 0..BATCH {
-            let mut bytes = payload.clone();
-            bytes.extend_from_slice(&((i * 7) % N_KEYS).to_le_bytes());
-            let k = cache.key("det", &bytes);
-            if cache.get(&k).is_some() {
-                hits += 1;
-            }
-        }
+        hits += funcache_car_batch(&cache, (0..BATCH).map(|i| (i * 7) % N_KEYS)) as u64;
     }
     assert_eq!(hits, ROUNDS * BATCH);
     let ops = (ROUNDS * BATCH) as f64 / start.elapsed().as_secs_f64();

@@ -53,6 +53,31 @@ pub fn car_chunk(
     (entries, vec![eva_common::Column::from_values(&labels)])
 }
 
+/// One FunCache batch for the micro-benchmarks, in the shape the apply
+/// operator drives the table: each of `ids` is hashed (64 payload bytes plus
+/// the id) and looked up, a miss stores one `"car"` row, and the batch is
+/// finished into its gathered answer. Returns how many inputs hit.
+pub fn funcache_car_batch(
+    cache: &eva_exec::FunCacheTable,
+    ids: impl IntoIterator<Item = u64>,
+) -> usize {
+    let mut bytes: Vec<u8> = (0..64u8).collect();
+    let mut batch = cache.batch("det", 1);
+    let mut hits = 0;
+    for id in ids {
+        bytes.truncate(64);
+        bytes.extend_from_slice(&id.to_le_bytes());
+        let car = |out: &mut [eva_common::ColumnBuilder]| {
+            out[0].push_str("car");
+            Ok(1)
+        };
+        let hit = batch.answer(&bytes, car).expect("a benchmark-sized cache");
+        hits += usize::from(hit.is_some());
+    }
+    batch.finish();
+    hits
+}
+
 /// The dataset seed every experiment uses (determinism across binaries).
 pub const SEED: u64 = 7;
 

@@ -533,15 +533,58 @@ fn mixed_values(data: &ColumnData, validity: &Bitmap) -> Vec<Value> {
     (0..data.len()).map(cell).collect()
 }
 
+/// Slots in a builder's string-cell cache. A constant, not a setting: the
+/// columns this engine builds draw their strings from a vocabulary of a
+/// dozen words (labels, makes, colours) or from no vocabulary at all (plates).
+const INTERN_SLOTS: usize = 32;
+
+/// The cache slot `s` maps to: its first eight bytes and its length, mixed
+/// by one multiply. Cheap enough that a column of all-distinct strings pays
+/// next to nothing for the cache it cannot use.
+#[inline]
+fn intern_slot(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let mut word = [0u8; 8];
+    let n = bytes.len().min(8);
+    word[..n].copy_from_slice(&bytes[..n]);
+    let h =
+        (u64::from_le_bytes(word) ^ (bytes.len() as u64) << 56).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h >> (64 - INTERN_SLOTS.trailing_zeros())) as usize
+}
+
+/// The shared cell for `s` out of a direct-mapped cache: the slot's cell
+/// when it holds `s`, otherwise a fresh allocation that takes the slot over
+/// — one probe and one compare either way, and a miss allocates exactly
+/// what `Arc::from(s)` does.
+fn intern(cache: &mut Vec<Option<Arc<str>>>, s: &str) -> Arc<str> {
+    if cache.is_empty() {
+        cache.resize(INTERN_SLOTS, None);
+    }
+    let slot = &mut cache[intern_slot(s)];
+    match slot {
+        Some(cell) if **cell == *s => Arc::clone(cell),
+        _ => {
+            let cell: Arc<str> = Arc::from(s);
+            *slot = Some(Arc::clone(&cell));
+            cell
+        }
+    }
+}
+
 /// Incremental [`Column`] builder: starts optimistically typed on the
 /// first non-null value and demotes to [`ColumnData::Mixed`] on the first
-/// tag mismatch (preserving everything pushed so far).
+/// tag mismatch (preserving everything pushed so far). String cells are
+/// interned per builder, so a chunk of repeated words holds one allocation
+/// per distinct word, not one per row.
 #[derive(Debug)]
 pub struct ColumnBuilder {
     data: Option<ColumnData>,
     validity: Bitmap,
     /// Slots to reserve once the first non-null value picks the array type.
     capacity: usize,
+    /// Direct-mapped cache of the string cells pushed so far; empty until
+    /// the first string arrives.
+    interned: Vec<Option<Arc<str>>>,
 }
 
 impl ColumnBuilder {
@@ -556,6 +599,31 @@ impl ColumnBuilder {
             data: None,
             validity: Bitmap::with_capacity(capacity),
             capacity,
+            interned: Vec::new(),
+        }
+    }
+
+    /// Slots pushed so far.
+    pub fn len(&self) -> usize {
+        self.validity.len()
+    }
+
+    /// True when nothing has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.validity.is_empty()
+    }
+
+    /// Append one string — what [`ColumnBuilder::push_cell`] does with a
+    /// [`CellRef::Str`], minus the dispatch when the column is already a
+    /// string array (every push but a column's first).
+    #[inline]
+    pub fn push_str(&mut self, s: &str) {
+        match &mut self.data {
+            Some(ColumnData::Str(vec)) => {
+                self.validity.push(true);
+                vec.push(intern(&mut self.interned, s));
+            }
+            _ => self.push_cell(CellRef::Str(s)),
         }
     }
 
@@ -605,7 +673,7 @@ impl ColumnBuilder {
             (ColumnData::Int(vec), CellRef::Int(i)) => vec.push(i),
             (ColumnData::Float(vec), CellRef::Float(f)) => vec.push(f),
             (ColumnData::Bool(vec), CellRef::Bool(b)) => vec.push(b),
-            (ColumnData::Str(vec), CellRef::Str(s)) => vec.push(Arc::from(s)),
+            (ColumnData::Str(vec), CellRef::Str(s)) => vec.push(intern(&mut self.interned, s)),
             (ColumnData::BBox(vec), CellRef::BBox(b)) => vec.push(b),
             (ColumnData::Mixed(vec), cell) => vec.push(cell.to_value()),
             (typed, cell) => {
@@ -919,6 +987,106 @@ mod tests {
             b.push(v);
         }
         assert_eq!(b.finish(), Column::from_values(&vals));
+    }
+
+    /// The column the builder's inference rules give `vals`, assembled by
+    /// hand with one fresh allocation per string cell — what `push_cell`
+    /// built before string cells were interned.
+    fn uninterned(vals: &[Value]) -> Column {
+        let mut validity = Bitmap::new();
+        vals.iter().for_each(|v| validity.push(!v.is_null()));
+        let all_str = vals
+            .iter()
+            .all(|v| matches!(v, Value::Null | Value::Str(_)));
+        let data = if validity.count_valid() == 0 {
+            ColumnData::Int(vec![0; vals.len()])
+        } else if all_str {
+            let cell = |v: &Value| Arc::from(v.as_str().unwrap_or(""));
+            ColumnData::Str(vals.iter().map(cell).collect())
+        } else {
+            ColumnData::Mixed(vals.to_vec())
+        };
+        Column::new(data, validity)
+    }
+
+    /// Interned pushes (`push_str`, and `push_cell`'s string arm) build the
+    /// same column, cell for cell, as uninterned ones: NULLs before the
+    /// first string, more distinct strings than the cache has slots, two
+    /// words fighting over one slot, and a `Mixed` demotion mid-column.
+    #[test]
+    fn interned_pushes_build_the_uninterned_column() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: usize| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % bound
+        };
+        let words: Vec<String> = (0..4 * INTERN_SLOTS).map(|i| format!("w{i}")).collect();
+        let (a, b) = (0..words.len())
+            .flat_map(|i| (0..i).map(move |j| (j, i)))
+            .find(|&(j, i)| intern_slot(&words[j]) == intern_slot(&words[i]))
+            .expect("more words than slots");
+        let mut cases: Vec<Vec<Value>> = Vec::new();
+        for vocabulary in [3, INTERN_SLOTS, words.len()] {
+            let mut vals = vec![Value::Null; next(4)];
+            vals.extend((0..600).map(|_| match next(7) {
+                0 => Value::Null,
+                _ => Value::from(words[next(vocabulary)].as_str()),
+            }));
+            cases.push(vals);
+        }
+        cases.push(
+            (0..200)
+                .map(|i| Value::from(words[[a, b][i % 2]].as_str()))
+                .collect(),
+        );
+        let mut demoted = cases[0].clone();
+        demoted.insert(300, Value::Int(7));
+        cases.push(demoted);
+        cases.push(vec![Value::Null; 5]);
+
+        for vals in &cases {
+            let (mut by_str, mut by_cell) = (ColumnBuilder::new(), ColumnBuilder::with_capacity(9));
+            for v in vals {
+                match v {
+                    Value::Str(s) => by_str.push_str(s),
+                    other => by_str.push(other),
+                }
+                by_cell.push_cell(CellRef::from_value(v));
+            }
+            assert_eq!(by_str.len(), vals.len());
+            let (by_str, want) = (by_str.finish(), uninterned(vals));
+            assert_eq!(by_str, want);
+            assert_eq!(by_cell.finish(), want);
+            let bytes: usize = vals.iter().map(Value::encoded_len).sum();
+            assert_eq!(by_str.encoded_len(), bytes as u64);
+            for (i, v) in vals.iter().enumerate() {
+                let (mut got, mut expect) = (Vec::new(), Vec::new());
+                by_str.write_value_bytes(i, &mut got);
+                v.write_bytes(&mut expect);
+                assert_eq!(got, expect, "slot {i}");
+                assert_eq!(
+                    std::mem::discriminant(&by_str.value_at(i)),
+                    std::mem::discriminant(v)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_of_repeated_words_shares_their_cells() {
+        let mut b = ColumnBuilder::new();
+        for i in 0..1000 {
+            b.push_str(["car", "bus", "truck"][i % 3]);
+        }
+        let column = b.finish();
+        let ColumnData::Str(cells) = column.data() else {
+            panic!("a string column");
+        };
+        let distinct: std::collections::HashSet<*const u8> =
+            cells.iter().map(|c| c.as_ptr()).collect();
+        assert!(distinct.len() <= 3, "{} allocations", distinct.len());
     }
 
     #[test]

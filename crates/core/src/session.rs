@@ -993,6 +993,41 @@ mod tests {
         );
     }
 
+    /// The stock detector, raising the session's cancel flag on its `nth`
+    /// call: a cancel that arrives during execution by construction, with
+    /// no second thread to race the query against.
+    struct CancelOnNthCall {
+        inner: Arc<dyn eva_udf::SimUdf>,
+        calls: std::sync::atomic::AtomicU64,
+        nth: u64,
+        cancel: Arc<AtomicBool>,
+    }
+
+    impl eva_udf::SimUdf for CancelOnNthCall {
+        fn impl_id(&self) -> &str {
+            self.inner.impl_id()
+        }
+        fn cost_ms(&self) -> f64 {
+            self.inner.cost_ms()
+        }
+        fn output_schema(&self) -> Arc<eva_common::Schema> {
+            self.inner.output_schema()
+        }
+        fn key_kind(&self) -> eva_storage::ViewKeyKind {
+            self.inner.key_kind()
+        }
+        fn eval_into(
+            &self,
+            ctx: &eva_udf::UdfEvalContext<'_>,
+            out: &mut [eva_common::ColumnBuilder],
+        ) -> eva_common::Result<u32> {
+            if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+                self.cancel.store(true, Ordering::SeqCst);
+            }
+            self.inner.eval_into(ctx, out)
+        }
+    }
+
     #[test]
     fn external_cancel_unwinds_as_user_cancellation() {
         let mut db = session(ReuseStrategy::Eva);
@@ -1003,20 +1038,16 @@ mod tests {
             .unwrap()
             .rows()
             .unwrap();
-        // A cancel arriving *during* execution does. The setter spins so
-        // the re-arm at query start cannot outrun it.
-        let handle = db.cancel_handle();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_setter = Arc::clone(&stop);
-        let setter = std::thread::spawn(move || {
-            while !stop_setter.load(Ordering::SeqCst) {
-                handle.store(true, Ordering::SeqCst);
-                std::thread::yield_now();
-            }
-        });
+        // A cancel arriving *during* execution does: the detector raises
+        // the flag on its 40th frame, well after the re-arm at query start.
+        let stock = db.registry().get("sim/fasterrcnn_resnet50").unwrap();
+        db.registry().register(Arc::new(CancelOnNthCall {
+            inner: stock,
+            calls: Default::default(),
+            nth: 40,
+            cancel: db.cancel_handle(),
+        }));
         let err = db.execute_sql(Q).unwrap_err();
-        stop.store(true, Ordering::SeqCst);
-        setter.join().unwrap();
         assert_eq!(
             err.cancel_reason(),
             Some(eva_common::CancelReason::User),

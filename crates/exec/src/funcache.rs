@@ -5,37 +5,33 @@
 //! approach — hashing the raw frame bytes on **every** invocation, hit or
 //! miss — is charged to the virtual clock by the apply operator.
 //!
-//! UDF names are interned to small integer ids, so building the per-row
-//! cache key allocates nothing; cached values are `Arc<[Row]>`, so hits
-//! share rows instead of copying them.
+//! The table is laid out like a materialized view: per UDF one append-only
+//! typed [`Column`] per output field, behind an index from key to the
+//! `(first row, row count)` range that key's rows occupy. The apply operator
+//! answers one input batch through a [`FunCacheBatch`]: hits name ranges the
+//! table already holds, misses are evaluated straight into the batch's
+//! column builders (`SimUdf::eval_into`), and `finish` appends the fresh
+//! chunk and gathers every input's rows in one pass per column.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use eva_common::hash::xxhash128;
-use eva_common::Row;
-
-/// A fully-interned cache key: UDF id plus the 128-bit argument hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FunCacheKey {
-    udf: u32,
-    lo: u64,
-    hi: u64,
-}
+use eva_common::{Column, ColumnBuilder, EvaError, Result};
 
 /// Shared tuple-level cache. Cheap to clone; contents live for a workload.
 #[derive(Debug, Clone, Default)]
 pub struct FunCacheTable {
-    inner: Arc<Inner>,
+    store: Arc<Mutex<Store>>,
 }
 
 #[derive(Debug, Default)]
-struct Inner {
-    /// UDF name → interned id. Read-locked on the hot path; a write lock is
-    /// only taken the first time a name is seen.
-    names: RwLock<HashMap<String, u32>>,
-    map: Mutex<HashMap<FunCacheKey, Arc<[Row]>>>,
+struct Store {
+    /// `(udf id, argument hash)` → `(first row, row count)` in its columns.
+    index: HashMap<(usize, u64, u64), (u32, u32)>,
+    /// Per UDF, by id: its name and one append-only column per output field.
+    udfs: Vec<(String, Vec<Column>)>,
 }
 
 impl FunCacheTable {
@@ -44,105 +40,201 @@ impl FunCacheTable {
         FunCacheTable::default()
     }
 
-    /// Intern a UDF name to its small id (allocation-free after the first
-    /// call per name).
-    fn intern(&self, udf: &str) -> u32 {
-        if let Some(&id) = self.inner.names.read().get(udf) {
-            return id;
+    /// Start answering one batch of `udf`'s inputs, whose output rows have
+    /// `width` fields. Holds the table's lock until the batch is finished
+    /// or dropped.
+    pub fn batch(&self, udf: &str, width: usize) -> FunCacheBatch<'_> {
+        let mut store = self.store.lock();
+        let known = store.udfs.iter().position(|(name, _)| name == udf);
+        let udf = known.unwrap_or_else(|| {
+            let columns = vec![Column::from_ints(Vec::new()); width];
+            store.udfs.push((udf.to_string(), columns));
+            store.udfs.len() - 1
+        });
+        FunCacheBatch {
+            next_row: store.udfs[udf].1.first().map_or(0, Column::len) as u32,
+            store,
+            udf,
+            fresh: (0..width).map(|_| ColumnBuilder::new()).collect(),
+            ranges: Vec::new(),
         }
-        let mut names = self.inner.names.write();
-        if let Some(&id) = names.get(udf) {
-            return id;
-        }
-        let id = names.len() as u32;
-        names.insert(udf.to_string(), id);
-        id
-    }
-
-    /// Compute the cache key for raw argument bytes.
-    pub fn key(&self, udf: &str, arg_bytes: &[u8]) -> FunCacheKey {
-        let (lo, hi) = xxhash128(arg_bytes);
-        FunCacheKey {
-            udf: self.intern(udf),
-            lo,
-            hi,
-        }
-    }
-
-    /// Look up previously cached results (a hit shares the stored rows).
-    pub fn get(&self, key: &FunCacheKey) -> Option<Arc<[Row]>> {
-        self.inner.map.lock().get(key).map(Arc::clone)
-    }
-
-    /// Insert results for a key; returns the rows as the table now shares
-    /// them.
-    pub fn insert(&self, key: FunCacheKey, rows: Vec<Row>) -> Arc<[Row]> {
-        let rows: Arc<[Row]> = rows.into();
-        self.inner.map.lock().insert(key, Arc::clone(&rows));
-        rows
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner.map.lock().len()
+        self.store.lock().index.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.inner.map.lock().is_empty()
+        self.len() == 0
     }
 
-    /// Drop everything (workload restart). Interned names survive — ids
-    /// stay stable for the session.
+    /// Drop everything (workload restart).
     pub fn clear(&self) {
-        self.inner.map.lock().clear();
+        *self.store.lock() = Store::default();
+    }
+}
+
+/// One input batch against the table, answered input by input. The rows its
+/// misses evaluated join the table when the batch finishes — or is dropped
+/// on an error path, so what was evaluated before the error stays cached and
+/// the index never names a row the columns do not hold.
+#[derive(Debug)]
+pub struct FunCacheBatch<'a> {
+    store: MutexGuard<'a, Store>,
+    udf: usize,
+    /// The rows evaluated in this batch, not yet appended to the table.
+    fresh: Vec<ColumnBuilder>,
+    /// Where the next fresh row will sit in the UDF's columns.
+    next_row: u32,
+    /// Per answered input, its `(first row, row count)`.
+    ranges: Vec<(u32, u32)>,
+}
+
+impl FunCacheBatch<'_> {
+    /// Answer the next input, identified by its raw argument bytes: from
+    /// the cache (`Some(row count)`; earlier misses of this batch count),
+    /// or, on a miss (`None`), with the rows `eval` appends to the builders
+    /// it is handed — one per output field — and reports the count of.
+    pub fn answer(
+        &mut self,
+        arg_bytes: &[u8],
+        eval: impl FnOnce(&mut [ColumnBuilder]) -> Result<u32>,
+    ) -> Result<Option<u32>> {
+        let (lo, hi) = xxhash128(arg_bytes);
+        let key = (self.udf, lo, hi);
+        if let Some(&range) = self.store.index.get(&key) {
+            self.ranges.push(range);
+            return Ok(Some(range.1));
+        }
+        let n_rows = eval(&mut self.fresh)?;
+        let range = (self.next_row, n_rows);
+        self.next_row = (self.next_row.checked_add(n_rows))
+            .ok_or_else(|| EvaError::Exec("function cache row index overflow".into()))?;
+        self.store.index.insert(key, range);
+        self.ranges.push(range);
+        Ok(None)
+    }
+
+    /// Append the fresh rows to the table (once).
+    fn commit(&mut self) {
+        let columns = &mut self.store.udfs[self.udf].1;
+        for (stored, fresh) in columns.iter_mut().zip(self.fresh.drain(..)) {
+            stored.append(&fresh.finish());
+        }
+    }
+
+    /// Per answered input its row count, and every input's rows gathered,
+    /// in input order, into one column per output field.
+    pub fn finish(mut self) -> (Vec<u32>, Vec<Column>) {
+        self.commit();
+        let rows: Vec<u32> = (self.ranges.iter())
+            .flat_map(|&(start, len)| start..start + len)
+            .collect();
+        let columns = &self.store.udfs[self.udf].1;
+        let gathered = columns.iter().map(|c| c.gather(&rows)).collect();
+        (self.ranges.iter().map(|&(_, len)| len).collect(), gathered)
+    }
+}
+
+impl Drop for FunCacheBatch<'_> {
+    fn drop(&mut self) {
+        self.commit();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_common::Value;
+    use eva_common::testutil::rows_of;
+    use eva_common::{CellRef, Value};
+
+    /// Answer `inputs`: argument bytes, and the rows a miss evaluates to.
+    /// Returns which inputs hit, and the batch's answer.
+    fn answer(c: &FunCacheTable, inputs: &[(&[u8], &[i64])]) -> (Vec<bool>, Vec<u32>, Vec<Column>) {
+        let mut batch = c.batch("det", 1);
+        let mut hits = Vec::new();
+        for (bytes, rows) in inputs {
+            let eval = |out: &mut [ColumnBuilder]| {
+                rows.iter().for_each(|&v| out[0].push_cell(CellRef::Int(v)));
+                Ok(rows.len() as u32)
+            };
+            hits.push(batch.answer(bytes, eval).unwrap().is_some());
+        }
+        let (lens, columns) = batch.finish();
+        (hits, lens, columns)
+    }
+
+    fn ints(vals: &[i64]) -> Vec<Vec<Value>> {
+        vals.iter().map(|&v| vec![Value::Int(v)]).collect()
+    }
 
     #[test]
     fn round_trip() {
         let c = FunCacheTable::new();
-        let k = c.key("det", b"frame-0-bytes");
-        assert!(c.get(&k).is_none());
-        c.insert(k, vec![vec![Value::Int(1)]]);
-        assert_eq!(c.get(&k).unwrap()[0][0], Value::Int(1));
-        assert_eq!(c.len(), 1);
+        let (hits, lens, columns) = answer(&c, &[(b"frame-0", &[1, 2]), (b"frame-1", &[])]);
+        assert_eq!((hits, lens), (vec![false, false], vec![2, 0]));
+        assert_eq!(rows_of(&columns), ints(&[1, 2]));
+        assert_eq!(c.len(), 2);
+        // Hits come back in input order, whatever order the rows were
+        // stored in; a zero-row entry is a hit too.
+        let (hits, lens, columns) = answer(
+            &c,
+            &[(b"frame-1", &[]), (b"frame-2", &[3]), (b"frame-0", &[9])],
+        );
+        assert_eq!((hits, lens), (vec![true, false, true], vec![0, 1, 2]));
+        assert_eq!(rows_of(&columns), ints(&[3, 1, 2]));
         c.clear();
         assert!(c.is_empty());
+        assert_eq!(answer(&c, &[(b"frame-0", &[7])]).0, vec![false]);
     }
 
     #[test]
-    fn keys_distinguish_udf_and_bytes() {
+    fn a_repeat_inside_one_batch_is_a_hit() {
         let c = FunCacheTable::new();
-        let a = c.key("det", b"x");
-        let b = c.key("det", b"y");
-        let other = c.key("other", b"x");
-        assert_ne!(a, b);
-        assert_ne!(a, other);
+        let (hits, lens, columns) = answer(&c, &[(b"x", &[5]), (b"y", &[6]), (b"x", &[0])]);
+        assert_eq!((hits, lens), (vec![false, false, true], vec![1, 1, 1]));
+        assert_eq!(rows_of(&columns), ints(&[5, 6, 5]));
     }
 
     #[test]
-    fn interning_is_stable() {
+    fn a_failed_batch_keeps_what_it_evaluated() {
         let c = FunCacheTable::new();
-        let a = c.key("det", b"x");
-        let b = c.key("det", b"x");
-        assert_eq!(a, b, "same name + bytes → same key");
+        {
+            let mut batch = c.batch("det", 1);
+            let one = |out: &mut [ColumnBuilder]| {
+                out[0].push_cell(CellRef::Int(4));
+                Ok(1)
+            };
+            assert_eq!(batch.answer(b"x", one).unwrap(), None);
+            let failing = |_: &mut [ColumnBuilder]| Err(EvaError::Exec("model down".into()));
+            assert!(batch.answer(b"y", failing).is_err());
+            // The error path: the batch is dropped without `finish`.
+        }
+        let (hits, _, columns) = answer(&c, &[(b"x", &[0]), (b"y", &[8])]);
+        assert_eq!(hits, vec![true, false]);
+        assert_eq!(rows_of(&columns), ints(&[4, 8]));
+    }
+
+    #[test]
+    fn udfs_do_not_share_entries() {
+        let c = FunCacheTable::new();
+        assert_eq!(answer(&c, &[(b"x", &[1])]).0, vec![false]);
+        let mut other = c.batch("other", 1);
+        let eval = |out: &mut [ColumnBuilder]| {
+            out[0].push_str("car");
+            Ok(1)
+        };
+        assert_eq!(
+            other.answer(b"x", eval).unwrap(),
+            None,
+            "same bytes, other UDF"
+        );
+        let (_, columns) = other.finish();
+        assert_eq!(rows_of(&columns), vec![vec![Value::from("car")]]);
+        assert_eq!(c.len(), 2);
         c.clear();
-        assert_eq!(c.key("det", b"x"), a, "ids survive a clear");
-    }
-
-    #[test]
-    fn hits_share_rows() {
-        let c = FunCacheTable::new();
-        let k = c.key("det", b"bytes");
-        c.insert(k, vec![vec![Value::Int(1)]]);
-        let a = c.get(&k).unwrap();
-        let b = c.get(&k).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache hits must be zero-copy");
+        assert_eq!(answer(&c, &[(b"x", &[2])]).0, vec![false]);
     }
 }

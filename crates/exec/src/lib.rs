@@ -28,5 +28,5 @@ mod testing;
 pub use config::ExecConfig;
 pub use context::ExecCtx;
 pub use engine::{execute, execute_governed, execute_with_pool, QueryOutput, RESULT_ROW_BYTES};
-pub use funcache::{FunCacheKey, FunCacheTable};
+pub use funcache::{FunCacheBatch, FunCacheTable};
 pub use pool::{LaneReport, WorkerPool};

@@ -18,10 +18,11 @@
 //! between. Probe keys are read straight from the typed `frame`/`bbox`
 //! columns through the batch's selection. UDF results are typed column
 //! *chunks*: a probe hands back its hit rows already gathered out of the
-//! view's columns, and each eval batch's fresh rows are pivoted once into a
-//! chunk that is lent to STORE and then joined — the only place a UDF's
-//! `Value`s are read. Per input key the operator records which rows of which
-//! chunk are its results, and the cross-apply join is a *selection
+//! view's columns, and each eval batch lends the model one set of column
+//! builders to write its fresh rows into (`SimUdf::eval_into`), finished
+//! into a chunk that is lent to STORE and then joined — no `Value` or row
+//! is built on the way. Per input key the operator records which rows of
+//! which chunk are its results, and the cross-apply join is a *selection
 //! expansion*: a repeat-index vector gathers the input columns, and the
 //! output columns are the source chunk itself when one chunk holds the rows
 //! in key order (all hits, or all fresh), or the chunks concatenated and
@@ -34,13 +35,13 @@ use std::sync::Arc;
 
 use eva_common::hash::xxhash64;
 use eva_common::{
-    BBox, CellRef, Column, ColumnarBatch, CostCategory, EvaError, ExecBatch, Failpoint, FireRule,
-    FrameId, OpId, Result, Row, Schema, SpanKind,
+    BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, ExecBatch,
+    Failpoint, FireRule, FrameId, OpId, Result, Schema, SpanKind,
 };
 use eva_expr::Expr;
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
 use eva_storage::{ViewHits, ViewKey};
-use eva_udf::{SimUdf, UdfEvalContext};
+use eva_udf::UdfEvalContext;
 
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
@@ -48,17 +49,13 @@ use crate::ops::{BoxedOp, Operator};
 /// One UDF input: the logical `(frame, box)` pair and its view key.
 type ApplyKey = (FrameId, Option<BBox>, ViewKey);
 
-/// One eval batch as it comes back from the model: `(key index, rows)` in
-/// input order.
-type Evaluated = Vec<(usize, Vec<Row>)>;
-
 /// The UDF results of one input batch: typed column chunks, and per input
 /// key the `(chunk, first row, row count)` of its results. Every chunk row
 /// belongs to exactly one key.
 struct Resolved {
     chunks: Vec<Vec<Column>>,
     chunk_rows: Vec<u32>,
-    /// `None` only transiently, while a key is still unresolved.
+    /// `None` while a key is still unresolved; the join refuses one.
     slots: Vec<Option<(u32, u32, u32)>>,
 }
 
@@ -82,12 +79,6 @@ impl Resolved {
         }
         self.chunks.push(columns);
         self.chunk_rows.push(at);
-    }
-
-    /// Take in one eval batch, pivoted by [`ApplyOp::chunk_of`].
-    fn push_evaluated(&mut self, chunk: Vec<Column>, evaluated: &Evaluated) {
-        let owners = evaluated.iter().map(|(i, rows)| (*i, rows.len() as u32));
-        self.push_chunk(chunk, owners);
     }
 }
 
@@ -186,22 +177,24 @@ impl ApplyOp {
         }
     }
 
-    /// Deterministic transient-failure model (the `udf_transient` failpoint):
-    /// decide per input *key* how many injected failures this evaluation
-    /// suffers, charge the exponential retry backoff to the clock, and bump
-    /// the retry counters *before* the batch is evaluated, so the failure set
-    /// and every charge depend on the keys alone, never on evaluation order.
+    /// What every evaluation site does before it evaluates. First the UDF
+    /// circuit breaker (when the session wired one in): fail fast while it
+    /// is open, let the half-open probe through once the SimClock cooldown
+    /// elapses. Then the deterministic transient-failure model (the
+    /// `udf_transient` failpoint): decide per input *key* how many injected
+    /// failures this evaluation suffers, charge the exponential retry
+    /// backoff to the clock, and bump the retry counters *before* the batch
+    /// is evaluated, so the failure set and every charge depend on the keys
+    /// alone, never on evaluation order.
     ///
     /// Returns `Err` when an input keeps failing past the retry budget.
-    fn charge_transient_failures<I>(
-        &self,
-        ctx: &ExecCtx<'_>,
-        udf_name: &str,
-        inputs: I,
-    ) -> Result<()>
+    fn admit_evaluation<I>(&self, ctx: &ExecCtx<'_>, udf_name: &str, inputs: I) -> Result<()>
     where
         I: IntoIterator<Item = (FrameId, Option<BBox>)>,
     {
+        if let Some(b) = ctx.breaker {
+            b.check(ctx.clock, ctx.metrics())?;
+        }
         let fp = ctx.storage.failpoints();
         if !matches!(fp.rule(Failpoint::UdfTransient), FireRule::Keyed { .. }) {
             return Ok(());
@@ -256,16 +249,6 @@ impl ApplyOp {
         Ok(())
     }
 
-    /// Gate one evaluation site on the UDF circuit breaker (when the
-    /// session wired one in): fail fast while it is open, let the half-open
-    /// probe through once the SimClock cooldown elapses.
-    fn breaker_check(&self, ctx: &ExecCtx<'_>) -> Result<()> {
-        match ctx.breaker {
-            Some(b) => b.check(ctx.clock, ctx.metrics()),
-            None => Ok(()),
-        }
-    }
-
     /// Report a successful evaluation to the breaker: closes a half-open
     /// probe and resets the consecutive-exhaustion streak.
     fn breaker_success(&self, ctx: &ExecCtx<'_>) {
@@ -274,32 +257,75 @@ impl ApplyOp {
         }
     }
 
-    /// Evaluate the model on `inputs`, in input order. The caller charges
-    /// the simulated cost and stats.
+    /// One eval batch: run `udf_def`'s model on the keys at `which`, in that
+    /// order, into one set of column builders, and resolve those keys with
+    /// the finished chunk — after lending it to STORE when `store_into`
+    /// names a view. Breaker gate, retry model, per-invocation charges,
+    /// counters and the `udf_eval` leaf span all happen here.
     fn eval_rows(
         &self,
         ctx: &ExecCtx<'_>,
-        udf: &Arc<dyn SimUdf>,
-        inputs: &[(usize, FrameId, Option<BBox>)],
-    ) -> Result<Evaluated> {
-        let mut out = Vec::with_capacity(inputs.len());
-        for (idx, frame, bbox) in inputs {
-            let rows = udf.eval(&UdfEvalContext {
+        udf_def: &eva_catalog::UdfDef,
+        keys: &[ApplyKey],
+        which: &[usize],
+        store_into: Option<eva_common::ViewId>,
+        resolved: &mut Resolved,
+    ) -> Result<()> {
+        let udf = ctx.registry.get(&udf_def.impl_id)?;
+        let eval_started = std::time::Instant::now();
+        let eval_clock = ctx.clock.snapshot();
+        let inputs = which.iter().map(|&i| (keys[i].0, keys[i].1));
+        self.admit_evaluation(ctx, &udf_def.name, inputs)?;
+        let mut builders: Vec<ColumnBuilder> = (0..self.spec.output.len())
+            .map(|_| ColumnBuilder::with_capacity(which.len()))
+            .collect();
+        let mut owners = Vec::with_capacity(which.len());
+        for &i in which {
+            let input = UdfEvalContext {
                 dataset: &ctx.dataset,
-                frame: *frame,
-                bbox: *bbox,
-            })?;
-            out.push((*idx, rows));
+                frame: keys[i].0,
+                bbox: keys[i].1,
+            };
+            owners.push((i, udf.eval_into(&input, &mut builders)?));
         }
-        Ok(out)
+        self.breaker_success(ctx);
+        let n_eval = owners.len() as u64;
+        ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
+        ctx.op_stats
+            .update(self.op_id, |s| s.udf_executed += n_eval);
+        for _ in &owners {
+            ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
+        }
+        // One leaf span per eval batch: retries + evaluations + the
+        // per-invocation Udf charges, before any STORE append.
+        ctx.trace().leaf(
+            SpanKind::UdfEval,
+            &udf_def.name,
+            ctx.clock.snapshot().since(&eval_clock).total_ms(),
+            eval_started.elapsed().as_nanos() as u64,
+            n_eval,
+        );
+        let evaluated = which.iter().map(|&i| keys[i].2);
+        ctx.stats
+            .record_batch(&udf_def.name, evaluated, udf.cost_ms(), false);
+        let chunk: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
+        if let Some(view) = store_into {
+            let entries: Vec<_> = owners.iter().map(|&(i, n)| (keys[i].2, n)).collect();
+            ctx.storage.view_append(view, &entries, &chunk, ctx.clock)?;
+        }
+        resolved.push_chunk(chunk, owners);
+        Ok(())
     }
 
-    /// Pivot one eval batch's rows into a typed chunk, one column per UDF
-    /// output field.
-    fn chunk_of(&self, evaluated: &Evaluated) -> Vec<Column> {
-        let n_rows = evaluated.iter().map(|(_, rows)| rows.len()).sum();
-        let rows = evaluated.iter().flat_map(|(_, rows)| rows.iter());
-        Column::from_rows(self.spec.output.len(), n_rows, rows.map(Vec::as_slice))
+    /// Inputs no segment resolved: a plan whose segment list does not end in
+    /// an evaluating segment met a key its views do not hold. Dropping those
+    /// rows would change the answer, so the query fails instead.
+    fn unresolved_error(&self, n_unresolved: usize) -> EvaError {
+        EvaError::Exec(format!(
+            "apply of '{}' left {n_unresolved} input rows unresolved: \
+             no segment of the plan evaluates the UDF",
+            self.spec.display_name
+        ))
     }
 
     fn process_views(
@@ -405,58 +431,14 @@ impl ApplyOp {
             }
             // Evaluate the fallback for the rest.
             if seg.eval && !unresolved.is_empty() {
-                let udf = ctx.registry.get(&seg.udf.impl_id)?;
-                let inputs: Vec<(usize, FrameId, Option<BBox>)> = unresolved
-                    .iter()
-                    .map(|&i| (i, keys[i].0, keys[i].1))
-                    .collect();
-                let eval_started = std::time::Instant::now();
-                let eval_clock = ctx.clock.snapshot();
-                self.breaker_check(ctx)?;
-                self.charge_transient_failures(
-                    ctx,
-                    &seg.udf.name,
-                    inputs.iter().map(|&(_, f, b)| (f, b)),
-                )?;
-                let evaluated = self.eval_rows(ctx, &udf, &inputs)?;
-                self.breaker_success(ctx);
-                let n_eval = evaluated.len() as u64;
-                ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
-                ctx.op_stats
-                    .update(self.op_id, |s| s.udf_executed += n_eval);
-                for _ in &evaluated {
-                    ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                }
-                // One leaf span per eval batch: retries + evaluations + the
-                // per-invocation Udf charges, before the STORE append.
-                ctx.trace().leaf(
-                    SpanKind::UdfEval,
-                    &seg.udf.name,
-                    ctx.clock.snapshot().since(&eval_clock).total_ms(),
-                    eval_started.elapsed().as_nanos() as u64,
-                    n_eval,
-                );
-                ctx.stats.record_batch(
-                    &seg.udf.name,
-                    inputs.iter().map(|&(i, ..)| keys[i].2),
-                    udf.cost_ms(),
-                    false,
-                );
-                // One typed chunk serves both the STORE append and this
-                // operator's own output.
-                let chunk = self.chunk_of(&evaluated);
-                if let (true, Some(view)) = (store, seg.view) {
-                    let entries: Vec<(ViewKey, u32)> = evaluated
-                        .iter()
-                        .map(|(i, rows)| (keys[*i].2, rows.len() as u32))
-                        .collect();
-                    ctx.storage.view_append(view, &entries, &chunk, ctx.clock)?;
-                }
-                resolved.push_evaluated(chunk, &evaluated);
+                let store_into = seg.view.filter(|_| store);
+                self.eval_rows(ctx, &seg.udf, keys, &unresolved, store_into, &mut resolved)?;
                 unresolved.clear();
             }
         }
-        debug_assert!(unresolved.is_empty(), "apply left rows unresolved");
+        if !unresolved.is_empty() {
+            return Err(self.unresolved_error(unresolved.len()));
+        }
         Ok(resolved)
     }
 
@@ -470,9 +452,9 @@ impl ApplyOp {
         let frame_bytes = ctx.dataset.frame_bytes();
         let lookup_started = std::time::Instant::now();
         let lookup_clock = ctx.clock.snapshot();
-        // The cache table is the one row-form store left; its rows are
-        // pivoted into a chunk below, like an eval batch's.
-        let mut results = Vec::with_capacity(keys.len());
+        // Hits name rows the table already holds, misses are evaluated into
+        // the batch's builders; `finish` answers all of them with one gather.
+        let mut batch = ctx.funcache.batch(&udf_def.name, self.spec.output.len());
         let (mut hit_keys, mut miss_keys) = (Vec::new(), Vec::new());
         let mut rows_shared = 0u64;
         for &(frame, bbox, vkey) in keys {
@@ -492,30 +474,24 @@ impl ApplyOp {
                 CostCategory::HashInput,
                 ctx.storage.cost_model().hash_cost_ms(hashed),
             );
-            let key = ctx.funcache.key(&udf_def.name, &arg_bytes);
-            match ctx.funcache.get(&key) {
-                Some(rows) => {
+            let hit = batch.answer(&arg_bytes, |out| {
+                self.admit_evaluation(ctx, &udf_def.name, std::iter::once((frame, bbox)))?;
+                let input = UdfEvalContext {
+                    dataset: &ctx.dataset,
+                    frame,
+                    bbox,
+                };
+                let n_rows = udf.eval_into(&input, out)?;
+                self.breaker_success(ctx);
+                ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
+                Ok(n_rows)
+            })?;
+            match hit {
+                Some(n_rows) => {
                     hit_keys.push(vkey);
-                    rows_shared += rows.len() as u64;
-                    results.push(rows);
+                    rows_shared += u64::from(n_rows);
                 }
-                None => {
-                    self.breaker_check(ctx)?;
-                    self.charge_transient_failures(
-                        ctx,
-                        &udf_def.name,
-                        std::iter::once((frame, bbox)),
-                    )?;
-                    let rows = udf.eval(&UdfEvalContext {
-                        dataset: &ctx.dataset,
-                        frame,
-                        bbox,
-                    })?;
-                    self.breaker_success(ctx);
-                    ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                    miss_keys.push(vkey);
-                    results.push(ctx.funcache.insert(key, rows));
-                }
+                None => miss_keys.push(vkey),
             }
         }
         // One leaf span per lookup batch: hashing, probes, and the misses'
@@ -532,8 +508,8 @@ impl ApplyOp {
             .record_batch(&udf_def.name, hit_keys, udf.cost_ms(), true);
         ctx.stats
             .record_batch(&udf_def.name, miss_keys, udf.cost_ms(), false);
-        // Cache hits serve their rows by Arc clone and each one avoided a
-        // model invocation; charged once per batch on the caller thread.
+        // Cache hits serve rows the table already held and each one avoided
+        // a model invocation; charged once per batch on the caller thread.
         ctx.metrics().record_funcache(cache_hits, cache_misses);
         ctx.metrics().record_zero_copy_rows(rows_shared);
         ctx.metrics()
@@ -542,60 +518,9 @@ impl ApplyOp {
             s.udf_executed += cache_misses;
             s.udf_avoided += cache_hits;
         });
-        let n_rows = results.iter().map(|rows| rows.len()).sum();
-        let rows = results.iter().flat_map(|rows| rows.iter());
-        let chunk = Column::from_rows(self.spec.output.len(), n_rows, rows.map(Vec::as_slice));
+        let (lens, chunk) = batch.finish();
         let mut resolved = Resolved::new(keys.len());
-        resolved.push_chunk(
-            chunk,
-            results
-                .iter()
-                .enumerate()
-                .map(|(i, rows)| (i, rows.len() as u32)),
-        );
-        Ok(resolved)
-    }
-
-    fn process_plain(&self, ctx: &ExecCtx<'_>, keys: &[ApplyKey]) -> Result<Resolved> {
-        let udf_def = self
-            .spec
-            .fallback_udf()
-            .cloned()
-            .ok_or_else(|| EvaError::Exec("apply without a UDF".into()))?;
-        let udf = ctx.registry.get(&udf_def.impl_id)?;
-        let inputs: Vec<(usize, FrameId, Option<BBox>)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &(frame, bbox, _))| (i, frame, bbox))
-            .collect();
-        let eval_started = std::time::Instant::now();
-        let eval_clock = ctx.clock.snapshot();
-        self.breaker_check(ctx)?;
-        self.charge_transient_failures(ctx, &udf_def.name, inputs.iter().map(|&(_, f, b)| (f, b)))?;
-        let evaluated = self.eval_rows(ctx, &udf, &inputs)?;
-        self.breaker_success(ctx);
-        let n_eval = evaluated.len() as u64;
-        ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
-        ctx.op_stats
-            .update(self.op_id, |s| s.udf_executed += n_eval);
-        for _ in &evaluated {
-            ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-        }
-        ctx.trace().leaf(
-            SpanKind::UdfEval,
-            &udf_def.name,
-            ctx.clock.snapshot().since(&eval_clock).total_ms(),
-            eval_started.elapsed().as_nanos() as u64,
-            n_eval,
-        );
-        ctx.stats.record_batch(
-            &udf_def.name,
-            keys.iter().map(|k| k.2),
-            udf.cost_ms(),
-            false,
-        );
-        let mut resolved = Resolved::new(keys.len());
-        resolved.push_evaluated(self.chunk_of(&evaluated), &evaluated);
+        resolved.push_chunk(chunk, lens.into_iter().enumerate());
         Ok(resolved)
     }
 
@@ -607,8 +532,8 @@ impl ApplyOp {
     /// chunks that resolved the keys in key order — the output columns *are*
     /// the (concatenated) chunks, otherwise one more gather permutes them.
     /// `None` when the batch fanned out to nothing (zero detections
-    /// everywhere).
-    fn join(&self, cb: &ColumnarBatch, resolved: Resolved) -> Option<ColumnarBatch> {
+    /// everywhere); an error when a key was left unresolved.
+    fn join(&self, cb: &ColumnarBatch, resolved: Resolved) -> Result<Option<ColumnarBatch>> {
         let Resolved {
             chunks,
             chunk_rows,
@@ -621,20 +546,21 @@ impl ApplyOp {
             offsets.push(n_out as u32);
             n_out += n as usize;
         }
-        if n_out == 0 {
-            return None;
-        }
         let mut repeat: Vec<u32> = Vec::with_capacity(n_out);
         let mut order: Vec<u32> = Vec::with_capacity(n_out);
         for (i, slot) in slots.iter().enumerate() {
             let Some((chunk, start, len)) = *slot else {
-                continue;
+                let n_unresolved = slots.iter().filter(|s| s.is_none()).count();
+                return Err(self.unresolved_error(n_unresolved));
             };
             let first = offsets[chunk as usize] + start;
             repeat.extend(std::iter::repeat(cb.physical_index(i) as u32).take(len as usize));
             order.extend(first..first + len);
         }
         debug_assert_eq!(order.len(), n_out, "a chunk row without an owner");
+        if n_out == 0 {
+            return Ok(None);
+        }
         let mut parts = chunks
             .into_iter()
             .zip(&chunk_rows)
@@ -659,7 +585,11 @@ impl ApplyOp {
             .chain(outputs)
             .map(Arc::new)
             .collect();
-        Some(ColumnarBatch::new(Arc::clone(&self.schema), columns, n_out))
+        Ok(Some(ColumnarBatch::new(
+            Arc::clone(&self.schema),
+            columns,
+            n_out,
+        )))
     }
 }
 
@@ -689,13 +619,18 @@ impl Operator for ApplyOp {
             );
             let keys = self.keys_of(&cb)?;
             let resolved = match &self.spec.reuse {
-                ApplyReuse::None { .. } => self.process_plain(ctx, &keys)?,
+                ApplyReuse::None { udf } => {
+                    let mut resolved = Resolved::new(keys.len());
+                    let all: Vec<usize> = (0..keys.len()).collect();
+                    self.eval_rows(ctx, udf, &keys, &all, None, &mut resolved)?;
+                    resolved
+                }
                 ApplyReuse::FunCache { udf } => self.process_funcache(ctx, &keys, udf)?,
                 ApplyReuse::Views { segments, store } => {
                     self.process_views(ctx, &keys, segments, *store)?
                 }
             };
-            if let Some(joined) = self.join(&cb, resolved) {
+            if let Some(joined) = self.join(&cb, resolved)? {
                 return Ok(Some(ExecBatch::Columnar(joined)));
             }
         }

@@ -1084,6 +1084,53 @@ fn apply_views_mode_probes_then_stores() {
     assert_eq!(counters.reused_invocations, 30);
 }
 
+/// A segment list that does not end in an evaluating segment, over a view
+/// that holds only half the inputs: the uncovered rows must fail the query —
+/// in release builds too, where a `debug_assert!` once let the join drop
+/// them from the answer.
+#[test]
+fn apply_refuses_to_drop_rows_no_segment_resolved() {
+    let env = TestEnv::new(8, 20);
+    let def = env.catalog.udf("fasterrcnn_resnet50").unwrap();
+    let view = env
+        .storage
+        .create_view("det", ViewKeyKind::Frame, Arc::new(def.output.clone()));
+    let row = vec![
+        Value::from("sentinel"),
+        Value::from(eva_common::BBox::new(0.0, 0.0, 0.5, 0.5)),
+        Value::Float(1.0),
+    ];
+    let entries: Vec<_> = (0..10u64)
+        .map(|i| (ViewKey::frame(FrameId(i)), vec![row.clone()]))
+        .collect();
+    store_rows(&env, view, &entries);
+    let probe_only = |n: u64| {
+        let reuse = ApplyReuse::Views {
+            segments: vec![Segment {
+                udf: def.clone(),
+                view: Some(view),
+                eval: false,
+            }],
+            store: true,
+        };
+        let op = ApplyOp::new(
+            frame_source(&env, n),
+            detector_spec(&env, reuse),
+            apply_schema(&env),
+        );
+        env.drain(Box::new(op.unwrap()))
+    };
+    // Fully covered inputs are served from the view alone.
+    assert_eq!(probe_only(10).unwrap().len(), 10);
+    let err = probe_only(20).unwrap_err();
+    assert_eq!(err.stage(), "exec", "{err}");
+    let msg = err.message();
+    assert!(msg.contains("fasterrcnn_resnet50"), "{msg}");
+    // The test context's batches hold 16 rows: frames 10..16 of the first.
+    assert!(msg.contains("left 6 input rows unresolved"), "{msg}");
+    assert_eq!(env.storage.view_n_keys(view).unwrap(), 10);
+}
+
 #[test]
 fn apply_multi_segment_probes_in_order() {
     let env = TestEnv::new(9, 12);
@@ -1255,8 +1302,16 @@ impl eva_udf::SimUdf for FanoutSim {
     fn key_kind(&self) -> ViewKeyKind {
         ViewKeyKind::Frame
     }
-    fn eval(&self, ctx: &eva_udf::UdfEvalContext<'_>) -> eva_common::Result<Vec<Vec<Value>>> {
-        Ok(fanout_rows(ctx.frame.raw()))
+    fn eval_into(
+        &self,
+        ctx: &eva_udf::UdfEvalContext<'_>,
+        out: &mut [eva_common::ColumnBuilder],
+    ) -> eva_common::Result<u32> {
+        let rows = fanout_rows(ctx.frame.raw());
+        for row in &rows {
+            out.iter_mut().zip(row).for_each(|(b, v)| b.push(v));
+        }
+        Ok(rows.len() as u32)
     }
 }
 

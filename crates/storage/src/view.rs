@@ -20,14 +20,18 @@
 //! move by refcount. Ranges never leave this module: a probe gathers while
 //! the caller holds the view's lock, so nothing a concurrent append or
 //! `clear_views` does can invalidate what it returns. The index hashes with
-//! [`KeyBuildHasher`] (keys are engine-derived integers). Box-level views
-//! additionally keep a per-frame secondary index so fuzzy probes scan only
-//! the boxes stored on the probed frame.
+//! [`KeyBuildHasher`] (keys are engine-derived integers). Fuzzy probes
+//! (opt-in) scan only the boxes stored on the probed frame, through a
+//! per-frame index the first fuzzy probe builds; a view never probed
+//! fuzzily never builds or maintains it. String cells arrive interned per
+//! chunk ([`eva_common::ColumnBuilder::push_str`]): a handful of
+//! allocations per chunk, which [`MaterializedView::approx_bytes`] — the
+//! *encoded* footprint — does not see.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eva_common::hash::KeyBuildHasher;
 use eva_common::{BBox, Column, EvaError, FrameId, Result, Schema, ViewId};
@@ -149,10 +153,11 @@ pub struct MaterializedView {
     index: HashMap<ViewKey, (u32, u32), KeyBuildHasher>,
     /// One column per output field; all of length `total_rows`.
     columns: Vec<Column>,
-    /// Box-level views only: frame id → keys stored on that frame, sorted.
-    /// Sorted order preserves the tie-breaking the old full-index range scan
-    /// had (first key in key order wins among equal-IoU candidates).
-    by_frame: HashMap<u64, Vec<ViewKey>, KeyBuildHasher>,
+    /// Frame id → box keys stored on that frame, sorted (first key in key
+    /// order wins among equal-IoU candidates). Built from `index` by the
+    /// first [`MaterializedView::fuzzy_probe`]; `append` maintains it only
+    /// once it exists.
+    by_frame: OnceLock<HashMap<u64, Vec<ViewKey>, KeyBuildHasher>>,
     total_rows: u32,
     approx_bytes: u64,
 }
@@ -165,7 +170,7 @@ impl MaterializedView {
             def,
             index: HashMap::default(),
             columns,
-            by_frame: HashMap::default(),
+            by_frame: OnceLock::new(),
             total_rows: 0,
             approx_bytes: 0,
         }
@@ -226,14 +231,15 @@ impl MaterializedView {
         let mut kept: Vec<u32> = Vec::with_capacity(chunk_rows as usize);
         let mut key_bytes = 0u64;
         let mut at = 0u32;
+        let mut by_frame = self.by_frame.get_mut();
         for &(key, len) in entries {
             let start = self.total_rows + kept.len() as u32;
             if let std::collections::hash_map::Entry::Vacant(e) = self.index.entry(key) {
                 e.insert((start, len));
                 key_bytes += key.encoded_len();
                 kept.extend(at..at + len);
-                if let ViewKey::FrameBox(frame, _) = key {
-                    let keys = self.by_frame.entry(frame).or_default();
+                if let (Some(by_frame), ViewKey::FrameBox(frame, _)) = (by_frame.as_mut(), key) {
+                    let keys = by_frame.entry(frame).or_default();
                     if let Err(pos) = keys.binary_search(&key) {
                         keys.insert(pos, key);
                     }
@@ -288,10 +294,16 @@ impl MaterializedView {
         min_iou: f32,
     ) -> (Option<ViewHits>, usize) {
         debug_assert_eq!(self.def.key_kind, ViewKeyKind::FrameBox);
-        let candidates = self
-            .by_frame
-            .get(&frame.raw())
-            .map_or(&[][..], Vec::as_slice);
+        let by_frame = self.by_frame.get_or_init(|| {
+            let mut by_frame: HashMap<u64, Vec<ViewKey>, KeyBuildHasher> = HashMap::default();
+            for (key, ..) in self.sorted_entries() {
+                if let ViewKey::FrameBox(frame, _) = key {
+                    by_frame.entry(frame).or_default().push(key);
+                }
+            }
+            by_frame
+        });
+        let candidates = by_frame.get(&frame.raw()).map_or(&[][..], Vec::as_slice);
         let mut best: Option<(ViewKey, f32)> = None;
         for key in candidates {
             let ViewKey::FrameBox(_, corners) = key else {
@@ -489,6 +501,80 @@ mod tests {
         let (miss, scanned) = v.fuzzy_probe(FrameId(7), &probe, 0.5);
         assert!(miss.is_none());
         assert_eq!(scanned, 0, "unindexed frames scan nothing");
+    }
+
+    /// The frame index is built by the first fuzzy probe, whenever that
+    /// comes: before any append (so every append maintains it), between
+    /// appends, after all of them, on a clone, or on a decoded segment —
+    /// answers and scanned counts are the same, and neither the footprint
+    /// nor the segment bytes can tell whether the index exists.
+    #[test]
+    fn fuzzy_probe_is_the_same_whenever_the_frame_index_is_built() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        // Jittered copies of a few base boxes per frame, so several stored
+        // candidates clear the IoU bar and the best one has to win.
+        let mut jittered = |n_frames: u64| {
+            let frame = next(n_frames);
+            let base = 0.1 + 0.2 * (frame % 3) as f32;
+            let d = next(300) as f32 / 1000.0;
+            let bbox = BBox::new(base + d, base, base + 0.3, base + 0.3 + d);
+            (FrameId(frame), bbox)
+        };
+        let chunks: Vec<Vec<(ViewKey, Vec<Row>)>> = (0..3)
+            .map(|chunk| {
+                (0..12)
+                    .map(|i| {
+                        let (frame, bbox) = jittered(6);
+                        let key = ViewKey::frame_box(frame, &bbox);
+                        (key, vec![car((chunk * 12 + i) as f64)])
+                    })
+                    .collect()
+            })
+            .collect();
+        let probes: Vec<(FrameId, BBox)> = (0..60).map(|_| jittered(8)).collect();
+        let answers = |v: &MaterializedView| -> Vec<(Option<Vec<Row>>, usize)> {
+            let probe = |(frame, bbox): &(FrameId, BBox)| {
+                let (hit, scanned) = v.fuzzy_probe(*frame, bbox, 0.9);
+                (hit.map(|h| rows_of(&h.columns)), scanned)
+            };
+            probes.iter().map(probe).collect()
+        };
+
+        let mut views = [(); 3].map(|_| demo_view(ViewKeyKind::FrameBox));
+        let [eager, between, lazy] = &mut views;
+        assert!(matches!(
+            eager.fuzzy_probe(probes[0].0, &probes[0].1, 0.9),
+            (None, 0)
+        ));
+        for (i, chunk) in chunks.iter().enumerate() {
+            for v in [&mut *eager, &mut *between, &mut *lazy] {
+                append_rows(v, chunk).unwrap();
+            }
+            if i == 0 {
+                between.fuzzy_probe(probes[0].0, &probes[0].1, 0.9);
+            }
+        }
+        let unbuilt_clone = lazy.clone();
+        let bytes = crate::segment::encode_segment(lazy);
+        let decoded = crate::segment::decode_segment(&bytes, Some(ViewId(1))).unwrap();
+
+        let want = answers(eager);
+        assert!(want.iter().filter(|(hit, _)| hit.is_some()).count() > 10);
+        assert!(want
+            .iter()
+            .any(|(hit, scanned)| hit.is_none() && *scanned > 0));
+        let built_clone = eager.clone();
+        for v in [&*between, &*lazy, &unbuilt_clone, &built_clone, &decoded] {
+            assert_eq!(answers(v), want);
+            assert_eq!(v.approx_bytes(), eager.approx_bytes());
+            assert_eq!(crate::segment::encode_segment(v), bytes);
+        }
     }
 
     #[test]

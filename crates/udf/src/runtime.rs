@@ -1,8 +1,11 @@
-//! The simulated-UDF runtime interface.
+//! The simulated-UDF runtime interface. A model writes its output where the
+//! executor reads it: one [`ColumnBuilder`] per output field, lent by the
+//! caller for a whole batch of invocations ([`SimUdf::eval_into`]); row form
+//! exists only as [`SimUdf::eval`], derived from it for tests and tools.
 
 use std::sync::Arc;
 
-use eva_common::{BBox, FrameId, Result, Row, Schema};
+use eva_common::{BBox, ColumnBuilder, FrameId, Result, Row, Schema};
 use eva_storage::ViewKeyKind;
 use eva_video::VideoDataset;
 
@@ -39,9 +42,25 @@ pub trait SimUdf: Send + Sync {
     /// Materialized-view key granularity.
     fn key_kind(&self) -> ViewKeyKind;
 
-    /// Evaluate on one input tuple. A detector returns one row per detected
-    /// object (possibly zero rows); box-level UDFs return exactly one row.
-    fn eval(&self, ctx: &UdfEvalContext<'_>) -> Result<Vec<Row>>;
+    /// Evaluate on one input tuple, appending the output rows to `out` —
+    /// one builder per field of [`SimUdf::output_schema`], in schema order —
+    /// and returning how many rows this input produced (a detector: one per
+    /// detected object, possibly none; a box-level UDF: exactly one). Every
+    /// builder grows by exactly the returned count, or the call errors
+    /// having appended to none: the caller keeps one builder set across a
+    /// batch of inputs and slices it by the counts.
+    fn eval_into(&self, ctx: &UdfEvalContext<'_>, out: &mut [ColumnBuilder]) -> Result<u32>;
+
+    /// The rows of one invocation, read back out of fresh builders.
+    fn eval(&self, ctx: &UdfEvalContext<'_>) -> Result<Vec<Row>> {
+        let width = self.output_schema().len();
+        let mut out: Vec<_> = std::iter::repeat_with(ColumnBuilder::new)
+            .take(width)
+            .collect();
+        self.eval_into(ctx, &mut out)?;
+        let columns: Vec<_> = out.into_iter().map(ColumnBuilder::finish).collect();
+        Ok(eva_common::testutil::rows_of(&columns))
+    }
 }
 
 /// Deterministic per-invocation randomness: a SplitMix64 stream keyed by

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use eva_common::{BBox, DataType, EvaError, Field, Result, Row, Schema, Value};
+use eva_common::{BBox, CellRef, ColumnBuilder, DataType, EvaError, Field, Result, Schema};
 use eva_storage::ViewKeyKind;
 use eva_video::{ObjectClass, TrackedObject};
 
@@ -99,12 +99,12 @@ impl SimUdf for ObjectDetectorSim {
         ViewKeyKind::Frame
     }
 
-    fn eval(&self, ctx: &UdfEvalContext<'_>) -> Result<Vec<Row>> {
+    fn eval_into(&self, ctx: &UdfEvalContext<'_>, out: &mut [ColumnBuilder]) -> Result<u32> {
         let frame = ctx
             .dataset
             .frame(ctx.frame)
             .ok_or_else(|| EvaError::Exec(format!("frame {} out of range", ctx.frame)))?;
-        let mut out = Vec::with_capacity(frame.objects.len());
+        let mut n = 0;
         for obj in &frame.objects {
             let mut rng = DetRng::new(self.salt, ctx.frame, obj.track_id);
             if rng.next_f64() >= self.p_detect(obj) {
@@ -131,13 +131,12 @@ impl SimUdf for ObjectDetectorSim {
                 obj.class.label()
             };
             let score = 0.5 + 0.5 * self.p_detect(obj) * (0.8 + 0.2 * rng.next_f64());
-            out.push(vec![
-                Value::from(label),
-                Value::from(bbox),
-                Value::Float(score.min(1.0)),
-            ]);
+            out[0].push_str(label);
+            out[1].push_cell(CellRef::BBox(bbox));
+            out[2].push_cell(CellRef::Float(score.min(1.0)));
+            n += 1;
         }
-        Ok(out)
+        Ok(n)
     }
 }
 
@@ -211,7 +210,7 @@ impl SimUdf for BoxAttrSim {
         ViewKeyKind::FrameBox
     }
 
-    fn eval(&self, ctx: &UdfEvalContext<'_>) -> Result<Vec<Row>> {
+    fn eval_into(&self, ctx: &UdfEvalContext<'_>, out: &mut [ColumnBuilder]) -> Result<u32> {
         let bbox = ctx
             .bbox
             .ok_or_else(|| EvaError::Exec(format!("{} requires a bbox argument", self.impl_id)))?;
@@ -226,41 +225,29 @@ impl SimUdf for BoxAttrSim {
             .map(|o| (o, o.bbox.iou(&bbox)))
             .filter(|(_, iou)| *iou >= 0.4)
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let value = match best {
-            Some((obj, _)) => {
-                // Deterministic key on the *quantized box*, not the track, so
-                // results are reproducible from the arguments alone.
-                let key = bbox.key();
-                let extra = key.iter().fold(0u64, |acc, k| {
-                    acc.wrapping_mul(65_537).wrapping_add(*k as u64)
-                });
-                let mut rng = DetRng::new(self.salt, ctx.frame, extra);
-                let err = rng.next_f64() < 0.03;
-                match self.attr {
-                    BoxAttr::CarType => match (&obj.car_type, err) {
-                        (Some(t), false) => t.clone(),
-                        (Some(_), true) => "unknown".to_string(),
-                        (None, _) => "unknown".to_string(),
-                    },
-                    BoxAttr::Color => {
-                        if err {
-                            "unknown".to_string()
-                        } else {
-                            obj.color.clone()
-                        }
-                    }
-                    BoxAttr::License => match (&obj.license, err) {
-                        (Some(l), false) => l.clone(),
-                        _ => "unreadable".to_string(),
-                    },
-                }
+        // What the model reads off the matched object; `None` when nothing
+        // matches, the object has no such attribute, or the model errs.
+        let read: Option<&str> = best.and_then(|(obj, _)| {
+            // Deterministic key on the *quantized box*, not the track, so
+            // results are reproducible from the arguments alone.
+            let extra = bbox.key().iter().fold(0u64, |acc, k| {
+                acc.wrapping_mul(65_537).wrapping_add(*k as u64)
+            });
+            if DetRng::new(self.salt, ctx.frame, extra).next_f64() < 0.03 {
+                return None;
             }
-            None => match self.attr {
-                BoxAttr::License => "unreadable".to_string(),
-                _ => "unknown".to_string(),
-            },
+            match self.attr {
+                BoxAttr::CarType => obj.car_type.as_deref(),
+                BoxAttr::Color => Some(&obj.color),
+                BoxAttr::License => obj.license.as_deref(),
+            }
+        });
+        let unread = match self.attr {
+            BoxAttr::License => "unreadable",
+            _ => "unknown",
         };
-        Ok(vec![vec![Value::from(value)]])
+        out[0].push_str(read.unwrap_or(unread));
+        Ok(1)
     }
 }
 
@@ -313,11 +300,12 @@ impl SimUdf for AreaSim {
         ViewKeyKind::FrameBox
     }
 
-    fn eval(&self, ctx: &UdfEvalContext<'_>) -> Result<Vec<Row>> {
+    fn eval_into(&self, ctx: &UdfEvalContext<'_>, out: &mut [ColumnBuilder]) -> Result<u32> {
         let bbox = ctx
             .bbox
             .ok_or_else(|| EvaError::Exec("area requires a bbox argument".into()))?;
-        Ok(vec![vec![Value::Float(bbox.area() as f64)]])
+        out[0].push_cell(CellRef::Float(bbox.area() as f64));
+        Ok(1)
     }
 }
 
@@ -368,7 +356,7 @@ impl SimUdf for SpecializedFilterSim {
         ViewKeyKind::Frame
     }
 
-    fn eval(&self, ctx: &UdfEvalContext<'_>) -> Result<Vec<Row>> {
+    fn eval_into(&self, ctx: &UdfEvalContext<'_>, out: &mut [ColumnBuilder]) -> Result<u32> {
         let frame = ctx
             .dataset
             .frame(ctx.frame)
@@ -380,11 +368,8 @@ impl SimUdf for SpecializedFilterSim {
         // zero so the filter never drops true work.
         let mut rng = DetRng::new(self.salt, ctx.frame, 0);
         let answer = has || rng.next_f64() < 0.65;
-        Ok(vec![vec![Value::from(if answer {
-            "true"
-        } else {
-            "false"
-        })]])
+        out[0].push_str(if answer { "true" } else { "false" });
+        Ok(1)
     }
 }
 
@@ -590,6 +575,154 @@ mod tests {
             }
         }
         assert!(true_count > 0);
+    }
+
+    /// Exact, tag-preserving bytes of one cell (boxes by their `f32` bits,
+    /// not the quantized key `Value::write_bytes` hashes).
+    fn cell_bytes(cell: CellRef<'_>, out: &mut Vec<u8>) {
+        match cell {
+            CellRef::Null => out.push(0),
+            CellRef::Bool(b) => out.extend_from_slice(&[1, b as u8]),
+            CellRef::Int(i) => {
+                out.push(2);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            CellRef::Float(f) => {
+                out.push(3);
+                out.extend_from_slice(&f.to_bits().to_le_bytes());
+            }
+            CellRef::Str(s) => {
+                out.push(4);
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            CellRef::BBox(b) => {
+                out.push(5);
+                for c in [b.x1, b.y1, b.x2, b.y2] {
+                    out.extend_from_slice(&c.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+
+    /// One call's output out of fresh builders: its row count and every
+    /// cell, row by row.
+    fn call_bytes(udf: &dyn SimUdf, ctx: &UdfEvalContext<'_>, out: &mut Vec<u8>) -> Vec<BBox> {
+        let width = udf.output_schema().len();
+        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
+        let n = udf.eval_into(ctx, &mut builders).unwrap();
+        let columns: Vec<_> = builders.into_iter().map(ColumnBuilder::finish).collect();
+        assert!(columns.iter().all(|c| c.len() == n as usize));
+        out.extend_from_slice(&n.to_le_bytes());
+        let mut boxes = Vec::new();
+        for row in 0..n as usize {
+            for column in &columns {
+                cell_bytes(column.cell(row), out);
+                if let CellRef::BBox(b) = column.cell(row) {
+                    boxes.push(b);
+                }
+            }
+        }
+        boxes
+    }
+
+    /// `eval_into` writes, cell for cell and tag for tag, the rows `eval`
+    /// returned before the interface went columnar: the fingerprints below
+    /// were taken from that row-form `eval` (every model, 60 frames, every
+    /// box the high-accuracy detector finds), not from the provided helper.
+    #[test]
+    fn eval_into_writes_the_rows_row_form_eval_returned() {
+        let ds = dataset();
+        let det = rcnn101();
+        let frame_level: [(&dyn SimUdf, u64); 3] = [
+            (&det, 0xb05c_39d9_5cec_cb86),
+            (&yolo(), 0x95e1_240d_f06b_e810),
+            (&SpecializedFilterSim::new(), 0x3511_9e07_0ebc_592b),
+        ];
+        let box_level: [(&dyn SimUdf, u64); 4] = [
+            (
+                &BoxAttrSim::new("sim/cartype", 6.0, true, BoxAttr::CarType),
+                0xd96a_4f3b_b1f1_76d7,
+            ),
+            (
+                &BoxAttrSim::new("sim/colordet", 5.0, false, BoxAttr::Color),
+                0x37ee_17d7_0823_374d,
+            ),
+            (
+                &BoxAttrSim::new("sim/license", 12.0, true, BoxAttr::License),
+                0xac16_7e4f_08a9_8248,
+            ),
+            (&AreaSim::new(), 0xe7c4_145d_092d_7e10),
+        ];
+        let mut boxes: Vec<(FrameId, BBox)> = Vec::new();
+        for (udf, want) in frame_level {
+            let mut bytes = Vec::new();
+            for f in 0..60 {
+                let ctx = UdfEvalContext {
+                    dataset: &ds,
+                    frame: FrameId(f),
+                    bbox: None,
+                };
+                let found = call_bytes(udf, &ctx, &mut bytes);
+                if udf.impl_id() == det.impl_id() {
+                    boxes.extend(found.into_iter().map(|b| (FrameId(f), b)));
+                }
+            }
+            let got = eva_common::hash::xxhash64(&bytes, 0);
+            assert_eq!(got, want, "{}: {got:#018x}", udf.impl_id());
+        }
+        assert_eq!(boxes.len(), 170, "boxes the detector found");
+        for (udf, want) in box_level {
+            let mut bytes = Vec::new();
+            for &(frame, bbox) in &boxes {
+                let ctx = UdfEvalContext {
+                    dataset: &ds,
+                    frame,
+                    bbox: Some(bbox),
+                };
+                call_bytes(udf, &ctx, &mut bytes);
+            }
+            let got = eva_common::hash::xxhash64(&bytes, 0);
+            assert_eq!(got, want, "{}: {got:#018x}", udf.impl_id());
+        }
+    }
+
+    /// A call that errors leaves the caller's builder set as it found it.
+    #[test]
+    fn an_erroring_call_appends_to_no_builder() {
+        let ds = dataset();
+        let models: [&dyn SimUdf; 4] = [
+            &rcnn101(),
+            &BoxAttrSim::new("sim/cartype", 6.0, true, BoxAttr::CarType),
+            &AreaSim::new(),
+            &SpecializedFilterSim::new(),
+        ];
+        for udf in models {
+            let box_level = udf.key_kind() == ViewKeyKind::FrameBox;
+            let mut out: Vec<ColumnBuilder> = (0..udf.output_schema().len())
+                .map(|_| ColumnBuilder::new())
+                .collect();
+            let good = UdfEvalContext {
+                dataset: &ds,
+                frame: FrameId(10),
+                bbox: box_level.then(|| BBox::new(0.1, 0.1, 0.3, 0.3)),
+            };
+            let n = udf.eval_into(&good, &mut out).unwrap() as usize;
+            // Frame out of range (AREA never reads the frame) and missing bbox.
+            let bad_frame = UdfEvalContext {
+                frame: FrameId(60),
+                ..good
+            };
+            let no_box = UdfEvalContext { bbox: None, ..good };
+            if udf.impl_id() != "builtin/area" {
+                assert!(udf.eval_into(&bad_frame, &mut out).is_err());
+            }
+            if box_level {
+                assert!(udf.eval_into(&no_box, &mut out).is_err());
+            }
+            let lens: Vec<usize> = out.iter().map(ColumnBuilder::len).collect();
+            assert!(lens.iter().all(|&l| l == n), "{}: {lens:?}", udf.impl_id());
+        }
     }
 
     #[test]

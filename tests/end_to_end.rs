@@ -226,22 +226,30 @@ impl eva_udf::SimUdf for PatchyDetector {
     fn key_kind(&self) -> ViewKeyKind {
         ViewKeyKind::Frame
     }
-    fn eval(&self, ctx: &eva_udf::UdfEvalContext<'_>) -> eva_common::Result<Vec<Row>> {
+    fn eval_into(
+        &self,
+        ctx: &eva_udf::UdfEvalContext<'_>,
+        out: &mut [eva_common::ColumnBuilder],
+    ) -> eva_common::Result<u32> {
         let f = ctx.frame.raw();
-        let row = |j: u64| {
-            vec![
-                match (f + j) % 3 {
-                    0 => Value::Null,
-                    m => Value::from(format!("kind{m}")),
-                },
-                Value::from(BBox::new(0.1, 0.1, 0.2 + j as f32 / 10.0, 0.3)),
-                match f % 2 {
-                    0 => Value::Int((f % 5) as i64),
-                    _ => Value::Float((f % 7) as f64 / 2.0),
-                },
-            ]
-        };
-        Ok((0..1 + f % 2).map(row).collect())
+        let n = 1 + f % 2;
+        for j in 0..n {
+            match (f + j) % 3 {
+                0 => out[0].push_cell(CellRef::Null),
+                m => out[0].push_str(&format!("kind{m}")),
+            }
+            out[1].push_cell(CellRef::BBox(BBox::new(
+                0.1,
+                0.1,
+                0.2 + j as f32 / 10.0,
+                0.3,
+            )));
+            out[2].push_cell(match f % 2 {
+                0 => CellRef::Int((f % 5) as i64),
+                _ => CellRef::Float((f % 7) as f64 / 2.0),
+            });
+        }
+        Ok(n as u32)
     }
 }
 
