@@ -3,25 +3,20 @@
 //! The comparison systems of the paper's evaluation (§5.1), reimplemented
 //! inside EVA-RS "for a fair comparison":
 //!
-//! * **HashStash** — operator-subtree reuse from a *recycler graph*
-//!   ([`recycler`]): plan operators are matched structurally (ignoring
-//!   predicates); matched operators' materialized outputs are recycled and
-//!   the query's own predicates re-applied. Only whole-operator outputs
-//!   (frame-level UDF applies) recycle; UDFs buried in selection predicates
-//!   do not — the limitation Table 2 quantifies.
+//! * **HashStash** — operator-level reuse, defined on
+//!   [`ReuseStrategy::HashStash`]: frame-level applies store and probe,
+//!   box-level predicate UDFs never do — the limitation Table 2 quantifies.
 //! * **FunCache** — tuple-level function caching in the execution engine,
 //!   hashing every invocation's input arguments with xxHash.
 //! * **No-Reuse**, **Min-Cost** and **Min-Cost-NoReuse** — the Fig. 5 and
 //!   Fig. 10 reference points.
 //!
 //! The strategies execute through the shared planner/executor (selected via
-//! [`ReuseStrategy`]); this crate provides the recycler-graph substrate, the
-//! session constructors, and the baseline-specific tests.
+//! [`ReuseStrategy`]); this crate provides the session constructors and the
+//! baseline-specific tests.
 
-pub mod recycler;
 pub mod sessions;
 
-pub use recycler::{NodeKey, RecyclerGraph};
 pub use sessions::{
     eva_session, funcache_session, hashstash_session, min_cost_noreuse_session, min_cost_session,
     no_reuse_session,

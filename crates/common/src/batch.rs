@@ -1,8 +1,11 @@
-//! Row batches — the unit of data flow between physical operators.
+//! Batches of tuples.
 //!
 //! EVA's execution engine processes video tuples in batches (the paper uses
-//! GPU batch size 20 and a 200 MiB materialization batch). A [`Batch`] pairs
-//! a shared [`Schema`] with a vector of rows.
+//! GPU batch size 20 and a 200 MiB materialization batch). A
+//! [`ColumnarBatch`] is the one batch type that flows between physical
+//! operators (DESIGN.md §4f). A [`Batch`] pairs a shared [`Schema`] with a
+//! vector of rows: the form query results are returned in, and test data is
+//! written in.
 
 use crate::column::Column;
 use crate::error::{EvaError, Result};
@@ -240,68 +243,6 @@ impl ColumnarBatch {
     }
 }
 
-/// What flows between physical operators. Every planned operator, APPLY
-/// included, produces columnar batches; row batches come from test sources
-/// and `force_row_path`. The pivot to rows (`to_batch`) sits at the output
-/// boundary — see DESIGN.md §4f.
-#[derive(Debug, Clone)]
-pub enum ExecBatch {
-    /// Row form.
-    Rows(Batch),
-    /// Columnar form.
-    Columnar(ColumnarBatch),
-}
-
-impl ExecBatch {
-    /// Number of visible rows.
-    pub fn len(&self) -> usize {
-        match self {
-            ExecBatch::Rows(b) => b.len(),
-            ExecBatch::Columnar(b) => b.len(),
-        }
-    }
-
-    /// True when no rows are visible.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        match self {
-            ExecBatch::Rows(b) => b.schema(),
-            ExecBatch::Columnar(b) => b.schema(),
-        }
-    }
-
-    /// Materialize row form (identity for row batches). Operators that
-    /// need metrics around the pivot should count
-    /// [`ExecBatch::is_columnar`] rows first.
-    pub fn into_batch(self) -> Batch {
-        match self {
-            ExecBatch::Rows(b) => b,
-            ExecBatch::Columnar(b) => b.to_batch(),
-        }
-    }
-
-    /// True for the columnar form.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self, ExecBatch::Columnar(_))
-    }
-}
-
-impl From<Batch> for ExecBatch {
-    fn from(b: Batch) -> ExecBatch {
-        ExecBatch::Rows(b)
-    }
-}
-
-impl From<ColumnarBatch> for ExecBatch {
-    fn from(b: ColumnarBatch) -> ExecBatch {
-        ExecBatch::Columnar(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,18 +329,5 @@ mod tests {
         let rows = p.to_batch();
         assert_eq!(rows.rows()[0][0], Value::from("car"));
         assert_eq!(rows.rows()[1][0], Value::from("bus"));
-    }
-
-    #[test]
-    fn exec_batch_len_and_pivot() {
-        let b = Batch::new(schema(), sample_rows());
-        let eb: ExecBatch = ColumnarBatch::from_batch(&b).into();
-        assert!(eb.is_columnar());
-        assert_eq!(eb.len(), 3);
-        assert_eq!(eb.schema().len(), 2);
-        assert_eq!(eb.into_batch().rows(), b.rows());
-        let eb: ExecBatch = b.clone().into();
-        assert!(!eb.is_columnar());
-        assert_eq!(eb.into_batch().rows(), b.rows());
     }
 }

@@ -107,20 +107,16 @@ impl CostBreakdown {
     /// Component-wise difference (`self - earlier`); used to attribute cost
     /// to a single query by snapshotting before and after.
     pub fn since(&self, earlier: &CostBreakdown) -> CostBreakdown {
-        let mut ms = [0.0; 8];
-        for i in 0..8 {
-            ms[i] = (self.ms[i] - earlier.ms[i]).max(0.0);
+        CostBreakdown {
+            ms: std::array::from_fn(|i| (self.ms[i] - earlier.ms[i]).max(0.0)),
         }
-        CostBreakdown { ms }
     }
 
     /// Component-wise sum.
     pub fn plus(&self, other: &CostBreakdown) -> CostBreakdown {
-        let mut ms = [0.0; 8];
-        for i in 0..8 {
-            ms[i] = self.ms[i] + other.ms[i];
+        CostBreakdown {
+            ms: std::array::from_fn(|i| self.ms[i] + other.ms[i]),
         }
-        CostBreakdown { ms }
     }
 }
 

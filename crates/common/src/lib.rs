@@ -34,7 +34,7 @@ pub mod testutil;
 pub mod trace;
 pub mod value;
 
-pub use batch::{Batch, ColumnarBatch, ExecBatch, Row};
+pub use batch::{Batch, ColumnarBatch, Row};
 pub use clock::{CostBreakdown, CostCategory, SimClock};
 pub use codec::{ByteReader, ByteWriter};
 pub use column::{Bitmap, CellRef, Column, ColumnBuilder, ColumnData};

@@ -66,8 +66,8 @@ pub struct MetricsSnapshot {
     pub columnar_batches: u64,
     /// Rows carried by those columnar batches (post-selection counts).
     pub columnar_rows: u64,
-    /// Rows materialized from columnar to row form at a pivot boundary
-    /// (output collection, `force_row_path`).
+    /// Rows materialized from columnar to row form at the output boundary
+    /// (the engine's result collection).
     pub rows_pivoted: u64,
     /// View segments loaded and checksum-verified by a recovery pass.
     pub views_recovered: u64,
@@ -428,8 +428,8 @@ impl MetricsSink {
         self.inner.columnar_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Record rows materialized from columnar to row form at a pivot
-    /// boundary (final output collection, `force_row_path`).
+    /// Record rows materialized from columnar to row form at the output
+    /// boundary (the engine's result collection).
     pub fn record_rows_pivoted(&self, rows: u64) {
         self.inner.rows_pivoted.fetch_add(rows, Ordering::Relaxed);
     }

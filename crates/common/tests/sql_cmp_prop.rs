@@ -4,8 +4,8 @@
 //! The columnar executor re-implements SQL comparison on borrowed cells so
 //! filters can run without materializing values; any drift between the two
 //! (NULL ordering, Int/Float cross-type numerics, NaN handling, BBox
-//! quantization ties) would make the columnar-vs-row differential oracle
-//! report "bugs" in whichever path is actually right. These properties make
+//! quantization ties) would make the columnar operators disagree with the
+//! scalar evaluator that the property suites use as their reference. These properties make
 //! the agreement a law — including through [`ColumnBuilder`]'s
 //! representation choices (typed columns, `Mixed` demotion on heterogeneous
 //! input, the all-null `Int` carcass).

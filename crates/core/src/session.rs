@@ -46,8 +46,9 @@ impl SessionConfig {
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
 pub enum StatementResult {
-    /// SELECT output.
-    Rows(QueryOutput),
+    /// SELECT output (boxed: it is two orders of magnitude larger than an
+    /// acknowledgement).
+    Rows(Box<QueryOutput>),
     /// DDL acknowledgement.
     Ack(String),
 }
@@ -56,7 +57,7 @@ impl StatementResult {
     /// The query output, erroring for DDL.
     pub fn rows(self) -> Result<QueryOutput> {
         match self {
-            StatementResult::Rows(q) => Ok(q),
+            StatementResult::Rows(q) => Ok(*q),
             StatementResult::Ack(a) => {
                 Err(EvaError::Exec(format!("statement produced no rows ({a})")))
             }
@@ -294,7 +295,9 @@ impl EvaDb {
     /// Parse, bind, optimize and execute one EVA-QL statement.
     pub fn execute_sql(&mut self, sql: &str) -> Result<StatementResult> {
         match parse(sql)? {
-            Statement::Select(stmt) => Ok(StatementResult::Rows(self.execute_select(&stmt)?)),
+            Statement::Select(stmt) => {
+                Ok(StatementResult::Rows(Box::new(self.execute_select(&stmt)?)))
+            }
             Statement::CreateUdf(stmt) => self.create_udf(&stmt),
             Statement::LoadVideo(stmt) => {
                 let dataset = self.resolve_dataset(&stmt.dataset)?;

@@ -36,14 +36,6 @@ pub struct ExecConfig {
     /// default keeps small interactive queries — and the plan goldens —
     /// on the serial path.
     pub parallel_scan_min_rows: u64,
-    /// Testing hook: pivot the output of the two columnar producers (scan
-    /// and APPLY) to row batches, forcing filter and project down their
-    /// row-at-a-time paths and aggregate and sort to lift their input
-    /// (and disabling parallel pipelines, which are columnar-only). The
-    /// differential
-    /// fuzzer's columnar-vs-row oracle flips this; production configs leave
-    /// it off.
-    pub force_row_path: bool,
 }
 
 impl Default for ExecConfig {
@@ -56,7 +48,6 @@ impl Default for ExecConfig {
             udf_retry_backoff_ms: 5.0,
             morsel_rows: 1024,
             parallel_scan_min_rows: 4096,
-            force_row_path: false,
         }
     }
 }

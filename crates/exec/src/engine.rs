@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use eva_common::{
-    Batch, CostBreakdown, EvaError, ExecBatch, MetricsSnapshot, OpId, OpStats, QueryGovernor,
+    Batch, ColumnarBatch, CostBreakdown, EvaError, MetricsSnapshot, OpId, OpStats, QueryGovernor,
     QueryTrace, Result, Schema, SimClock, SpanKind, SpanRef,
 };
 use eva_planner::{parallel_segment, ParallelSegment, PhysPlan};
@@ -21,7 +21,7 @@ use crate::ops::parallel::ParallelPipelineOp;
 use crate::ops::project::ProjectOp;
 use crate::ops::scan::ScanFramesOp;
 use crate::ops::sort_limit::{LimitOp, SortOp};
-use crate::ops::{into_rows, BoxedOp, Operator, PivotRowsOp};
+use crate::ops::{into_rows, BoxedOp, Operator};
 
 /// The result of one query execution.
 #[derive(Debug, Clone)]
@@ -78,7 +78,7 @@ impl Operator for InstrumentedOp {
         self.inner.schema()
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         let (token, span) =
             ctx.trace()
                 .enter(self.span, SpanKind::Operator, self.label, Some(self.id));
@@ -98,13 +98,13 @@ impl Operator for InstrumentedOp {
         let out = out?;
         // Columnar-flow accounting happens here — once per planned
         // operator emission, on the caller thread like every other counter.
-        if let Some(ExecBatch::Columnar(cb)) = &out {
+        if let Some(cb) = &out {
             ctx.metrics().record_columnar_batch(cb.len() as u64);
         }
         ctx.op_stats.update(self.id, |s| {
             s.cum = s.cum.plus(&delta);
-            if let Some(batch) = &out {
-                s.rows_out += batch.len() as u64;
+            if let Some(cb) = &out {
+                s.rows_out += cb.len() as u64;
                 s.batches += 1;
             }
         });
@@ -133,8 +133,8 @@ fn op_label(plan: &PhysPlan) -> &'static str {
 /// `par.root_op_id` is replaced by a single **unwrapped**
 /// [`ParallelPipelineOp`], which replays the subsumed operators' accounting
 /// itself (wrapping it would double-count rows and cost).
-fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Result<BoxedOp> {
-    build_node(plan, par, force_row, None)
+fn build(plan: &PhysPlan, par: Option<&ParallelSegment>) -> Result<BoxedOp> {
+    build_node(plan, par, None)
 }
 
 /// [`build`], where `limit` is the row bound of a `Limit` directly above
@@ -142,7 +142,6 @@ fn build(plan: &PhysPlan, par: Option<&ParallelSegment>, force_row: bool) -> Res
 fn build_node(
     plan: &PhysPlan,
     par: Option<&ParallelSegment>,
-    force_row: bool,
     limit: Option<u64>,
 ) -> Result<BoxedOp> {
     if let Some(seg) = par {
@@ -150,53 +149,36 @@ fn build_node(
             return Ok(Box::new(ParallelPipelineOp::new(seg.clone())));
         }
     }
-    // `force_row_path` pivots the output of the two columnar producers
-    // (scan, APPLY) below the instrumentation shim, so those nodes report
-    // row batches and the operators above them receive row-form input.
-    let producer = |op: BoxedOp| -> BoxedOp {
-        if force_row {
-            Box::new(PivotRowsOp::new(op))
-        } else {
-            op
-        }
-    };
     let inner: BoxedOp = match plan {
         PhysPlan::ScanFrames {
             dataset,
             range,
             schema,
             ..
-        } => producer(Box::new(ScanFramesOp::new(
+        } => Box::new(ScanFramesOp::new(
             dataset.clone(),
             *range,
             Arc::clone(schema),
-        ))),
+        )),
         PhysPlan::Filter {
             input, predicate, ..
-        } => Box::new(FilterOp::new(
-            build(input, par, force_row)?,
-            predicate.clone(),
-        )),
+        } => Box::new(FilterOp::new(build(input, par)?, predicate.clone())),
         PhysPlan::Apply {
             input,
             spec,
             schema,
             ..
-        } => producer(Box::new(
-            ApplyOp::new(
-                build(input, par, force_row)?,
-                spec.clone(),
-                Arc::clone(schema),
-            )?
-            .with_op_id(plan.op_id()),
-        )),
+        } => Box::new(
+            ApplyOp::new(build(input, par)?, spec.clone(), Arc::clone(schema))?
+                .with_op_id(plan.op_id()),
+        ),
         PhysPlan::Project {
             input,
             items,
             schema,
             ..
         } => Box::new(ProjectOp::new(
-            build(input, par, force_row)?,
+            build(input, par)?,
             items.clone(),
             Arc::clone(schema),
         )),
@@ -207,13 +189,13 @@ fn build_node(
             schema,
             ..
         } => Box::new(AggregateOp::new(
-            build(input, par, force_row)?,
+            build(input, par)?,
             group_by.clone(),
             aggs.clone(),
             Arc::clone(schema),
         )),
         PhysPlan::Sort { input, keys, .. } => {
-            let sort = SortOp::new(build(input, par, force_row)?, keys.clone());
+            let sort = SortOp::new(build(input, par)?, keys.clone());
             Box::new(match limit {
                 Some(k) => sort.with_limit(k),
                 None => sort,
@@ -222,7 +204,7 @@ fn build_node(
         PhysPlan::Limit { input, n, .. } => {
             // A sort directly below needs only the first `n` of its order.
             let bound = matches!(**input, PhysPlan::Sort { .. }).then_some(*n);
-            Box::new(LimitOp::new(build_node(input, par, force_row, bound)?, *n))
+            Box::new(LimitOp::new(build_node(input, par, bound)?, *n))
         }
     };
     Ok(Box::new(InstrumentedOp {
@@ -325,12 +307,11 @@ pub fn execute_governed(
     // Morsel-driven engagement is deterministic: it depends only on the plan
     // shape, the configured thresholds, and the scan-range size — never on
     // the worker count — so counters and results are machine-independent.
-    let segment =
-        if !config.force_row_path && config.parallel_scan_min_rows > 0 && config.morsel_rows > 0 {
-            parallel_segment(plan).filter(|s| s.range_len() >= config.parallel_scan_min_rows)
-        } else {
-            None
-        };
+    let segment = if config.parallel_scan_min_rows > 0 && config.morsel_rows > 0 {
+        parallel_segment(plan).filter(|s| s.range_len() >= config.parallel_scan_min_rows)
+    } else {
+        None
+    };
     let ctx = ExecCtx {
         storage,
         registry,
@@ -349,7 +330,7 @@ pub fn execute_governed(
     storage
         .metrics()
         .set_n_workers(ctx.pool().n_workers() as u64);
-    let mut root = build(plan, segment.as_ref(), config.force_row_path)?;
+    let mut root = build(plan, segment.as_ref())?;
     let schema = root.schema();
     let mut out = Batch::empty(schema);
     // The engine's pull loop is the outermost batch boundary: check the

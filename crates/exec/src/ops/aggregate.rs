@@ -9,8 +9,7 @@
 //! per-morsel partials in morsel order is *bit-identical* to the serial
 //! fold — including float accumulation order.
 //!
-//! There is one fold, and it is columnar: row-form input (test sources,
-//! `force_row_path`) is lifted once with [`ColumnarBatch::from_batch`].
+//! The fold has two shapes:
 //!
 //! - **No `GROUP BY`:** no hash table. The one state vector folds each
 //!   argument column at a time — a loop over the `i64`/`f64` slice through
@@ -30,8 +29,7 @@ use std::sync::Arc;
 
 use eva_common::hash::KeyHasher;
 use eva_common::{
-    CellRef, Column, ColumnBuilder, ColumnData, ColumnarBatch, EvaError, ExecBatch, Result, Schema,
-    Value,
+    CellRef, Column, ColumnBuilder, ColumnData, ColumnarBatch, EvaError, Result, Schema, Value,
 };
 use eva_expr::vector::eval_columnar;
 use eva_expr::{AggFunc, Expr};
@@ -378,19 +376,11 @@ impl AggPlan {
         }
     }
 
-    /// Fold one batch (either form) into `groups`.
-    pub(crate) fn consume(&self, batch: &ExecBatch, groups: &mut Groups) -> Result<()> {
-        match batch {
-            ExecBatch::Columnar(cb) => self.consume_columnar(cb, groups),
-            ExecBatch::Rows(b) => self.consume_columnar(&ColumnarBatch::from_batch(b), groups),
-        }
-    }
-
-    /// The fold. Each visible row is resolved to its group first (keys
-    /// encode exactly like [`Value::write_bytes`], the order `finish` sorts
-    /// by); then every aggregate folds its argument column into the states
-    /// of those groups, in row order.
-    pub(crate) fn consume_columnar(&self, cb: &ColumnarBatch, groups: &mut Groups) -> Result<()> {
+    /// Fold one batch into `groups`. Each visible row is resolved to its
+    /// group first (keys encode exactly like [`Value::write_bytes`], the
+    /// order `finish` sorts by); then every aggregate folds its argument
+    /// column into the states of those groups, in row order.
+    pub(crate) fn consume(&self, cb: &ColumnarBatch, groups: &mut Groups) -> Result<()> {
         let active = cb.physical_indices();
         if active.is_empty() {
             return Ok(());
@@ -614,7 +604,7 @@ impl Operator for AggregateOp {
         Arc::clone(&self.schema)
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         if self.done {
             return Ok(None);
         }
@@ -626,10 +616,10 @@ impl Operator for AggregateOp {
         let mut total = plan.new_groups();
         let mut spill: Option<Groups> = None;
         let mut charged = 0u64;
-        while let Some(batch) = self.input.next(ctx)? {
+        while let Some(cb) = self.input.next(ctx)? {
             governor.check(ctx.clock)?;
             let mut partial = plan.new_groups();
-            plan.consume(&batch, &mut partial)?;
+            plan.consume(&cb, &mut partial)?;
             if let Some(sp) = spill.as_mut() {
                 // Already degraded: every batch's groups stream into the
                 // spill, so no table in memory outgrows one batch.
@@ -657,6 +647,6 @@ impl Operator for AggregateOp {
         }
         governor.release_bytes(charged);
         let groups = spill.unwrap_or(total);
-        Ok(Some(ExecBatch::Columnar(plan.finish(groups, &self.schema))))
+        Ok(Some(plan.finish(groups, &self.schema)))
     }
 }

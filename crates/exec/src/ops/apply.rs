@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 use eva_common::hash::xxhash64;
 use eva_common::{
-    BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, ExecBatch,
-    Failpoint, FireRule, FrameId, OpId, Result, Schema, SpanKind,
+    BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, Failpoint,
+    FireRule, FrameId, OpId, Result, Schema, SpanKind,
 };
 use eva_expr::Expr;
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
@@ -598,21 +598,15 @@ impl Operator for ApplyOp {
         Arc::clone(&self.schema)
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         loop {
-            let Some(batch) = self.input.next(ctx)? else {
+            let Some(cb) = self.input.next(ctx)? else {
                 return Ok(None);
             };
             // Cooperative governance check at the operator's batch boundary
             // — before the batch's UDF work, where cancellation saves the
             // most simulated (and real) time.
             ctx.governor.check(ctx.clock)?;
-            // Row-form input (unit tests, `force_row_path`) is lifted once;
-            // there is one join, and it is columnar.
-            let cb = match batch {
-                ExecBatch::Columnar(cb) => cb,
-                ExecBatch::Rows(batch) => ColumnarBatch::from_batch(&batch),
-            };
             ctx.clock.charge(
                 CostCategory::Apply,
                 ctx.config.apply_overhead_ms * cb.len() as f64,
@@ -631,7 +625,7 @@ impl Operator for ApplyOp {
                 }
             };
             if let Some(joined) = self.join(&cb, resolved)? {
-                return Ok(Some(ExecBatch::Columnar(joined)));
+                return Ok(Some(joined));
             }
         }
     }

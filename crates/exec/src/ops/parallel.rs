@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use eva_common::{ColumnarBatch, CostBreakdown, ExecBatch, Result, Schema, SpanKind, SpanRef};
+use eva_common::{ColumnarBatch, CostBreakdown, Result, Schema, SpanKind, SpanRef};
 use eva_expr::vector::filter_columnar;
 use eva_expr::Expr;
 use eva_planner::{ParallelSegment, ParallelStage};
@@ -117,7 +117,7 @@ fn run_morsel(
         Some(plan) => {
             let mut groups = plan.new_groups();
             if let Some(cb) = &cur {
-                plan.consume_columnar(cb, &mut groups)?;
+                plan.consume(cb, &mut groups)?;
             }
             Some(groups)
         }
@@ -387,7 +387,7 @@ impl ParallelPipelineOp {
 
     /// The un-traced body of `next()`; accumulates the simulated
     /// milliseconds replayed during this call into `sim_ms`.
-    fn next_inner(&mut self, ctx: &ExecCtx<'_>, sim_ms: &mut f64) -> Result<Option<ExecBatch>> {
+    fn next_inner(&mut self, ctx: &ExecCtx<'_>, sim_ms: &mut f64) -> Result<Option<ColumnarBatch>> {
         if self.state.is_none() {
             self.dispatch(ctx)?;
         }
@@ -405,7 +405,7 @@ impl ParallelPipelineOp {
             *sim_ms += replay_morsel(ctx, seg, &state.results[idx], &mut entered);
             state.cursor += 1;
             if let Some(cb) = state.results[idx].batch.take() {
-                return Ok(Some(ExecBatch::Columnar(cb)));
+                return Ok(Some(cb));
             }
         }
         // Exhausted: every pending call returns, and its wrapper books the
@@ -429,7 +429,7 @@ impl ParallelPipelineOp {
             s.rows_out += batch.len() as u64;
             s.batches += 1;
         });
-        Ok(Some(ExecBatch::Columnar(batch)))
+        Ok(Some(batch))
     }
 }
 
@@ -438,7 +438,7 @@ impl Operator for ParallelPipelineOp {
         Arc::clone(&self.out_schema)
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         if self.done {
             return Ok(None);
         }

@@ -2,10 +2,9 @@
 
 use std::sync::Arc;
 
-use eva_common::{Batch, ColumnarBatch, ExecBatch, Result, Row, Schema};
-use eva_expr::eval::NoUdfs;
+use eva_common::{ColumnarBatch, Result, Schema};
 use eva_expr::vector::eval_columnar;
-use eva_expr::{Expr, RowContext};
+use eva_expr::Expr;
 
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
@@ -15,9 +14,8 @@ use crate::ops::{BoxedOp, Operator};
 /// morsel-parallel pipeline, whose workers run the same columnar kernel
 /// per morsel.
 pub(crate) enum ProjPlan {
-    /// Every item is a bare input column: reorder by position. On the
-    /// columnar path this is zero-copy (`Arc`-shared columns, selection
-    /// carried through).
+    /// Every item is a bare input column: reorder by position, zero-copy
+    /// (`Arc`-shared columns, selection carried through).
     Reorder(Vec<usize>),
     /// General expressions: evaluate per item.
     Compute,
@@ -95,43 +93,11 @@ impl Operator for ProjectOp {
         Arc::clone(&self.schema)
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
-        let Some(batch) = self.input.next(ctx)? else {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
+        let Some(cb) = self.input.next(ctx)? else {
             return Ok(None);
         };
-        match (batch, &self.plan) {
-            (ExecBatch::Columnar(cb), plan) => Ok(Some(ExecBatch::Columnar(plan.apply_columnar(
-                &self.items,
-                &self.schema,
-                &cb,
-            )?))),
-            (ExecBatch::Rows(batch), ProjPlan::Reorder(idx)) => {
-                let rows: Vec<Row> = batch
-                    .rows()
-                    .iter()
-                    .map(|row| idx.iter().map(|&i| row[i].clone()).collect())
-                    .collect();
-                Ok(Some(ExecBatch::Rows(Batch::new(
-                    Arc::clone(&self.schema),
-                    rows,
-                ))))
-            }
-            (ExecBatch::Rows(batch), ProjPlan::Compute) => {
-                let in_schema = batch.schema().clone();
-                let mut rows = Vec::with_capacity(batch.len());
-                for row in batch.rows() {
-                    let rc = RowContext::new(&in_schema, row, &NoUdfs);
-                    let mut out: Row = Vec::with_capacity(self.items.len());
-                    for (expr, _) in &self.items {
-                        out.push(expr.eval(&rc)?);
-                    }
-                    rows.push(out);
-                }
-                Ok(Some(ExecBatch::Rows(Batch::new(
-                    Arc::clone(&self.schema),
-                    rows,
-                ))))
-            }
-        }
+        let out = self.plan.apply_columnar(&self.items, &self.schema, &cb)?;
+        Ok(Some(out))
     }
 }

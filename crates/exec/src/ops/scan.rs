@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use eva_common::{ExecBatch, Result, Schema};
+use eva_common::{ColumnarBatch, Result, Schema};
 
 use crate::context::ExecCtx;
 use crate::ops::Operator;
@@ -36,7 +36,7 @@ impl Operator for ScanFramesOp {
         Arc::clone(&self.schema)
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         if self.cursor >= self.end {
             return Ok(None);
         }
@@ -45,6 +45,6 @@ impl Operator for ScanFramesOp {
             .storage
             .scan_frames_columnar(&self.dataset, self.cursor, to, ctx.clock)?;
         self.cursor = to;
-        Ok(Some(ExecBatch::Columnar(batch)))
+        Ok(Some(batch))
     }
 }

@@ -1,12 +1,10 @@
 //! Sort and limit.
 //!
-//! [`SortOp`] is columnar inside and out. It buffers its input as one
-//! columnar batch — a single batch is used where it stands, several are
-//! concatenated column by column ([`Column::gather`] through each batch's
-//! selection, then [`Column::append`]), row-form batches (test sources,
-//! `force_row_path`) are lifted once with [`ColumnarBatch::from_batch`] — and
-//! orders a *selection vector* over it: key cells are compared in place, no
-//! row is built, `rows_pivoted` is untouched.
+//! [`SortOp`] buffers its input as one columnar batch — a single batch is
+//! used where it stands, several are concatenated column by column
+//! ([`Column::gather`] through each batch's selection, then
+//! [`Column::append`]) — and orders a *selection vector* over it: key cells
+//! are compared in place, no row is built, `rows_pivoted` is untouched.
 //!
 //! The order is total: [`CellRef::sort_cmp`] on each key in turn (reversed
 //! for `DESC`), then arrival position. So an unstable sort returns what a
@@ -18,7 +16,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use eva_common::{Batch, Column, ColumnarBatch, EvaError, ExecBatch, Result, Row, Schema};
+use eva_common::{Column, ColumnarBatch, EvaError, Result, Schema};
 
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
@@ -78,7 +76,7 @@ impl Operator for SortOp {
         self.input.schema()
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         if self.done {
             return Ok(None);
         }
@@ -92,12 +90,9 @@ impl Operator for SortOp {
                 None => Err(EvaError::Exec(format!("unknown sort column '{c}'"))),
             })
             .collect::<Result<_>>()?;
-        let mut batches: Vec<ColumnarBatch> = Vec::new();
-        while let Some(batch) = self.input.next(ctx)? {
-            batches.push(match batch {
-                ExecBatch::Columnar(cb) => cb,
-                ExecBatch::Rows(batch) => ColumnarBatch::from_batch(&batch),
-            });
+        let mut batches = Vec::new();
+        while let Some(cb) = self.input.next(ctx)? {
+            batches.push(cb);
         }
         let cb = concat(schema, batches);
         // Visible row `i` (arrival position) sits in physical slot `sel[i]`.
@@ -128,7 +123,7 @@ impl Operator for SortOp {
         }
         order.sort_unstable_by(by_keys_then_arrival);
         let sorted = order.into_iter().map(|i| sel[i as usize]).collect();
-        Ok(Some(ExecBatch::Columnar(cb.with_selection(sorted))))
+        Ok(Some(cb.with_selection(sorted)))
     }
 }
 
@@ -153,30 +148,20 @@ impl Operator for LimitOp {
         self.input.schema()
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let Some(batch) = self.input.next(ctx)? else {
+        let Some(cb) = self.input.next(ctx)? else {
             return Ok(None);
         };
-        let take = (self.remaining as usize).min(batch.len());
+        let take = (self.remaining as usize).min(cb.len());
         self.remaining -= take as u64;
-        if take == batch.len() {
-            return Ok(Some(batch));
+        if take == cb.len() {
+            return Ok(Some(cb));
         }
-        match batch {
-            // Truncating a columnar batch is a selection shrink — columns
-            // stay shared.
-            ExecBatch::Columnar(cb) => {
-                let keep: Vec<u32> = cb.physical_indices().into_iter().take(take).collect();
-                Ok(Some(ExecBatch::Columnar(cb.with_selection(keep))))
-            }
-            ExecBatch::Rows(batch) => {
-                let schema = batch.schema().clone();
-                let rows: Vec<Row> = batch.into_rows().into_iter().take(take).collect();
-                Ok(Some(ExecBatch::Rows(Batch::new(schema, rows))))
-            }
-        }
+        // Truncating is a selection shrink — columns stay shared.
+        let keep = cb.physical_indices().into_iter().take(take).collect();
+        Ok(Some(cb.with_selection(keep)))
     }
 }

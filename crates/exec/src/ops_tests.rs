@@ -8,7 +8,7 @@ use eva_common::{
     CellRef, Column, CostCategory, DataType, Field, FrameId, GovernorConfig, QueryGovernor, Schema,
     Value, ViewId,
 };
-use eva_expr::{AggFunc, Expr};
+use eva_expr::{AggFunc, Expr, NoUdfs, RowContext};
 use eva_planner::{ApplyReuse, ApplySpec, PhysPlan, Segment};
 use eva_storage::{ViewKey, ViewKeyKind};
 use eva_udf::runtime::DetRng;
@@ -20,7 +20,7 @@ use crate::ops::project::ProjectOp;
 use crate::ops::scan::ScanFramesOp;
 use crate::ops::sort_limit::{LimitOp, SortOp};
 use crate::ops::BoxedOp;
-use crate::testing::{ColumnarValuesOp, TestEnv, ValuesOp};
+use crate::testing::{TestEnv, ValuesOp};
 
 /// STORE row-form entries into a view as one chunk.
 fn store_rows(env: &TestEnv, view: ViewId, entries: &[(ViewKey, Vec<Vec<Value>>)]) {
@@ -181,11 +181,11 @@ fn sort_and_limit() {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar == row identity
+// Operators == the row-at-a-time references
 // ---------------------------------------------------------------------------
 
-/// NULL-bearing rows that force `Mixed` column storage, so the identity
-/// tests cover the validity-bitmap paths as well as the typed fast paths.
+/// NULL-bearing rows, so the reference tests cover the validity-bitmap paths
+/// as well as the typed fast paths.
 fn null_rows() -> Vec<Vec<Value>> {
     vec![
         vec![Value::Int(1), Value::from("x")],
@@ -197,88 +197,87 @@ fn null_rows() -> Vec<Vec<Value>> {
     ]
 }
 
-fn source(columnar: bool) -> BoxedOp {
-    if columnar {
-        Box::new(ColumnarValuesOp::new(int_schema(), null_rows()))
-    } else {
-        Box::new(ValuesOp::new(int_schema(), null_rows()))
-    }
-}
-
-/// The vectorized filter/project path must produce bit-identical rows to
-/// the row-at-a-time path, including NULL predicate results (unknown
-/// rejects the row) and NULLs surviving into projected output.
+/// The vectorized filter and projection produce bit-identical rows to the
+/// row-at-a-time path — the scalar evaluator run row by row — including
+/// NULL predicate results (unknown rejects the row) and NULLs surviving
+/// into projected output.
 #[test]
 fn columnar_filter_project_matches_row_path() {
-    let run = |columnar: bool| {
-        let env = TestEnv::new(20, 4);
-        let filt = FilterOp::new(source(columnar), Expr::col("a").lt(8));
-        let schema = Arc::new(
-            Schema::new(vec![
-                Field::new("b", DataType::Str),
-                Field::new("small", DataType::Bool),
-            ])
-            .unwrap(),
-        );
-        let proj = ProjectOp::new(
-            Box::new(filt),
-            vec![
-                (Expr::col("b"), "b".into()),
-                (Expr::col("a").lt(5), "small".into()),
-            ],
-            schema,
-        );
-        env.drain(Box::new(proj)).unwrap()
-    };
-    let row = run(false);
-    let col = run(true);
-    assert_eq!(row.rows(), col.rows());
-    assert_eq!(row.len(), 4, "NULL `a` is unknown and filtered out");
+    let env = TestEnv::new(20, 4);
+    let predicate = Expr::col("a").lt(8);
+    let items = vec![
+        (Expr::col("b"), "b".to_string()),
+        (Expr::col("a").lt(5), "small".to_string()),
+    ];
+    let in_schema = int_schema();
+    let want: Vec<Vec<Value>> = null_rows()
+        .iter()
+        .filter_map(|row| {
+            let rc = RowContext::new(&in_schema, row, &NoUdfs);
+            let keep = predicate.eval_predicate(&rc).unwrap();
+            keep.then(|| items.iter().map(|(e, _)| e.eval(&rc).unwrap()).collect())
+        })
+        .collect();
+    let schema = Arc::new(
+        Schema::new(vec![
+            Field::new("b", DataType::Str),
+            Field::new("small", DataType::Bool),
+        ])
+        .unwrap(),
+    );
+    let filt = FilterOp::new(
+        Box::new(ValuesOp::new(int_schema(), null_rows())),
+        predicate,
+    );
+    let proj = ProjectOp::new(Box::new(filt), items, schema);
+    let got = env.drain(Box::new(proj)).unwrap();
+    assert_eq!(got.rows(), want);
+    assert_eq!(got.len(), 4, "NULL `a` is unknown and filtered out");
     // The NULL `b` cell survives projection intact.
-    assert!(row.rows().iter().any(|r| r[0] == Value::Null));
+    assert!(got.rows().iter().any(|r| r[0] == Value::Null));
 }
 
-/// Aggregation over a columnar source must group, sort and fold exactly
-/// like the row path — group keys are encoded with the same byte encoding
-/// on both sides, and NULL arguments are skipped by SUM/MIN/MAX/AVG.
+/// Aggregation groups, sorts and folds exactly like the row fold
+/// ([`reference_aggregate`]) — group keys are encoded with the same byte
+/// encoding on both sides, and NULL arguments are skipped by
+/// SUM/MIN/MAX/AVG.
 #[test]
 fn columnar_aggregate_matches_row_path() {
-    let run = |columnar: bool| {
-        let env = TestEnv::new(21, 4);
-        let schema = Arc::new(
-            Schema::new(vec![
-                Field::new("b", DataType::Str),
-                Field::new("n", DataType::Int),
-                Field::new("s", DataType::Float),
-                Field::new("mn", DataType::Float),
-                Field::new("mx", DataType::Float),
-                Field::new("av", DataType::Float),
-            ])
-            .unwrap(),
-        );
-        let op = AggregateOp::new(
-            source(columnar),
-            vec!["b".into()],
-            vec![
-                (AggFunc::Count, None, "n".into()),
-                (AggFunc::Sum, Some(Expr::col("a")), "s".into()),
-                (AggFunc::Min, Some(Expr::col("a")), "mn".into()),
-                (AggFunc::Max, Some(Expr::col("a")), "mx".into()),
-                (AggFunc::Avg, Some(Expr::col("a")), "av".into()),
-            ],
-            schema,
-        );
-        env.drain(Box::new(op)).unwrap()
-    };
-    let row = run(false);
-    let col = run(true);
-    assert_eq!(row.rows(), col.rows());
+    let env = TestEnv::new(21, 4);
+    let schema = Arc::new(
+        Schema::new(vec![
+            Field::new("b", DataType::Str),
+            Field::new("n", DataType::Int),
+            Field::new("s", DataType::Float),
+            Field::new("mn", DataType::Float),
+            Field::new("mx", DataType::Float),
+            Field::new("av", DataType::Float),
+        ])
+        .unwrap(),
+    );
+    let funcs = [
+        (AggFunc::Count, None),
+        (AggFunc::Sum, Some(0)),
+        (AggFunc::Min, Some(0)),
+        (AggFunc::Max, Some(0)),
+        (AggFunc::Avg, Some(0)),
+    ];
+    let aggs = funcs
+        .iter()
+        .zip(["n", "s", "mn", "mx", "av"])
+        .map(|(&(func, arg), name)| (func, arg.map(|_| Expr::col("a")), name.to_string()))
+        .collect();
+    let src = ValuesOp::new(int_schema(), null_rows());
+    let op = AggregateOp::new(Box::new(src), vec!["b".into()], aggs, schema);
+    let got = env.drain(Box::new(op)).unwrap();
+    let want = reference_aggregate(&[null_rows()], &[1], &funcs);
+    assert_eq!(bitwise(got.rows()), bitwise(&want));
     // Three groups: NULL, "x", "y" (NULL key bytes sort first).
-    assert_eq!(row.len(), 3);
-    assert_eq!(row.value(0, "b").unwrap(), &Value::Null);
-    assert_eq!(row.value(1, "b").unwrap(), &Value::from("x"));
+    assert_eq!(got.len(), 3);
+    assert_eq!(got.value(0, "b").unwrap(), &Value::Null);
+    assert_eq!(got.value(1, "b").unwrap(), &Value::from("x"));
     // Group "x" holds a = {1, 9, 4} → sum 14.
-    assert_eq!(row.value(1, "s").unwrap(), &Value::Float(14.0));
+    assert_eq!(got.value(1, "s").unwrap(), &Value::Float(14.0));
 }
 
 /// LIMIT on a columnar batch truncates through the selection vector
@@ -286,7 +285,7 @@ fn columnar_aggregate_matches_row_path() {
 #[test]
 fn limit_truncates_columnar_batches_via_selection() {
     let env = TestEnv::new(22, 4);
-    let src = ColumnarValuesOp::new(int_schema(), null_rows());
+    let src = ValuesOp::new(int_schema(), null_rows());
     let op = LimitOp::new(Box::new(src), 2);
     let out = env.drain(Box::new(op)).unwrap();
     assert_eq!(out.len(), 2);
@@ -296,18 +295,21 @@ fn limit_truncates_columnar_batches_via_selection() {
     assert_eq!(env.storage.metrics().snapshot().rows_pivoted, 2);
 }
 
-/// `rows_pivoted` is the observable cost of leaving the columnar path: a
-/// columnar flow charges it at the drain boundary, a row flow never does.
+/// `rows_pivoted` is the observable cost of leaving columnar form: the
+/// drain boundary charges it for the visible rows it pivots, and a row a
+/// selection hides is never built.
 #[test]
 fn pivot_counter_charges_only_columnar_flows() {
     let env = TestEnv::new(23, 4);
-    let out = env.drain(source(true)).unwrap();
-    assert_eq!(out.len(), 6);
+    let out = env.drain(Box::new(ValuesOp::new(int_schema(), null_rows())));
+    assert_eq!(out.unwrap().len(), 6);
     assert_eq!(env.storage.metrics().snapshot().rows_pivoted, 6);
 
     let env = TestEnv::new(23, 4);
-    env.drain(source(false)).unwrap();
-    assert_eq!(env.storage.metrics().snapshot().rows_pivoted, 0);
+    let src = ValuesOp::with_selection(int_schema(), null_rows(), vec![4, 0]);
+    let out = env.drain(Box::new(src)).unwrap();
+    assert_eq!(out.value(0, "a").unwrap(), &Value::Int(4));
+    assert_eq!(env.storage.metrics().snapshot().rows_pivoted, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,19 +369,17 @@ fn breaker_rows(r: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
 /// How the breaker tests hand the same visible rows to an operator.
 #[derive(Debug, Clone, Copy)]
 enum BatchForm {
-    Rows,
     Columnar,
     /// Columnar batches of twice the rows, every other one selected.
     Selected,
 }
 
-const BATCH_FORMS: [BatchForm; 3] = [BatchForm::Rows, BatchForm::Columnar, BatchForm::Selected];
+const BATCH_FORMS: [BatchForm; 2] = [BatchForm::Columnar, BatchForm::Selected];
 
 fn breaker_source(form: BatchForm, batches: &[Vec<Vec<Value>>]) -> BoxedOp {
     let schema = breaker_schema();
     match form {
-        BatchForm::Rows => Box::new(ValuesOp::batches(schema, batches.to_vec())),
-        BatchForm::Columnar => Box::new(ColumnarValuesOp::batches(
+        BatchForm::Columnar => Box::new(ValuesOp::batches(
             schema,
             batches.iter().map(|b| (b.clone(), None)).collect(),
         )),
@@ -391,7 +391,7 @@ fn breaker_source(form: BatchForm, batches: &[Vec<Vec<Value>>]) -> BoxedOp {
                 let sel = (0..b.len() as u32).map(|i| 2 * i + 1).collect();
                 (rows.flat_map(|(h, v)| [h, v]).collect(), Some(sel))
             });
-            Box::new(ColumnarValuesOp::batches(schema, padded.collect()))
+            Box::new(ValuesOp::batches(schema, padded.collect()))
         }
     }
 }
@@ -617,14 +617,13 @@ fn ungrouped_aggregate_over_empty_input_yields_one_row() {
     let empty_sources = || -> Vec<BoxedOp> {
         vec![
             Box::new(ValuesOp::batches(int_schema(), vec![])),
-            Box::new(ValuesOp::batches(int_schema(), vec![vec![]])),
-            Box::new(ColumnarValuesOp::new(int_schema(), vec![])),
-            // A batch a filter left nothing of.
-            Box::new(ColumnarValuesOp::with_selection(
+            Box::new(ValuesOp::new(int_schema(), vec![])),
+            Box::new(ValuesOp::batches(
                 int_schema(),
-                null_rows(),
-                vec![],
+                vec![(vec![], None), (vec![], None)],
             )),
+            // A batch a filter left nothing of.
+            Box::new(ValuesOp::with_selection(int_schema(), null_rows(), vec![])),
         ]
     };
     for src in empty_sources() {
@@ -747,7 +746,7 @@ fn sort_is_total_over_nullable_and_mixed_columns() {
             .collect();
         let desc = case % 2 == 1;
         let env = TestEnv::new(43, 4);
-        let src = ColumnarValuesOp::new(Arc::clone(&schema), rows);
+        let src = ValuesOp::new(Arc::clone(&schema), rows);
         let sort = SortOp::new(Box::new(src), vec![("v".into(), desc)]);
         let out = env.drain(Box::new(sort)).unwrap();
         for pair in out.rows().windows(2) {
@@ -1338,7 +1337,6 @@ fn fanout_rows(f: u64) -> Vec<Vec<Value>> {
 /// How the join tests hand the same frames to `ApplyOp`.
 #[derive(Debug, Clone, Copy)]
 enum InputForm {
-    Rows,
     Columnar,
     /// A 16-row columnar batch with only the wanted frames selected.
     Selected,
@@ -1360,9 +1358,8 @@ fn join_source(form: InputForm) -> BoxedOp {
     let schema = Arc::new(eva_storage::engine::video_table_schema());
     let wanted = || JOIN_FRAMES.iter().map(|&f| frame_row(f)).collect();
     match form {
-        InputForm::Rows => Box::new(ValuesOp::new(schema, wanted())),
-        InputForm::Columnar => Box::new(ColumnarValuesOp::new(schema, wanted())),
-        InputForm::Selected => Box::new(ColumnarValuesOp::with_selection(
+        InputForm::Columnar => Box::new(ValuesOp::new(schema, wanted())),
+        InputForm::Selected => Box::new(ValuesOp::with_selection(
             schema,
             (0..16).map(frame_row).collect(),
             JOIN_FRAMES.to_vec(),
@@ -1501,16 +1498,15 @@ fn run_join(form: InputForm, interleaved: bool) -> JoinRun {
     }
 }
 
-/// One join, three input forms: row batches (lifted once), columnar
-/// batches, and columnar batches under a non-trivial selection must be
-/// indistinguishable — rows in order, simulated cost, counters, per-op
+/// One join, two input forms: columnar batches with every row visible and
+/// under a non-trivial selection must be indistinguishable — rows in order, simulated cost, counters, per-op
 /// stats and what STORE left in the view. And one join, however the keys
 /// resolve: a batch served from two views and fresh evaluation in turn
 /// (chunks concatenated, then permuted into key order) must produce the
 /// rows and leave the view contents of the all-fresh run.
 #[test]
 fn apply_join_is_identical_across_input_forms() {
-    let rows = run_join(InputForm::Rows, false);
+    let rows = run_join(InputForm::Columnar, false);
     // The expected output, spelled out: input order, each frame × its
     // `f % 4` result rows, zero-detection frames dropped.
     let expected: Vec<Vec<Value>> = JOIN_FRAMES
@@ -1532,10 +1528,9 @@ fn apply_join_is_identical_across_input_forms() {
     assert_eq!(rows.view[1], None, "frame 1 was never an input");
     assert_eq!(rows.counters, (14, 7, 7));
 
-    assert_eq!(rows, run_join(InputForm::Columnar, false));
     assert_eq!(rows, run_join(InputForm::Selected, false));
 
-    let mixed = run_join(InputForm::Rows, true);
+    let mixed = run_join(InputForm::Columnar, true);
     assert_eq!(mixed.cold, expected, "two views and fresh rows interleaved");
     assert_eq!(mixed.warm, expected, "two views interleaved");
     assert_eq!(mixed.view, rows.view);
@@ -1544,13 +1539,12 @@ fn apply_join_is_identical_across_input_forms() {
     let m = &mixed.metrics;
     assert_eq!((m.udf_calls_executed, m.udf_calls_avoided), (3, 4 + 7));
     assert_eq!((m.probes, m.probe_hits), (7 + 5 + 7 + 5, 4 + 7));
-    assert_eq!(mixed, run_join(InputForm::Columnar, true));
     assert_eq!(mixed, run_join(InputForm::Selected, true));
 }
 
 /// A NULL or wrong-typed `frame`/`bbox` cell is reported exactly as the
-/// row engine's `Value::as_int`/`as_bbox` report it, whichever form the
-/// batch arrives in.
+/// row engine's `Value::as_int`/`as_bbox` report it, with every row of the
+/// batch visible and under a selection that hides a leading row.
 #[test]
 fn apply_reports_key_type_errors_like_value_accessors() {
     let env = TestEnv::new(31, 4);
@@ -1564,13 +1558,16 @@ fn apply_reports_key_type_errors_like_value_accessors() {
         .unwrap(),
     );
     let good_box = Value::from(eva_common::BBox::new(0.1, 0.1, 0.2, 0.2));
-    let run = |spec: &ApplySpec, bad: Vec<Value>, columnar: bool| {
+    let run = |spec: &ApplySpec, bad: Vec<Value>, selected: bool| {
         let rows = vec![vec![Value::Int(1), good_box.clone()], bad];
-        let src: BoxedOp = if columnar {
-            Box::new(ColumnarValuesOp::new(Arc::clone(&schema), rows))
+        let src = if selected {
+            let hidden = vec![Value::Int(0), good_box.clone()];
+            let rows = std::iter::once(hidden).chain(rows).collect();
+            ValuesOp::with_selection(Arc::clone(&schema), rows, vec![1, 2])
         } else {
-            Box::new(ValuesOp::new(Arc::clone(&schema), rows))
+            ValuesOp::new(Arc::clone(&schema), rows)
         };
+        let src: BoxedOp = Box::new(src);
         let out = Arc::new(schema.join(&spec.output));
         env.drain(Box::new(ApplyOp::new(src, spec.clone(), out).unwrap()))
             .unwrap_err()
@@ -1582,18 +1579,18 @@ fn apply_reports_key_type_errors_like_value_accessors() {
         output: Arc::new(ct.output.clone()),
         reuse: ApplyReuse::None { udf: ct },
     };
-    for columnar in [false, true] {
+    for selected in [false, true] {
         for bad in [Value::Null, Value::from("seven"), Value::Float(7.0)] {
             let want = bad.as_int().unwrap_err();
             assert!(matches!(want, eva_common::EvaError::Type(_)));
-            let got = run(&frame_spec, vec![bad, good_box.clone()], columnar);
-            assert_eq!(got, want, "frame cell, columnar={columnar}");
+            let got = run(&frame_spec, vec![bad, good_box.clone()], selected);
+            assert_eq!(got, want, "frame cell, selected={selected}");
         }
         for bad in [Value::Null, Value::Int(3), Value::from("box")] {
             let want = bad.as_bbox().unwrap_err();
             assert!(matches!(want, eva_common::EvaError::Type(_)));
-            let got = run(&box_spec, vec![Value::Int(2), bad], columnar);
-            assert_eq!(got, want, "bbox cell, columnar={columnar}");
+            let got = run(&box_spec, vec![Value::Int(2), bad], selected);
+            assert_eq!(got, want, "bbox cell, selected={selected}");
         }
     }
 }
@@ -1654,7 +1651,7 @@ fn run_views_query_faulty(
     let ctx = env.ctx_with(config);
     let mut rows = Vec::new();
     while let Some(b) = op.next(&ctx).unwrap() {
-        rows.extend(b.into_batch().into_rows());
+        rows.extend(b.to_batch().into_rows());
     }
     ViewsRun {
         cost: env.clock.snapshot(),

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use eva_common::{Batch, ColumnarBatch, ExecBatch, Result, Row, Schema, SimClock, Value};
+use eva_common::{Batch, ColumnarBatch, Result, Row, Schema, SimClock};
 use eva_storage::StorageEngine;
 use eva_udf::registry::install_standard_zoo;
 use eva_udf::{InvocationStats, UdfRegistry};
@@ -79,7 +79,7 @@ impl TestEnv {
         }
     }
 
-    /// Drain an operator to completion (pivoting columnar batches like the
+    /// Drain an operator to completion (pivoting its batches like the
     /// engine's output collection does).
     pub fn drain(&self, mut op: BoxedOp) -> Result<Batch> {
         let ctx = self.ctx();
@@ -91,29 +91,40 @@ impl TestEnv {
     }
 }
 
-/// A static in-memory source operator for testing downstream operators.
+/// A static in-memory source for testing downstream operators: test rows
+/// pivoted once into columnar batches, which it emits in order — so tests
+/// drive the operators with arbitrary (including NULL-bearing and `Mixed`)
+/// data.
 pub struct ValuesOp {
     schema: Arc<Schema>,
-    batches: Vec<Batch>,
+    batches: Vec<ColumnarBatch>,
 }
 
 impl ValuesOp {
-    pub fn new(schema: Arc<Schema>, rows: Vec<Vec<Value>>) -> ValuesOp {
-        let batch = Batch::new(Arc::clone(&schema), rows);
-        ValuesOp {
-            schema,
-            batches: vec![batch],
-        }
+    /// One batch holding `rows`.
+    pub fn new(schema: Arc<Schema>, rows: Vec<Row>) -> ValuesOp {
+        ValuesOp::batches(schema, vec![(rows, None)])
     }
 
-    /// One row batch per element of `batches`, emitted in that order.
-    pub fn batches(schema: Arc<Schema>, batches: Vec<Vec<Row>>) -> ValuesOp {
-        let batches = batches.into_iter().rev();
+    /// Like [`ValuesOp::new`], with only the physical rows at `sel` visible
+    /// (in that order) — a batch as a filter would have left it.
+    pub fn with_selection(schema: Arc<Schema>, rows: Vec<Row>, sel: Vec<u32>) -> ValuesOp {
+        ValuesOp::batches(schema, vec![(rows, Some(sel))])
+    }
+
+    /// One batch per `(rows, selection)` element, emitted in that order; a
+    /// `None` selection leaves every row visible.
+    pub fn batches(schema: Arc<Schema>, batches: Vec<(Vec<Row>, Option<Vec<u32>>)>) -> ValuesOp {
+        let pivot = |(rows, sel): (Vec<Row>, Option<Vec<u32>>)| {
+            let cb = ColumnarBatch::from_batch(&Batch::new(Arc::clone(&schema), rows));
+            match sel {
+                Some(sel) => cb.with_selection(sel),
+                None => cb,
+            }
+        };
         ValuesOp {
-            batches: batches
-                .map(|rows| Batch::new(Arc::clone(&schema), rows))
-                .collect(),
-            schema,
+            batches: batches.into_iter().rev().map(pivot).collect(),
+            schema: Arc::clone(&schema),
         }
     }
 }
@@ -123,66 +134,7 @@ impl Operator for ValuesOp {
         Arc::clone(&self.schema)
     }
 
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
-        Ok(self.batches.pop().map(ExecBatch::Rows))
-    }
-}
-
-/// [`ValuesOp`]'s columnar twin: the same rows pivoted up front, emitted as
-/// one columnar batch — lets tests drive the vectorized operator paths with
-/// arbitrary (including NULL-bearing) data.
-pub struct ColumnarValuesOp {
-    schema: Arc<Schema>,
-    batches: Vec<ColumnarBatch>,
-}
-
-impl ColumnarValuesOp {
-    pub fn new(schema: Arc<Schema>, rows: Vec<Vec<Value>>) -> ColumnarValuesOp {
-        let batch = ColumnarBatch::from_batch(&Batch::new(Arc::clone(&schema), rows));
-        ColumnarValuesOp {
-            schema,
-            batches: vec![batch],
-        }
-    }
-
-    /// Like [`ColumnarValuesOp::new`], with only the physical rows at `sel`
-    /// visible (in that order) — a batch as a filter would have left it.
-    pub fn with_selection(
-        schema: Arc<Schema>,
-        rows: Vec<Vec<Value>>,
-        sel: Vec<u32>,
-    ) -> ColumnarValuesOp {
-        let mut op = ColumnarValuesOp::new(schema, rows);
-        op.batches[0] = op.batches[0].with_selection(sel);
-        op
-    }
-
-    /// One columnar batch per `(rows, selection)` element, emitted in that
-    /// order; a `None` selection leaves every row visible.
-    pub fn batches(
-        schema: Arc<Schema>,
-        batches: Vec<(Vec<Row>, Option<Vec<u32>>)>,
-    ) -> ColumnarValuesOp {
-        let pivot = |(rows, sel): (Vec<Row>, Option<Vec<u32>>)| {
-            let cb = ColumnarBatch::from_batch(&Batch::new(Arc::clone(&schema), rows));
-            match sel {
-                Some(sel) => cb.with_selection(sel),
-                None => cb,
-            }
-        };
-        ColumnarValuesOp {
-            batches: batches.into_iter().rev().map(pivot).collect(),
-            schema: Arc::clone(&schema),
-        }
-    }
-}
-
-impl Operator for ColumnarValuesOp {
-    fn schema(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ExecBatch>> {
-        Ok(self.batches.pop().map(ExecBatch::Columnar))
+    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ColumnarBatch>> {
+        Ok(self.batches.pop())
     }
 }

@@ -67,7 +67,7 @@ pub struct FuzzCase {
     /// Optional deliberate bug reintroduction, honored by the replayer.
     pub sabotage: Option<Sabotage>,
     /// Per-query governance knobs for the governed-replay oracle (oracles
-    /// 1–4 always replay ungoverned). Tight knobs cancel or degrade
+    /// 1–3 always replay ungoverned). Tight knobs cancel or degrade
     /// mid-session; loose knobs must be invisible. Defaults keep older
     /// corpus files deserializable.
     pub governor: GovernorConfig,
@@ -413,7 +413,7 @@ pub fn generate_case(seed: u64) -> FuzzCase {
         }
     }
 
-    // Roughly half the sessions replay governed (oracle 5). Tight knobs
+    // Roughly half the sessions replay governed (oracle 4). Tight knobs
     // are sized to trip on the standard detector queries (a sim-ms
     // deadline a few frames deep; a byte budget a few result rows deep);
     // loose knobs must be observably invisible.

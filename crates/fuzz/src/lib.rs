@@ -10,9 +10,8 @@
 //! * [`session`] — deterministic replay of a case under one *arm*
 //!   configuration, collecting per-SELECT rows, simulated cost, metrics
 //!   and operator stats.
-//! * [`oracles`] — the five equivalence checks: warm-vs-cold reuse,
-//!   parallel-vs-serial execution, columnar-vs-row execution,
-//!   crash-at-every-write recovery, and governed replay (deadline/budget/
+//! * [`oracles`] — the four equivalence checks: warm-vs-cold reuse,
+//!   parallel-vs-serial execution, crash-at-every-write recovery, and governed replay (deadline/budget/
 //!   admission cancellations must be structured and leave no trace).
 //! * [`shrink`] — greedy delta-debugging of a failing case to a minimal
 //!   repro that still fails the same way.

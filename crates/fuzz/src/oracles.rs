@@ -12,15 +12,12 @@
 //!    (width × morsel) points must be bit-identical to serial: same rows
 //!    in the same order, same simulated cost, same deterministic counters,
 //!    same per-operator stats.
-//! 3. **Columnar vs row** — the columnar hot path must match the
-//!    `PivotRowsOp`-forced row-at-a-time path on rows and simulated cost
-//!    (pivoting is charged to counters, never to the clock).
-//! 4. **Crash recovery** — for sessions that save, crash the save at every
+//! 3. **Crash recovery** — for sessions that save, crash the save at every
 //!    write ordinal with a cycling fault site (and, as ordinal 0, let it
 //!    finish), then recover in a fresh session; the recovered session's
 //!    remaining SELECTs must still answer correctly, and `load_state` must
 //!    never error on a torn store.
-//! 5. **Governed replay** — replay the session under the case's governance
+//! 4. **Governed replay** — replay the session under the case's governance
 //!    knobs (deadline, byte budget, admission width). Statements may be
 //!    cancelled or degraded, but only with structured `Cancelled` errors;
 //!    every SELECT that survives must answer identically when re-asked on
@@ -47,8 +44,6 @@ pub enum OracleId {
     WarmCold,
     /// Morsel-parallel execution vs serial, at several config points.
     ParallelSerial,
-    /// Columnar hot path vs the forced row-at-a-time path.
-    ColumnarRow,
     /// Save crashed at every write ordinal, then recovered and resumed.
     CrashRecovery,
     /// Governed replay (deadline/budget/admission); surviving SELECTs
@@ -61,7 +56,6 @@ impl fmt::Display for OracleId {
         f.write_str(match self {
             OracleId::WarmCold => "warm-vs-cold",
             OracleId::ParallelSerial => "parallel-vs-serial",
-            OracleId::ColumnarRow => "columnar-vs-row",
             OracleId::CrashRecovery => "crash-recovery",
             OracleId::GovernedReplay => "governed-replay",
         })
@@ -150,16 +144,6 @@ fn core_mask(m: &MetricsSnapshot) -> MetricsSnapshot {
     }
 }
 
-/// Additionally mask the counters that *define* the columnar-vs-row split.
-fn col_mask(m: &MetricsSnapshot) -> MetricsSnapshot {
-    MetricsSnapshot {
-        columnar_batches: 0,
-        columnar_rows: 0,
-        rows_pivoted: 0,
-        ..core_mask(m)
-    }
-}
-
 /// The SQL of every SELECT in the case, in statement order.
 fn select_sqls(case: &FuzzCase) -> Vec<&str> {
     case.stmts
@@ -183,7 +167,6 @@ pub fn check_case(case: &FuzzCase) -> Result<CaseReport, Failure> {
 
     warm_vs_cold(case, &sqls, &base.selects)?;
     report.parallel_cmps = parallel_vs_serial(case, &sqls)?;
-    columnar_vs_row(case, &sqls, &base.selects)?;
     report.crash_points = crash_recovery(case, &base)?;
     report.governed_cancelled = governed_replay(case)?;
     Ok(report)
@@ -276,50 +259,6 @@ fn parallel_vs_serial(case: &FuzzCase, sqls: &[&str]) -> Result<usize, Failure> 
     Ok(cmps)
 }
 
-/// Oracle 3: the base (columnar-capable) replay vs a `force_row_path`
-/// replay. Rows in order and simulated cost must match; the columnar
-/// bookkeeping counters are masked (they define the split), and op_stats
-/// are skipped (the plans legitimately differ by a pivot node).
-fn columnar_vs_row(case: &FuzzCase, sqls: &[&str], columnar: &[SelectObs]) -> Result<(), Failure> {
-    let id = OracleId::ColumnarRow;
-    let row_arm = ArmCfg {
-        exec: ExecConfig {
-            force_row_path: true,
-            ..ExecConfig::default()
-        },
-        width: None,
-        ..ArmCfg::default()
-    };
-    let r = replay(case, &row_arm, "fuzz_row_path")
-        .map_err(|e| Failure::oracle(id, format!("row arm: {e}")))?;
-    for (k, (cv, rv)) in columnar.iter().zip(&r.selects).enumerate() {
-        let ctx = format!("select {k} `{}`", sqls[k]);
-        if cv.rows != rv.rows {
-            return Err(Failure::oracle(id, format!("{ctx}: rows differ")));
-        }
-        if cv.breakdown != rv.breakdown {
-            return Err(Failure::oracle(
-                id,
-                format!(
-                    "{ctx}: simulated cost differs (columnar {:?} vs row {:?})",
-                    cv.breakdown, rv.breakdown
-                ),
-            ));
-        }
-        if col_mask(&cv.metrics) != col_mask(&rv.metrics) {
-            return Err(Failure::oracle(
-                id,
-                format!(
-                    "{ctx}: counters differ (columnar {:?} vs row {:?})",
-                    col_mask(&cv.metrics),
-                    col_mask(&rv.metrics)
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Replay a statement slice on an open session (serial, no pool), returning
 /// per-SELECT observations. `saved` seeds the load-gating flag — the crash
 /// survivor starts with it set, since it begins life by loading the store.
@@ -355,7 +294,7 @@ fn drive(
     Ok(out)
 }
 
-/// Oracle 4: crash the first save at every write ordinal and recover.
+/// Oracle 3: crash the first save at every write ordinal and recover.
 ///
 /// For each ordinal `nth` (cycling through the fault sites), a *victim*
 /// session replays up to the first `Save`, arms `site=nth:<n>`, and
@@ -450,7 +389,7 @@ fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Resu
     Ok(points)
 }
 
-/// Oracle 5: replay under the case's governance knobs. Any statement may
+/// Oracle 4: replay under the case's governance knobs. Any statement may
 /// come back `Cancelled { Deadline | Budget | Shed | User }` — that is a
 /// tolerated, structured outcome — but a non-governance error is a replay
 /// failure, and a cancelled query must leave no trace: each surviving
@@ -624,7 +563,7 @@ mod tests {
         assert_eq!(report.n_selects, 1);
         assert_eq!(
             report.governed_cancelled, 0,
-            "ungoverned case skips oracle 5"
+            "ungoverned case skips oracle 4"
         );
     }
 

@@ -12,9 +12,8 @@
 //!    fresh results, Fig. 4 — fused into one physical apply).
 //!
 //! The optimizer also supports the evaluation baselines as strategies:
-//! No-Reuse, HashStash (operator-level reuse for frame-level UDFs only,
-//! canonical ranking) and FunCache (tuple-level hashing cache, canonical
-//! ranking) — §5.1.
+//! No-Reuse, HashStash ([`ReuseStrategy::HashStash`]) and FunCache
+//! (tuple-level hashing cache, canonical ranking) — §5.1.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,8 +40,12 @@ pub enum ReuseStrategy {
     /// The full semantic reuse algorithm of the paper.
     #[default]
     Eva,
-    /// Operator-subtree reuse à la HashStash: only whole-operator outputs
-    /// (frame-level UDF applies) are recycled; predicate-level UDFs are not.
+    /// HashStash's operator-level reuse, with canonical ranking. A
+    /// frame-level apply stores its output in a view and probes it; a
+    /// box-level predicate UDF never stores or probes. (HashStash recycles
+    /// whole operator outputs matched without their predicates, and a UDF
+    /// inside a selection predicate is no operator of its own.) The store
+    /// arm is in `fallback_segment`, the probe arm in `decorate`.
     HashStash,
     /// Tuple-level function caching with per-call input hashing.
     FunCache,
@@ -567,8 +570,7 @@ impl<'a> Optimizer<'a> {
                 }
             }
             ReuseStrategy::HashStash => {
-                // Operator-level reuse only: frame-level applies recycle
-                // their output; box-level predicate UDFs do not.
+                // Probe frame-level applies only (see `ReuseStrategy::HashStash`).
                 if !self.is_box_level(&fallback) && candidate {
                     ApplyReuse::Views {
                         segments,
@@ -666,17 +668,13 @@ fn single_udf_call(atom: &Expr) -> Result<UdfCall> {
 fn decompose(plan: &LogicalPlan) -> Result<Decomposed<'_>> {
     let mut tail = Vec::new();
     let mut node = plan;
-    loop {
-        match node {
-            LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. } => {
-                tail.push(node);
-                node = input;
-            }
-            _ => break,
-        }
+    while let LogicalPlan::Limit { input, .. }
+    | LogicalPlan::Sort { input, .. }
+    | LogicalPlan::Project { input, .. }
+    | LogicalPlan::Aggregate { input, .. } = node
+    {
+        tail.push(node);
+        node = input;
     }
     let mut proj_applies = Vec::new();
     while let LogicalPlan::Apply {

@@ -144,9 +144,8 @@ fn timestamps_follow_fps() {
 }
 
 /// An ungrouped aggregate answers with exactly one row even when its window
-/// holds no frame or its filter keeps none — serial, morsel-parallel (whose
-/// every morsel filters empty), on the forced row path, and under each reuse
-/// strategy — and a budget trip on a non-empty window still degrades to the
+/// holds no frame or its filter keeps none — serial and morsel-parallel
+/// (whose every morsel filters empty), under each reuse strategy — and a budget trip on a non-empty window still degrades to the
 /// ungoverned answer. A grouped aggregate over nothing has no group.
 #[test]
 fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
@@ -157,10 +156,6 @@ fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
         parallel_scan_min_rows: 1,
         ..serial
     };
-    let row_path = ExecConfig {
-        force_row_path: true,
-        ..serial
-    };
     let nothing = [Value::Int(0), Value::Null, Value::Null];
     for strategy in [
         ReuseStrategy::NoReuse,
@@ -168,7 +163,7 @@ fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
         ReuseStrategy::HashStash,
         ReuseStrategy::FunCache,
     ] {
-        for exec in [serial, parallel, row_path] {
+        for exec in [serial, parallel] {
             let mut cfg = SessionConfig::for_strategy(strategy);
             cfg.exec = exec;
             let mut db = EvaDb::new(cfg).unwrap();

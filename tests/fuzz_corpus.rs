@@ -2,8 +2,8 @@
 //!
 //! Every `tests/corpus/*.json` file is a self-contained [`FuzzCase`] —
 //! dataset parameters plus an EVA-QL session — that is replayed through all
-//! four differential oracles (warm-vs-cold, parallel-vs-serial,
-//! columnar-vs-row, crash-recovery) on every `cargo test`. Entries are
+//! four oracles (warm-vs-cold, parallel-vs-serial, crash-recovery,
+//! governed-replay) on every `cargo test`. Entries are
 //! either shrunk repros of fixed bugs or hand-written pins of
 //! known-tricky interleavings; all of them must stay green.
 //!
@@ -40,8 +40,9 @@ fn corpus_cases_replay_green() {
 
 #[test]
 fn fuzz_smoke_generated_cases_are_green() {
-    // A tiny always-on slice of the fuzzer (the full 200-case run is the CI
-    // fuzz-smoke job): fresh generated sessions, all four oracles.
+    // A tiny always-on slice of the fuzzer (the full 200-case runs are the
+    // CI hermetic job's seed loop): fresh generated sessions, all four
+    // oracles.
     let mut master = SplitMix64::new(0xE7A_F022);
     for i in 0..4u32 {
         let seed = master.next_u64();

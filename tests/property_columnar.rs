@@ -10,21 +10,21 @@
 //!   (NULL-bearing) data, filtering via selection vectors and compacting
 //!   yields exactly the rows the row-at-a-time `eval_predicate` keeps,
 //!   including when the input batch already carries a selection.
+//! * **Projection kernel** — for random expressions over random
+//!   (NULL-bearing, `Mixed`) data, with and without a selection,
+//!   `eval_columnar` yields the values and errors of per-row `Expr::eval`.
 //! * **Deterministic counters** — the columnar flow counters reported by
 //!   `EXPLAIN ANALYZE` sessions are reproducible run to run.
 //! * **One pivot** — UDF-free and `CROSS APPLY` queries alike pivot only
-//!   their result rows (`rows_pivoted == result rows`); `force_row_path`
-//!   answers the same with the same simulated cost.
+//!   their result rows (`rows_pivoted == result rows`), cold and warm.
 
 use std::sync::Arc;
 
 use eva_common::rng::SmallRng;
 use eva_common::testutil::{for_cases, vec_of};
 use eva_common::{BBox, Batch, ColumnarBatch, DataType, Field, Schema, Value};
-use eva_core::{EvaDb, SessionConfig};
-use eva_exec::ExecConfig;
-use eva_expr::{filter_columnar, Expr, NoUdfs, RowContext};
-use eva_harness::{test_dataset, test_session};
+use eva_expr::{eval_columnar, filter_columnar, CmpOp, Expr, NoUdfs, RowContext};
+use eva_harness::test_session;
 use eva_planner::ReuseStrategy;
 
 fn arb_value(rng: &mut SmallRng) -> Value {
@@ -206,6 +206,170 @@ fn selection_compaction_composes_with_prior_selection() {
     });
 }
 
+/// `(a: Int?, f: Float?, b: Str?, t: Bool?)`: `f` also carries `Int`s, so
+/// it is a `Mixed` column whenever a batch holds both tags.
+fn project_schema() -> Arc<Schema> {
+    Arc::new(
+        Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("b", DataType::Str),
+            Field::new("t", DataType::Bool),
+        ])
+        .unwrap(),
+    )
+}
+
+fn arb_project_row(rng: &mut SmallRng) -> Vec<Value> {
+    let null_or = |rng: &mut SmallRng, v: Value| {
+        if rng.gen_range(0..5) == 0 {
+            Value::Null
+        } else {
+            v
+        }
+    };
+    let a = Value::Int(rng.gen_range(-5..5));
+    let f = if rng.gen_bool(0.3) {
+        Value::Int(rng.gen_range(-5..5))
+    } else {
+        Value::Float(rng.gen_range(-5.0..5.0))
+    };
+    let b = Value::from(*rng.pick(&B_VALUES));
+    let t = Value::Bool(rng.gen_bool(0.5));
+    vec![
+        null_or(rng, a),
+        null_or(rng, f),
+        null_or(rng, b),
+        null_or(rng, t),
+    ]
+}
+
+fn arb_literal(rng: &mut SmallRng) -> Value {
+    match rng.gen_range(0..5) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::Int(rng.gen_range(-5..5)),
+        3 => Value::Float(rng.gen_range(-5.0..5.0)),
+        _ => Value::from(*rng.pick(&B_VALUES)),
+    }
+}
+
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// A random projection item over [`project_schema`]: columns (now and then
+/// an unknown one), literals, comparisons, `AND`/`OR`/`NOT` and `IS [NOT]
+/// NULL`, up to `depth` levels. The grammar has no arithmetic operators.
+/// Connectives usually get boolean operands, and sometimes not, so type
+/// errors and short circuits over them both occur.
+fn arb_project_expr(rng: &mut SmallRng, depth: u32) -> Expr {
+    let leaf = |rng: &mut SmallRng| match rng.gen_range(0..10) {
+        0..=5 => Expr::col(*rng.pick(&["a", "f", "b", "t", "a", "f"])),
+        6 if rng.gen_bool(0.2) => Expr::col("missing"),
+        _ => Expr::lit(arb_literal(rng)),
+    };
+    if depth == 0 || rng.gen_range(0..4) == 0 {
+        return leaf(rng);
+    }
+    let boolean = |rng: &mut SmallRng| {
+        if rng.gen_bool(0.85) {
+            let e = arb_project_expr(rng, depth - 1);
+            match e {
+                Expr::Column(_) | Expr::Literal(_) if rng.gen_bool(0.7) => {
+                    Expr::cmp(e, *rng.pick(&CMP_OPS), leaf(rng))
+                }
+                e => e,
+            }
+        } else {
+            leaf(rng)
+        }
+    };
+    match rng.gen_range(0..5) {
+        0 => Expr::cmp(
+            arb_project_expr(rng, depth - 1),
+            *rng.pick(&CMP_OPS),
+            arb_project_expr(rng, depth - 1),
+        ),
+        1 => boolean(rng).and(boolean(rng)),
+        2 => boolean(rng).or(boolean(rng)),
+        3 => boolean(rng).not(),
+        _ => Expr::IsNull {
+            expr: Box::new(arb_project_expr(rng, depth - 1)),
+            negated: rng.gen_bool(0.5),
+        },
+    }
+}
+
+/// A value spelled with its tag and, for floats, its bits.
+fn tagged(v: &Value) -> String {
+    match v {
+        Value::Float(x) => format!("Float({:#018x})", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The projection kernel against the scalar evaluator: for random items
+/// over random NULL-bearing (and `Mixed`) data, with and without a prior
+/// selection, `eval_columnar` yields one cell per visible row equal, tag
+/// and bits included, to `Expr::eval` on that row. When some row's scalar
+/// evaluation fails, the kernel fails too, with the `EvaError` of one of
+/// the failing rows; on a one-row batch it is that row's error exactly.
+#[test]
+fn projection_kernel_matches_scalar_eval() {
+    let mut outcomes = [0u32; 2];
+    for_cases(104, 256, |rng| {
+        let rows = vec_of(rng, 1..40, arb_project_row);
+        let expr = arb_project_expr(rng, 3);
+        let schema = project_schema();
+        let all = ColumnarBatch::from_batch(&Batch::new(Arc::clone(&schema), rows.clone()));
+        let sel: Vec<u32> = (0..rows.len() as u32)
+            .filter(|_| rng.gen_bool(0.6))
+            .collect();
+        let mut batches = vec![all.clone()];
+        if !sel.is_empty() {
+            batches.push(all.with_selection(sel));
+        }
+        for cb in batches {
+            let active = cb.physical_indices();
+            let want: Vec<_> = active
+                .iter()
+                .map(|&i| expr.eval(&RowContext::new(&schema, &rows[i as usize], &NoUdfs)))
+                .collect();
+            let got = eval_columnar(&expr, &cb, &active);
+            let what = format!("{expr} over {} visible row(s)", active.len());
+            match (got, want.iter().find_map(|w| w.as_ref().err())) {
+                (Ok(col), None) => {
+                    assert_eq!(col.len(), active.len(), "{what}");
+                    for (i, w) in want.iter().enumerate() {
+                        let w = w.as_ref().unwrap();
+                        assert_eq!(tagged(&col.value_at(i)), tagged(w), "{what}, row {i}");
+                    }
+                    outcomes[0] += 1;
+                }
+                (Err(e), Some(first)) => {
+                    assert!(
+                        want.iter().any(|w| w.as_ref().err() == Some(&e)),
+                        "{what}: kernel error {e} is no row's error"
+                    );
+                    if active.len() == 1 {
+                        assert_eq!(&e, first, "{what}");
+                    }
+                    outcomes[1] += 1;
+                }
+                (got, first) => panic!("{what}: kernel {got:?}, scalar error {first:?}"),
+            }
+        }
+    });
+    // Both branches carry weight.
+    assert!(outcomes.iter().all(|&n| n > 50), "{outcomes:?}");
+}
+
 /// The columnar hot path's counters in `EXPLAIN ANALYZE` sessions are
 /// deterministic: two fresh sessions running the same non-UDF query
 /// report identical result rows and identical deterministic counters —
@@ -247,26 +411,15 @@ fn columnar_counters_are_deterministic_across_sessions() {
 /// keys from the `frame`/`bbox` columns and emits columnar batches, so the
 /// post-detector filter and projection run vectorized and — cold (evaluate
 /// and STORE) and warm (served from the views) alike — only the result
-/// rows cross the pivot boundary, not every scanned frame. The
-/// `force_row_path` arm, which pivots the scan's and each APPLY's output,
-/// must agree on rows and simulated cost.
+/// rows cross the pivot boundary, not every scanned frame.
 #[test]
 fn cross_apply_pivots_only_result_rows() {
     const Q: &str = "SELECT id, label, cartype FROM video \
                      CROSS APPLY fasterrcnn_resnet50(frame) CROSS APPLY cartype(frame, bbox) \
                      WHERE id >= 10 AND id < 50 AND score > 0.55";
-    let session = |exec: ExecConfig| {
-        let mut db = EvaDb::new(SessionConfig {
-            exec,
-            ..SessionConfig::for_strategy(ReuseStrategy::Eva)
-        })
-        .unwrap();
-        db.load_video(test_dataset(99, 60), "video").unwrap();
-        let cold = db.execute_sql(Q).unwrap().rows().unwrap();
-        let warm = db.execute_sql(Q).unwrap().rows().unwrap();
-        (cold, warm)
-    };
-    let (cold, warm) = session(ExecConfig::default());
+    let mut db = test_session(ReuseStrategy::Eva, 99, 60);
+    let cold = db.execute_sql(Q).unwrap().rows().unwrap();
+    let warm = db.execute_sql(Q).unwrap().rows().unwrap();
     assert!(!cold.batch.is_empty(), "the query selects something");
     assert_eq!(cold.batch.rows(), warm.batch.rows());
     assert!(cold.metrics.udf_calls_executed > 0, "{:?}", cold.metrics);
@@ -282,14 +435,4 @@ fn cross_apply_pivots_only_result_rows() {
         // Scan, both applies and the operators above them emit columnar.
         assert!(m.columnar_rows > m.frames_scanned, "{m:?}");
     }
-
-    let (row_cold, row_warm) = session(ExecConfig {
-        force_row_path: true,
-        ..ExecConfig::default()
-    });
-    for (col, row) in [(&cold, &row_cold), (&warm, &row_warm)] {
-        assert_eq!(col.batch.rows(), row.batch.rows());
-        assert_eq!(col.breakdown, row.breakdown);
-    }
-    assert!(row_cold.metrics.rows_pivoted > cold.metrics.rows_pivoted);
 }
