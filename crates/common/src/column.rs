@@ -66,6 +66,27 @@ impl Bitmap {
         }
     }
 
+    /// A bitmap of `len` slots from its packed words — what
+    /// [`Bitmap::words`] returns. `None` unless there are exactly
+    /// `len.div_ceil(64)` words and every bit past `len` is clear.
+    pub(crate) fn from_words(bits: Vec<u64>, len: usize) -> Option<Bitmap> {
+        let tail_clear = match (bits.last(), len % 64) {
+            (Some(&last), tail) if tail != 0 => last >> tail == 0,
+            _ => true,
+        };
+        if bits.len() != len.div_ceil(64) || !tail_clear {
+            return None;
+        }
+        let valid = bits.iter().map(|w| w.count_ones() as usize).sum();
+        Some(Bitmap { bits, len, valid })
+    }
+
+    /// The packed words, slot `i` at bit `i % 64` of word `i / 64`; bits
+    /// past [`Bitmap::len`] are clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits[..self.len.div_ceil(64)]
+    }
+
     /// Append one slot.
     pub fn push(&mut self, valid: bool) {
         let (word, bit) = (self.len / 64, self.len % 64);

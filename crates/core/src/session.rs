@@ -483,10 +483,15 @@ impl EvaDb {
     /// (aggregated predicates start cold), and predicates pointing at views
     /// that did not survive are pruned, so the planner can never claim
     /// coverage a quarantined view no longer provides.
+    ///
+    /// The load *replaces* the session's views and aggregated predicates:
+    /// both are cleared first, so a live signature can never keep claiming
+    /// coverage through a view id that now holds another UDF's rows. A
+    /// missing directory is an `Io` error that leaves the session as it was.
     pub fn load_state(&self, dir: &std::path::Path) -> Result<RecoveryReport> {
         let mut report = self.storage.load_views(dir)?;
+        self.manager.reset();
         if let Err(e) = self.manager.load(dir) {
-            self.manager.reset();
             let what = match e {
                 EvaError::Corrupt(_) => "state corrupt",
                 _ => "state unavailable",

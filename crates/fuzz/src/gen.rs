@@ -475,8 +475,9 @@ pub fn generate_case(seed: u64) -> FuzzCase {
 /// only one written before the manifest. A session restarted from that
 /// store quarantines the segment but keeps the coverage claim, so the
 /// re-asked SELECT probes a view that is gone — which the crash-recovery
-/// oracle flags at its uninterrupted-save point. (The replay's own `Load`
-/// cannot expose it: that session still holds the view in memory.)
+/// oracle flags at its uninterrupted-save point. (The case has no `Load` of
+/// its own: a load replaces the session's views, so the base replay would
+/// trip over the quarantined view before any oracle ran.)
 pub fn sabotage_case(seed: u64) -> FuzzCase {
     let query = "SELECT id, label FROM video CROSS APPLY fasterrcnn_resnet50(frame) \
                  WHERE id < 40 AND label = 'car'";
@@ -491,7 +492,6 @@ pub fn sabotage_case(seed: u64) -> FuzzCase {
             FuzzStmt::Select(query.to_string()),
             FuzzStmt::Fault("bit_flip=nth:1".to_string()),
             FuzzStmt::Save,
-            FuzzStmt::Load,
             FuzzStmt::Select(query.to_string()),
         ],
     }

@@ -305,10 +305,9 @@ fn drive(
 ///
 /// Ordinal 0 arms nothing: the survivor restarts from the store the save
 /// left when it ran to the end (under whatever faults the case itself
-/// armed). The base replay cannot stand in for that point. Its `Load`
-/// happens in the session that saved, which still holds every view in
-/// memory, so a segment quarantined on load goes unnoticed there; only a
-/// fresh session depends on what recovery kept and pruned.
+/// armed). The base replay cannot stand in for that point: a case need not
+/// `Load` after its save, and without one only a fresh session depends on
+/// what recovery kept and pruned.
 fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Result<usize, Failure> {
     let id = OracleId::CrashRecovery;
     let Some(save_idx) = base.first_save_index else {
@@ -524,7 +523,7 @@ mod tests {
     #[test]
     fn sabotage_bit_flip_lands_on_the_segment_the_second_select_reads() {
         let case = sabotage_case(1);
-        let FuzzStmt::Select(sql) = &case.stmts[4] else {
+        let FuzzStmt::Select(sql) = &case.stmts[3] else {
             panic!("the drill's last statement re-asks its SELECT")
         };
         // Select, arm the flip, save: the store now holds one segment.

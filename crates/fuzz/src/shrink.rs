@@ -196,9 +196,9 @@ mod tests {
 
     #[test]
     fn shrink_on_sabotage_reaches_minimal_repro() {
-        // The sabotage drill's case is already near-minimal: every statement
-        // is load-bearing (query → corrupting fault → save → load → requery),
-        // so shrinking must keep all five while staying within budget.
+        // The sabotage drill's case is already minimal: every statement is
+        // load-bearing (query → corrupting fault → save → requery), so
+        // shrinking must keep all four while staying within budget.
         let case = crate::gen::sabotage_case(1);
         let kind = match check_case(&case) {
             Err(f) => f.kind,
@@ -209,7 +209,7 @@ mod tests {
         assert!(fails_same(&r.case, kind), "shrunk case must still fail");
         assert!(
             r.case.stmts.len() >= 4,
-            "save/load/select core must survive"
+            "select/fault/save/select core must survive"
         );
     }
 }

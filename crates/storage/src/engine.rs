@@ -556,10 +556,17 @@ impl StorageEngine {
     /// damaged, the pass falls back to scanning the directory for segment
     /// files. A missing directory is still an `Io` error — there is nothing
     /// to recover from.
+    ///
+    /// The load *replaces* the engine's views: once the directory opens,
+    /// every live view is dropped, so a restored view never shares an id
+    /// with one the store did not hold. (A missing directory leaves the
+    /// engine untouched.)
     pub fn load_views(&self, dir: &Path) -> Result<RecoveryReport> {
         let mut report = RecoveryReport::new(dir);
         let mut seg_files: Vec<u64> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
+        let listing = std::fs::read_dir(dir)?;
+        self.clear_views();
+        for entry in listing {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
             if name.ends_with(segment::TMP_SUFFIX) {

@@ -7,21 +7,40 @@
 //! magic "EVAS" | format_version | payload_len | payload | xxhash64
 //! ```
 //!
-//! with a payload of:
+//! Format 2, the one written, lays a view out the way the store holds it —
+//! an index plus one typed array per output field:
 //!
 //! ```text
-//! view_id | name | key_kind | output_schema | n_keys | n_rows | entries…
+//! view_id | name | key_kind | output_schema | n_keys | n_rows
+//!   | key block | one column block per schema field
 //! ```
 //!
-//! Entries are written in key order, each as its key, a row count and that
-//! many count-prefixed rows of tagged values, so byte output is
-//! deterministic for a given view and does not depend on how the store lays
-//! the rows out in memory: the encoder walks the view's columns cell by
-//! cell, the decoder fills one column builder per field and appends the
-//! whole file as one chunk. Decoding cross-checks the header counts against
-//! the decoded entries, every row's value count against the segment's own
-//! schema, and the view id against the file name — any mismatch is
+//! The *key block* is a length-prefixed run of the keys in sorted order,
+//! each followed by its row count (a varint): frame ids are varint deltas
+//! from the previous key's, and box keys add their four quantized corners
+//! as raw `u16`s. Rows are laid out in key order, so each key's rows are
+//! the `count` rows after those of every earlier key, and the decoder
+//! rebuilds the `(start, len)` index in one pass. Each *column block* is
+//! [`codec::write_column`]'s: a representation tag, a length, the validity
+//! bitmap's words as stored, then raw little-endian `Int`/`Float`/`BBox`
+//! slots, one byte per `Bool`, a dictionary plus codes for `Str` (decoded
+//! cells share their dictionary entry's allocation), or tagged cells for
+//! `Mixed`. The encoder sorts the index once and gathers each column into
+//! key order — a view decoded from a segment already is, and is written
+//! without a gather — so byte output is deterministic for a given view.
+//!
+//! Decoding validates instead of trusting: the view id against the file
+//! name, each block's length against the bytes that remain (every
+//! allocation is sized from a checked block length, never a header count),
+//! keys strictly increasing, row counts summing to `n_rows`, and each
+//! column block exactly what its slots need, with no validity bit past the
+//! column and no dictionary code past the dictionary. Any mismatch is
 //! [`EvaError::Corrupt`] and the recovery pass quarantines the file.
+//!
+//! Format 1 (row-form: each key, a row count and that many count-prefixed
+//! rows of [`codec::write_cell`] values) is still *read*, so stores written
+//! before format 2 load; nothing writes it any more, and the next save of a
+//! loaded store writes format 2.
 //!
 //! Writes go through [`write_atomic`]: bytes land in a `.tmp` sibling,
 //! are fsynced, and are renamed over the destination; the directory is
@@ -36,7 +55,7 @@ use std::sync::Arc;
 
 use eva_common::codec::{self, ByteReader, ByteWriter};
 use eva_common::hash::xxhash64;
-use eva_common::{ColumnBuilder, EvaError, Failpoint, FailpointRegistry, Result, ViewId};
+use eva_common::{Column, ColumnBuilder, EvaError, Failpoint, FailpointRegistry, Result, ViewId};
 
 use crate::view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
 
@@ -44,8 +63,10 @@ use crate::view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
 pub const SEGMENT_MAGIC: [u8; 4] = *b"EVAS";
 /// Magic for the store manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"EVAM";
-/// Current segment/manifest format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current segment/manifest format version (what every save writes).
+pub const FORMAT_VERSION: u32 = 2;
+/// The row-form segment format, still decoded so older stores load.
+pub const FORMAT_V1: u32 = 1;
 /// Manifest file name, written last so its presence implies a complete save.
 pub const MANIFEST_FILE: &str = "views.manifest";
 /// Suffix given to quarantined segment files.
@@ -81,41 +102,11 @@ fn key_kind_from_tag(tag: u8) -> Result<ViewKeyKind> {
     }
 }
 
-fn write_key(w: &mut ByteWriter, key: &ViewKey) {
-    match key {
-        ViewKey::Frame(f) => {
-            w.u8(0);
-            w.u64(*f);
-        }
-        ViewKey::FrameBox(f, corners) => {
-            w.u8(1);
-            w.u64(*f);
-            for c in corners {
-                w.u16(*c);
-            }
-        }
-    }
-}
-
-fn read_key(r: &mut ByteReader) -> Result<ViewKey> {
-    match r.u8()? {
-        0 => Ok(ViewKey::Frame(r.u64()?)),
-        1 => {
-            let f = r.u64()?;
-            let mut corners = [0u16; 4];
-            for c in &mut corners {
-                *c = r.u16()?;
-            }
-            Ok(ViewKey::FrameBox(f, corners))
-        }
-        t => Err(EvaError::Corrupt(format!("unknown view-key tag {t:#x}"))),
-    }
-}
-
-/// Encode a view into a sealed segment (deterministic: entries in key order).
+/// Encode a view into a sealed format-2 segment (deterministic: keys in
+/// key order, rows in their keys' order).
 pub fn encode_segment(view: &MaterializedView) -> Vec<u8> {
     let def = view.def();
-    let columns = view.columns();
+    let entries = view.sorted_entries();
     let mut w = ByteWriter::with_capacity(view.approx_bytes() as usize + 256);
     w.u64(def.id.raw());
     w.str(&def.name);
@@ -123,24 +114,44 @@ pub fn encode_segment(view: &MaterializedView) -> Vec<u8> {
     codec::write_schema(&mut w, &def.output_schema);
     w.u64(view.n_keys());
     w.u64(view.n_rows());
-    for (key, start, len) in view.sorted_entries() {
-        write_key(&mut w, &key);
-        w.count(len as usize);
-        for row in start..start + len {
-            w.count(columns.len());
-            for column in columns {
-                codec::write_cell(&mut w, column.cell(row as usize));
+    w.block(|w| {
+        let mut prev = 0;
+        for &(key, _, len) in &entries {
+            let frame = key.frame_id().raw();
+            w.uvarint(frame - prev);
+            prev = frame;
+            if let ViewKey::FrameBox(_, corners) = key {
+                corners.iter().for_each(|&c| w.u16(c));
             }
+            w.uvarint(u64::from(len));
+        }
+    });
+    let mut next = 0;
+    let in_key_order = entries.iter().all(|&(_, start, len)| {
+        let contiguous = start == next;
+        next += len;
+        contiguous
+    });
+    if in_key_order {
+        view.columns()
+            .iter()
+            .for_each(|column| codec::write_column(&mut w, column));
+    } else {
+        let rows: Vec<u32> = (entries.iter())
+            .flat_map(|&(_, start, len)| start..start + len)
+            .collect();
+        for column in view.columns() {
+            codec::write_column(&mut w, &column.gather(&rows));
         }
     }
     codec::seal(SEGMENT_MAGIC, FORMAT_VERSION, w.as_slice())
 }
 
-/// Decode and fully validate a segment. `expect_id` (from the file name)
-/// must match the id stored inside the segment; header key/row counts must
-/// match what was actually decoded.
+/// Decode and fully validate a segment of either format. `expect_id` (from
+/// the file name) must match the id stored inside the segment; header
+/// key/row counts must match what was actually decoded.
 pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<MaterializedView> {
-    let (_, payload) = codec::unseal(bytes, SEGMENT_MAGIC, FORMAT_VERSION)?;
+    let (version, payload) = codec::unseal(bytes, SEGMENT_MAGIC, FORMAT_VERSION)?;
     let mut r = ByteReader::new(payload);
     let id = ViewId(r.u64()?);
     if let Some(expect) = expect_id {
@@ -156,19 +167,131 @@ pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<Materia
     let width = output_schema.len();
     let n_keys = r.u64()?;
     let n_rows = r.u64()?;
-    let mut view = MaterializedView::new(ViewDef {
+    let (entries, columns) = match version {
+        FORMAT_VERSION => {
+            let entries = read_keys(&mut r, key_kind, n_keys)?;
+            check_counts(&entries, n_keys, n_rows)?;
+            // `check_counts` bounds `n_rows` by what the keys name.
+            let columns = (0..width)
+                .map(|_| codec::read_column(&mut r, n_rows as usize))
+                .collect::<Result<Vec<Column>>>()?;
+            (entries, columns)
+        }
+        FORMAT_V1 => {
+            let (entries, columns) = read_rows_v1(&mut r, width, n_keys, n_rows)?;
+            check_counts(&entries, n_keys, n_rows)?;
+            (entries, columns)
+        }
+        v => {
+            return Err(EvaError::Corrupt(format!(
+                "unknown segment format version {v}"
+            )))
+        }
+    };
+    r.expect_end()?;
+    let def = ViewDef {
         id,
         name,
         key_kind,
         output_schema,
-    });
-    // Header counts are only trusted as far as the bytes that remain.
-    let mut entries = Vec::with_capacity(n_keys.min(r.remaining() as u64) as usize);
+    };
+    MaterializedView::from_parts(def, &entries, columns)
+        .map_err(|e| EvaError::Corrupt(format!("inconsistent segment entries: {e}")))
+}
+
+/// Decoded keys in segment order, each with its row count.
+type Entries = Vec<(ViewKey, u32)>;
+
+/// The header's key and row counts against the decoded entries.
+fn check_counts(entries: &[(ViewKey, u32)], n_keys: u64, n_rows: u64) -> Result<()> {
+    let rows: u64 = entries.iter().map(|&(_, n)| u64::from(n)).sum();
+    if entries.len() as u64 != n_keys || rows != n_rows {
+        return Err(EvaError::Corrupt(format!(
+            "header claims {n_keys} keys / {n_rows} rows, segment holds {} / {rows}",
+            entries.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The format-2 key block: `n_keys` keys, strictly increasing, each with
+/// its row count.
+fn read_keys(r: &mut ByteReader, kind: ViewKeyKind, n_keys: u64) -> Result<Entries> {
+    let mut block = r.block()?;
+    // A key is at least a one-byte delta and a one-byte count.
+    if n_keys > block.remaining() as u64 / 2 {
+        return Err(EvaError::Corrupt(format!(
+            "key block of {} bytes cannot hold {n_keys} keys",
+            block.remaining()
+        )));
+    }
+    let mut entries: Vec<(ViewKey, u32)> = Vec::with_capacity(n_keys as usize);
+    let mut frame = 0u64;
+    for i in 0..n_keys {
+        let delta = block.uvarint()?;
+        frame = (frame.checked_add(delta))
+            .ok_or_else(|| EvaError::Corrupt("frame id overflows".into()))?;
+        let key = match kind {
+            ViewKeyKind::Frame => ViewKey::Frame(frame),
+            ViewKeyKind::FrameBox => {
+                let c = block.take(8)?;
+                let corner = |i: usize| u16::from_le_bytes([c[2 * i], c[2 * i + 1]]);
+                ViewKey::FrameBox(frame, [corner(0), corner(1), corner(2), corner(3)])
+            }
+        };
+        // A zero delta repeats the previous key's frame: only a box key
+        // with larger corners may follow on it.
+        if i > 0 && delta == 0 {
+            let prev = entries[entries.len() - 1].0;
+            if key <= prev {
+                return Err(EvaError::Corrupt(format!(
+                    "keys not strictly increasing: {key:?} after {prev:?}"
+                )));
+            }
+        }
+        let count = block.uvarint()?;
+        let count = u32::try_from(count)
+            .map_err(|_| EvaError::Corrupt(format!("entry of {count} rows")))?;
+        entries.push((key, count));
+    }
+    block.expect_end()?;
+    Ok(entries)
+}
+
+/// A format-1 key: a kind tag, the frame id, and a box key's corners.
+fn read_key_v1(r: &mut ByteReader) -> Result<ViewKey> {
+    match r.u8()? {
+        0 => Ok(ViewKey::Frame(r.u64()?)),
+        1 => {
+            let f = r.u64()?;
+            let mut corners = [0u16; 4];
+            for c in &mut corners {
+                *c = r.u16()?;
+            }
+            Ok(ViewKey::FrameBox(f, corners))
+        }
+        t => Err(EvaError::Corrupt(format!("unknown view-key tag {t:#x}"))),
+    }
+}
+
+/// The format-1 payload after the header: per key, its tagged key, a row
+/// count and that many count-prefixed rows of cells, pivoted into one
+/// column per field.
+fn read_rows_v1(
+    r: &mut ByteReader,
+    width: usize,
+    n_keys: u64,
+    n_rows: u64,
+) -> Result<(Entries, Vec<Column>)> {
+    // Header counts are only trusted as far as the bytes that remain: a key
+    // takes at least 9 bytes, a row at least its 8-byte value count.
+    let room = r.remaining() as u64;
+    let mut entries = Vec::with_capacity(n_keys.min(room / 9) as usize);
     let mut builders: Vec<ColumnBuilder> = (0..width)
-        .map(|_| ColumnBuilder::with_capacity(n_rows.min(r.remaining() as u64) as usize))
+        .map(|_| ColumnBuilder::with_capacity(n_rows.min(room / 8) as usize))
         .collect();
     for _ in 0..n_keys {
-        let key = read_key(&mut r)?;
+        let key = read_key_v1(r)?;
         let count = r.count()?;
         for _ in 0..count {
             let n_values = r.count()?;
@@ -178,25 +301,15 @@ pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<Materia
                 )));
             }
             for builder in &mut builders {
-                builder.push_cell(codec::read_cell(&mut r)?);
+                builder.push_cell(codec::read_cell(r)?);
             }
         }
         let count = u32::try_from(count)
             .map_err(|_| EvaError::Corrupt(format!("entry of {count} rows")))?;
         entries.push((key, count));
     }
-    r.expect_end()?;
-    let chunk: Vec<_> = builders.into_iter().map(ColumnBuilder::finish).collect();
-    view.append(&entries, &chunk)
-        .map_err(|e| EvaError::Corrupt(format!("inconsistent segment entries: {e}")))?;
-    if view.n_keys() != n_keys || view.n_rows() != n_rows {
-        return Err(EvaError::Corrupt(format!(
-            "header claims {n_keys} keys / {n_rows} rows, segment holds {} / {}",
-            view.n_keys(),
-            view.n_rows()
-        )));
-    }
-    Ok(view)
+    let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
+    Ok((entries, columns))
 }
 
 /// Encode the store manifest: the id allocator's high-water mark plus the

@@ -103,6 +103,30 @@ impl ViewKey {
             ViewKey::FrameBox(..) => 16,
         }
     }
+
+    /// One integer that orders the keys of one kind as [`Ord`] does: the
+    /// frame id above the corners, packed most significant first.
+    fn sort_key(&self) -> u128 {
+        match self {
+            ViewKey::Frame(f) => u128::from(*f) << 64,
+            ViewKey::FrameBox(f, corners) => {
+                let [a, b, c, d] = corners.map(u128::from);
+                u128::from(*f) << 64 | a << 48 | b << 32 | c << 16 | d
+            }
+        }
+    }
+
+    /// The key of `kind` whose [`ViewKey::sort_key`] is `packed`.
+    fn from_sort_key(kind: ViewKeyKind, packed: u128) -> ViewKey {
+        let frame = (packed >> 64) as u64;
+        match kind {
+            ViewKeyKind::Frame => ViewKey::Frame(frame),
+            ViewKeyKind::FrameBox => {
+                let corner = |shift: u32| (packed >> shift) as u16;
+                ViewKey::FrameBox(frame, [corner(48), corner(32), corner(16), corner(0)])
+            }
+        }
+    }
 }
 
 /// View metadata.
@@ -173,6 +197,56 @@ impl MaterializedView {
             total_rows: 0,
             approx_bytes: 0,
         }
+    }
+
+    /// A view over `columns` whose rows belong to `entries` in order: each
+    /// entry owns the `len` rows after those of every earlier entry. The
+    /// index is built once, sized for every key — the segment decoder's
+    /// constructor. Rejects what [`MaterializedView::append`] rejects, and a
+    /// key named twice.
+    pub(crate) fn from_parts(
+        def: ViewDef,
+        entries: &[(ViewKey, u32)],
+        columns: Vec<Column>,
+    ) -> Result<MaterializedView> {
+        let malformed =
+            |what: String| EvaError::Storage(format!("{what} building view '{}'", def.name));
+        if entries.iter().any(|(k, _)| k.kind() != def.key_kind) {
+            return Err(malformed("key kind mismatch".into()));
+        }
+        if columns.len() != def.output_schema.len() {
+            return Err(malformed(format!(
+                "{} columns for a schema of {}",
+                columns.len(),
+                def.output_schema.len()
+            )));
+        }
+        let rows: u64 = entries.iter().map(|&(_, n)| u64::from(n)).sum();
+        let total_rows = u32::try_from(rows).map_err(|_| malformed("row index overflow".into()))?;
+        if columns.iter().any(|c| c.len() as u64 != rows) {
+            return Err(malformed(format!(
+                "entries name {rows} rows, columns disagree"
+            )));
+        }
+        let mut index = HashMap::with_capacity_and_hasher(entries.len(), KeyBuildHasher::default());
+        let mut start = 0u32;
+        let mut key_bytes = 0u64;
+        for &(key, len) in entries {
+            if index.insert(key, (start, len)).is_some() {
+                return Err(malformed(format!("key {key:?} named twice")));
+            }
+            start += len;
+            key_bytes += key.encoded_len();
+        }
+        let value_bytes: u64 = columns.iter().map(Column::encoded_len).sum();
+        Ok(MaterializedView {
+            def,
+            index,
+            columns,
+            by_frame: OnceLock::new(),
+            total_rows,
+            approx_bytes: key_bytes + value_bytes,
+        })
     }
 
     /// View metadata.
@@ -319,13 +393,14 @@ impl MaterializedView {
     /// Every entry as `(key, first row, row count)`, in key order — the
     /// deterministic order segments are written in.
     pub(crate) fn sorted_entries(&self) -> Vec<(ViewKey, u32, u32)> {
-        let mut entries: Vec<(ViewKey, u32, u32)> = self
-            .index
-            .iter()
-            .map(|(key, &(start, len))| (*key, start, len))
+        let mut entries: Vec<(u128, u32, u32)> = (self.index.iter())
+            .map(|(key, &(start, len))| (key.sort_key(), start, len))
             .collect();
-        entries.sort_unstable_by_key(|(key, ..)| *key);
-        entries
+        entries.sort_unstable_by_key(|entry| entry.0);
+        let kind = self.def.key_kind;
+        (entries.into_iter())
+            .map(|(packed, start, len)| (ViewKey::from_sort_key(kind, packed), start, len))
+            .collect()
     }
 
     /// The stored columns, one per output field.
@@ -593,6 +668,67 @@ mod tests {
             }
         }
         assert_eq!(v.approx_bytes(), expected);
+    }
+
+    #[test]
+    fn sort_keys_order_like_ord_and_round_trip() {
+        // Corners whose little-endian packing would order them backwards.
+        let mut keys = [
+            ViewKey::FrameBox(3, [1, 0, 0, 0]),
+            ViewKey::FrameBox(3, [0, 0, 0, 2]),
+            ViewKey::FrameBox(2, [9, 9, 9, 9]),
+            ViewKey::FrameBox(u64::MAX, [0, 0, 0, 0]),
+            ViewKey::FrameBox(3, [0, 1, 0, 0]),
+        ];
+        let by_packed: Vec<u128> = keys.iter().map(ViewKey::sort_key).collect();
+        for (key, packed) in keys.iter().zip(&by_packed) {
+            assert_eq!(ViewKey::from_sort_key(ViewKeyKind::FrameBox, *packed), *key);
+        }
+        let mut sorted = by_packed.clone();
+        sorted.sort_unstable();
+        keys.sort_unstable();
+        assert_eq!(
+            sorted,
+            keys.iter().map(ViewKey::sort_key).collect::<Vec<_>>()
+        );
+        let frame = ViewKey::Frame(7);
+        assert_eq!(
+            ViewKey::from_sort_key(ViewKeyKind::Frame, frame.sort_key()),
+            frame
+        );
+    }
+
+    #[test]
+    fn from_parts_matches_append_and_rejects_malformed_parts() {
+        let k = |f| ViewKey::frame(FrameId(f));
+        let rows = [car(0.1), car(0.2), car(0.3)];
+        let chunk = Column::from_rows(2, 3, rows.iter().map(Vec::as_slice));
+        let entries = [(k(1), 2), (k(4), 0), (k(6), 1)];
+        let mut appended = demo_view(ViewKeyKind::Frame);
+        appended.append(&entries, &chunk).unwrap();
+        let built =
+            MaterializedView::from_parts(appended.def().clone(), &entries, chunk.clone()).unwrap();
+        assert_eq!(built.n_keys(), 3);
+        assert_eq!(built.n_rows(), 3);
+        assert_eq!(built.approx_bytes(), appended.approx_bytes());
+        let probe: Vec<ViewKey> = (0..8).map(k).collect();
+        assert_eq!(built.probe(&probe), appended.probe(&probe));
+
+        let def = || demo_view(ViewKeyKind::Frame).def().clone();
+        let twice = [(k(1), 2), (k(1), 1)];
+        let wrong_kind = [(
+            ViewKey::frame_box(FrameId(1), &BBox::new(0.0, 0.0, 0.1, 0.1)),
+            3,
+        )];
+        for (entries, columns, why) in [
+            (&twice[..], chunk.clone(), "named twice"),
+            (&wrong_kind[..], chunk.clone(), "key kind"),
+            (&entries[..2], chunk.clone(), "columns disagree"),
+            (&entries[..], chunk[..1].to_vec(), "schema of 2"),
+        ] {
+            let err = MaterializedView::from_parts(def(), entries, columns).unwrap_err();
+            assert!(err.message().contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use eva_common::codec::{self, ByteWriter};
-use eva_common::{Column, DataType, Field, FrameId, Schema, SimClock, Value, ViewId};
+use eva_common::{CellRef, Column, DataType, Field, FrameId, Schema, SimClock, Value, ViewId};
 use eva_storage::segment;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 
@@ -142,11 +142,11 @@ fn future_format_version_quarantines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checksum-valid segment, every header field in order, whose one row
-/// carries fewer or more values than the segment's own schema has columns.
-/// Nothing but the decoder's arity check stands between it and the store
-/// (the envelope is sealed correctly), so that check must hold in release
-/// builds: the segment quarantines and the view is simply cold.
+/// A checksum-valid format-1 segment, every header field in order, whose
+/// one row carries fewer or more values than the segment's own schema has
+/// columns. Nothing but the decoder's arity check stands between it and the
+/// store (the envelope is sealed correctly), so that check must hold in
+/// release builds: the segment quarantines and the view is simply cold.
 #[test]
 fn ragged_row_segment_quarantines() {
     for n_values in [1usize, 3] {
@@ -162,18 +162,169 @@ fn ragged_row_segment_quarantines() {
         w.u8(0); // key tag: Frame
         w.u64(0);
         w.count(1);
-        codec::write_row(&mut w, &vec![Value::Float(0.5); n_values]);
-        let sealed = codec::seal(
-            segment::SEGMENT_MAGIC,
-            segment::FORMAT_VERSION,
-            w.as_slice(),
-        );
+        w.count(n_values);
+        for _ in 0..n_values {
+            codec::write_cell(&mut w, CellRef::Float(0.5));
+        }
+        let sealed = codec::seal(segment::SEGMENT_MAGIC, segment::FORMAT_V1, w.as_slice());
         let err = segment::decode_segment(&sealed, Some(ViewId(2))).unwrap_err();
         assert_eq!(err.stage(), "corrupt", "{err}");
         std::fs::write(dir.join("view_2.seg"), sealed).unwrap();
         assert_quarantines_only(&dir, ViewId(2), "schema has 2 columns");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Format-2 representation tags (`eva_common::codec::write_column`).
+const REP_FLOAT: u8 = 1;
+const REP_STR: u8 = 3;
+
+/// A checksum-valid format-2 segment for view 2 of [`saved_store`]'s
+/// schema, written field by field so a test can break exactly one thing:
+/// `keys` writes the key block's body, `columns` everything after it.
+fn v2_segment(
+    kind: u8,
+    n_keys: u64,
+    n_rows: u64,
+    keys: impl FnOnce(&mut ByteWriter),
+    columns: impl FnOnce(&mut ByteWriter),
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(2);
+    w.str("det1");
+    w.u8(kind);
+    codec::write_schema(&mut w, &out_schema());
+    w.u64(n_keys);
+    w.u64(n_rows);
+    w.block(keys);
+    columns(&mut w);
+    codec::seal(
+        segment::SEGMENT_MAGIC,
+        segment::FORMAT_VERSION,
+        w.as_slice(),
+    )
+}
+
+/// Frames 0 and 1, one row each.
+fn two_frame_keys(w: &mut ByteWriter) {
+    for delta in [0, 1] {
+        w.uvarint(delta);
+        w.uvarint(1);
+    }
+}
+
+/// `label` = "car", "car" and `score` = 0.5, 0.5, both all valid.
+fn two_rows(w: &mut ByteWriter) {
+    w.u8(REP_STR);
+    w.block(|w| {
+        w.u64(0b11);
+        w.count(1);
+        w.str("car");
+        w.u8(0);
+        w.u8(0);
+    });
+    w.u8(REP_FLOAT);
+    w.block(|w| {
+        w.u64(0b11);
+        w.f64(0.5);
+        w.f64(0.5);
+    });
+}
+
+/// Decode `sealed` (it must be `Corrupt`), then load it as view 2 of a
+/// saved store: it quarantines alone, naming `reason`.
+fn assert_v2_quarantines(tag: &str, sealed: Vec<u8>, reason: &str) {
+    let err = segment::decode_segment(&sealed, Some(ViewId(2))).unwrap_err();
+    assert_eq!(err.stage(), "corrupt", "{tag}: {err}");
+    assert!(err.message().contains(reason), "{tag}: {err}");
+    let dir = unique_dir(tag);
+    saved_store(&dir);
+    std::fs::write(dir.join("view_2.seg"), sealed).unwrap();
+    assert_quarantines_only(&dir, ViewId(2), reason);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checksum-valid format-2 segments that lie about their contents: each
+/// fails to decode and quarantines, and none can make the decoder allocate
+/// from a header count.
+#[test]
+fn hostile_v2_segments_quarantine() {
+    // The well-formed baseline the cases below each break once.
+    let good = v2_segment(0, 2, 2, two_frame_keys, two_rows);
+    let view = segment::decode_segment(&good, Some(ViewId(2))).unwrap();
+    assert_eq!((view.n_keys(), view.n_rows()), (2, 2));
+
+    let code_past_dictionary = v2_segment(0, 2, 2, two_frame_keys, |w| {
+        w.u8(REP_STR);
+        w.block(|w| {
+            w.u64(0b11);
+            w.count(1);
+            w.str("car");
+            w.u8(0);
+            w.u8(1);
+        });
+    });
+    assert_v2_quarantines("v2_code", code_past_dictionary, "dictionary code 1");
+
+    let counts_disagree = v2_segment(0, 2, 3, two_frame_keys, two_rows);
+    assert_v2_quarantines("v2_counts", counts_disagree, "header claims");
+
+    let duplicate_key = v2_segment(
+        0,
+        2,
+        2,
+        |w| {
+            for _ in 0..2 {
+                w.uvarint(0);
+                w.uvarint(1);
+            }
+        },
+        two_rows,
+    );
+    assert_v2_quarantines("v2_duplicate", duplicate_key, "strictly increasing");
+
+    // Box keys on one frame, the second with smaller corners.
+    let unordered_boxes = v2_segment(
+        1,
+        2,
+        2,
+        |w| {
+            for corners in [[5u16, 5, 9, 9], [1, 1, 9, 9]] {
+                w.uvarint(0);
+                corners.iter().for_each(|&c| w.u16(c));
+                w.uvarint(1);
+            }
+        },
+        two_rows,
+    );
+    assert_v2_quarantines("v2_unordered", unordered_boxes, "strictly increasing");
+
+    let block_overruns = v2_segment(0, 2, 2, two_frame_keys, |w| {
+        w.u8(REP_STR);
+        w.u64(1 << 40);
+    });
+    assert_v2_quarantines("v2_overrun", block_overruns, "overruns");
+
+    let bits_past_len = v2_segment(0, 2, 2, two_frame_keys, |w| {
+        w.u8(REP_FLOAT);
+        w.block(|w| {
+            w.u64(0b111);
+            w.f64(0.5);
+            w.f64(0.5);
+        });
+    });
+    assert_v2_quarantines("v2_bits", bits_past_len, "past the column");
+
+    let unknown_tag = v2_segment(0, 2, 2, two_frame_keys, |w| {
+        w.u8(0x7f);
+        w.block(|w| w.u64(0b11));
+    });
+    assert_v2_quarantines("v2_tag", unknown_tag, "representation");
+
+    // Header counts no block could hold: rejected by the block lengths
+    // before anything is reserved for them.
+    let absurd_keys = v2_segment(0, u64::MAX / 2, 2, two_frame_keys, two_rows);
+    assert_v2_quarantines("v2_absurd", absurd_keys, "cannot hold");
 }
 
 #[test]

@@ -157,7 +157,9 @@ impl UdfManager {
     /// must already have been loaded into the storage engine. A manager
     /// state that fails validation returns [`eva_common::EvaError::Corrupt`]
     /// and leaves the manager untouched — the session layer treats that as
-    /// "start cold", never as a fatal error. Signatures whose views did not
+    /// "start cold", never as a fatal error. Loaded signatures are inserted
+    /// over whatever the manager holds, so a caller restoring a whole
+    /// session [`UdfManager::reset`]s first. Signatures whose views did not
     /// survive recovery must be dropped afterwards via
     /// [`UdfManager::prune_dangling`], or their aggregated predicates would
     /// claim coverage the store can no longer serve.

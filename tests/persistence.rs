@@ -77,24 +77,20 @@ fn loaded_views_serve_probes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `tests/goldens/segments/` holds a two-view store written by the commit
-/// before the view store became columnar (PR 12's row-entry store). The
-/// segment format did not change with the store, and this pins it: the old
-/// files load and probe correctly, and saving the loaded store reproduces
-/// every file byte for byte — so `FORMAT_VERSION` staying at 1 is checked,
-/// not assumed, and a store saved by either side loads in the other.
-#[test]
-fn golden_segments_load_and_re_encode_byte_for_byte() {
-    let golden =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/segments");
+/// Load a golden store whole.
+fn load_golden(dir: &std::path::Path) -> StorageEngine {
     let engine = StorageEngine::new();
-    let report = engine.load_views(&golden).unwrap();
+    let report = engine.load_views(dir).unwrap();
     assert!(
         report.quarantined.is_empty() && !report.manifest_fallback,
         "{report}"
     );
     assert_eq!(report.loaded, vec![ViewId(1), ViewId(2)]);
+    engine
+}
 
+/// The golden store's contents, probed.
+fn assert_golden_probes(engine: &StorageEngine) {
     // View 1: a detector view with a zero-row key, NULLs in every column
     // and an Int in the FLOAT column.
     let clock = SimClock::new();
@@ -122,9 +118,10 @@ fn golden_segments_load_and_re_encode_byte_for_byte() {
     assert_eq!(hits.lens, vec![Some(1), Some(1), Some(1), None]);
     let want = ["Toyota", "Volvo", "Nissan"].map(|t| vec![Value::from(t)]);
     assert_eq!(rows_of(&hits.columns), want);
+}
 
-    let dir = temp_dir("golden");
-    engine.save_views(&dir).unwrap();
+/// Every file of the saved store `dir` equals the golden's, byte for byte.
+fn assert_same_files(golden: &std::path::Path, dir: &std::path::Path) {
     for file in ["view_1.seg", "view_2.seg", "views.manifest"] {
         let (old, new) = (
             std::fs::read(golden.join(file)),
@@ -136,7 +133,36 @@ fn golden_segments_load_and_re_encode_byte_for_byte() {
             "{file} must re-encode byte for byte"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tests/goldens/segments/` holds a two-view store in segment format 1,
+/// written by the row-entry store before views became columnar; it is read
+/// only. `tests/goldens/segments_v2/` is the same store saved in format 2.
+/// The format-1 files still load and probe correctly. Saving them migrates
+/// the store: the result is the format-2 golden byte for byte, loads back
+/// to the same probes, and re-saves to itself, so the format-2 layout is
+/// pinned, not assumed.
+#[test]
+fn golden_segments_load_and_re_encode_byte_for_byte() {
+    let goldens = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
+    let (v1, v2) = (goldens.join("segments"), goldens.join("segments_v2"));
+    let engine = load_golden(&v1);
+    assert_golden_probes(&engine);
+
+    let migrated = temp_dir("golden");
+    engine.save_views(&migrated).unwrap();
+    assert_same_files(&v2, &migrated);
+    let reloaded = load_golden(&migrated);
+    assert_golden_probes(&reloaded);
+    assert_eq!(reloaded.total_view_bytes(), engine.total_view_bytes());
+    assert_golden_probes(&load_golden(&v2));
+
+    let resaved = temp_dir("golden_resaved");
+    reloaded.save_views(&resaved).unwrap();
+    assert_same_files(&v2, &resaved);
+    for dir in [migrated, resaved] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Full session round trip: a new session restoring saved state reuses the
@@ -214,6 +240,45 @@ fn restored_sessions_report_identical_hit_counters() {
         total.deterministic(),
         restored.metrics.deterministic(),
         "session totals == the single query's delta"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `load_state` replaces the session's reuse state instead of merging into
+/// it. The live session's view 1 belongs to `yolo_tiny`; the store's view 1
+/// belongs to `fasterrcnn_resnet50`. After the load, `yolo_tiny`'s
+/// aggregated predicate must not survive pointing at an id whose rows are now
+/// another detector's, so its next query answers what no-reuse answers.
+#[test]
+fn load_state_replaces_the_sessions_views_and_predicates() {
+    let dir = temp_dir("replace");
+    let n = 60;
+    let x = "SELECT id, label FROM video CROSS APPLY fasterrcnn_resnet50(frame) WHERE id < 40";
+    let y = "SELECT id, label FROM video CROSS APPLY yolo_tiny(frame) WHERE id < 40";
+    let sorted = |db: &mut eva_core::EvaDb| {
+        let out = db.execute_sql(y).unwrap().rows().unwrap();
+        let mut rows: Vec<String> = out.batch.rows().iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    };
+
+    let mut saver = test_session(ReuseStrategy::Eva, 504, n);
+    saver.execute_sql(x).unwrap().rows().unwrap();
+    saver.save_state(&dir).unwrap();
+
+    let mut live = test_session(ReuseStrategy::Eva, 504, n);
+    let before = sorted(&mut live);
+    assert_eq!(live.storage().view_defs()[0].id, ViewId(1));
+    live.load_state(&dir).unwrap();
+    let after = sorted(&mut live);
+
+    let want = sorted(&mut test_session(ReuseStrategy::NoReuse, 504, n));
+    assert_eq!(before, want);
+    assert!(
+        after == want,
+        "yolo_tiny was served another detector's rows: {} rows, no-reuse answers {}",
+        after.len(),
+        want.len()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
