@@ -12,7 +12,7 @@ use std::process::Command;
 use eva_bench::Json;
 
 /// `(binary, expected JSON artifact)` for every experiment in the suite.
-const EXPERIMENTS: [(&str, &str); 17] = [
+const EXPERIMENTS: [(&str, &str); 16] = [
     ("tab2_hit_percentage", "tab2_hit_percentage.json"),
     ("fig5_workload_speedup", "fig5_workload_speedup.json"),
     ("tab3_udf_statistics", "tab3_udf_statistics.json"),
@@ -35,7 +35,6 @@ const EXPERIMENTS: [(&str, &str); 17] = [
     ("ablations", "ablations.json"),
     ("bench_reuse_path", "BENCH_reuse_path.json"),
     ("bench_trajectory", "BENCH_trajectory.json"),
-    ("bench_overload", "BENCH_overload.json"),
 ];
 
 /// Validate one artifact: it must exist, parse as JSON, and carry data (an

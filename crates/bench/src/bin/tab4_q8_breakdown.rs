@@ -44,8 +44,7 @@ fn main() -> eva_common::Result<()> {
         let report = run_workload(&mut db, &workload)?;
         let q8 = report.per_query.last().expect("workload has queries");
         let b = &q8.breakdown;
-        let other =
-            b.get(CostCategory::Optimize) + b.get(CostCategory::Apply) + b.get(CostCategory::Other);
+        let other = b.get(CostCategory::Apply) + b.get(CostCategory::Other);
         table.row(vec![
             label.to_string(),
             fmt_f(b.get(CostCategory::Udf) / 1000.0, 1),

@@ -199,12 +199,16 @@ fn write_json(name: &str, value: &Json) {
 /// of the session (or sessions, summed) that produced it. Every experiment
 /// binary goes through this so each JSON artifact records probe hit rates,
 /// UDF calls avoided, and zero-copy traffic next to its headline numbers.
+/// The snapshot is written [`deterministic`](eva_common::MetricsSnapshot::deterministic)
+/// (scheduling counters and gauges read 0), so two runs of an experiment
+/// write the same bytes.
 pub fn write_json_with_metrics(
     name: &str,
     result: impl Into<Json>,
     metrics: &eva_common::MetricsSnapshot,
 ) {
-    let wrapped = Json::obj([("result", result.into()), ("metrics", metrics.to_json())]);
+    let metrics = metrics.deterministic().to_json();
+    let wrapped = Json::obj([("result", result.into()), ("metrics", metrics)]);
     write_json(name, &wrapped);
 }
 

@@ -9,11 +9,41 @@
 //!
 //! Costs are tracked per [`CostCategory`] so the time-breakdown experiments
 //! (Fig. 6, Table 4) can be regenerated.
+//!
+//! ## The ledger is integer nanoseconds
+//!
+//! Every charge is a whole number of nanoseconds (`u64`, ≈ 584 years of
+//! headroom), so sums are associative: the ledger is the same whatever order
+//! the charges arrive in, and a batch of `n` invocations is one
+//! [`SimClock::charge_n`]. Only simulated work is charged — never wall time.
+//!
+//! **Rounding rule.** A cost configured in milliseconds becomes nanoseconds
+//! once, where it is configured, through [`ns_from_ms`]: rounded to the
+//! nearest nanosecond. Of the default costs only a per-byte rate (FunCache's
+//! hashing, `IoCostModel::hash_cost_ns`) is not a whole number of
+//! nanoseconds; such a rate is rounded to the nearest nanosecond per charge,
+//! after multiplying by the charge's size. Milliseconds and seconds appear
+//! only when the ledger is read for reporting ([`CostBreakdown::get`],
+//! [`CostBreakdown::total_ms`], `Display`, [`CostBreakdown::to_json`]).
 
 use std::cell::RefCell;
 use std::fmt;
 
 use crate::json::Json;
+
+/// Nanoseconds in one simulated millisecond.
+pub const NS_PER_MS: u64 = 1_000_000;
+
+/// A cost configured in milliseconds as whole nanoseconds, rounded to the
+/// nearest (the module's one rounding rule). Negative costs clamp to zero.
+pub fn ns_from_ms(ms: f64) -> u64 {
+    (ms * NS_PER_MS as f64).round().max(0.0) as u64
+}
+
+/// Nanoseconds as milliseconds, for reporting.
+pub fn ms_from_ns(ns: u64) -> f64 {
+    ns as f64 / NS_PER_MS as f64
+}
 
 /// Categories used by the paper's time-breakdown figures (Fig. 6b, Table 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,7 +56,9 @@ pub enum CostCategory {
     ReadView,
     /// Appending UDF results to a materialized view (the STORE operator).
     Materialize,
-    /// Query optimization (symbolic analysis, rewrite, ranking).
+    /// Query optimization. Never charged: planning is real work, not
+    /// simulated work, and is reported as wall time beside the ledger. The
+    /// variant stays until the benchmark harness stops naming it.
     Optimize,
     /// The APPLY / conditional-APPLY operator machinery itself.
     Apply,
@@ -63,30 +95,26 @@ impl CostCategory {
         }
     }
 
-    fn index(&self) -> usize {
-        match self {
-            CostCategory::Udf => 0,
-            CostCategory::ReadVideo => 1,
-            CostCategory::ReadView => 2,
-            CostCategory::Materialize => 3,
-            CostCategory::Optimize => 4,
-            CostCategory::Apply => 5,
-            CostCategory::HashInput => 6,
-            CostCategory::Other => 7,
-        }
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
-/// Immutable snapshot of accumulated simulated cost, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Immutable snapshot of accumulated simulated cost, in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostBreakdown {
-    ms: [f64; 8],
+    ns: [u64; 8],
 }
 
 impl CostBreakdown {
     /// Milliseconds charged to one category.
     pub fn get(&self, cat: CostCategory) -> f64 {
-        self.ms[cat.index()]
+        ms_from_ns(self.get_ns(cat))
+    }
+
+    /// Nanoseconds charged to one category.
+    pub fn get_ns(&self, cat: CostCategory) -> u64 {
+        self.ns[cat.index()]
     }
 
     /// Milliseconds per category, keyed by [`CostCategory::label`].
@@ -94,28 +122,33 @@ impl CostBreakdown {
         Json::obj(CostCategory::ALL.map(|c| (c.label(), Json::Num(self.get(c)))))
     }
 
+    /// Total simulated nanoseconds across all categories.
+    pub fn total_ns(&self) -> u64 {
+        self.ns.iter().sum()
+    }
+
     /// Total simulated milliseconds across all categories.
     pub fn total_ms(&self) -> f64 {
-        self.ms.iter().sum()
+        ms_from_ns(self.total_ns())
     }
 
     /// Total simulated seconds.
     pub fn total_secs(&self) -> f64 {
-        self.total_ms() / 1000.0
+        self.total_ns() as f64 / 1e9
     }
 
     /// Component-wise difference (`self - earlier`); used to attribute cost
     /// to a single query by snapshotting before and after.
     pub fn since(&self, earlier: &CostBreakdown) -> CostBreakdown {
         CostBreakdown {
-            ms: std::array::from_fn(|i| (self.ms[i] - earlier.ms[i]).max(0.0)),
+            ns: std::array::from_fn(|i| self.ns[i] - earlier.ns[i]),
         }
     }
 
     /// Component-wise sum.
     pub fn plus(&self, other: &CostBreakdown) -> CostBreakdown {
         CostBreakdown {
-            ms: std::array::from_fn(|i| self.ms[i] + other.ms[i]),
+            ns: std::array::from_fn(|i| self.ns[i] + other.ns[i]),
         }
     }
 }
@@ -124,12 +157,11 @@ impl fmt::Display for CostBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for cat in CostCategory::ALL {
-            let v = self.get(cat);
-            if v > 0.0 {
+            if self.get_ns(cat) > 0 {
                 if !first {
                     write!(f, ", ")?;
                 }
-                write!(f, "{}={:.1}ms", cat.label(), v)?;
+                write!(f, "{}={:.1}ms", cat.label(), self.get(cat))?;
                 first = false;
             }
         }
@@ -140,11 +172,11 @@ impl fmt::Display for CostBreakdown {
     }
 }
 
-/// A virtual clock accumulating simulated milliseconds by category.
+/// A virtual clock accumulating simulated nanoseconds by category.
 ///
 /// Interior-mutable (`RefCell`) because it is threaded through pull-based
 /// operator trees that hold shared references. Not `Sync` — each session owns
-/// its clock; cross-thread aggregation merges snapshots.
+/// its clock and every charge is made on the caller thread.
 #[derive(Debug, Default)]
 pub struct SimClock {
     inner: RefCell<CostBreakdown>,
@@ -156,10 +188,15 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// Charge `ms` simulated milliseconds to `cat`.
-    pub fn charge(&self, cat: CostCategory, ms: f64) {
-        debug_assert!(ms >= 0.0, "negative cost charge");
-        self.inner.borrow_mut().ms[cat.index()] += ms.max(0.0);
+    /// Charge `ns` simulated nanoseconds to `cat`.
+    pub fn charge(&self, cat: CostCategory, ns: u64) {
+        self.inner.borrow_mut().ns[cat.index()] += ns;
+    }
+
+    /// Charge `n` units of work costing `unit_ns` each to `cat` — one charge
+    /// for a whole batch of invocations, rows or frames.
+    pub fn charge_n(&self, cat: CostCategory, n: u64, unit_ns: u64) {
+        self.charge(cat, n * unit_ns);
     }
 
     /// Current snapshot.
@@ -176,67 +213,52 @@ impl SimClock {
     pub fn reset(&self) {
         *self.inner.borrow_mut() = CostBreakdown::default();
     }
-
-    /// Merge another snapshot into this clock (cross-thread aggregation).
-    pub fn absorb(&self, other: &CostBreakdown) {
-        let mut inner = self.inner.borrow_mut();
-        *inner = inner.plus(other);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
 
     #[test]
     fn charges_accumulate_per_category() {
         let c = SimClock::new();
-        c.charge(CostCategory::Udf, 99.0);
-        c.charge(CostCategory::Udf, 1.0);
-        c.charge(CostCategory::ReadView, 5.0);
+        c.charge(CostCategory::Udf, 99 * NS_PER_MS);
+        c.charge(CostCategory::Udf, NS_PER_MS);
+        c.charge_n(CostCategory::ReadView, 100, 50_000);
         let s = c.snapshot();
         assert_eq!(s.get(CostCategory::Udf), 100.0);
         assert_eq!(s.get(CostCategory::ReadView), 5.0);
         assert_eq!(s.total_ms(), 105.0);
+        assert_eq!(s.total_ns(), 105 * NS_PER_MS);
     }
 
     #[test]
     fn since_attributes_deltas() {
         let c = SimClock::new();
-        c.charge(CostCategory::Udf, 10.0);
+        c.charge(CostCategory::Udf, 10 * NS_PER_MS);
         let before = c.snapshot();
-        c.charge(CostCategory::Udf, 7.0);
-        c.charge(CostCategory::Other, 3.0);
+        c.charge(CostCategory::Udf, 7 * NS_PER_MS);
+        c.charge(CostCategory::Other, 3 * NS_PER_MS);
         let delta = c.snapshot().since(&before);
         assert_eq!(delta.get(CostCategory::Udf), 7.0);
         assert_eq!(delta.get(CostCategory::Other), 3.0);
         assert_eq!(delta.total_ms(), 10.0);
+        assert_eq!(before.plus(&delta), c.snapshot());
     }
 
     #[test]
     fn reset_zeroes() {
         let c = SimClock::new();
-        c.charge(CostCategory::Apply, 4.0);
+        c.charge(CostCategory::Apply, 4 * NS_PER_MS);
         c.reset();
         assert_eq!(c.total_ms(), 0.0);
     }
 
     #[test]
-    fn absorb_merges() {
-        let a = SimClock::new();
-        a.charge(CostCategory::Udf, 1.0);
-        let b = SimClock::new();
-        b.charge(CostCategory::Udf, 2.0);
-        b.charge(CostCategory::Optimize, 3.0);
-        a.absorb(&b.snapshot());
-        assert_eq!(a.snapshot().get(CostCategory::Udf), 3.0);
-        assert_eq!(a.snapshot().get(CostCategory::Optimize), 3.0);
-    }
-
-    #[test]
     fn display_skips_zero_categories() {
         let c = SimClock::new();
-        c.charge(CostCategory::Udf, 2.5);
+        c.charge(CostCategory::Udf, ns_from_ms(2.5));
         let s = format!("{}", c.snapshot());
         assert!(s.contains("udf=2.5ms"));
         assert!(!s.contains("read_view"));
@@ -245,7 +267,48 @@ mod tests {
     #[test]
     fn seconds_conversion() {
         let c = SimClock::new();
-        c.charge(CostCategory::Udf, 1500.0);
-        assert!((c.snapshot().total_secs() - 1.5).abs() < 1e-9);
+        c.charge(CostCategory::Udf, 1500 * NS_PER_MS);
+        assert_eq!(c.snapshot().total_secs(), 1.5);
+    }
+
+    #[test]
+    fn ms_convert_to_the_nearest_ns() {
+        assert_eq!(ns_from_ms(1.8), 1_800_000);
+        assert_eq!(ns_from_ms(0.05), 50_000);
+        assert_eq!(ns_from_ms(0.001), 1_000);
+        assert_eq!(ns_from_ms(1e-7), 0);
+        assert_eq!(ns_from_ms(6e-7), 1);
+        assert_eq!(ns_from_ms(-3.0), 0);
+        assert_eq!(ms_from_ns(ns_from_ms(99.0)), 99.0);
+    }
+
+    /// The ledger is order-free: the same random charges, replayed in two
+    /// random permutations (and once as per-category batches), give
+    /// identical snapshots.
+    #[test]
+    fn any_charge_order_gives_the_same_ledger() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        for _ in 0..64 {
+            let n = rng.gen_range(1..200usize);
+            let charges: Vec<(CostCategory, u64)> = (0..n)
+                .map(|_| {
+                    let cat = *rng.pick(&CostCategory::ALL);
+                    (cat, ns_from_ms(rng.gen_f64() * 120.0))
+                })
+                .collect();
+            let replay = |order: &[(CostCategory, u64)]| {
+                let c = SimClock::new();
+                // A non-round starting balance, as mid-session.
+                c.charge(CostCategory::Other, 1_234_567);
+                order.iter().for_each(|&(cat, ns)| c.charge(cat, ns));
+                c.snapshot()
+            };
+            let (mut a, mut b) = (charges.clone(), charges.clone());
+            rng.shuffle(&mut a);
+            rng.shuffle(&mut b);
+            assert_eq!(replay(&a), replay(&b));
+            assert_eq!(replay(&a), replay(&charges));
+            assert_eq!(replay(&a).total_ms(), replay(&b).total_ms());
+        }
     }
 }

@@ -201,11 +201,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Read a `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     /// Read a `u32`.
     pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -722,7 +717,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 65_000);
+        assert_eq!(r.take(2).unwrap(), 65_000u16.to_le_bytes());
         assert_eq!(r.u32().unwrap(), 4_000_000_000);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i64().unwrap(), -42);
@@ -741,7 +736,7 @@ mod tests {
         let err = r.u64().unwrap_err();
         assert_eq!(err.stage(), "corrupt");
         // The failed read consumed nothing extra; small reads still work.
-        assert_eq!(r.u16().unwrap(), u16::from_le_bytes([1, 2]));
+        assert_eq!(r.take(2).unwrap(), &[1, 2]);
         assert!(r.expect_end().is_ok());
     }
 

@@ -350,6 +350,7 @@ impl QueryGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::NS_PER_MS;
 
     #[test]
     fn ungoverned_checks_are_noops() {
@@ -375,7 +376,7 @@ mod tests {
     #[test]
     fn sim_deadline_trips_on_the_clock_delta() {
         let clock = SimClock::new();
-        clock.charge(crate::clock::CostCategory::Other, 100.0);
+        clock.charge(crate::clock::CostCategory::Other, 100 * NS_PER_MS);
         // Anchored at 100ms with a 5ms budget: ok until the delta passes 5.
         let g = QueryGovernor::new(
             GovernorConfig {
@@ -385,9 +386,9 @@ mod tests {
             clock.total_ms(),
         );
         assert!(g.check(&clock).is_ok());
-        clock.charge(crate::clock::CostCategory::Other, 4.0);
+        clock.charge(crate::clock::CostCategory::Other, 4 * NS_PER_MS);
         assert!(g.check(&clock).is_ok(), "4ms elapsed of a 5ms budget");
-        clock.charge(crate::clock::CostCategory::Other, 2.0);
+        clock.charge(crate::clock::CostCategory::Other, 2 * NS_PER_MS);
         let err = g.check(&clock).unwrap_err();
         assert_eq!(err.cancel_reason(), Some(CancelReason::Deadline));
         // Sticky: later checks keep failing with the same reason.

@@ -26,6 +26,7 @@ pub mod hist;
 pub mod ids;
 pub mod json;
 pub mod metrics;
+pub mod op_stats;
 pub mod rng;
 pub mod schema;
 pub mod sync;
@@ -43,7 +44,8 @@ pub use failpoint::{Failpoint, FailpointRegistry, FireRule};
 pub use governor::{GovernorConfig, QueryGovernor};
 pub use hist::LatencyHistogram;
 pub use ids::{FrameId, OpId, QueryId, UdfId, ViewId};
-pub use metrics::{MetricsSink, MetricsSnapshot, OpStats};
+pub use metrics::{MetricsSink, MetricsSnapshot};
+pub use op_stats::OpStats;
 pub use schema::{DataType, Field, Schema};
 pub use trace::{prometheus_text, QueryTrace, Span, SpanHists, SpanKind, SpanRef, TraceSink};
 pub use value::{BBox, Value};

@@ -11,7 +11,7 @@
 //!
 //! Every span carries **two** durations, never mixed:
 //!
-//! * `sim_ms` — the virtual-clock delta attributed to the span, charged by
+//! * `sim_ns` — the virtual-clock delta attributed to the span, charged by
 //!   the existing caller-thread discipline. Tracing only *copies* these
 //!   deltas; it never touches the [`SimClock`](crate::SimClock) or the
 //!   [`MetricsSink`](crate::MetricsSink), so the parallel == serial
@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::clock::ms_from_ns;
 use crate::hist::LatencyHistogram;
 use crate::ids::OpId;
 use crate::json::Json;
@@ -176,9 +177,9 @@ pub struct Span {
     pub label: String,
     /// The plan operator this span belongs to, when known.
     pub op: Option<OpId>,
-    /// Virtual-clock milliseconds attributed to this span (deterministic;
+    /// Virtual-clock nanoseconds attributed to this span (deterministic;
     /// subtree-cumulative for scope spans).
-    pub sim_ms: f64,
+    pub sim_ns: u64,
     /// Measured wall-clock nanoseconds (nondeterministic; masked by
     /// [`QueryTrace::deterministic`]).
     pub wall_ns: u64,
@@ -256,7 +257,7 @@ impl QueryTrace {
                 "{} {} [sim={:.3}ms wall={:.3}ms calls={} count={}]\n",
                 s.kind.label(),
                 s.label,
-                s.sim_ms,
+                ms_from_ns(s.sim_ns),
                 s.wall_ns as f64 / 1e6,
                 s.calls,
                 s.count
@@ -292,7 +293,7 @@ impl QueryTrace {
                         ("span", Json::U64(s.id)),
                         ("parent", Json::from(s.parent)),
                         ("op", Json::from(s.op.map(|o| o.to_string()))),
-                        ("sim_ms", Json::Num(s.sim_ms)),
+                        ("sim_ms", Json::Num(ms_from_ns(s.sim_ns))),
                         ("count", Json::U64(s.count)),
                         ("calls", Json::U64(s.calls)),
                     ]),
@@ -408,7 +409,7 @@ impl TraceSink {
             kind: SpanKind::Query,
             label,
             op: None,
-            sim_ms: 0.0,
+            sim_ns: 0,
             wall_ns: 0,
             start_ns,
             count: 0,
@@ -421,14 +422,14 @@ impl TraceSink {
     /// Close the root query span, attributing the query's total simulated
     /// cost and result-row count. The wall duration is measured from
     /// `begin_query`.
-    pub fn end_query(&self, sim_ms: f64, rows: u64) {
+    pub fn end_query(&self, sim_ns: u64, rows: u64) {
         if !self.is_enabled() {
             return;
         }
         let now = self.now_ns();
         let mut st = self.inner.state.lock().expect("trace lock");
         if let Some(root) = st.spans.first_mut() {
-            root.sim_ms += sim_ms;
+            root.sim_ns += sim_ns;
             root.wall_ns = now.saturating_sub(root.start_ns);
             root.count = rows;
             let wall = root.wall_ns;
@@ -489,7 +490,7 @@ impl TraceSink {
                     kind,
                     label: label.to_string(),
                     op,
-                    sim_ms: 0.0,
+                    sim_ns: 0,
                     wall_ns: 0,
                     start_ns,
                     count: 0,
@@ -513,7 +514,7 @@ impl TraceSink {
     /// Close a scope opened by [`TraceSink::enter`], attributing the
     /// simulated-cost delta and unit count for this entry. The wall time of
     /// the entry is measured here and recorded into the kind's histogram.
-    pub fn exit(&self, token: ScopeToken, sim_ms: f64, count: u64) {
+    pub fn exit(&self, token: ScopeToken, sim_ns: u64, count: u64) {
         let Some(started) = token.started else {
             return; // disabled at enter
         };
@@ -531,7 +532,7 @@ impl TraceSink {
         }
         if token.idx < st.spans.len() {
             let s = &mut st.spans[token.idx];
-            s.sim_ms += sim_ms;
+            s.sim_ns += sim_ns;
             s.wall_ns += wall_ns;
             s.count += count;
             s.calls += 1;
@@ -540,7 +541,7 @@ impl TraceSink {
 
     /// Record a completed leaf span under the current innermost scope, with
     /// an explicitly measured wall duration (the caller timed the work).
-    pub fn leaf(&self, kind: SpanKind, label: &str, sim_ms: f64, wall_ns: u64, count: u64) {
+    pub fn leaf(&self, kind: SpanKind, label: &str, sim_ns: u64, wall_ns: u64, count: u64) {
         if !self.is_enabled() {
             return;
         }
@@ -559,7 +560,7 @@ impl TraceSink {
             kind,
             label: label.to_string(),
             op: None,
-            sim_ms,
+            sim_ns,
             wall_ns,
             start_ns: now.saturating_sub(wall_ns),
             count,
@@ -637,18 +638,19 @@ pub fn prometheus_text(metrics: &MetricsSnapshot, hists: &SpanHists) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::NS_PER_MS;
 
     #[test]
     fn query_tree_nests_scopes_and_leaves() {
         let t = TraceSink::new();
         t.begin_query("SELECT 1");
         let (op_tok, op_ref) = t.enter(None, SpanKind::Operator, "Scan", Some(OpId(2)));
-        t.leaf(SpanKind::ViewProbe, "v1", 0.5, 1_000, 10);
-        t.exit(op_tok, 1.5, 100);
+        t.leaf(SpanKind::ViewProbe, "v1", NS_PER_MS / 2, 1_000, 10);
+        t.exit(op_tok, 3 * NS_PER_MS / 2, 100);
         // Re-entering with the cached ref accumulates into the same span.
         let (tok2, _) = t.enter(op_ref, SpanKind::Operator, "Scan", Some(OpId(2)));
-        t.exit(tok2, 0.5, 50);
-        t.end_query(2.0, 150);
+        t.exit(tok2, NS_PER_MS / 2, 50);
+        t.end_query(2 * NS_PER_MS, 150);
 
         let q = t.last_query();
         assert_eq!(q.label, "SELECT 1");
@@ -656,12 +658,12 @@ mod tests {
         let root = q.root().unwrap();
         assert_eq!(root.kind, SpanKind::Query);
         assert_eq!(root.count, 150);
-        assert!((root.sim_ms - 2.0).abs() < 1e-9);
+        assert_eq!(root.sim_ns, 2 * NS_PER_MS);
         let op = &q.spans[1];
         assert_eq!(op.parent, Some(root.id));
         assert_eq!(op.calls, 2);
         assert_eq!(op.count, 150);
-        assert!((op.sim_ms - 2.0).abs() < 1e-9);
+        assert_eq!(op.sim_ns, 2 * NS_PER_MS);
         let probe = &q.spans[2];
         assert_eq!(probe.kind, SpanKind::ViewProbe);
         assert_eq!(probe.parent, Some(op.id));
@@ -676,11 +678,11 @@ mod tests {
     fn begin_query_resets_spans_but_accumulates_histograms() {
         let t = TraceSink::new();
         t.begin_query("q1");
-        t.leaf(SpanKind::UdfEval, "det", 99.0, 5_000, 1);
-        t.end_query(99.0, 1);
+        t.leaf(SpanKind::UdfEval, "det", 99 * NS_PER_MS, 5_000, 1);
+        t.end_query(99 * NS_PER_MS, 1);
         t.begin_query("q2");
-        t.leaf(SpanKind::UdfEval, "det", 99.0, 7_000, 1);
-        t.end_query(99.0, 1);
+        t.leaf(SpanKind::UdfEval, "det", 99 * NS_PER_MS, 7_000, 1);
+        t.end_query(99 * NS_PER_MS, 1);
 
         let q = t.last_query();
         assert_eq!(q.label, "q2");
@@ -695,8 +697,8 @@ mod tests {
     fn deterministic_masks_wall_fields_only() {
         let t = TraceSink::new();
         t.begin_query("q");
-        t.leaf(SpanKind::SegmentIo, "v1.seg", 0.0, 123_456, 64);
-        t.end_query(0.0, 0);
+        t.leaf(SpanKind::SegmentIo, "v1.seg", 0, 123_456, 64);
+        t.end_query(0, 0);
         let q = t.last_query();
         let d = q.deterministic();
         assert!(d.spans.iter().all(|s| s.wall_ns == 0 && s.start_ns == 0));
@@ -714,9 +716,9 @@ mod tests {
         t.begin_query("q");
         let (tok, r) = t.enter(None, SpanKind::Operator, "x", None);
         assert!(r.is_none());
-        t.exit(tok, 1.0, 1);
-        t.leaf(SpanKind::UdfEval, "det", 1.0, 1, 1);
-        t.end_query(1.0, 1);
+        t.exit(tok, NS_PER_MS, 1);
+        t.leaf(SpanKind::UdfEval, "det", NS_PER_MS, 1, 1);
+        t.end_query(NS_PER_MS, 1);
         assert!(t.last_query().spans.is_empty());
         t.set_enabled(true);
         t.begin_query("q2");
@@ -728,9 +730,9 @@ mod tests {
         let t = TraceSink::new();
         t.begin_query("SELECT x");
         let (tok, _) = t.enter(None, SpanKind::Operator, "Apply det", Some(OpId(3)));
-        t.leaf(SpanKind::UdfEval, "det", 99.0, 2_000_000, 20);
-        t.exit(tok, 100.0, 20);
-        t.end_query(100.0, 20);
+        t.leaf(SpanKind::UdfEval, "det", 99 * NS_PER_MS, 2_000_000, 20);
+        t.exit(tok, 100 * NS_PER_MS, 20);
+        t.end_query(100 * NS_PER_MS, 20);
         let q = t.last_query();
         let text = q.render();
         assert!(text.contains("query SELECT x"), "{text}");
@@ -749,12 +751,14 @@ mod tests {
     #[test]
     fn prometheus_text_exports_counters_and_histograms() {
         let sink = crate::metrics::MetricsSink::new();
-        sink.record_udf_calls(3, 7, 693.0);
+        sink.record_udf_calls(3, 7, 693 * NS_PER_MS);
         let mut hists = SpanHists::default();
         hists.record(SpanKind::ViewProbe, 1_000);
         hists.record(SpanKind::ViewProbe, 2_000);
         let text = prometheus_text(&sink.snapshot(), &hists);
         assert!(text.contains("eva_udf_calls_avoided 7"), "{text}");
+        // A nanosecond counter keeps its millisecond export.
+        assert!(text.contains("eva_udf_ms_avoided 693\n"), "{text}");
         assert!(
             text.contains("eva_span_latency_seconds_count{kind=\"view_probe\"} 2"),
             "{text}"
@@ -767,7 +771,7 @@ mod tests {
         let t = TraceSink::new();
         t.begin_query("q");
         for i in 0..(MAX_SPANS + 10) {
-            t.leaf(SpanKind::ViewProbe, "k", 0.0, i as u64, 1);
+            t.leaf(SpanKind::ViewProbe, "k", 0, i as u64, 1);
         }
         let q = t.last_query();
         assert_eq!(q.spans.len(), MAX_SPANS);

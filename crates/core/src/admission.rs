@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use eva_common::metrics::Counter;
 use eva_common::{CancelReason, EvaError, MetricsSink, Result};
 
 /// Admission policy knobs.
@@ -191,7 +192,7 @@ impl AdmissionController {
 
     fn admitted(&self, metrics: &MetricsSink) -> AdmissionPermit {
         self.inner.admitted.fetch_add(1, Ordering::Relaxed);
-        metrics.record_query_admitted();
+        metrics.add(Counter::queries_admitted, 1);
         AdmissionPermit {
             inner: Arc::clone(&self.inner),
         }
@@ -199,7 +200,7 @@ impl AdmissionController {
 
     fn shed(&self, metrics: &MetricsSink, why: &str) -> EvaError {
         self.inner.shed.fetch_add(1, Ordering::Relaxed);
-        metrics.record_query_shed();
+        metrics.add(Counter::queries_shed, 1);
         EvaError::cancelled(
             CancelReason::Shed,
             format!(

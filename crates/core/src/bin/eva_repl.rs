@@ -12,6 +12,7 @@
 
 use std::io::{BufRead, Write};
 
+use eva_common::metrics::Counter;
 use eva_core::{EvaDb, SessionConfig, StatementResult};
 use eva_planner::ReuseStrategy;
 
@@ -126,7 +127,7 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
                         out.n_rows(),
                         out.sim_secs(),
                         out.wall_ms,
-                        out.metrics.probe_hit_rate() * 100.0,
+                        out.metrics.ratio(Counter::probe_hits, Counter::probes) * 100.0,
                         out.metrics.udf_calls_avoided
                     );
                 }
@@ -158,7 +159,7 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
                 m.udf_calls_requested,
                 m.udf_calls_executed,
                 m.udf_calls_avoided,
-                m.udf_ms_avoided / 1000.0
+                m.udf_ns_avoided as f64 / 1e9
             );
             println!(
                 "view probes: {} ({} hits / {} misses, {} fuzzy, {:.1}% hit rate)",
@@ -166,7 +167,7 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
                 m.probe_hits,
                 m.probe_misses,
                 m.fuzzy_hits,
-                m.probe_hit_rate() * 100.0
+                m.ratio(Counter::probe_hits, Counter::probes) * 100.0
             );
             println!(
                 "rows: zero-copy={} view-read={} view-written={} frames-scanned={}",
@@ -206,7 +207,7 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
                     c.total_invocations,
                     c.distinct_inputs,
                     c.reused_invocations,
-                    c.eval_ms / 1000.0
+                    c.eval_ns as f64 / 1e9
                 );
             }
             println!("hit rate: {:.1}%", db.invocation_stats().hit_percentage());

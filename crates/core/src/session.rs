@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use eva_catalog::{AccuracyLevel, Catalog, TableDef, UdfDef};
+use eva_common::metrics::Counter;
 use eva_common::{
     CostBreakdown, DataType, EvaError, Field, GovernorConfig, MetricsSink, MetricsSnapshot,
     QueryGovernor, QueryTrace, Result, Schema, SimClock, SpanHists, TraceSink, UdfId,
@@ -348,6 +349,9 @@ impl EvaDb {
     ///    counters land outside the per-query metrics window.
     /// 2. **Governance** — a fresh [`QueryGovernor`] (session config +
     ///    env overlays + the external cancel flag) rides the exec context.
+    ///    Its simulated deadline counts from the clock's reading here;
+    ///    planning charges the clock nothing, so where the deadline trips
+    ///    is a pure function of the workload.
     /// 3. **Deferred coverage** — plan-time view commits go to a
     ///    [`CommitLog`], applied only when the query completes un-degraded,
     ///    so a cancelled or degraded query never claims coverage for rows
@@ -368,7 +372,9 @@ impl EvaDb {
         )
         .with_external_cancel(Arc::clone(&self.cancel_flag));
         let commits = CommitLog::new();
+        let planning = std::time::Instant::now();
         let plan = self.plan(stmt, Some(&commits))?;
+        let plan_wall_ms = planning.elapsed().as_secs_f64() * 1000.0;
         let result = execute_governed(
             &plan,
             &self.storage,
@@ -383,10 +389,12 @@ impl EvaDb {
         );
         match result {
             Ok(mut out) => {
+                out.plan_wall_ms = plan_wall_ms;
                 if governor.is_degraded() {
                     let skipped = commits.discard() as u64;
                     if skipped > 0 {
-                        self.metrics().record_materialization_skipped(skipped);
+                        self.metrics()
+                            .add(Counter::materialization_skipped, skipped);
                         out.metrics.materialization_skipped += skipped;
                     }
                 } else {
@@ -575,7 +583,7 @@ impl EvaDb {
                 impl_id: stmt.impl_id.clone(),
                 logical_type: stmt.logical_type.clone(),
                 accuracy,
-                cost_ms: Some(sim.cost_ms()),
+                cost_ms: Some(eva_common::clock::ms_from_ns(sim.cost_ns())),
                 gpu: sim.gpu(),
             },
             stmt.or_replace,
@@ -1015,8 +1023,8 @@ mod tests {
         fn impl_id(&self) -> &str {
             self.inner.impl_id()
         }
-        fn cost_ms(&self) -> f64 {
-            self.inner.cost_ms()
+        fn cost_ns(&self) -> u64 {
+            self.inner.cost_ns()
         }
         fn output_schema(&self) -> Arc<eva_common::Schema> {
             self.inner.output_schema()

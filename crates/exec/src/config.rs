@@ -8,8 +8,9 @@ pub struct ExecConfig {
     /// per-tuple, so the batch size only affects bookkeeping granularity).
     pub batch_size: usize,
     /// Simulated per-input-row overhead of the APPLY machinery (argument
-    /// marshalling, join bookkeeping) — the "Apply" series of Fig. 6b.
-    pub apply_overhead_ms: f64,
+    /// marshalling, join bookkeeping), in nanoseconds — the "Apply" series
+    /// of Fig. 6b.
+    pub apply_overhead_ns: u64,
     /// Fuzzy bbox reuse for box-level UDF views (the paper's §6 future
     /// work): on an exact-key miss, accept the stored result of the
     /// highest-IoU box on the same frame when IoU ≥ this threshold.
@@ -19,10 +20,10 @@ pub struct ExecConfig {
     /// retried before the query gives up with an error. `0` fails on the
     /// first transient error.
     pub udf_retry_budget: u32,
-    /// Simulated backoff before retry k (1-based): `backoff_ms · 2^(k−1)`.
-    /// Charged to the `Apply` cost category per input key, before the batch
-    /// is evaluated, so the charge never depends on evaluation order.
-    pub udf_retry_backoff_ms: f64,
+    /// Simulated backoff before retry k (1-based), in nanoseconds:
+    /// `backoff_ns · 2^(k−1)`. Charged to the `Apply` cost category, once
+    /// per batch for all its input keys, before the batch is evaluated.
+    pub udf_retry_backoff_ns: u64,
     /// Frames per morsel for morsel-driven parallel scans. Equal to
     /// `batch_size` by default so an engaged parallel pipeline emits
     /// batches on exactly the serial cadence (same batch boundaries, same
@@ -42,10 +43,10 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             batch_size: 1024,
-            apply_overhead_ms: 0.05,
+            apply_overhead_ns: 50_000,
             fuzzy_box_iou: None,
             udf_retry_budget: 2,
-            udf_retry_backoff_ms: 5.0,
+            udf_retry_backoff_ns: 5_000_000,
             morsel_rows: 1024,
             parallel_scan_min_rows: 4096,
         }
@@ -60,7 +61,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = ExecConfig::default();
         assert!(c.batch_size > 0);
-        assert!(c.apply_overhead_ms >= 0.0);
+        assert!(c.apply_overhead_ns > 0);
         // Default morsel size matches the batch size so engaged parallel
         // pipelines keep the serial batch cadence (counter identity).
         assert_eq!(c.morsel_rows, c.batch_size);

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use eva_common::metrics::Counter;
 use eva_common::{
     Batch, ColumnarBatch, CostBreakdown, EvaError, MetricsSnapshot, OpId, OpStats, QueryGovernor,
     QueryTrace, Result, Schema, SimClock, SpanKind, SpanRef,
@@ -32,6 +33,10 @@ pub struct QueryOutput {
     pub breakdown: CostBreakdown,
     /// Real wall-clock milliseconds spent executing.
     pub wall_ms: f64,
+    /// Real wall-clock milliseconds spent binding and optimizing the query
+    /// (0 when the caller planned it elsewhere). Wall time, never charged to
+    /// the simulated clock.
+    pub plan_wall_ms: f64,
     /// Per-operator runtime statistics, keyed by the plan's operator ids
     /// (feed to [`PhysPlan::explain_analyze`]).
     pub op_stats: BTreeMap<OpId, OpStats>,
@@ -94,7 +99,7 @@ impl Operator for InstrumentedOp {
         };
         // Close the span before propagating errors so the scope stack stays
         // balanced even when execution aborts mid-tree.
-        ctx.trace().exit(token, delta.total_ms(), rows);
+        ctx.trace().exit(token, delta.total_ns(), rows);
         let out = out?;
         // Columnar-flow accounting happens here — once per planned
         // operator emission, on the caller thread like every other counter.
@@ -329,7 +334,7 @@ pub fn execute_governed(
     // comparisons) so `\metrics` and snapshots report the parallelism level.
     storage
         .metrics()
-        .set_n_workers(ctx.pool().n_workers() as u64);
+        .set(Counter::n_workers, ctx.pool().n_workers() as u64);
     let mut root = build(plan, segment.as_ref())?;
     let schema = root.schema();
     let mut out = Batch::empty(schema);
@@ -360,11 +365,12 @@ pub fn execute_governed(
     let metrics = storage.metrics().snapshot().since(&metrics_before);
     storage
         .trace()
-        .end_query(breakdown.total_ms(), out.len() as u64);
+        .end_query(breakdown.total_ns(), out.len() as u64);
     Ok(QueryOutput {
         batch: out,
         breakdown,
         wall_ms: started.elapsed().as_secs_f64() * 1000.0,
+        plan_wall_ms: 0.0,
         op_stats: op_stats.snapshot(),
         metrics,
         trace: storage.trace().last_query(),

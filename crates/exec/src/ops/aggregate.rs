@@ -28,6 +28,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use eva_common::hash::KeyHasher;
+use eva_common::metrics::Counter;
 use eva_common::{
     CellRef, Column, ColumnBuilder, ColumnData, ColumnarBatch, EvaError, Result, Schema, Value,
 };
@@ -636,7 +637,7 @@ impl Operator for AggregateOp {
                         // Budget tripped: degrade to streaming/merging mode
                         // instead of failing the query.
                         if governor.enter_degraded() {
-                            ctx.metrics().record_degraded_query();
+                            ctx.metrics().add(Counter::degraded_queries, 1);
                         }
                         governor.release_bytes(want);
                         charged = 0;

@@ -33,7 +33,9 @@
 
 use std::sync::Arc;
 
+use eva_common::clock::{ms_from_ns, ns_from_ms};
 use eva_common::hash::xxhash64;
+use eva_common::metrics::Counter;
 use eva_common::{
     BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, Failpoint,
     FireRule, FrameId, OpId, Result, Schema, SpanKind,
@@ -200,9 +202,9 @@ impl ApplyOp {
             return Ok(());
         }
         let budget = ctx.config.udf_retry_budget;
-        let base = ctx.config.udf_retry_backoff_ms;
+        let base = ctx.config.udf_retry_backoff_ns;
         let mut retries = 0u64;
-        let mut backoff = 0.0f64;
+        let mut backoff = 0u64;
         let mut exhausted: Option<FrameId> = None;
         for (frame, bbox) in inputs {
             let key = Self::retry_key(frame, bbox);
@@ -214,18 +216,17 @@ impl ApplyOp {
             // base·(2^sleeps − 1) in total. `fails > budget` means even the
             // last retry failed — the sleeps happened, then we give up.
             let sleeps = fails.min(budget);
-            backoff += base * ((1u64 << sleeps.min(62)) - 1) as f64;
+            backoff = backoff.saturating_add(base.saturating_mul((1u64 << sleeps.min(62)) - 1));
             retries += sleeps as u64;
             if fails > budget {
                 exhausted = Some(frame);
                 break;
             }
         }
-        if backoff > 0.0 {
-            ctx.clock.charge(CostCategory::Apply, backoff);
-        }
+        ctx.clock.charge(CostCategory::Apply, backoff);
+        ctx.metrics().add(Counter::udf_retries, retries);
         if let Some(frame) = exhausted {
-            ctx.metrics().record_udf_retries(retries, 1);
+            ctx.metrics().add(Counter::udf_gave_up, 1);
             // A retry-budget exhaustion feeds the circuit breaker's
             // consecutive-failure streak (caller thread, deterministic).
             if let Some(b) = ctx.breaker {
@@ -234,7 +235,7 @@ impl ApplyOp {
             let last_backoff_ms = if budget == 0 {
                 0.0
             } else {
-                base * (1u64 << (budget - 1).min(62)) as f64
+                ms_from_ns(base.saturating_mul(1u64 << (budget - 1).min(62)))
             };
             return Err(EvaError::Exec(format!(
                 "udf '{udf_name}' kept failing transiently on frame {} after {} attempts \
@@ -242,9 +243,6 @@ impl ApplyOp {
                 frame.raw(),
                 budget as u64 + 1,
             )));
-        }
-        if retries > 0 {
-            ctx.metrics().record_udf_retries(retries, 0);
         }
         Ok(())
     }
@@ -260,7 +258,7 @@ impl ApplyOp {
     /// One eval batch: run `udf_def`'s model on the keys at `which`, in that
     /// order, into one set of column builders, and resolve those keys with
     /// the finished chunk — after lending it to STORE when `store_into`
-    /// names a view. Breaker gate, retry model, per-invocation charges,
+    /// names a view. Breaker gate, retry model, the batch's `Udf` charge,
     /// counters and the `udf_eval` leaf span all happen here.
     fn eval_rows(
         &self,
@@ -290,24 +288,22 @@ impl ApplyOp {
         }
         self.breaker_success(ctx);
         let n_eval = owners.len() as u64;
-        ctx.metrics().record_udf_calls(n_eval, 0, 0.0);
+        ctx.metrics().record_udf_calls(n_eval, 0, 0);
         ctx.op_stats
             .update(self.op_id, |s| s.udf_executed += n_eval);
-        for _ in &owners {
-            ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-        }
-        // One leaf span per eval batch: retries + evaluations + the
-        // per-invocation Udf charges, before any STORE append.
+        ctx.clock.charge_n(CostCategory::Udf, n_eval, udf.cost_ns());
+        // One leaf span per eval batch: retries + evaluations + the Udf
+        // charge, before any STORE append.
         ctx.trace().leaf(
             SpanKind::UdfEval,
             &udf_def.name,
-            ctx.clock.snapshot().since(&eval_clock).total_ms(),
+            ctx.clock.snapshot().since(&eval_clock).total_ns(),
             eval_started.elapsed().as_nanos() as u64,
             n_eval,
         );
         let evaluated = which.iter().map(|&i| keys[i].2);
         ctx.stats
-            .record_batch(&udf_def.name, evaluated, udf.cost_ms(), false);
+            .record_batch(&udf_def.name, evaluated, udf.cost_ns(), false);
         let chunk: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
         if let Some(view) = store_into {
             let entries: Vec<_> = owners.iter().map(|&(i, n)| (keys[i].2, n)).collect();
@@ -403,7 +399,7 @@ impl ApplyOp {
                 ctx.trace().leaf(
                     SpanKind::ViewProbe,
                     &seg.udf.name,
-                    ctx.clock.snapshot().since(&probe_clock).total_ms(),
+                    ctx.clock.snapshot().since(&probe_clock).total_ns(),
                     probe_started.elapsed().as_nanos() as u64,
                     probes,
                 );
@@ -412,16 +408,15 @@ impl ApplyOp {
                 // probe span, which times the store alone).
                 let hits = hit_idx.len() as u64;
                 let fuzzy_hits = hits - exact_hits;
-                let avoided_ms = seg.udf.cost_ms.unwrap_or(0.0);
+                let avoided_ns = ns_from_ms(seg.udf.cost_ms.unwrap_or(0.0));
                 ctx.stats.record_batch(
                     &seg.udf.name,
                     hit_idx.iter().map(|&i| keys[i].2),
-                    avoided_ms,
+                    avoided_ns,
                     true,
                 );
                 ctx.metrics().record_probe_batch(probes, hits, fuzzy_hits);
-                ctx.metrics()
-                    .record_udf_calls(0, hits, avoided_ms * hits as f64);
+                ctx.metrics().record_udf_calls(0, hits, avoided_ns * hits);
                 ctx.op_stats.update(self.op_id, |s| {
                     s.probes += probes;
                     s.probe_hits += hits;
@@ -457,63 +452,84 @@ impl ApplyOp {
         let mut batch = ctx.funcache.batch(&udf_def.name, self.spec.output.len());
         let (mut hit_keys, mut miss_keys) = (Vec::new(), Vec::new());
         let mut rows_shared = 0u64;
-        for &(frame, bbox, vkey) in keys {
-            // Hash the input arguments — charged for the full frame payload
-            // on every invocation, the baseline's defining overhead.
-            let digest = ctx.dataset.frame_digest(frame);
-            let mut arg_bytes = Vec::with_capacity(digest.len() + 16);
-            arg_bytes.extend_from_slice(&digest);
-            let mut hashed = frame_bytes;
-            if let Some(b) = bbox {
-                for k in b.key() {
-                    arg_bytes.extend_from_slice(&k.to_le_bytes());
+        // Keys hashed so far, and how many of them carried a box.
+        let (mut hashed, mut boxed) = (0u64, 0u64);
+        let mut lookup = || -> Result<()> {
+            for &(frame, bbox, vkey) in keys {
+                // Hash the input arguments: the frame payload, plus the
+                // box's quantized corners for a box-level UDF.
+                let digest = ctx.dataset.frame_digest(frame);
+                let mut arg_bytes = Vec::with_capacity(digest.len() + 16);
+                arg_bytes.extend_from_slice(&digest);
+                if let Some(b) = bbox {
+                    for k in b.key() {
+                        arg_bytes.extend_from_slice(&k.to_le_bytes());
+                    }
+                    boxed += 1;
                 }
-                hashed += 8;
-            }
-            ctx.clock.charge(
-                CostCategory::HashInput,
-                ctx.storage.cost_model().hash_cost_ms(hashed),
-            );
-            let hit = batch.answer(&arg_bytes, |out| {
-                self.admit_evaluation(ctx, &udf_def.name, std::iter::once((frame, bbox)))?;
-                let input = UdfEvalContext {
-                    dataset: &ctx.dataset,
-                    frame,
-                    bbox,
-                };
-                let n_rows = udf.eval_into(&input, out)?;
-                self.breaker_success(ctx);
-                ctx.clock.charge(CostCategory::Udf, udf.cost_ms());
-                Ok(n_rows)
-            })?;
-            match hit {
-                Some(n_rows) => {
-                    hit_keys.push(vkey);
-                    rows_shared += u64::from(n_rows);
+                hashed += 1;
+                let hit = batch.answer(&arg_bytes, |out| {
+                    self.admit_evaluation(ctx, &udf_def.name, std::iter::once((frame, bbox)))?;
+                    let input = UdfEvalContext {
+                        dataset: &ctx.dataset,
+                        frame,
+                        bbox,
+                    };
+                    let n_rows = udf.eval_into(&input, out)?;
+                    self.breaker_success(ctx);
+                    Ok(n_rows)
+                })?;
+                match hit {
+                    Some(n_rows) => {
+                        hit_keys.push(vkey);
+                        rows_shared += u64::from(n_rows);
+                    }
+                    None => miss_keys.push(vkey),
                 }
-                None => miss_keys.push(vkey),
             }
-        }
+            Ok(())
+        };
+        let looked_up = lookup();
+        let (cache_hits, cache_misses) = (hit_keys.len() as u64, miss_keys.len() as u64);
+        // Hashing is charged for the full frame payload on every invocation
+        // (the baseline's defining overhead), plus 8 bytes of box corners;
+        // each evaluated miss also pays its evaluation. A lookup that fails
+        // part way still pays for the work it did.
+        let cost = ctx.storage.cost_model();
+        ctx.clock.charge_n(
+            CostCategory::HashInput,
+            boxed,
+            cost.hash_cost_ns(frame_bytes + 8),
+        );
+        ctx.clock.charge_n(
+            CostCategory::HashInput,
+            hashed - boxed,
+            cost.hash_cost_ns(frame_bytes),
+        );
+        ctx.clock
+            .charge_n(CostCategory::Udf, cache_misses, udf.cost_ns());
+        looked_up?;
         // One leaf span per lookup batch: hashing, probes, and the misses'
-        // evaluations (the baseline pays them inline).
+        // evaluations.
         ctx.trace().leaf(
             SpanKind::CacheLookup,
             &udf_def.name,
-            ctx.clock.snapshot().since(&lookup_clock).total_ms(),
+            ctx.clock.snapshot().since(&lookup_clock).total_ns(),
             lookup_started.elapsed().as_nanos() as u64,
-            keys.len() as u64,
+            hashed,
         );
-        let (cache_hits, cache_misses) = (hit_keys.len() as u64, miss_keys.len() as u64);
         ctx.stats
-            .record_batch(&udf_def.name, hit_keys, udf.cost_ms(), true);
+            .record_batch(&udf_def.name, hit_keys, udf.cost_ns(), true);
         ctx.stats
-            .record_batch(&udf_def.name, miss_keys, udf.cost_ms(), false);
+            .record_batch(&udf_def.name, miss_keys, udf.cost_ns(), false);
         // Cache hits serve rows the table already held and each one avoided
         // a model invocation; charged once per batch on the caller thread.
-        ctx.metrics().record_funcache(cache_hits, cache_misses);
-        ctx.metrics().record_zero_copy_rows(rows_shared);
+        ctx.metrics().add(Counter::funcache_hits, cache_hits);
+        ctx.metrics().add(Counter::funcache_misses, cache_misses);
         ctx.metrics()
-            .record_udf_calls(cache_misses, cache_hits, udf.cost_ms() * cache_hits as f64);
+            .add(Counter::rows_served_zero_copy, rows_shared);
+        ctx.metrics()
+            .record_udf_calls(cache_misses, cache_hits, udf.cost_ns() * cache_hits);
         ctx.op_stats.update(self.op_id, |s| {
             s.udf_executed += cache_misses;
             s.udf_avoided += cache_hits;
@@ -607,9 +623,10 @@ impl Operator for ApplyOp {
             // — before the batch's UDF work, where cancellation saves the
             // most simulated (and real) time.
             ctx.governor.check(ctx.clock)?;
-            ctx.clock.charge(
+            ctx.clock.charge_n(
                 CostCategory::Apply,
-                ctx.config.apply_overhead_ms * cb.len() as f64,
+                cb.len() as u64,
+                ctx.config.apply_overhead_ns,
             );
             let keys = self.keys_of(&cb)?;
             let resolved = match &self.spec.reuse {

@@ -8,6 +8,7 @@ pub mod project;
 pub mod scan;
 pub mod sort_limit;
 
+use eva_common::metrics::Counter;
 use eva_common::{Batch, ColumnarBatch, Result, Schema};
 use std::sync::Arc;
 
@@ -32,6 +33,6 @@ pub type BoxedOp = Box<dyn Operator>;
 /// Pivot a batch to row form at the output boundary, charging the
 /// `rows_pivoted` counter — the observable cost of leaving columnar form.
 pub(crate) fn into_rows(ctx: &ExecCtx<'_>, cb: ColumnarBatch) -> Batch {
-    ctx.metrics().record_rows_pivoted(cb.len() as u64);
+    ctx.metrics().add(Counter::rows_pivoted, cb.len() as u64);
     cb.to_batch()
 }

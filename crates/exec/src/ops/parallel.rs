@@ -29,17 +29,18 @@
 //!   matches, and emits the same single columnar batch (one row for an
 //!   ungrouped aggregate whose every morsel filtered empty);
 //! - all accounting (IO charges, counters, per-op stats) is *replayed* on
-//!   the caller thread, morsel by morsel, mirroring exactly what the
-//!   instrumented serial operators would have recorded for the same batch
-//!   boundaries — a stage's cumulative cost as the same clock differences
-//!   its serial wrapper would take, from one emission to the next, so the
-//!   two agree to the last bit. The only new counters are
+//!   the caller thread, morsel by morsel, recording what the instrumented
+//!   serial operators would have recorded for the same batch boundaries.
+//!   The clock is an integer ledger, so each stage's cumulative cost is
+//!   simply the sum of the morsel charges it consumed — every morsel passes
+//!   through every stage's pending `next()` call. The only new counters are
 //!   `morsels_dispatched` / `parallel_pipelines` (deterministic) and
 //!   `morsels_stolen` (scheduling-dependent, masked by
 //!   `MetricsSnapshot::deterministic`).
 
 use std::sync::Arc;
 
+use eva_common::metrics::Counter;
 use eva_common::{ColumnarBatch, CostBreakdown, Result, Schema, SpanKind, SpanRef};
 use eva_expr::vector::filter_columnar;
 use eva_expr::Expr;
@@ -133,26 +134,15 @@ fn run_morsel(
 
 /// Replay one morsel's accounting on the caller thread: the IO charge, the
 /// `frames_scanned` / `columnar_*` counters, and the subsumed operators'
-/// per-op stats — exactly what the instrumented serial pipeline would have
-/// recorded for the same batch boundaries. Returns the simulated
-/// milliseconds charged.
-///
-/// `entered[k]` is the clock reading stage `k`'s serial wrapper would have
-/// taken on entering its pending `next()` call. A stage's cumulative cost
-/// grows when it emits, by the clock's advance since that reading — one
-/// subtraction spanning every morsel a filter above the scan skipped, as the
-/// serial wrapper takes it, so the two agree to the last bit whatever the
-/// clock read when the query began.
-fn replay_morsel(
-    ctx: &ExecCtx<'_>,
-    seg: &ParallelSegment,
-    m: &MorselOut,
-    entered: &mut [CostBreakdown],
-) -> f64 {
+/// per-op stats — what the instrumented serial pipeline would have recorded
+/// for the same batch boundaries. Every stage's serial `next()` call spans
+/// the scan charge of each morsel it pulls, emitted or filtered empty, so
+/// each stage's cumulative cost grows by the morsel's charge. Returns that
+/// charge.
+fn replay_morsel(ctx: &ExecCtx<'_>, seg: &ParallelSegment, m: &MorselOut) -> CostBreakdown {
     let before = ctx.clock.snapshot();
     ctx.storage.charge_frame_scan(m.scanned, ctx.clock);
-    let after = ctx.clock.snapshot();
-    let delta = after.since(&before);
+    let delta = ctx.clock.snapshot().since(&before);
     // The scan's emission: serial scans only reach their instrumented
     // wrapper with non-empty batches (ranges are clamped to the dataset).
     if m.scanned > 0 {
@@ -165,21 +155,19 @@ fn replay_morsel(
             s.batches += 1;
         }
     });
-    // A stage that emitted returns to its caller, which re-enters it at the
-    // current clock; one that filtered the morsel empty (and every stage
-    // above it, which never ran) stays inside its pending call.
-    for ((stage, &rows), entered) in seg.stages.iter().zip(&m.stage_rows).zip(entered) {
+    for (stage, &rows) in seg.stages.iter().zip(&m.stage_rows) {
         if rows > 0 {
             ctx.metrics().record_columnar_batch(rows);
-            ctx.op_stats.update(stage.op_id(), |s| {
-                s.cum = s.cum.plus(&after.since(entered));
+        }
+        ctx.op_stats.update(stage.op_id(), |s| {
+            s.cum = s.cum.plus(&delta);
+            if rows > 0 {
                 s.rows_out += rows;
                 s.batches += 1;
-            });
-            *entered = after;
-        }
+            }
+        });
     }
-    delta.total_ms()
+    delta
 }
 
 /// Results of the (single) dispatch, drained incrementally by `next()`.
@@ -332,9 +320,8 @@ impl ParallelPipelineOp {
             // counters, per-op stats) before unwinding, so the deterministic
             // counters of a cancelled run cover exactly the morsels that
             // completed — bit-identical at any worker-pool width.
-            let mut entered = vec![ctx.clock.snapshot(); self.seg.stages.len()];
             for m in &results {
-                replay_morsel(ctx, &self.seg, m, &mut entered);
+                replay_morsel(ctx, &self.seg, m);
             }
             return Err(err);
         }
@@ -344,9 +331,7 @@ impl ParallelPipelineOp {
         // `MetricsSnapshot::deterministic`.
         ctx.metrics().record_parallel_pipeline(results.len() as u64);
         let stolen: u64 = reports.iter().map(|r| r.stolen).sum();
-        if stolen > 0 {
-            ctx.metrics().record_morsels_stolen(stolen);
-        }
+        ctx.metrics().add(Counter::morsels_stolen, stolen);
         // Per-lane spans under the pipeline span, recorded by the caller
         // (workers never touch the sink). Wall time is real; simulated cost
         // is zero here because the charges are replayed per morsel.
@@ -354,7 +339,7 @@ impl ParallelPipelineOp {
             ctx.trace().leaf(
                 SpanKind::Operator,
                 &format!("worker-{lane}"),
-                0.0,
+                0,
                 r.wall_ns,
                 r.executed,
             );
@@ -385,47 +370,40 @@ impl ParallelPipelineOp {
         Ok(())
     }
 
-    /// The un-traced body of `next()`; accumulates the simulated
-    /// milliseconds replayed during this call into `sim_ms`.
-    fn next_inner(&mut self, ctx: &ExecCtx<'_>, sim_ms: &mut f64) -> Result<Option<ColumnarBatch>> {
+    /// The un-traced body of `next()`; adds the simulated cost replayed
+    /// during this call to `sim`.
+    fn next_inner(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        sim: &mut CostBreakdown,
+    ) -> Result<Option<ColumnarBatch>> {
         if self.state.is_none() {
             self.dispatch(ctx)?;
         }
         let seg = &self.seg;
         let state = self.state.as_mut().expect("dispatched");
-        // Whoever pulls this operator would be entering every serial wrapper
-        // of the segment now.
-        let entry = ctx.clock.snapshot();
-        let mut entered = vec![entry; seg.stages.len()];
         // Replay morsels in order. Without a breaker, stop at the first one
         // that produced output and emit it; trailing empty morsels are
         // replayed on the final call.
         while state.cursor < state.results.len() {
             let idx = state.cursor;
-            *sim_ms += replay_morsel(ctx, seg, &state.results[idx], &mut entered);
+            *sim = sim.plus(&replay_morsel(ctx, seg, &state.results[idx]));
             state.cursor += 1;
             if let Some(cb) = state.results[idx].batch.take() {
                 return Ok(Some(cb));
             }
-        }
-        // Exhausted: every pending call returns, and its wrapper books the
-        // morsels it skipped since it last emitted.
-        let end = ctx.clock.snapshot();
-        for (stage, entered) in seg.stages.iter().zip(&entered) {
-            ctx.op_stats
-                .update(stage.op_id(), |s| s.cum = s.cum.plus(&end.since(entered)));
         }
         self.done = true;
         let Some(b) = &seg.breaker else {
             return Ok(None);
         };
         // Breaker mode: the aggregate consumed every morsel inside this one
-        // `next()` call, so its cumulative cost spans all of them, and it
+        // `next()` call, so its cumulative cost is all of theirs, and it
         // emits the single merged batch.
         let batch = state.agg_batch.take().expect("one aggregate emission");
         ctx.metrics().record_columnar_batch(batch.len() as u64);
         ctx.op_stats.update(b.op_id, |s| {
-            s.cum = s.cum.plus(&end.since(&entry));
+            s.cum = s.cum.plus(sim);
             s.rows_out += batch.len() as u64;
             s.batches += 1;
         });
@@ -451,15 +429,15 @@ impl Operator for ParallelPipelineOp {
         if span.is_some() {
             self.span = span;
         }
-        let mut sim_ms = 0.0;
-        let out = self.next_inner(ctx, &mut sim_ms);
+        let mut sim = CostBreakdown::default();
+        let out = self.next_inner(ctx, &mut sim);
         let rows = match &out {
             Ok(Some(batch)) => batch.len() as u64,
             _ => 0,
         };
         // Close the span before propagating errors so the scope stack stays
         // balanced even when execution aborts mid-pipeline.
-        ctx.trace().exit(token, sim_ms, rows);
+        ctx.trace().exit(token, sim.total_ns(), rows);
         out
     }
 }

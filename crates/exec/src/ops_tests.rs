@@ -837,17 +837,17 @@ fn segment_plan(predicate: Expr, group_by: Option<&[&str]>) -> PhysPlan {
 }
 
 /// Run `plan` on a fresh 100-frame environment whose clock already reads
-/// `clock_ms` — serially when `width` is `None`, else morsel-parallel on a
+/// `clock_ns` — serially when `width` is `None`, else morsel-parallel on a
 /// pool that wide — in batches / morsels of `morsel` frames.
 fn run_segment(
     plan: &PhysPlan,
     morsel: usize,
     width: Option<usize>,
-    clock_ms: f64,
+    clock_ns: u64,
     governor: GovernorConfig,
 ) -> (TestEnv, eva_common::Result<crate::engine::QueryOutput>) {
     let env = TestEnv::new(44, 100);
-    env.clock.charge(CostCategory::ReadVideo, clock_ms);
+    env.clock.charge(CostCategory::ReadVideo, clock_ns);
     let config = crate::config::ExecConfig {
         batch_size: morsel,
         morsel_rows: morsel,
@@ -902,7 +902,7 @@ fn parallel_breaker_matches_serial_aggregate_at_every_width() {
         (nothing(), &["early"]),
     ] {
         let plan = segment_plan(predicate, Some(group_by));
-        let (_, serial) = run_segment(&plan, 10, None, 0.0, free());
+        let (_, serial) = run_segment(&plan, 10, None, 0, free());
         let serial = serial.unwrap();
         assert_eq!(serial.metrics.parallel_pipelines, 0);
         assert_eq!(
@@ -915,7 +915,7 @@ fn parallel_breaker_matches_serial_aggregate_at_every_width() {
             }
         );
         for width in [1, 2, 4] {
-            let (_, par) = run_segment(&plan, 10, Some(width), 0.0, free());
+            let (_, par) = run_segment(&plan, 10, Some(width), 0, free());
             let par = par.unwrap();
             assert_eq!(par.metrics.morsels_dispatched, 10);
             assert_eq!(
@@ -931,7 +931,7 @@ fn parallel_breaker_matches_serial_aggregate_at_every_width() {
             cancel_at_morsel: Some(4),
             ..GovernorConfig::default()
         };
-        let (env, out) = run_segment(&plan, 10, Some(width), 0.0, gate);
+        let (env, out) = run_segment(&plan, 10, Some(width), 0, gate);
         let err = out.expect_err("the gate refuses morsel 4");
         let counters = env.storage.metrics().snapshot().deterministic();
         assert_eq!(counters.frames_scanned, 40, "width {width}");
@@ -942,9 +942,9 @@ fn parallel_breaker_matches_serial_aggregate_at_every_width() {
 }
 
 /// A serial wrapper books a stage's cost as one clock difference spanning
-/// every batch the filter above the scan skipped; the replay must take the
-/// same differences, or the two drift apart in the last bits once the
-/// session clock no longer reads zero when the query starts.
+/// every batch the filter above the scan skipped; the replay books the sum
+/// of the morsel charges it consumed. On the integer ledger the two agree
+/// whatever the session clock read when the query started.
 #[test]
 fn replayed_operator_costs_match_serial_on_a_running_clock() {
     let sparse = Expr::col("timestamp")
@@ -952,16 +952,16 @@ fn replayed_operator_costs_match_serial_on_a_running_clock() {
         .and(Expr::col("timestamp").lt(600));
     for group_by in [None, Some(&["early"][..])] {
         let plan = segment_plan(sparse.clone(), group_by);
-        for clock_ms in [0.0, 0.1, 0.7, 3.3, 1234.5678] {
+        for clock_ns in [0, 100_000, 700_001, 3_300_000, 1_234_567_891] {
             let free = GovernorConfig::default;
-            let (_, serial) = run_segment(&plan, 1, None, clock_ms, free());
-            let (_, par) = run_segment(&plan, 1, Some(2), clock_ms, free());
+            let (_, serial) = run_segment(&plan, 1, None, clock_ns, free());
+            let (_, par) = run_segment(&plan, 1, Some(2), clock_ns, free());
             let (serial, par) = (serial.unwrap(), par.unwrap());
             assert!(serial.op_stats.values().any(|s| s.batches > 1));
             assert_eq!(
                 format!("{:?}", observable(&par)),
                 format!("{:?}", observable(&serial)),
-                "breaker {group_by:?}, clock at {clock_ms}"
+                "breaker {group_by:?}, clock at {clock_ns}ns"
             );
         }
     }
@@ -1291,8 +1291,8 @@ impl eva_udf::SimUdf for FanoutSim {
     fn impl_id(&self) -> &str {
         "test/fanout"
     }
-    fn cost_ms(&self) -> f64 {
-        7.3
+    fn cost_ns(&self) -> u64 {
+        7_300_000
     }
     fn output_schema(&self) -> Arc<Schema> {
         Arc::clone(&self.schema)
@@ -1770,6 +1770,41 @@ fn transient_udf_failure_exhausts_budget_and_errors() {
     let m = env.storage.metrics().snapshot();
     assert_eq!(m.udf_gave_up, 1, "{m:?}");
     assert_eq!(m.udf_retries, 2, "budget of 2 retries was spent: {m:?}");
+}
+
+/// A FunCache lookup that gives up part way through a batch still pays for
+/// the work it did: every key hashed up to and including the failing one,
+/// and the evaluation of every miss before it (on a cold cache, all of
+/// them).
+#[test]
+fn funcache_lookup_failing_part_way_pays_for_its_work() {
+    let env = TestEnv::new(14, 12);
+    env.storage.failpoints().set_seed(7);
+    env.storage.failpoints().arm(
+        eva_common::Failpoint::UdfTransient,
+        eva_common::FireRule::Keyed {
+            prob_permille: 400,
+            fails: 10,
+        },
+    );
+    let def = env.catalog.udf("fasterrcnn_resnet50").unwrap();
+    let spec = detector_spec(&env, ApplyReuse::FunCache { udf: def });
+    let op = ApplyOp::new(frame_source(&env, 12), spec, apply_schema(&env)).unwrap();
+    let err = env.drain(Box::new(op)).unwrap_err();
+    assert!(err.to_string().contains("retry budget"), "{err}");
+    let cost = env.clock.snapshot();
+    let per_key = env
+        .storage
+        .cost_model()
+        .hash_cost_ns(env.dataset.frame_bytes());
+    let hashed = cost.get_ns(CostCategory::HashInput) / per_key;
+    assert_eq!(cost.get_ns(CostCategory::HashInput), hashed * per_key);
+    assert!((1..=12).contains(&hashed), "{cost:?}");
+    assert_eq!(
+        cost.get_ns(CostCategory::Udf),
+        (hashed - 1) * 99_000_000,
+        "every key before the failing one was a miss and was evaluated"
+    );
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! Simulated IO cost constants.
 
-/// Per-operation simulated IO costs, in milliseconds.
+/// Bytes in the megabyte of [`IoCostModel::hash_ns_per_mb`].
+const MB: u64 = 1024 * 1024;
+
+/// Per-operation simulated IO costs, in nanoseconds of the virtual clock.
 ///
 /// Defaults are derived from the paper's profiled numbers: frame reads cost
 /// `c_r = 1.8 ms` per tuple (§4.2's FasterRCNN profile discussion); view rows
@@ -10,44 +13,48 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoCostModel {
     /// Reading one frame tuple from the video table.
-    pub frame_read_ms: f64,
+    pub frame_read_ns: u64,
     /// Reading one materialized-view row.
-    pub view_row_read_ms: f64,
+    pub view_row_read_ns: u64,
     /// Appending one row to a materialized view (batched in practice; this
     /// is the amortized per-row cost).
-    pub view_row_write_ms: f64,
+    pub view_row_write_ns: u64,
     /// Hash-join IO amplification on view reads (build + spill + probe ⇒ 3
     /// IOs in the worst case, per Eq. 3).
-    pub view_join_factor: f64,
-    /// Hashing cost charged by the FunCache baseline, in milliseconds per
-    /// megabyte of hashed input. Raw xxHash runs at ~10 GB/s, but the
-    /// paper's measured FunCache overhead (a 0.95× *slowdown* on VBENCH-LOW)
-    /// implies a few ms per frame-sized argument — the hash plus argument
-    /// marshalling through the UDF boundary. 2 ms/MB reproduces that.
-    pub hash_ms_per_mb: f64,
+    pub view_join_factor: u64,
+    /// Hashing cost charged by the FunCache baseline, per megabyte of hashed
+    /// input. Raw xxHash runs at ~10 GB/s, but the paper's measured FunCache
+    /// overhead (a 0.95× *slowdown* on VBENCH-LOW) implies a few ms per
+    /// frame-sized argument — the hash plus argument marshalling through the
+    /// UDF boundary. 2 ms/MB reproduces that.
+    pub hash_ns_per_mb: u64,
     /// Fixed per-call overhead of the FunCache lookup path (argument
     /// marshalling into hashable form), independent of size.
-    pub hash_fixed_ms: f64,
+    pub hash_fixed_ns: u64,
 }
 
 impl Default for IoCostModel {
     fn default() -> Self {
         IoCostModel {
-            frame_read_ms: 1.8,
-            view_row_read_ms: 0.05,
-            view_row_write_ms: 0.02,
-            view_join_factor: 3.0,
-            hash_ms_per_mb: 2.0,
-            hash_fixed_ms: 3.0,
+            frame_read_ns: 1_800_000,
+            view_row_read_ns: 50_000,
+            view_row_write_ns: 20_000,
+            view_join_factor: 3,
+            hash_ns_per_mb: 2_000_000,
+            hash_fixed_ns: 3_000_000,
         }
     }
 }
 
 impl IoCostModel {
     /// Cost of hashing `bytes` of UDF input (FunCache): fixed marshalling
-    /// plus throughput-proportional hashing.
-    pub fn hash_cost_ms(&self, bytes: u64) -> f64 {
-        self.hash_fixed_ms + self.hash_ms_per_mb * bytes as f64 / (1024.0 * 1024.0)
+    /// plus throughput-proportional hashing. A per-byte rate is not a whole
+    /// number of nanoseconds, so the proportional part rounds to the nearest
+    /// nanosecond per charge (the clock's rounding rule).
+    pub fn hash_cost_ns(&self, bytes: u64) -> u64 {
+        let scaled = u128::from(self.hash_ns_per_mb) * u128::from(bytes);
+        let rounded = (scaled + u128::from(MB / 2)) / u128::from(MB);
+        self.hash_fixed_ns + rounded as u64
     }
 }
 
@@ -58,17 +65,19 @@ mod tests {
     #[test]
     fn defaults_match_paper_profile() {
         let m = IoCostModel::default();
-        assert_eq!(m.frame_read_ms, 1.8);
-        assert_eq!(m.view_join_factor, 3.0);
-        assert!(m.view_row_read_ms < m.frame_read_ms);
+        assert_eq!(m.frame_read_ns, 1_800_000);
+        assert_eq!(m.view_join_factor, 3);
+        assert!(m.view_row_read_ns < m.frame_read_ns);
     }
 
     #[test]
     fn hash_cost_scales_with_bytes() {
         let m = IoCostModel::default();
-        let one_mb = m.hash_cost_ms(1024 * 1024);
-        assert!((one_mb - 5.0).abs() < 1e-9, "3ms fixed + 2ms/MB");
-        assert!((m.hash_cost_ms(2 * 1024 * 1024) - 7.0).abs() < 1e-9);
-        assert_eq!(m.hash_cost_ms(0), 3.0, "fixed marshalling only");
+        assert_eq!(m.hash_cost_ns(MB), 5_000_000, "3ms fixed + 2ms/MB");
+        assert_eq!(m.hash_cost_ns(2 * MB), 7_000_000);
+        assert_eq!(m.hash_cost_ns(0), 3_000_000, "fixed marshalling only");
+        // 2 ms/MB is 1.9073… ns a byte: a charge rounds to the nearest ns.
+        assert_eq!(m.hash_cost_ns(1), 3_000_002);
+        assert_eq!(m.hash_cost_ns(691_200), 3_000_000 + 1_318_359);
     }
 }

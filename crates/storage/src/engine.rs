@@ -14,10 +14,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use eva_common::metrics::Counter;
 use eva_common::sync::RwLock;
 use eva_common::{
-    Batch, Column, ColumnarBatch, CostCategory, DataType, EvaError, FailpointRegistry, Field,
-    FrameId, MetricsSink, Result, Row, Schema, SimClock, SpanKind, TraceSink, Value, ViewId,
+    Column, ColumnarBatch, CostCategory, DataType, EvaError, FailpointRegistry, Field, FrameId,
+    MetricsSink, Result, Schema, SimClock, SpanKind, TraceSink, ViewId,
 };
 use eva_video::VideoDataset;
 
@@ -102,13 +103,13 @@ impl Shared {
         let guard = match shard.try_read() {
             Some(g) => g,
             None => {
-                self.metrics.note_shard_contention();
+                self.metrics.add(Counter::shard_lock_contention, 1);
                 let waited = std::time::Instant::now();
                 let g = shard.read();
                 self.trace.leaf(
                     SpanKind::ShardWait,
                     "registry_shard",
-                    0.0,
+                    0,
                     waited.elapsed().as_nanos() as u64,
                     1,
                 );
@@ -181,45 +182,10 @@ impl StorageEngine {
             .ok_or_else(|| EvaError::Storage(format!("unknown dataset '{name}'")))
     }
 
-    /// Scan a contiguous frame-id range `[from, to)` of a dataset into a
-    /// batch of `(id, timestamp, frame)` rows, charging frame-read IO.
-    pub fn scan_frames(
-        &self,
-        dataset: &str,
-        from: u64,
-        to: u64,
-        clock: &SimClock,
-    ) -> Result<Batch> {
-        let ds = self.dataset(dataset)?;
-        let to = to.min(ds.len());
-        let schema = Arc::new(video_table_schema());
-        if from >= to {
-            return Ok(Batch::empty(schema));
-        }
-        let mut rows: Vec<Row> = Vec::with_capacity((to - from) as usize);
-        for id in from..to {
-            let f = ds
-                .frame(FrameId(id))
-                .ok_or_else(|| EvaError::Storage(format!("missing frame {id}")))?;
-            rows.push(vec![
-                Value::Int(id as i64),
-                Value::Int(f.timestamp_ms),
-                Value::Int(id as i64), // frame payload carried by reference
-            ]);
-        }
-        clock.charge(
-            CostCategory::ReadVideo,
-            self.cost.frame_read_ms * rows.len() as f64,
-        );
-        self.shared.metrics.record_frames_scanned(rows.len() as u64);
-        Ok(Batch::new(schema, rows))
-    }
-
-    /// Columnar variant of [`StorageEngine::scan_frames`]: the same
-    /// `(id, timestamp, frame)` range as three contiguous all-valid `i64`
-    /// arrays — no per-row `Vec<Value>` allocation. IO cost and the
-    /// `frames_scanned` counter are charged identically, so swapping scan
-    /// forms cannot move the cost model.
+    /// Scan a contiguous frame-id range `[from, to)` of a dataset (clamped
+    /// to its length) as three contiguous all-valid `i64` arrays — `(id,
+    /// timestamp, frame)` — charging frame-read IO and the `frames_scanned`
+    /// counter.
     pub fn scan_frames_columnar(
         &self,
         dataset: &str,
@@ -274,11 +240,8 @@ impl StorageEngine {
     /// do. No-op at zero so empty ranges stay free in both forms.
     pub fn charge_frame_scan(&self, frames: u64, clock: &SimClock) {
         if frames > 0 {
-            clock.charge(
-                CostCategory::ReadVideo,
-                self.cost.frame_read_ms * frames as f64,
-            );
-            self.shared.metrics.record_frames_scanned(frames);
+            clock.charge_n(CostCategory::ReadVideo, frames, self.cost.frame_read_ns);
+            self.shared.metrics.add(Counter::frames_scanned, frames);
         }
     }
 
@@ -367,13 +330,13 @@ impl StorageEngine {
         let mut view = match handle.try_write() {
             Some(g) => g,
             None => {
-                self.shared.metrics.note_shard_contention();
+                self.shared.metrics.add(Counter::shard_lock_contention, 1);
                 let waited = std::time::Instant::now();
                 let g = handle.write();
                 self.shared.trace.leaf(
                     SpanKind::ShardWait,
                     "view_write",
-                    0.0,
+                    0,
                     waited.elapsed().as_nanos() as u64,
                     1,
                 );
@@ -382,11 +345,14 @@ impl StorageEngine {
         };
         view.append(entries, chunk)?;
         let written: usize = entries.iter().map(|&(_, n)| n.max(1) as usize).sum();
-        clock.charge(
+        clock.charge_n(
             CostCategory::Materialize,
-            self.cost.view_row_write_ms * written as f64,
+            written as u64,
+            self.cost.view_row_write_ns,
         );
-        self.shared.metrics.record_view_rows_written(written as u64);
+        self.shared
+            .metrics
+            .add(Counter::view_rows_written, written as u64);
         Ok(())
     }
 
@@ -419,12 +385,13 @@ impl StorageEngine {
     /// `rows_zero_copy` counter). Called on the *caller* thread, like every
     /// clock charge.
     pub fn charge_view_read(&self, rows_read: usize, clock: &SimClock) {
-        clock.charge(
-            CostCategory::ReadView,
-            self.cost.view_join_factor * self.cost.view_row_read_ms * rows_read as f64,
-        );
-        self.shared.metrics.record_view_rows_read(rows_read as u64);
-        self.shared.metrics.record_zero_copy_rows(rows_read as u64);
+        let rows_read = rows_read as u64;
+        let row_ns = self.cost.view_join_factor * self.cost.view_row_read_ns;
+        clock.charge_n(CostCategory::ReadView, rows_read, row_ns);
+        self.shared.metrics.add(Counter::view_rows_read, rows_read);
+        self.shared
+            .metrics
+            .add(Counter::rows_served_zero_copy, rows_read);
     }
 
     /// Fuzzy probe of a box-level view (§6 future work): highest-IoU stored
@@ -442,12 +409,17 @@ impl StorageEngine {
         let (hits, scanned) = handle.read().fuzzy_probe(frame, bbox, min_iou);
         let matched = hits.as_ref().map_or(0, ViewHits::n_rows);
         let read = scanned + matched;
-        clock.charge(
+        clock.charge_n(
             CostCategory::ReadView,
-            self.cost.view_row_read_ms * read as f64,
+            read as u64,
+            self.cost.view_row_read_ns,
         );
-        self.shared.metrics.record_view_rows_read(read as u64);
-        self.shared.metrics.record_zero_copy_rows(matched as u64);
+        self.shared
+            .metrics
+            .add(Counter::view_rows_read, read as u64);
+        self.shared
+            .metrics
+            .add(Counter::rows_served_zero_copy, matched as u64);
         Ok(hits)
     }
 
@@ -526,7 +498,7 @@ impl StorageEngine {
             self.shared.trace.leaf(
                 SpanKind::SegmentIo,
                 &name,
-                0.0,
+                0,
                 started.elapsed().as_nanos() as u64,
                 n_bytes,
             );
@@ -540,7 +512,7 @@ impl StorageEngine {
         self.shared.trace.leaf(
             SpanKind::SegmentIo,
             segment::MANIFEST_FILE,
-            0.0,
+            0,
             started.elapsed().as_nanos() as u64,
             n_bytes,
         );
@@ -612,7 +584,7 @@ impl StorageEngine {
             self.shared.trace.leaf(
                 SpanKind::SegmentIo,
                 &name,
-                0.0,
+                0,
                 started.elapsed().as_nanos() as u64,
                 bytes.len() as u64,
             );
@@ -635,9 +607,9 @@ impl StorageEngine {
         self.shared
             .next_view_id
             .fetch_max(next_id, Ordering::Relaxed);
-        self.shared
-            .metrics
-            .record_recovery(report.loaded.len() as u64, report.quarantined.len() as u64);
+        let metrics = &self.shared.metrics;
+        metrics.add(Counter::views_recovered, report.loaded.len() as u64);
+        metrics.add(Counter::views_quarantined, report.quarantined.len() as u64);
         Ok(report)
     }
 }
@@ -645,6 +617,7 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eva_common::Value;
     use eva_video::generator::generate;
     use eva_video::VideoConfig;
 
@@ -676,16 +649,21 @@ mod tests {
         let eng = StorageEngine::new();
         eng.load_dataset(tiny_dataset("v"));
         let clock = SimClock::new();
-        let b = eng.scan_frames("v", 10, 20, &clock).unwrap();
+        let b = eng.scan_frames_columnar("v", 10, 20, &clock).unwrap();
         assert_eq!(b.len(), 10);
-        assert_eq!(b.value(0, "id").unwrap(), &Value::Int(10));
-        assert!((clock.snapshot().get(CostCategory::ReadVideo) - 18.0).abs() < 1e-9);
-        // Out-of-range scans clamp.
-        let b = eng.scan_frames("v", 95, 200, &clock).unwrap();
+        assert_eq!(b.column(0).value_at(0), Value::Int(10));
+        assert_eq!(clock.snapshot().get(CostCategory::ReadVideo), 18.0);
+        // Out-of-range scans clamp, and an empty range is free.
+        let b = eng.scan_frames_columnar("v", 95, 200, &clock).unwrap();
         assert_eq!(b.len(), 5);
-        let b = eng.scan_frames("v", 300, 400, &clock).unwrap();
+        let b = eng.scan_frames_columnar("v", 300, 400, &clock).unwrap();
         assert!(b.is_empty());
-        assert!(eng.scan_frames("missing", 0, 1, &clock).is_err());
+        assert_eq!(
+            clock.snapshot().get_ns(CostCategory::ReadVideo),
+            15 * 1_800_000
+        );
+        assert_eq!(eng.metrics().snapshot().frames_scanned, 15);
+        assert!(eng.scan_frames_columnar("missing", 0, 1, &clock).is_err());
     }
 
     #[test]
@@ -706,7 +684,7 @@ mod tests {
         assert!(s.get(CostCategory::Materialize) > 0.0);
         assert!(s.get(CostCategory::ReadView) > 0.0);
         // Join factor of 3 applied to one row read at 0.05ms.
-        assert!((s.get(CostCategory::ReadView) - 0.15).abs() < 1e-9);
+        assert_eq!(s.get_ns(CostCategory::ReadView), 150_000);
     }
 
     #[test]
@@ -749,7 +727,7 @@ mod tests {
             "uncharged probe must not touch the clock"
         );
         eng.charge_view_read(hits.rows_read(), &clock);
-        assert!((clock.snapshot().get(CostCategory::ReadView) - 0.15).abs() < 1e-9);
+        assert_eq!(clock.snapshot().get(CostCategory::ReadView), 0.15);
     }
 
     #[test]
@@ -757,7 +735,7 @@ mod tests {
         let eng = StorageEngine::new();
         eng.load_dataset(tiny_dataset("v"));
         let clock = SimClock::new();
-        eng.scan_frames("v", 0, 10, &clock).unwrap();
+        eng.scan_frames_columnar("v", 0, 10, &clock).unwrap();
         let id = eng.create_view("det", ViewKeyKind::Frame, out_schema());
         let k0 = ViewKey::frame(FrameId(0));
         let k1 = ViewKey::frame(FrameId(1));

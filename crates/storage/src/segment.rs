@@ -7,8 +7,8 @@
 //! magic "EVAS" | format_version | payload_len | payload | xxhash64
 //! ```
 //!
-//! Format 2, the one written, lays a view out the way the store holds it —
-//! an index plus one typed array per output field:
+//! Format 2 lays a view out the way the store holds it — an index plus one
+//! typed array per output field:
 //!
 //! ```text
 //! view_id | name | key_kind | output_schema | n_keys | n_rows
@@ -37,11 +37,6 @@
 //! column and no dictionary code past the dictionary. Any mismatch is
 //! [`EvaError::Corrupt`] and the recovery pass quarantines the file.
 //!
-//! Format 1 (row-form: each key, a row count and that many count-prefixed
-//! rows of [`codec::write_cell`] values) is still *read*, so stores written
-//! before format 2 load; nothing writes it any more, and the next save of a
-//! loaded store writes format 2.
-//!
 //! Writes go through [`write_atomic`]: bytes land in a `.tmp` sibling,
 //! are fsynced, and are renamed over the destination; the directory is
 //! fsynced after the rename. A crash at any point leaves either the old
@@ -55,7 +50,7 @@ use std::sync::Arc;
 
 use eva_common::codec::{self, ByteReader, ByteWriter};
 use eva_common::hash::xxhash64;
-use eva_common::{Column, ColumnBuilder, EvaError, Failpoint, FailpointRegistry, Result, ViewId};
+use eva_common::{Column, EvaError, Failpoint, FailpointRegistry, Result, ViewId};
 
 use crate::view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
 
@@ -63,10 +58,9 @@ use crate::view::{MaterializedView, ViewDef, ViewKey, ViewKeyKind};
 pub const SEGMENT_MAGIC: [u8; 4] = *b"EVAS";
 /// Magic for the store manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"EVAM";
-/// Current segment/manifest format version (what every save writes).
+/// Segment/manifest format version: the one every save writes and the only
+/// segment format a load accepts (format 1, row-form, is no longer read).
 pub const FORMAT_VERSION: u32 = 2;
-/// The row-form segment format, still decoded so older stores load.
-pub const FORMAT_V1: u32 = 1;
 /// Manifest file name, written last so its presence implies a complete save.
 pub const MANIFEST_FILE: &str = "views.manifest";
 /// Suffix given to quarantined segment files.
@@ -147,11 +141,16 @@ pub fn encode_segment(view: &MaterializedView) -> Vec<u8> {
     codec::seal(SEGMENT_MAGIC, FORMAT_VERSION, w.as_slice())
 }
 
-/// Decode and fully validate a segment of either format. `expect_id` (from
-/// the file name) must match the id stored inside the segment; header
-/// key/row counts must match what was actually decoded.
+/// Decode and fully validate a format-2 segment. `expect_id` (from the file
+/// name) must match the id stored inside the segment; header key/row counts
+/// must match what was actually decoded.
 pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<MaterializedView> {
     let (version, payload) = codec::unseal(bytes, SEGMENT_MAGIC, FORMAT_VERSION)?;
+    if version != FORMAT_VERSION {
+        return Err(EvaError::Corrupt(format!(
+            "segment format version {version} is no longer read"
+        )));
+    }
     let mut r = ByteReader::new(payload);
     let id = ViewId(r.u64()?);
     if let Some(expect) = expect_id {
@@ -167,27 +166,12 @@ pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<Materia
     let width = output_schema.len();
     let n_keys = r.u64()?;
     let n_rows = r.u64()?;
-    let (entries, columns) = match version {
-        FORMAT_VERSION => {
-            let entries = read_keys(&mut r, key_kind, n_keys)?;
-            check_counts(&entries, n_keys, n_rows)?;
-            // `check_counts` bounds `n_rows` by what the keys name.
-            let columns = (0..width)
-                .map(|_| codec::read_column(&mut r, n_rows as usize))
-                .collect::<Result<Vec<Column>>>()?;
-            (entries, columns)
-        }
-        FORMAT_V1 => {
-            let (entries, columns) = read_rows_v1(&mut r, width, n_keys, n_rows)?;
-            check_counts(&entries, n_keys, n_rows)?;
-            (entries, columns)
-        }
-        v => {
-            return Err(EvaError::Corrupt(format!(
-                "unknown segment format version {v}"
-            )))
-        }
-    };
+    let entries = read_keys(&mut r, key_kind, n_keys)?;
+    check_counts(&entries, n_keys, n_rows)?;
+    // `check_counts` bounds `n_rows` by what the keys name.
+    let columns = (0..width)
+        .map(|_| codec::read_column(&mut r, n_rows as usize))
+        .collect::<Result<Vec<Column>>>()?;
     r.expect_end()?;
     let def = ViewDef {
         id,
@@ -198,9 +182,6 @@ pub fn decode_segment(bytes: &[u8], expect_id: Option<ViewId>) -> Result<Materia
     MaterializedView::from_parts(def, &entries, columns)
         .map_err(|e| EvaError::Corrupt(format!("inconsistent segment entries: {e}")))
 }
-
-/// Decoded keys in segment order, each with its row count.
-type Entries = Vec<(ViewKey, u32)>;
 
 /// The header's key and row counts against the decoded entries.
 fn check_counts(entries: &[(ViewKey, u32)], n_keys: u64, n_rows: u64) -> Result<()> {
@@ -214,9 +195,9 @@ fn check_counts(entries: &[(ViewKey, u32)], n_keys: u64, n_rows: u64) -> Result<
     Ok(())
 }
 
-/// The format-2 key block: `n_keys` keys, strictly increasing, each with
+/// The key block: `n_keys` keys, strictly increasing, each with
 /// its row count.
-fn read_keys(r: &mut ByteReader, kind: ViewKeyKind, n_keys: u64) -> Result<Entries> {
+fn read_keys(r: &mut ByteReader, kind: ViewKeyKind, n_keys: u64) -> Result<Vec<(ViewKey, u32)>> {
     let mut block = r.block()?;
     // A key is at least a one-byte delta and a one-byte count.
     if n_keys > block.remaining() as u64 / 2 {
@@ -256,60 +237,6 @@ fn read_keys(r: &mut ByteReader, kind: ViewKeyKind, n_keys: u64) -> Result<Entri
     }
     block.expect_end()?;
     Ok(entries)
-}
-
-/// A format-1 key: a kind tag, the frame id, and a box key's corners.
-fn read_key_v1(r: &mut ByteReader) -> Result<ViewKey> {
-    match r.u8()? {
-        0 => Ok(ViewKey::Frame(r.u64()?)),
-        1 => {
-            let f = r.u64()?;
-            let mut corners = [0u16; 4];
-            for c in &mut corners {
-                *c = r.u16()?;
-            }
-            Ok(ViewKey::FrameBox(f, corners))
-        }
-        t => Err(EvaError::Corrupt(format!("unknown view-key tag {t:#x}"))),
-    }
-}
-
-/// The format-1 payload after the header: per key, its tagged key, a row
-/// count and that many count-prefixed rows of cells, pivoted into one
-/// column per field.
-fn read_rows_v1(
-    r: &mut ByteReader,
-    width: usize,
-    n_keys: u64,
-    n_rows: u64,
-) -> Result<(Entries, Vec<Column>)> {
-    // Header counts are only trusted as far as the bytes that remain: a key
-    // takes at least 9 bytes, a row at least its 8-byte value count.
-    let room = r.remaining() as u64;
-    let mut entries = Vec::with_capacity(n_keys.min(room / 9) as usize);
-    let mut builders: Vec<ColumnBuilder> = (0..width)
-        .map(|_| ColumnBuilder::with_capacity(n_rows.min(room / 8) as usize))
-        .collect();
-    for _ in 0..n_keys {
-        let key = read_key_v1(r)?;
-        let count = r.count()?;
-        for _ in 0..count {
-            let n_values = r.count()?;
-            if n_values != width {
-                return Err(EvaError::Corrupt(format!(
-                    "row of {n_values} values in a segment whose schema has {width} columns"
-                )));
-            }
-            for builder in &mut builders {
-                builder.push_cell(codec::read_cell(r)?);
-            }
-        }
-        let count = u32::try_from(count)
-            .map_err(|_| EvaError::Corrupt(format!("entry of {count} rows")))?;
-        entries.push((key, count));
-    }
-    let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
-    Ok((entries, columns))
 }
 
 /// Encode the store manifest: the id allocator's high-water mark plus the

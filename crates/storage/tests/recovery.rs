@@ -142,37 +142,39 @@ fn future_format_version_quarantines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checksum-valid format-1 segment, every header field in order, whose
-/// one row carries fewer or more values than the segment's own schema has
-/// columns. Nothing but the decoder's arity check stands between it and the
-/// store (the envelope is sealed correctly), so that check must hold in
-/// release builds: the segment quarantines and the view is simply cold.
+/// Format 1 (row-form) is no longer read: a checksum-valid segment sealed
+/// as version 1 quarantines instead of loading — whether its payload is a
+/// well-formed row-form view or a valid format-2 payload under the old
+/// version number — and the view is simply cold.
 #[test]
-fn ragged_row_segment_quarantines() {
-    for n_values in [1usize, 3] {
-        let dir = unique_dir("ragged");
-        saved_store(&dir);
-        let mut w = ByteWriter::new();
-        w.u64(2); // view id
-        w.str("det1");
-        w.u8(0); // key kind: Frame
-        codec::write_schema(&mut w, &out_schema());
-        w.u64(1); // keys
-        w.u64(1); // rows
-        w.u8(0); // key tag: Frame
-        w.u64(0);
-        w.count(1);
-        w.count(n_values);
-        for _ in 0..n_values {
-            codec::write_cell(&mut w, CellRef::Float(0.5));
-        }
-        let sealed = codec::seal(segment::SEGMENT_MAGIC, segment::FORMAT_V1, w.as_slice());
+fn v1_segment_quarantines() {
+    let dir = unique_dir("v1");
+    saved_store(&dir);
+    let v2 = std::fs::read(dir.join("view_2.seg")).unwrap();
+    let (_, v2_payload) =
+        codec::unseal(&v2, segment::SEGMENT_MAGIC, segment::FORMAT_VERSION).unwrap();
+    let mut row_form = ByteWriter::new();
+    row_form.u64(2); // view id
+    row_form.str("det1");
+    row_form.u8(0); // key kind: Frame
+    codec::write_schema(&mut row_form, &out_schema());
+    row_form.u64(1); // keys
+    row_form.u64(1); // rows
+    row_form.u8(0); // key tag: Frame
+    row_form.u64(0);
+    row_form.count(1);
+    row_form.count(2);
+    codec::write_cell(&mut row_form, CellRef::Str("car"));
+    codec::write_cell(&mut row_form, CellRef::Float(0.5));
+    for payload in [row_form.as_slice(), v2_payload] {
+        let sealed = codec::seal(segment::SEGMENT_MAGIC, 1, payload);
         let err = segment::decode_segment(&sealed, Some(ViewId(2))).unwrap_err();
         assert_eq!(err.stage(), "corrupt", "{err}");
         std::fs::write(dir.join("view_2.seg"), sealed).unwrap();
-        assert_quarantines_only(&dir, ViewId(2), "schema has 2 columns");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_quarantines_only(&dir, ViewId(2), "version 1");
+        let _ = std::fs::remove_file(dir.join("view_2.seg.quarantined"));
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Format-2 representation tags (`eva_common::codec::write_column`).

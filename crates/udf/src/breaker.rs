@@ -33,6 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use eva_common::metrics::Counter;
 use eva_common::{EvaError, MetricsSink, Result, SimClock};
 
 /// Consecutive retry-budget exhaustions that trip the breaker open.
@@ -103,7 +104,7 @@ impl UdfBreaker {
                 if clock.total_ms() >= until_sim_ms {
                     *st = State::HalfOpen { cooldown_ms };
                     self.inner.times_halfopened.fetch_add(1, Ordering::Relaxed);
-                    metrics.record_udf_breaker_halfopen();
+                    metrics.add(Counter::udf_breaker_halfopen, 1);
                     Ok(())
                 } else {
                     Err(EvaError::Exec(format!(
@@ -135,7 +136,7 @@ impl UdfBreaker {
                         cooldown_ms: BREAKER_BASE_COOLDOWN_MS,
                     };
                     self.inner.times_opened.fetch_add(1, Ordering::Relaxed);
-                    metrics.record_udf_breaker_open();
+                    metrics.add(Counter::udf_breaker_open, 1);
                 } else {
                     *st = State::Closed {
                         consecutive_exhaustions: n,
@@ -149,7 +150,7 @@ impl UdfBreaker {
                     cooldown_ms: doubled,
                 };
                 self.inner.times_opened.fetch_add(1, Ordering::Relaxed);
-                metrics.record_udf_breaker_open();
+                metrics.add(Counter::udf_breaker_open, 1);
             }
             // Exhaustions reported while open (shouldn't happen — check()
             // fails fast first) leave the deadline alone.
@@ -190,7 +191,7 @@ impl UdfBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_common::clock::CostCategory;
+    use eva_common::clock::{ns_from_ms, CostCategory};
 
     fn ctx() -> (SimClock, MetricsSink) {
         (SimClock::default(), MetricsSink::new())
@@ -246,7 +247,10 @@ mod tests {
         }
         assert!(b.check(&clock, &metrics).is_err());
         // Advance the simulated clock past the cooldown.
-        clock.charge(CostCategory::Other, BREAKER_BASE_COOLDOWN_MS + 1.0);
+        clock.charge(
+            CostCategory::Other,
+            ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
+        );
         assert!(b.check(&clock, &metrics).is_ok());
         assert_eq!(b.state_label(), "half-open");
         assert_eq!(b.times_halfopened(), 1);
@@ -262,15 +266,24 @@ mod tests {
         for _ in 0..BREAKER_TRIP_THRESHOLD {
             b.record_exhaustion(&clock, &metrics);
         }
-        clock.charge(CostCategory::Other, BREAKER_BASE_COOLDOWN_MS + 1.0);
+        clock.charge(
+            CostCategory::Other,
+            ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
+        );
         assert!(b.check(&clock, &metrics).is_ok()); // half-open probe
         b.record_exhaustion(&clock, &metrics); // probe failed
         assert_eq!(b.state_label(), "open");
         assert_eq!(b.times_opened(), 2);
         // Base cooldown has not elapsed against the *doubled* deadline.
-        clock.charge(CostCategory::Other, BREAKER_BASE_COOLDOWN_MS + 1.0);
+        clock.charge(
+            CostCategory::Other,
+            ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
+        );
         assert!(b.check(&clock, &metrics).is_err());
-        clock.charge(CostCategory::Other, BREAKER_BASE_COOLDOWN_MS + 1.0);
+        clock.charge(
+            CostCategory::Other,
+            ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
+        );
         assert!(b.check(&clock, &metrics).is_ok());
         assert_eq!(b.times_halfopened(), 2);
     }

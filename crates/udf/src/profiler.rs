@@ -7,14 +7,15 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+use eva_common::clock::NS_PER_MS;
 use eva_common::hash::KeyBuildHasher;
 use eva_common::sync::Mutex;
 use eva_storage::ViewKey;
 
-/// UDFs cheaper than this per call are excluded from hit-percentage and
-/// Eq. 7 accounting, mirroring the paper's Tables 2–3 which only count the
-/// expensive UDFs (FasterRCNN, CarType, ColorDet) and not AREA.
-pub const HIT_COST_THRESHOLD_MS: f64 = 1.0;
+/// UDFs cheaper than this per call (1 ms) are excluded from hit-percentage
+/// and Eq. 7 accounting, mirroring the paper's Tables 2–3 which only count
+/// the expensive UDFs (FasterRCNN, CarType, ColorDet) and not AREA.
+pub const HIT_COST_THRESHOLD_NS: u64 = NS_PER_MS;
 
 /// Per-UDF counters.
 #[derive(Debug, Default, Clone)]
@@ -25,17 +26,17 @@ pub struct UdfCounters {
     pub reused_invocations: u64,
     /// Distinct inputs seen (`#DI`).
     pub distinct_inputs: u64,
-    /// Simulated milliseconds spent actually evaluating.
-    pub eval_ms: f64,
-    /// Profiled per-call cost (max observed), used to exclude cheap UDFs
-    /// from aggregate metrics.
-    pub per_call_ms: f64,
+    /// Simulated nanoseconds spent actually evaluating.
+    pub eval_ns: u64,
+    /// Profiled per-call cost in nanoseconds (max observed), used to
+    /// exclude cheap UDFs from aggregate metrics.
+    pub per_call_ns: u64,
 }
 
 impl UdfCounters {
     /// Does this UDF count toward hit-percentage / Eq. 7 metrics?
     pub fn countable(&self) -> bool {
-        self.per_call_ms >= HIT_COST_THRESHOLD_MS
+        self.per_call_ns >= HIT_COST_THRESHOLD_NS
     }
 }
 
@@ -67,7 +68,7 @@ impl InvocationStats {
     }
 
     /// Record one batch of invocations of `udf`, one per key: `reused`
-    /// batches were satisfied from materialized results (`cost_ms` is what
+    /// batches were satisfied from materialized results (`cost_ns` is what
     /// evaluation *would* have paid), the others ran the model. Locks once
     /// per batch and allocates only on a UDF's first appearance; an empty
     /// batch registers nothing.
@@ -75,7 +76,7 @@ impl InvocationStats {
         &self,
         udf: &str,
         keys: impl IntoIterator<Item = ViewKey>,
-        cost_ms: f64,
+        cost_ns: u64,
         reused: bool,
     ) {
         let mut keys = keys.into_iter().peekable();
@@ -87,20 +88,20 @@ impl InvocationStats {
             inner.insert(udf.to_string(), UdfEntry::default());
         }
         let UdfEntry { counters, distinct } = inner.get_mut(udf).expect("just inserted");
+        let mut n = 0u64;
         for key in keys {
-            counters.total_invocations += 1;
-            if reused {
-                counters.reused_invocations += 1;
-            } else {
-                // Summed call by call, so the total is bit-identical to
-                // per-invocation recording for any cost.
-                counters.eval_ms += cost_ms;
-            }
-            counters.per_call_ms = counters.per_call_ms.max(cost_ms);
+            n += 1;
             if distinct.insert(key) {
                 counters.distinct_inputs += 1;
             }
         }
+        counters.total_invocations += n;
+        if reused {
+            counters.reused_invocations += n;
+        } else {
+            counters.eval_ns += n * cost_ns;
+        }
+        counters.per_call_ns = counters.per_call_ns.max(cost_ns);
     }
 
     /// Counters for one UDF.
@@ -166,6 +167,8 @@ mod tests {
     use super::*;
     use eva_common::FrameId;
 
+    const MS: u64 = NS_PER_MS;
+
     fn key(i: u64) -> ViewKey {
         ViewKey::frame(FrameId(i))
     }
@@ -173,22 +176,22 @@ mod tests {
     #[test]
     fn counts_distinct_and_total() {
         let s = InvocationStats::new();
-        s.record_batch("det", [key(0), key(1)], 99.0, false);
-        s.record_batch("det", [key(0)], 99.0, true);
+        s.record_batch("det", [key(0), key(1)], 99 * MS, false);
+        s.record_batch("det", [key(0)], 99 * MS, true);
         let c = s.get("det");
         assert_eq!(c.total_invocations, 3);
         assert_eq!(c.distinct_inputs, 2);
         assert_eq!(c.reused_invocations, 1);
-        assert_eq!(c.eval_ms, 198.0);
+        assert_eq!(c.eval_ns, 198 * MS);
     }
 
     #[test]
     fn hit_percentage_over_all_udfs() {
         let s = InvocationStats::new();
-        s.record_batch("a", [key(0)], 1.0, false);
-        s.record_batch("a", [key(0)], 1.0, true);
-        s.record_batch("b", [key(0)], 1.0, true);
-        s.record_batch("b", [key(0)], 1.0, false);
+        s.record_batch("a", [key(0)], MS, false);
+        s.record_batch("a", [key(0)], MS, true);
+        s.record_batch("b", [key(0)], MS, true);
+        s.record_batch("b", [key(0)], MS, false);
         assert!((s.hit_percentage() - 50.0).abs() < 1e-9);
         let (total, distinct) = s.totals();
         assert_eq!(total, 4);
@@ -196,13 +199,16 @@ mod tests {
     }
 
     /// N single-key calls and one batch of the same N keys are the same
-    /// recording — counters, distinct sets and the float `eval_ms` sum
-    /// (a cost that is not exactly representable would expose `n * cost`).
+    /// recording — counters, distinct sets and the `eval_ns` total.
     #[test]
     fn single_calls_equal_one_batch() {
         let keys: Vec<ViewKey> = (0..50).map(|i| key(i % 17)).collect();
         let (single, batched) = (InvocationStats::new(), InvocationStats::new());
-        for (udf, cost, reused) in [("det", 0.1, false), ("det", 0.1, true), ("ct", 6.3, false)] {
+        for (udf, cost, reused) in [
+            ("det", 100_000, false),
+            ("det", 100_000, true),
+            ("ct", 6_300_000, false),
+        ] {
             for &k in &keys {
                 single.record_batch(udf, [k], cost, reused);
             }
@@ -213,14 +219,14 @@ mod tests {
             assert_eq!(a.total_invocations, b.total_invocations);
             assert_eq!(a.reused_invocations, b.reused_invocations);
             assert_eq!(a.distinct_inputs, b.distinct_inputs);
-            assert_eq!(a.eval_ms.to_bits(), b.eval_ms.to_bits());
-            assert_eq!(a.per_call_ms.to_bits(), b.per_call_ms.to_bits());
+            assert_eq!(a.eval_ns, b.eval_ns);
+            assert_eq!(a.per_call_ns, b.per_call_ns);
         }
         assert_eq!(single.get("det").distinct_inputs, 17);
         assert_eq!(single.hit_percentage(), batched.hit_percentage());
         assert_eq!(single.totals(), batched.totals());
         // An empty batch registers nothing, not even a zeroed entry.
-        batched.record_batch("idle", [], 99.0, true);
+        batched.record_batch("idle", [], 99 * MS, true);
         assert_eq!(batched.all().len(), single.all().len());
     }
 
@@ -228,7 +234,7 @@ mod tests {
     fn empty_and_reset() {
         let s = InvocationStats::new();
         assert_eq!(s.hit_percentage(), 0.0);
-        s.record_batch("a", [key(0)], 1.0, false);
+        s.record_batch("a", [key(0)], MS, false);
         s.reset();
         assert_eq!(s.get("a").total_invocations, 0);
         assert!(s.all().is_empty());

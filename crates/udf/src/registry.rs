@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use eva_catalog::{AccuracyLevel, Catalog, UdfDef};
+use eva_common::clock::ms_from_ns;
 use eva_common::sync::RwLock;
 use eva_common::{DataType, EvaError, Field, Result, Schema, UdfId};
 
@@ -154,7 +155,7 @@ pub fn install_standard_zoo(registry: &UdfRegistry, catalog: &Catalog) -> Result
                 impl_id: udf.impl_id().to_string(),
                 logical_type: e.logical.map(|s| s.to_string()),
                 accuracy: e.accuracy,
-                cost_ms: Some(udf.cost_ms()),
+                cost_ms: Some(ms_from_ns(udf.cost_ns())),
                 gpu: udf.gpu(),
             },
             true,

@@ -28,8 +28,8 @@ pub trait SimUdf: Send + Sync {
     /// Implementation identifier matching `UdfDef::impl_id`.
     fn impl_id(&self) -> &str;
 
-    /// Simulated per-tuple cost in milliseconds (charged by the executor).
-    fn cost_ms(&self) -> f64;
+    /// Simulated per-tuple cost in nanoseconds (charged by the executor).
+    fn cost_ns(&self) -> u64;
 
     /// Whether inference runs on the GPU (reporting only).
     fn gpu(&self) -> bool {

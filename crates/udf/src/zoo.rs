@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use eva_common::clock::ns_from_ms;
 use eva_common::{BBox, CellRef, ColumnBuilder, DataType, EvaError, Field, Result, Schema};
 use eva_storage::ViewKeyKind;
 use eva_video::{ObjectClass, TrackedObject};
@@ -40,7 +41,7 @@ fn salt_of(impl_id: &str) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ObjectDetectorSim {
     impl_id: String,
-    cost_ms: f64,
+    cost_ns: u64,
     /// COCO boxAP of the simulated model (17.6 / 37.9 / 42.0 in the paper).
     boxap: f64,
     schema: Arc<Schema>,
@@ -52,7 +53,7 @@ impl ObjectDetectorSim {
     pub fn new(impl_id: &str, cost_ms: f64, boxap: f64) -> ObjectDetectorSim {
         ObjectDetectorSim {
             impl_id: impl_id.to_string(),
-            cost_ms,
+            cost_ns: ns_from_ms(cost_ms),
             boxap,
             schema: Arc::new(detector_output_schema()),
             salt: salt_of(impl_id),
@@ -87,8 +88,8 @@ impl SimUdf for ObjectDetectorSim {
         &self.impl_id
     }
 
-    fn cost_ms(&self) -> f64 {
-        self.cost_ms
+    fn cost_ns(&self) -> u64 {
+        self.cost_ns
     }
 
     fn output_schema(&self) -> Arc<Schema> {
@@ -161,7 +162,7 @@ pub enum BoxAttr {
 #[derive(Debug, Clone)]
 pub struct BoxAttrSim {
     impl_id: String,
-    cost_ms: f64,
+    cost_ns: u64,
     gpu: bool,
     attr: BoxAttr,
     schema: Arc<Schema>,
@@ -178,7 +179,7 @@ impl BoxAttrSim {
         };
         BoxAttrSim {
             impl_id: impl_id.to_string(),
-            cost_ms,
+            cost_ns: ns_from_ms(cost_ms),
             gpu,
             attr,
             schema: Arc::new(
@@ -194,8 +195,8 @@ impl SimUdf for BoxAttrSim {
         &self.impl_id
     }
 
-    fn cost_ms(&self) -> f64 {
-        self.cost_ms
+    fn cost_ns(&self) -> u64 {
+        self.cost_ns
     }
 
     fn gpu(&self) -> bool {
@@ -284,8 +285,8 @@ impl SimUdf for AreaSim {
         "builtin/area"
     }
 
-    fn cost_ms(&self) -> f64 {
-        0.001
+    fn cost_ns(&self) -> u64 {
+        1_000
     }
 
     fn gpu(&self) -> bool {
@@ -341,11 +342,11 @@ impl SimUdf for SpecializedFilterSim {
         "sim/specialized_filter"
     }
 
-    fn cost_ms(&self) -> f64 {
+    fn cost_ns(&self) -> u64 {
         // Two conv layers on the GPU: lightweight but above the
         // materialization threshold — "since these filters are lightweight
         // UDFs, we also materialize their results whenever possible" (§5.6).
-        1.5
+        1_500_000
     }
 
     fn output_schema(&self) -> Arc<Schema> {
@@ -544,7 +545,7 @@ mod tests {
             .unwrap();
         let v = out[0][0].as_float().unwrap();
         assert!((v - 0.2).abs() < 1e-6);
-        assert!(area.cost_ms() < 0.01, "area must be cheap");
+        assert!(area.cost_ns() < 10_000, "area must be cheap");
     }
 
     #[test]
@@ -727,16 +728,19 @@ mod tests {
 
     #[test]
     fn costs_match_paper_tables() {
-        assert_eq!(ObjectDetectorSim::new("a", 99.0, 37.9).cost_ms(), 99.0);
-        assert_eq!(yolo().cost_ms(), 9.0);
-        assert_eq!(rcnn101().cost_ms(), 120.0);
         assert_eq!(
-            BoxAttrSim::new("c", 6.0, true, BoxAttr::CarType).cost_ms(),
-            6.0
+            ObjectDetectorSim::new("a", 99.0, 37.9).cost_ns(),
+            99_000_000
+        );
+        assert_eq!(yolo().cost_ns(), 9_000_000);
+        assert_eq!(rcnn101().cost_ns(), 120_000_000);
+        assert_eq!(
+            BoxAttrSim::new("c", 6.0, true, BoxAttr::CarType).cost_ns(),
+            6_000_000
         );
         assert_eq!(
-            BoxAttrSim::new("c", 5.0, false, BoxAttr::Color).cost_ms(),
-            5.0
+            BoxAttrSim::new("c", 5.0, false, BoxAttr::Color).cost_ns(),
+            5_000_000
         );
     }
 }

@@ -99,15 +99,12 @@ fn funcache_pays_hashing_even_on_misses() {
         .unwrap()
         .rows()
         .unwrap();
-    let hash_ms = out.breakdown.get(eva_common::CostCategory::HashInput);
-    assert!(hash_ms > 0.0, "cold run still hashes all inputs");
+    let hash_ns = out.breakdown.get_ns(eva_common::CostCategory::HashInput);
+    assert!(hash_ns > 0, "cold run still hashes all inputs");
     // Hash cost for 50 frame-sized arguments at the configured rate.
     let per_frame =
-        eva_storage::IoCostModel::default().hash_cost_ms(test_dataset(304, n).frame_bytes());
-    assert!(
-        (hash_ms - 50.0 * per_frame).abs() < 1e-6,
-        "hash_ms={hash_ms}"
-    );
+        eva_storage::IoCostModel::default().hash_cost_ns(test_dataset(304, n).frame_bytes());
+    assert_eq!(hash_ns, 50 * per_frame);
 }
 
 #[test]

@@ -212,8 +212,8 @@ impl eva_udf::SimUdf for PatchyDetector {
     fn impl_id(&self) -> &str {
         "test/patchy"
     }
-    fn cost_ms(&self) -> f64 {
-        2.0
+    fn cost_ns(&self) -> u64 {
+        2_000_000
     }
     fn output_schema(&self) -> Arc<Schema> {
         Arc::clone(&self.schema)

@@ -19,7 +19,10 @@
 //!   cooldown half-opens it; a successful probe closes it. All transitions
 //!   land in the `udf_breaker_*` counters.
 
-use eva_common::clock::CostCategory;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Barrier};
+
+use eva_common::clock::{ns_from_ms, CostCategory};
 use eva_common::{CancelReason, Failpoint, FireRule, GovernorConfig, MetricsSnapshot};
 use eva_core::{EvaDb, SessionConfig, WorkerPool};
 use eva_exec::ExecConfig;
@@ -184,6 +187,31 @@ fn deadline_cancellation_is_structured_and_claims_no_coverage() {
     assert!(!warm.batch.rows().is_empty(), "workload must produce rows");
 }
 
+/// A simulated deadline trips at a point fixed by the workload alone:
+/// planning charges the clock nothing, so two fresh sessions running the
+/// same governed query fail with the same error after charging exactly the
+/// same simulated cost — the deadline's start point and every charge before
+/// the trip are deterministic.
+#[test]
+fn simulated_deadline_trips_identically_in_fresh_sessions() {
+    let stmt = parse_select(DETECTOR_Q);
+    let governed = || GovernorConfig {
+        deadline_ms: Some(1234.5),
+        ..GovernorConfig::default()
+    };
+    let run = || {
+        let mut db = session(governed());
+        let err = db
+            .execute_select_with_pool(&stmt, None)
+            .expect_err("the deadline falls inside the query");
+        (err.to_string(), err.cancel_reason(), db.cost_snapshot())
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(first.1, Some(CancelReason::Deadline), "{}", first.0);
+    assert!(first.2.total_ms() > 1234.5, "tripped past the deadline");
+    assert_eq!(first, second);
+}
+
 #[test]
 fn budget_trip_cancels_wide_results_but_degrades_aggregates_exactly() {
     // No degradation path for a plain projection: the result buffer blows
@@ -225,6 +253,40 @@ fn budget_trip_cancels_wide_results_but_degrades_aggregates_exactly() {
     );
 }
 
+/// The stock detector, meeting another thread at `barrier` on its first
+/// call and waiting there until that thread has done its part.
+struct MeetOnFirstCall {
+    inner: Arc<dyn eva_udf::SimUdf>,
+    met: AtomicBool,
+    barrier: Arc<Barrier>,
+}
+
+impl eva_udf::SimUdf for MeetOnFirstCall {
+    fn impl_id(&self) -> &str {
+        self.inner.impl_id()
+    }
+    fn cost_ns(&self) -> u64 {
+        self.inner.cost_ns()
+    }
+    fn output_schema(&self) -> Arc<eva_common::Schema> {
+        self.inner.output_schema()
+    }
+    fn key_kind(&self) -> eva_storage::ViewKeyKind {
+        self.inner.key_kind()
+    }
+    fn eval_into(
+        &self,
+        ctx: &eva_udf::UdfEvalContext<'_>,
+        out: &mut [eva_common::ColumnBuilder],
+    ) -> eva_common::Result<u32> {
+        if !self.met.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            self.barrier.wait();
+            self.barrier.wait();
+        }
+        self.inner.eval_into(ctx, out)
+    }
+}
+
 #[test]
 fn external_cancel_flag_unwinds_with_user_reason() {
     let mut db = session(GovernorConfig::default());
@@ -235,24 +297,29 @@ fn external_cancel_flag_unwinds_with_user_reason() {
     db.execute_select_with_pool(&parse_select(SCAN_Q), None)
         .expect("stale cancel flag is cleared at query start");
 
-    // A flag held high by another thread lands as `Cancelled { User }` at
-    // the next batch boundary.
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let spinner = {
+    // A flag raised by another thread while the query runs lands as
+    // `Cancelled { User }` at the next batch boundary. The detector meets
+    // the canceller thread on its first call and waits until the flag is
+    // up, so the cancel arrives mid-query by construction, not by a race.
+    let met = Arc::new(Barrier::new(2));
+    let stock = db.registry().get("sim/fasterrcnn_resnet50").unwrap();
+    db.registry().register(Arc::new(MeetOnFirstCall {
+        inner: stock,
+        met: Default::default(),
+        barrier: Arc::clone(&met),
+    }));
+    let canceller = {
         let handle = db.cancel_handle();
-        let stop = std::sync::Arc::clone(&stop);
         std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                handle.store(true, std::sync::atomic::Ordering::SeqCst);
-                std::thread::yield_now();
-            }
+            met.wait();
+            handle.store(true, std::sync::atomic::Ordering::SeqCst);
+            met.wait();
         })
     };
     let err = db
         .execute_select_with_pool(&parse_select(DETECTOR_Q), None)
-        .expect_err("held-high cancel flag must cancel the query");
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    spinner.join().expect("spinner joins");
+        .expect_err("a flag raised mid-query must cancel it");
+    canceller.join().expect("canceller joins");
     assert_eq!(err.cancel_reason(), Some(CancelReason::User), "{err}");
 
     // Session usable afterwards.
@@ -305,8 +372,10 @@ fn udf_breaker_opens_fails_fast_half_opens_and_recloses() {
     // SimClock cooldown elapses → half-open; the probe (faults disarmed)
     // succeeds and closes the breaker.
     db.storage().failpoints().disarm_all();
-    db.clock()
-        .charge(CostCategory::Other, BREAKER_BASE_COOLDOWN_MS + 1.0);
+    db.clock().charge(
+        CostCategory::Other,
+        ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
+    );
     let out = db
         .execute_select_with_pool(&stmt, None)
         .expect("half-open probe must be allowed through");

@@ -135,34 +135,24 @@ fn assert_same_files(golden: &std::path::Path, dir: &std::path::Path) {
     }
 }
 
-/// `tests/goldens/segments/` holds a two-view store in segment format 1,
-/// written by the row-entry store before views became columnar; it is read
-/// only. `tests/goldens/segments_v2/` is the same store saved in format 2.
-/// The format-1 files still load and probe correctly. Saving them migrates
-/// the store: the result is the format-2 golden byte for byte, loads back
-/// to the same probes, and re-saves to itself, so the format-2 layout is
+/// `tests/goldens/segments_v2/` holds a two-view store in segment format 2.
+/// It loads and probes correctly, re-saves to itself byte for byte, and the
+/// re-saved store loads back to the same probes — so the format-2 layout is
 /// pinned, not assumed.
 #[test]
 fn golden_segments_load_and_re_encode_byte_for_byte() {
-    let goldens = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
-    let (v1, v2) = (goldens.join("segments"), goldens.join("segments_v2"));
-    let engine = load_golden(&v1);
+    let v2 =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/segments_v2");
+    let engine = load_golden(&v2);
     assert_golden_probes(&engine);
 
-    let migrated = temp_dir("golden");
-    engine.save_views(&migrated).unwrap();
-    assert_same_files(&v2, &migrated);
-    let reloaded = load_golden(&migrated);
+    let resaved = temp_dir("golden_resaved");
+    engine.save_views(&resaved).unwrap();
+    assert_same_files(&v2, &resaved);
+    let reloaded = load_golden(&resaved);
     assert_golden_probes(&reloaded);
     assert_eq!(reloaded.total_view_bytes(), engine.total_view_bytes());
-    assert_golden_probes(&load_golden(&v2));
-
-    let resaved = temp_dir("golden_resaved");
-    reloaded.save_views(&resaved).unwrap();
-    assert_same_files(&v2, &resaved);
-    for dir in [migrated, resaved] {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let _ = std::fs::remove_dir_all(&resaved);
 }
 
 /// Full session round trip: a new session restoring saved state reuses the

@@ -9,6 +9,7 @@
 //! * `fuzzy_hits <= probe_hits` — fuzzy hits are a subset of hits.
 //! * Under `ReuseStrategy::NoReuse`, nothing is ever avoided.
 
+use eva_common::metrics::{Counter, CounterClass};
 use eva_common::rng::SmallRng;
 use eva_common::testutil::{for_cases, vec_of};
 use eva_common::MetricsSnapshot;
@@ -106,43 +107,18 @@ fn no_reuse_never_avoids_calls() {
 #[test]
 fn snapshot_algebra_is_consistent() {
     for_cases(83, 256, |rng| {
-        let fill = |v: &[u64]| MetricsSnapshot {
-            udf_calls_requested: v[0] + v[1],
-            udf_calls_executed: v[0],
-            udf_calls_avoided: v[1],
-            udf_ms_avoided: v[2] as f64,
-            probes: v[3] + v[4],
-            probe_hits: v[3],
-            probe_misses: v[4],
-            fuzzy_hits: v[5].min(v[3]),
-            rows_served_zero_copy: v[6],
-            funcache_hits: v[7],
-            funcache_misses: v[8],
-            view_rows_read: v[9],
-            view_rows_written: v[10],
-            frames_scanned: v[11],
-            columnar_batches: v[17],
-            columnar_rows: v[18],
-            rows_pivoted: v[19],
-            views_recovered: v[13],
-            views_quarantined: v[14],
-            udf_retries: v[15],
-            udf_gave_up: v[16],
-            morsels_dispatched: v[20],
-            morsels_stolen: v[21],
-            parallel_pipelines: v[22],
-            n_workers: v[23],
-            shard_lock_contention: v[12],
-            degraded_queries: v[24],
-            materialization_skipped: v[25],
-            udf_breaker_open: v[26],
-            udf_breaker_halfopen: v[27],
-            queries_admitted: v[28],
-            queries_shed: v[29],
+        // Every counter of the table at random, then the structural
+        // invariants the compound `record_*` helpers keep.
+        let mut fill = || {
+            let m = MetricsSnapshot::from_fn(|_| rng.gen_range(0..1_000_000));
+            MetricsSnapshot {
+                udf_calls_requested: m.udf_calls_executed + m.udf_calls_avoided,
+                probes: m.probe_hits + m.probe_misses,
+                fuzzy_hits: m.fuzzy_hits.min(m.probe_hits),
+                ..m
+            }
         };
-        let mut counters =
-            || -> Vec<u64> { (0..30).map(|_| rng.gen_range(0..1_000_000)).collect() };
-        let (x, y) = (fill(&counters()), fill(&counters()));
+        let (x, y) = (fill(), fill());
         // plus/since are inverses…
         assert_eq!(x.plus(&y).since(&y), x);
         // …and plus preserves the structural invariants.
@@ -152,17 +128,19 @@ fn snapshot_algebra_is_consistent() {
             sum.udf_calls_requested,
             sum.udf_calls_executed + sum.udf_calls_avoided
         );
-        // deterministic() only clears the scheduling-dependent counters.
+        assert!(sum.fuzzy_hits <= sum.probe_hits);
+        // deterministic() clears exactly the scheduling-dependent counters
+        // and the gauges; governance outcomes, the morsel count and every
+        // other deterministic counter survive it.
         let det = sum.deterministic();
+        for &c in Counter::ALL {
+            let kept = c.class() == CounterClass::Deterministic;
+            assert_eq!(det.get(c), if kept { sum.get(c) } else { 0 }, "{c:?}");
+        }
         assert_eq!(det.shard_lock_contention, 0);
         assert_eq!(det.morsels_stolen, 0);
         assert_eq!(det.n_workers, 0);
-        assert_eq!(det.probes, sum.probes);
-        assert_eq!(det.udf_calls_requested, sum.udf_calls_requested);
-        assert_eq!(det.morsels_dispatched, sum.morsels_dispatched);
-        assert_eq!(det.parallel_pipelines, sum.parallel_pipelines);
-        // Governance outcomes are deterministic, so they survive the mask.
         assert_eq!(det.degraded_queries, sum.degraded_queries);
-        assert_eq!(det.queries_shed, sum.queries_shed);
+        assert_eq!(det.morsels_dispatched, sum.morsels_dispatched);
     });
 }

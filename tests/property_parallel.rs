@@ -9,7 +9,8 @@
 //!   (per-morsel partial aggregates merge in morsel order, reproducing the
 //!   serial per-batch fold exactly);
 //! * the simulated `CostBreakdown` is bit-identical (all clock charges are
-//!   replayed on the caller thread, morsel by morsel);
+//!   replayed on the caller thread, morsel by morsel), whatever the
+//!   session clock already read when the query started;
 //! * deterministic metrics and per-operator `EXPLAIN ANALYZE` stats match
 //!   the serial run, and none of it varies with the worker count;
 //! * `morsels_dispatched` / `parallel_pipelines` depend only on the plan
@@ -17,7 +18,7 @@
 
 use std::sync::Arc;
 
-use eva_common::{DataType, Field, MetricsSnapshot, Schema, SimClock};
+use eva_common::{CostCategory, DataType, Field, MetricsSnapshot, Schema, SimClock};
 use eva_exec::{execute_with_pool, ExecConfig, FunCacheTable, QueryOutput, WorkerPool};
 use eva_expr::{AggFunc, Expr};
 use eva_planner::PhysPlan;
@@ -116,15 +117,31 @@ fn breaker_plan(lo: u64, hi: u64) -> PhysPlan {
     }
 }
 
+/// Session clock readings a query may start from: zero, and a balance that
+/// is no whole number of any cost unit, as mid-session.
+const STARTS_NS: [u64; 2] = [0, 1_234_567_891];
+
 fn run(
     storage: &StorageEngine,
     plan: &PhysPlan,
     config: ExecConfig,
     pool: Option<&WorkerPool>,
 ) -> QueryOutput {
+    run_from(storage, plan, config, pool, 0)
+}
+
+/// [`run`] on a session clock that already reads `start_ns`.
+fn run_from(
+    storage: &StorageEngine,
+    plan: &PhysPlan,
+    config: ExecConfig,
+    pool: Option<&WorkerPool>,
+    start_ns: u64,
+) -> QueryOutput {
     let registry = UdfRegistry::new();
     let stats = InvocationStats::new();
     let clock = SimClock::new();
+    clock.charge(CostCategory::Other, start_ns);
     let funcache = FunCacheTable::new();
     execute_with_pool(
         plan, storage, &registry, &stats, &clock, &funcache, config, pool,
@@ -182,14 +199,17 @@ fn parallel_matches_serial_across_morsel_sizes_and_worker_counts() {
     ] {
         let mut plan = plan;
         plan.assign_op_ids();
-        for morsel in [1usize, 7, 64, 4096] {
-            let serial = run(&storage, &plan, serial_cfg(morsel), None);
+        for (morsel, start_ns) in [1usize, 7, 64, 4096]
+            .into_iter()
+            .flat_map(|m| STARTS_NS.map(|s| (m, s)))
+        {
+            let serial = run_from(&storage, &plan, serial_cfg(morsel), None, start_ns);
             assert_eq!(serial.metrics.parallel_pipelines, 0, "serial stayed serial");
             let mut per_worker: Vec<QueryOutput> = Vec::new();
             for workers in [1usize, 2, 8] {
                 let pool = WorkerPool::new(workers);
-                let par = run(&storage, &plan, parallel_cfg(morsel), Some(&pool));
-                let what = format!("{name}, morsel={morsel}, workers={workers}");
+                let par = run_from(&storage, &plan, parallel_cfg(morsel), Some(&pool), start_ns);
+                let what = format!("{name}, morsel={morsel}, workers={workers}, from {start_ns}ns");
                 assert_identical(&serial, &par, &what);
                 // Engagement and morsel count are deterministic: exactly one
                 // pipeline, ceil(range / morsel) morsels, at any width.

@@ -1,10 +1,12 @@
 //! Integration tests over the vBENCH workloads at reduced scale: the
 //! headline claims of the evaluation must hold qualitatively on every run.
 
+use eva_common::CostBreakdown;
 use eva_harness::test_session;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{
     eq7_upper_bound, frame_overlap, run_workload, vbench_high, vbench_low, DetectorKind, Workload,
+    WorkloadReport,
 };
 
 const N: u64 = 300;
@@ -51,6 +53,33 @@ fn low_reuse_workload_is_modest_but_positive() {
         "low-reuse speedup should be modest: {speedup}"
     );
     assert!(r.hit_percentage > 0.0);
+}
+
+/// Simulated time is a pure function of the workload: one short session,
+/// run twice in one process, repeats every query's `CostBreakdown` and the
+/// deterministic counters exactly, under EVA and under No-Reuse — so
+/// No-Reuse over No-Reuse is exactly 1.
+#[test]
+fn sessions_repeat_their_simulated_time_exactly() {
+    let mut queries = vbench_high(N, det(), false);
+    queries.truncate(4);
+    let workload = Workload::new("short", queries);
+    let run = |strategy| {
+        let mut db = test_session(strategy, 403, N);
+        run_workload(&mut db, &workload).unwrap()
+    };
+    let costs = |r: &WorkloadReport| -> Vec<CostBreakdown> {
+        r.per_query.iter().map(|q| q.breakdown).collect()
+    };
+    for strategy in [ReuseStrategy::Eva, ReuseStrategy::NoReuse] {
+        let (a, b) = (run(strategy), run(strategy));
+        assert_eq!(costs(&a), costs(&b), "{strategy:?}");
+        assert_eq!(a.total_sim_secs.to_bits(), b.total_sim_secs.to_bits());
+        assert_eq!(a.metrics.deterministic(), b.metrics.deterministic());
+        if strategy == ReuseStrategy::NoReuse {
+            assert_eq!(a.speedup_over(&b), 1.0);
+        }
+    }
 }
 
 #[test]
