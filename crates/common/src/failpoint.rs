@@ -238,8 +238,8 @@ impl FailpointRegistry {
 
     /// Keyed decision: should attempt number `attempt` (0-based) for input
     /// `key` fail at this site? Deterministic in `(seed, site, key,
-    /// attempt)` and independent of call order, so parallel and serial
-    /// executions inject the identical failure set.
+    /// attempt)` and independent of call order, so any batch size or
+    /// evaluation order injects the identical failure set.
     pub fn should_fail_keyed(&self, site: Failpoint, key: u64, attempt: u32) -> bool {
         let s = &self.inner.sites[site.index()];
         let Some(FireRule::Keyed {

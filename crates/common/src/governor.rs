@@ -2,23 +2,20 @@
 //! a byte-budget memory accountant.
 //!
 //! A [`QueryGovernor`] is created per query and carried through the
-//! execution context. It is the one piece of query state that crosses
-//! thread boundaries by design — worker lanes observe the cancellation
-//! token between morsels — so unlike [`SimClock`] it is built from atomics
-//! and a cheap `Arc` handle. The *accounting side effects* (what gets
-//! charged, what error is raised) still happen only on the caller thread,
-//! preserving the repo-wide parallel ≡ serial determinism discipline:
+//! execution context. A query runs on its caller's thread, but another
+//! thread may cancel it (`EvaDb::cancel_current` raises the session's flag),
+//! so unlike [`SimClock`] the governor is built from atomics and a cheap
+//! `Arc` handle:
 //!
 //! * **Deadlines are SimClock-denominated.** The deadline compares the
 //!   query's simulated-cost delta against a millisecond budget, so whether
 //!   a query exceeds its deadline is a pure function of the workload — a
 //!   governed replay cancels at the same batch boundary every run, on every
-//!   machine, at every worker-pool width. Wall-clock enforcement exists
-//!   only as an explicitly non-deterministic overlay (`wall:<ms>` form).
+//!   machine. Wall-clock enforcement exists only as an explicitly
+//!   non-deterministic overlay (`wall:<ms>` form).
 //! * **The token is checked cooperatively at batch boundaries.** Operators
-//!   never kill threads; they observe [`QueryGovernor::check`] between
-//!   batches (caller thread) or [`QueryGovernor::morsel_gate`] between
-//!   morsels (worker lanes) and unwind with [`EvaError::Cancelled`].
+//!   observe [`QueryGovernor::check`] between batches and unwind with
+//!   [`EvaError::Cancelled`].
 //! * **The memory accountant tracks retained state.** Result-buffer and
 //!   aggregation-state growth is charged in deterministic estimates;
 //!   transient per-batch buffers are not, so the accountant's verdict is
@@ -43,20 +40,12 @@ pub struct GovernorConfig {
     /// Byte budget for retained per-query memory (result buffers,
     /// aggregation state). Tripping it degrades when possible, else cancels.
     pub budget_bytes: Option<u64>,
-    /// Deterministic cancellation trip point: morsel ordinals `>= k` are
-    /// refused, simulating a user cancellation that lands exactly between
-    /// morsel `k-1` and morsel `k` at any worker-pool width. Used by the
-    /// chaos sweep and the fuzz harness.
-    pub cancel_at_morsel: Option<u64>,
 }
 
 impl GovernorConfig {
     /// True when any knob is set (an ungoverned query skips all checks).
     pub fn is_governed(&self) -> bool {
-        self.deadline_ms.is_some()
-            || self.wall_deadline_ms.is_some()
-            || self.budget_bytes.is_some()
-            || self.cancel_at_morsel.is_some()
+        self.deadline_ms.is_some() || self.wall_deadline_ms.is_some() || self.budget_bytes.is_some()
     }
 
     /// Overlay the `EVA_QUERY_DEADLINE` / `EVA_QUERY_BUDGET_BYTES` env
@@ -231,16 +220,8 @@ impl QueryGovernor {
         EvaError::cancelled(reason, detail)
     }
 
-    /// Token-only check for sites without a clock (storage, dispatch).
-    pub fn check_token(&self) -> Result<()> {
-        if self.is_cancelled() {
-            return Err(self.cancel_error());
-        }
-        Ok(())
-    }
-
-    /// The cooperative batch-boundary check, caller thread only: token,
-    /// then the deterministic simulated deadline, then the wall overlay.
+    /// The cooperative batch-boundary check: token, then the deterministic
+    /// simulated deadline, then the wall overlay.
     pub fn check(&self, clock: &SimClock) -> Result<()> {
         if self.is_cancelled() {
             return Err(self.cancel_error());
@@ -258,47 +239,6 @@ impl QueryGovernor {
             }
         }
         Ok(())
-    }
-
-    /// Worker-lane gate, checked between morsels: `true` ⇒ run the morsel.
-    ///
-    /// With `cancel_at_morsel = Some(k)` the verdict is a *pure function of
-    /// the ordinal*: morsels below `k` always run, later ones always refuse
-    /// (tripping the token with reason `User`, as a user cancellation
-    /// landing exactly between morsel `k-1` and `k` would). Scheduling
-    /// cannot change which morsels complete, so the cancelled run's
-    /// completed set is exactly `0..k` at any worker-pool width. Without
-    /// the knob, the gate simply mirrors the token.
-    pub fn morsel_gate(&self, ordinal: u64) -> bool {
-        if let Some(k) = self.inner.cfg.cancel_at_morsel {
-            if ordinal >= k {
-                self.cancel(CancelReason::User);
-                return false;
-            }
-            return true;
-        }
-        !self.is_cancelled()
-    }
-
-    /// Should worker lanes stop dequeuing work? True only for
-    /// *asynchronous* cancellation sources — the session's external cancel
-    /// flag and the wall-clock deadline overlay. The deterministic knobs
-    /// (`cancel_at_morsel`, the simulated deadline) stop work at exact
-    /// morsel/batch boundaries through [`morsel_gate`](Self::morsel_gate)
-    /// and [`check`](Self::check) instead, so lanes keep draining and the
-    /// completed-morsel set stays schedule-independent.
-    pub fn lane_break(&self) -> bool {
-        if let Some(flag) = &self.inner.external_cancel {
-            if flag.load(Ordering::SeqCst) {
-                return true;
-            }
-        }
-        if let Some(cutoff) = self.inner.wall_deadline {
-            if Instant::now() >= cutoff {
-                return true;
-            }
-        }
-        false
     }
 
     /// Charge `n` bytes of retained memory. Returns `true` while within
@@ -357,8 +297,6 @@ mod tests {
         let g = QueryGovernor::ungoverned();
         let clock = SimClock::new();
         assert!(g.check(&clock).is_ok());
-        assert!(g.check_token().is_ok());
-        assert!(g.morsel_gate(u64::MAX - 1));
         assert!(g.charge_bytes(u64::MAX / 2));
         assert!(!g.is_degraded());
     }
@@ -369,7 +307,7 @@ mod tests {
         g.cancel(CancelReason::Budget);
         g.cancel(CancelReason::User);
         assert_eq!(g.cancel_reason(), Some(CancelReason::Budget));
-        let err = g.check_token().unwrap_err();
+        let err = g.check(&SimClock::new()).unwrap_err();
         assert_eq!(err.cancel_reason(), Some(CancelReason::Budget));
     }
 
@@ -414,34 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn morsel_gate_trips_deterministically_at_the_ordinal() {
-        let g = QueryGovernor::new(
-            GovernorConfig {
-                cancel_at_morsel: Some(2),
-                ..GovernorConfig::default()
-            },
-            0.0,
-        );
-        assert!(g.morsel_gate(0));
-        assert!(g.morsel_gate(1));
-        assert!(!g.morsel_gate(2));
-        // The gate tripped the token — but its verdict stays a pure
-        // function of the ordinal, so a racing lane that asks about an
-        // earlier morsel still gets the go-ahead (the completed set must be
-        // exactly 0..k at any pool width).
-        assert!(g.morsel_gate(0));
-        assert_eq!(g.cancel_reason(), Some(CancelReason::User));
-        // Lanes don't break early for the deterministic knob.
-        assert!(!g.lane_break());
-    }
-
-    #[test]
     fn external_flag_reads_as_user_cancellation() {
         let flag = Arc::new(AtomicBool::new(false));
         let g = QueryGovernor::ungoverned().with_external_cancel(Arc::clone(&flag));
-        assert!(g.check_token().is_ok());
+        let clock = SimClock::new();
+        assert!(g.check(&clock).is_ok());
         flag.store(true, Ordering::SeqCst);
-        let err = g.check_token().unwrap_err();
+        let err = g.check(&clock).unwrap_err();
         assert_eq!(err.cancel_reason(), Some(CancelReason::User));
     }
 

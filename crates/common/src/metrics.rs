@@ -17,16 +17,14 @@
 //! [`MetricsSink::add`]; the `record_*` helpers exist only where several
 //! counters must move together to keep an invariant.
 //!
-//! ## Caller-thread charging rule
+//! ## Determinism
 //!
-//! Counters follow the same discipline as the virtual clock: **worker threads
-//! never record metrics**. Uncharged helpers (e.g.
-//! `StorageEngine::view_probe_uncharged`) return the counts they observed and
-//! the *caller* records them exactly once. This makes parallel and serial
-//! executions of the same workload report bit-identical counter totals, which
-//! is what the identity tests pin down. The exceptions are the
-//! [`Scheduling`](CounterClass::Scheduling) and [`Gauge`](CounterClass::Gauge)
-//! counters, which [`MetricsSnapshot::deterministic`] masks for comparisons.
+//! Counters follow the same discipline as the virtual clock: a query runs on
+//! its caller's thread and records each count exactly once, so two runs of
+//! the same workload report bit-identical counter totals, which is what the
+//! identity tests pin down. The exceptions are the
+//! [`Scheduling`](CounterClass::Scheduling) counters, which
+//! [`MetricsSnapshot::deterministic`] masks for comparisons.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,17 +36,11 @@ use crate::json::Json;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterClass {
     /// A pure function of the workload and the configuration: bit-identical
-    /// between runs, and between parallel and serial execution at any width.
+    /// between runs.
     Deterministic,
-    /// Counts scheduling events (lock contention, work stealing): masked by
-    /// [`MetricsSnapshot::deterministic`].
+    /// Counts scheduling events (lock contention between sessions): masked
+    /// by [`MetricsSnapshot::deterministic`].
     Scheduling,
-    /// A level, not a count — the latest value wins and it depends on the
-    /// machine. Masked by [`MetricsSnapshot::deterministic`], left out of
-    /// [`MetricsSnapshot::named_counters`] (the cross-machine perf-gate
-    /// list), and exported after the counters by
-    /// [`MetricsSnapshot::to_json`].
-    Gauge,
 }
 
 /// The counter table. One entry per counter: its doc, its name, its class,
@@ -159,16 +151,11 @@ counters! {
     udf_retries: Deterministic;
     /// UDF invocations abandoned after exhausting the retry budget.
     udf_gave_up: Deterministic;
-    /// Morsels dispatched by parallel pipelines: the count depends only on
-    /// the scan range and the configured morsel size.
+    /// Always 0: the engine has no morsel-parallel scans. It stays only
+    /// because the benchmark harness (`crates/perfbench`) still reports it
+    /// as `exec.morsels_dispatched`, and goes when that harness next
+    /// changes.
     morsels_dispatched: Deterministic;
-    /// Morsels executed by a lane other than the one they were assigned to
-    /// (work stealing).
-    morsels_stolen: Scheduling;
-    /// Pipeline segments that ran morsel-parallel (one per engaged
-    /// `ParallelPipelineOp` execution): engagement depends only on the plan
-    /// shape, the config thresholds, and the row count.
-    parallel_pipelines: Deterministic;
     /// Queries that entered graceful degradation instead of failing when
     /// their memory budget tripped (streaming aggregation, materialization
     /// skipped).
@@ -190,9 +177,6 @@ counters! {
     /// Queries refused by the admission controller: queue overflow past the
     /// high-water mark, or a queue-deadline timeout.
     queries_shed: Deterministic;
-    /// Worker-pool size the session ran with, so experiments record the
-    /// core count behind their wall numbers.
-    n_workers: Gauge;
     /// Times a shard lock was observed contended (`try_read`/`try_write`
     /// failed and the caller had to block).
     shard_lock_contention: Scheduling;
@@ -201,12 +185,9 @@ counters! {
 impl MetricsSnapshot {
     /// Counter-wise difference (`self - earlier`); attributes activity to a
     /// single query by snapshotting before and after, like
-    /// [`CostBreakdown::since`]. A gauge that went down reads 0.
+    /// [`CostBreakdown::since`].
     pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot::from_fn(|c| match c.class() {
-            CounterClass::Gauge => self.get(c).saturating_sub(earlier.get(c)),
-            _ => self.get(c) - earlier.get(c),
-        })
+        MetricsSnapshot::from_fn(|c| self.get(c) - earlier.get(c))
     }
 
     /// Counter-wise sum.
@@ -224,8 +205,7 @@ impl MetricsSnapshot {
     }
 
     /// Copy with every non-[`Deterministic`](CounterClass::Deterministic)
-    /// counter zeroed, safe to compare bit-for-bit between runs and between
-    /// parallel and serial execution.
+    /// counter zeroed, safe to compare bit-for-bit between runs.
     pub fn deterministic(&self) -> MetricsSnapshot {
         MetricsSnapshot::from_fn(|c| match c.class() {
             CounterClass::Deterministic => self.get(c),
@@ -243,24 +223,20 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Every counter except the gauges as a `(stable_name, value)` pair, in
-    /// declaration order — what the Prometheus exporter and the perf-gate
-    /// baseline diff read, so a counter added to the table surfaces
-    /// everywhere.
+    /// Every counter as a `(stable_name, value)` pair, in declaration order
+    /// — what the Prometheus exporter and the perf-gate baseline diff read,
+    /// so a counter added to the table surfaces everywhere.
     pub fn named_counters(&self) -> Vec<(&'static str, f64)> {
         (Counter::ALL.iter())
-            .filter(|c| c.class() != CounterClass::Gauge)
             .map(|&c| (c.name(), self.exported(c)))
             .collect()
     }
 
-    /// The `metrics` section of the benchmark JSON artifacts: every named
-    /// counter (integers, except the milliseconds of a nanosecond quantity)
-    /// followed by the gauges the wall numbers were taken with.
+    /// The `metrics` section of the benchmark JSON artifacts: every counter
+    /// in declaration order (integers, except the milliseconds of a
+    /// nanosecond quantity).
     pub fn to_json(&self) -> Json {
-        let (gauges, counters): (Vec<Counter>, Vec<Counter>) =
-            (Counter::ALL.iter()).partition(|c| c.class() == CounterClass::Gauge);
-        Json::obj(counters.into_iter().chain(gauges).map(|c| {
+        Json::obj(Counter::ALL.iter().map(|&c| {
             let v = if c.in_ms() {
                 Json::Num(self.exported(c))
             } else {
@@ -274,10 +250,8 @@ impl MetricsSnapshot {
 /// Engine-wide metrics sink: atomic counters shared by the session, the
 /// executor and the storage engine. Cheap to clone (`Arc` inside), `Sync`.
 ///
-/// Despite being thread-safe, the charging discipline is single-threaded by
-/// convention — see the module docs. Thread safety exists so one sink can be
-/// *owned* by shared structures (the storage engine), not so workers can race
-/// on it.
+/// Thread safety exists so one sink can be *owned* by shared structures (the
+/// storage engine) that several sessions may use at once.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     /// One atomic per [`Counter`], indexed by its declaration order.
@@ -301,12 +275,6 @@ impl MetricsSink {
     /// Add `n` to one counter.
     pub fn add(&self, counter: Counter, n: u64) {
         self.inner[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Set a [`Gauge`](CounterClass::Gauge) to its latest value.
-    pub fn set(&self, gauge: Counter, value: u64) {
-        debug_assert_eq!(gauge.class(), CounterClass::Gauge, "{gauge:?} counts");
-        self.inner[gauge as usize].store(value, Ordering::Relaxed);
     }
 
     /// Record the outcome of one batched probe pass: `probes` keys looked
@@ -336,14 +304,6 @@ impl MetricsSink {
     pub fn record_columnar_batch(&self, rows: u64) {
         self.add(Counter::columnar_batches, 1);
         self.add(Counter::columnar_rows, rows);
-    }
-
-    /// Record one engaged parallel pipeline segment and the morsels it
-    /// dispatched. Charged once, on the caller thread, after the workers
-    /// have returned — both values are deterministic.
-    pub fn record_parallel_pipeline(&self, morsels: u64) {
-        self.add(Counter::parallel_pipelines, 1);
-        self.add(Counter::morsels_dispatched, morsels);
     }
 
     /// Current counter values.
@@ -432,22 +392,18 @@ mod tests {
     }
 
     /// Every counter of the table, bumped by a distinct amount through
-    /// [`MetricsSink::add`] or [`MetricsSink::set`], reads back in its own
-    /// field — and reset zeroes them all.
+    /// [`MetricsSink::add`], reads back in its own field — and reset zeroes
+    /// them all.
     #[test]
     fn reset_zeroes_everything() {
         let m = MetricsSink::new();
         for (i, &c) in Counter::ALL.iter().enumerate() {
-            match c.class() {
-                CounterClass::Gauge => m.set(c, i as u64 + 1),
-                _ => m.add(c, i as u64 + 1),
-            }
+            m.add(c, i as u64 + 1);
         }
         let s = m.snapshot();
         for (i, &c) in Counter::ALL.iter().enumerate() {
             assert_eq!(s.get(c), i as u64 + 1, "{c:?}");
         }
-        assert_eq!(s.n_workers, Counter::n_workers as u64 + 1);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
@@ -457,63 +413,18 @@ mod tests {
         let m = MetricsSink::new();
         m.record_probe_batch(2, 1, 0);
         m.add(Counter::shard_lock_contention, 2);
-        m.record_parallel_pipeline(8);
-        m.add(Counter::morsels_stolen, 3);
-        m.set(Counter::n_workers, 4);
         let s = m.snapshot();
         assert_eq!(s.shard_lock_contention, 2);
-        assert_eq!(s.morsels_stolen, 3);
-        assert_eq!(s.n_workers, 4);
         let d = s.deterministic();
         assert_eq!(d.shard_lock_contention, 0);
-        assert_eq!(d.morsels_stolen, 0);
-        assert_eq!(d.n_workers, 0);
-        // The deterministic parallel counters survive the mask.
-        assert_eq!(d.morsels_dispatched, 8);
-        assert_eq!(d.parallel_pipelines, 1);
         assert_eq!(d.probes, 2);
         assert_eq!(d.probe_hits, 1);
-        // Exactly the scheduling-dependent and gauge counters are masked.
+        // Exactly the scheduling-dependent counters are masked.
         let masked: Vec<&str> = (Counter::ALL.iter())
             .filter(|c| c.class() != CounterClass::Deterministic)
             .map(|c| c.name())
             .collect();
-        assert_eq!(
-            masked,
-            ["morsels_stolen", "n_workers", "shard_lock_contention"]
-        );
-    }
-
-    #[test]
-    fn parallel_counters_round_trip() {
-        let m = MetricsSink::new();
-        m.record_parallel_pipeline(10);
-        m.record_parallel_pipeline(3);
-        m.add(Counter::morsels_stolen, 2);
-        m.set(Counter::n_workers, 8);
-        let s = m.snapshot();
-        assert_eq!(s.parallel_pipelines, 2);
-        assert_eq!(s.morsels_dispatched, 13);
-        assert_eq!(s.morsels_stolen, 2);
-        assert_eq!(s.n_workers, 8);
-        // A gauge: the latest value wins.
-        m.set(Counter::n_workers, 2);
-        assert_eq!(m.snapshot().n_workers, 2);
-        let before = s;
-        m.record_parallel_pipeline(5);
-        let delta = m.snapshot().since(&before);
-        assert_eq!(delta.parallel_pipelines, 1);
-        assert_eq!(delta.morsels_dispatched, 5);
-        // n_workers went down (8 → 2): since() saturates instead of wrapping.
-        assert_eq!(delta.n_workers, 0);
-        // The gauge stays out of the exported counter list.
-        let names: Vec<&str> = s.named_counters().iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"morsels_dispatched"));
-        assert!(names.contains(&"morsels_stolen"));
-        assert!(names.contains(&"parallel_pipelines"));
-        assert!(!names.contains(&"n_workers"));
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        assert_eq!(masked, ["shard_lock_contention"]);
     }
 
     #[test]
@@ -631,11 +542,10 @@ mod tests {
     }
 
     #[test]
-    fn json_section_names_every_counter_and_the_worker_gauge() {
+    fn json_section_names_every_counter() {
         let m = MetricsSink::new();
         m.record_udf_calls(3, 7, 693_500_000);
         m.record_probe_batch(10, 7, 0);
-        m.set(Counter::n_workers, 2);
         let s = m.snapshot();
         let json = Json::parse(&s.to_json().pretty()).unwrap();
         for (name, _) in s.named_counters() {
@@ -644,15 +554,13 @@ mod tests {
         assert_eq!(json.get("udf_calls_avoided"), Some(&Json::U64(7)));
         assert_eq!(json.get("udf_ms_avoided"), Some(&Json::Num(693.5)));
         assert_eq!(json.get("probe_misses"), Some(&Json::U64(3)));
-        assert_eq!(json.get("n_workers"), Some(&Json::U64(2)));
-        // Counters in declaration order, then the gauge.
+        // Counters in declaration order.
         let Json::Obj(fields) = s.to_json() else {
             panic!("an object")
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys.len(), Counter::ALL.len());
-        assert_eq!(keys.last(), Some(&"n_workers"));
-        assert_eq!(keys[keys.len() - 2], "shard_lock_contention");
+        let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(keys, names);
     }
 
     #[test]

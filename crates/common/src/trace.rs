@@ -14,16 +14,15 @@
 //! * `sim_ns` — the virtual-clock delta attributed to the span, charged by
 //!   the existing caller-thread discipline. Tracing only *copies* these
 //!   deltas; it never touches the [`SimClock`](crate::SimClock) or the
-//!   [`MetricsSink`](crate::MetricsSink), so the parallel == serial
-//!   `CostBreakdown` and metrics identities are untouched by construction.
+//!   [`MetricsSink`](crate::MetricsSink), so a traced run's
+//!   `CostBreakdown` and metrics equal an untraced one's by construction.
 //! * `wall_ns` — measured wall time. Inherently nondeterministic; the
 //!   latency histograms are built from it, and
 //!   [`QueryTrace::deterministic`] masks it (plus `start_ns`) for golden
 //!   comparisons, mirroring `MetricsSnapshot::deterministic`.
 //!
-//! Spans are recorded on the **caller thread** only — worker-pool closures
-//! never open spans, exactly like clock charges — so the tree shape of a
-//! query is deterministic. The sink itself is `Sync` (a mutex inside) so
+//! A query runs on its caller's thread, which records every span, so the
+//! tree shape of a query is deterministic. The sink itself is `Sync` (a mutex inside) so
 //! shared structures (the storage engine) can own one; concurrent callers
 //! outside a query (e.g. the storage concurrency tests) interleave safely but
 //! attribute their leaf spans on a best-effort basis.
@@ -64,15 +63,11 @@ pub enum SpanKind {
     ShardWait,
     /// One persisted-segment read or write (save/load/recovery path).
     SegmentIo,
-    /// One morsel-parallel pipeline segment: covers dispatch, worker
-    /// execution, and the caller-thread accounting replay. Per-worker
-    /// `operator` leaf spans hang underneath it.
-    Pipeline,
 }
 
 impl SpanKind {
     /// All kinds, in reporting order.
-    pub const ALL: [SpanKind; 8] = [
+    pub const ALL: [SpanKind; 7] = [
         SpanKind::Query,
         SpanKind::Operator,
         SpanKind::UdfEval,
@@ -80,7 +75,6 @@ impl SpanKind {
         SpanKind::CacheLookup,
         SpanKind::ShardWait,
         SpanKind::SegmentIo,
-        SpanKind::Pipeline,
     ];
 
     /// Stable snake_case label (histogram keys, Prometheus series,
@@ -94,7 +88,6 @@ impl SpanKind {
             SpanKind::CacheLookup => "cache_lookup",
             SpanKind::ShardWait => "shard_wait",
             SpanKind::SegmentIo => "segment_io",
-            SpanKind::Pipeline => "pipeline",
         }
     }
 
@@ -107,7 +100,6 @@ impl SpanKind {
             SpanKind::CacheLookup => 4,
             SpanKind::ShardWait => 5,
             SpanKind::SegmentIo => 6,
-            SpanKind::Pipeline => 7,
         }
     }
 }
@@ -115,7 +107,7 @@ impl SpanKind {
 /// One latency histogram per [`SpanKind`], recording wall-clock nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpanHists {
-    hists: [LatencyHistogram; 8],
+    hists: [LatencyHistogram; 7],
 }
 
 impl SpanHists {

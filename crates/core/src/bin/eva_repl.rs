@@ -186,10 +186,6 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
                 m.columnar_batches, m.columnar_rows, m.rows_pivoted
             );
             println!(
-                "parallel: workers={} pipelines={} morsels={} stolen={}",
-                m.n_workers, m.parallel_pipelines, m.morsels_dispatched, m.morsels_stolen
-            );
-            println!(
                 "governance: degraded={} materialization-skipped={} breaker open/half-open={}/{} \
                  admitted={} shed={}",
                 m.degraded_queries,

@@ -21,6 +21,20 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, Admis
 pub use analyze::build_stats;
 pub use session::{EvaDb, SessionConfig, StatementResult};
 
-// Re-exported so width-pinning callers of `execute_select_with_pool` (the
-// differential fuzzer, scaling benchmarks) need no direct eva-exec dep.
-pub use eva_exec::WorkerPool;
+/// What is left of the worker pool: every query runs on its caller's thread,
+/// so there is one lane and no thread to spawn. It stays only because the
+/// benchmark harness (`crates/perfbench`) still reports its width as
+/// `exec.n_workers`, and goes when that harness next changes.
+pub struct WorkerPool;
+
+impl WorkerPool {
+    /// The process-wide pool.
+    pub fn global() -> &'static WorkerPool {
+        &WorkerPool
+    }
+
+    /// Lanes a query runs on: always 1.
+    pub fn n_workers(&self) -> usize {
+        1
+    }
+}

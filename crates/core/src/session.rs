@@ -9,7 +9,7 @@ use eva_common::{
     CostBreakdown, DataType, EvaError, Field, GovernorConfig, MetricsSink, MetricsSnapshot,
     QueryGovernor, QueryTrace, Result, Schema, SimClock, SpanHists, TraceSink, UdfId,
 };
-use eva_exec::{execute_governed, ExecConfig, FunCacheTable, QueryOutput, WorkerPool};
+use eva_exec::{execute_governed, ExecConfig, FunCacheTable, QueryOutput};
 use eva_parser::{parse, CreateUdfStmt, SelectStmt, Statement};
 use eva_planner::{Binder, CommitLog, Optimizer, PhysPlan, PlannerConfig, ReuseStrategy};
 use eva_storage::{RecoveryReport, StorageEngine};
@@ -328,18 +328,7 @@ impl EvaDb {
 
     /// Execute a bound SELECT.
     pub fn execute_select(&mut self, stmt: &SelectStmt) -> Result<QueryOutput> {
-        Ok(self.run_select(stmt, None)?.1)
-    }
-
-    /// [`EvaDb::execute_select`] with an injected worker pool — tests and
-    /// the differential fuzzer pin the worker count; `None` uses the
-    /// process-wide pool.
-    pub fn execute_select_with_pool(
-        &mut self,
-        stmt: &SelectStmt,
-        pool: Option<&WorkerPool>,
-    ) -> Result<QueryOutput> {
-        Ok(self.run_select(stmt, pool)?.1)
+        Ok(self.run_select(stmt)?.1)
     }
 
     /// The governed query lifecycle every SELECT goes through:
@@ -356,11 +345,7 @@ impl EvaDb {
     ///    [`CommitLog`], applied only when the query completes un-degraded,
     ///    so a cancelled or degraded query never claims coverage for rows
     ///    it did not materialize.
-    fn run_select(
-        &mut self,
-        stmt: &SelectStmt,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(PhysPlan, QueryOutput)> {
+    fn run_select(&mut self, stmt: &SelectStmt) -> Result<(PhysPlan, QueryOutput)> {
         let _permit = match &self.admission {
             Some(gate) => Some(gate.admit(self.storage.metrics())?),
             None => None,
@@ -383,7 +368,6 @@ impl EvaDb {
             &self.clock,
             &self.funcache,
             self.config.exec,
-            pool,
             governor.clone(),
             Some(&self.breaker),
         );
@@ -452,7 +436,7 @@ impl EvaDb {
             Statement::Select(stmt) => stmt,
             other => return Err(EvaError::Plan(format!("cannot explain {other:?}"))),
         };
-        let (plan, out) = self.run_select(&stmt, None)?;
+        let (plan, out) = self.run_select(&stmt)?;
         let mut text = plan.explain_analyze(&out.op_stats);
         if !text.ends_with('\n') {
             text.push('\n');

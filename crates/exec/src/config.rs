@@ -24,19 +24,6 @@ pub struct ExecConfig {
     /// `backoff_ns · 2^(k−1)`. Charged to the `Apply` cost category, once
     /// per batch for all its input keys, before the batch is evaluated.
     pub udf_retry_backoff_ns: u64,
-    /// Frames per morsel for morsel-driven parallel scans. Equal to
-    /// `batch_size` by default so an engaged parallel pipeline emits
-    /// batches on exactly the serial cadence (same batch boundaries, same
-    /// `columnar_batches` counts). Changing it is equivalent, counter-wise,
-    /// to running serial with `batch_size = morsel_rows`.
-    pub morsel_rows: usize,
-    /// Run a UDF-free scan pipeline morsel-parallel only when its scan
-    /// range holds at least this many frames (wall-clock speedup only; the
-    /// accounting replay keeps simulated cost and deterministic counters
-    /// bit-identical to serial). `0` disables parallel pipelines. The
-    /// default keeps small interactive queries — and the plan goldens —
-    /// on the serial path.
-    pub parallel_scan_min_rows: u64,
 }
 
 impl Default for ExecConfig {
@@ -47,8 +34,6 @@ impl Default for ExecConfig {
             fuzzy_box_iou: None,
             udf_retry_budget: 2,
             udf_retry_backoff_ns: 5_000_000,
-            morsel_rows: 1024,
-            parallel_scan_min_rows: 4096,
         }
     }
 }
@@ -62,9 +47,5 @@ mod tests {
         let c = ExecConfig::default();
         assert!(c.batch_size > 0);
         assert!(c.apply_overhead_ns > 0);
-        // Default morsel size matches the batch size so engaged parallel
-        // pipelines keep the serial batch cadence (counter identity).
-        assert_eq!(c.morsel_rows, c.batch_size);
-        assert!(c.parallel_scan_min_rows > 0);
     }
 }

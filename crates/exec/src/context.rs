@@ -11,14 +11,11 @@ use eva_video::VideoDataset;
 
 use crate::config::ExecConfig;
 use crate::funcache::FunCacheTable;
-use crate::pool::WorkerPool;
 
 /// Per-operator runtime statistics for one query execution.
 ///
-/// Deliberately **not** `Sync` (a `RefCell`, like [`SimClock`]): every
-/// update happens on the caller thread. Worker-pool closures never touch the
-/// collector — they return counts and the caller records once — so parallel
-/// and serial runs produce identical statistics.
+/// A `RefCell`, like [`SimClock`]: a query runs on its caller's thread, and
+/// every update happens there.
 #[derive(Debug, Default)]
 pub struct OpStatsCollector {
     cells: RefCell<BTreeMap<OpId, OpStats>>,
@@ -65,10 +62,6 @@ pub struct ExecCtx<'a> {
     pub op_stats: &'a OpStatsCollector,
     /// Tunables.
     pub config: ExecConfig,
-    /// Worker pool override. `None` (the production path) uses
-    /// [`WorkerPool::global`]; tests and scaling benchmarks inject
-    /// dedicated pools to pin the worker count.
-    pub pool: Option<&'a WorkerPool>,
     /// Per-query governance: cancellation token, deadline, and the memory
     /// accountant. Defaults to [`QueryGovernor::ungoverned`] (all checks are
     /// near-free no-ops); the session builds a governed one per query.
@@ -91,11 +84,5 @@ impl ExecCtx<'_> {
     /// never touches the clock or the counters — see `eva_common::trace`.
     pub fn trace(&self) -> &TraceSink {
         self.storage.trace()
-    }
-
-    /// The worker pool this execution fans out on: the injected override if
-    /// present, otherwise the shared process-wide pool.
-    pub fn pool(&self) -> &WorkerPool {
-        self.pool.unwrap_or_else(|| WorkerPool::global())
     }
 }

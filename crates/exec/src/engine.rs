@@ -3,12 +3,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eva_common::metrics::Counter;
 use eva_common::{
     Batch, ColumnarBatch, CostBreakdown, EvaError, MetricsSnapshot, OpId, OpStats, QueryGovernor,
     QueryTrace, Result, Schema, SimClock, SpanKind, SpanRef,
 };
-use eva_planner::{parallel_segment, ParallelSegment, PhysPlan};
+use eva_planner::PhysPlan;
 use eva_storage::StorageEngine;
 use eva_udf::{InvocationStats, UdfBreaker, UdfRegistry};
 
@@ -18,7 +17,6 @@ use crate::funcache::FunCacheTable;
 use crate::ops::aggregate::AggregateOp;
 use crate::ops::apply::ApplyOp;
 use crate::ops::filter::FilterOp;
-use crate::ops::parallel::ParallelPipelineOp;
 use crate::ops::project::ProjectOp;
 use crate::ops::scan::ScanFramesOp;
 use crate::ops::sort_limit::{LimitOp, SortOp};
@@ -133,27 +131,13 @@ fn op_label(plan: &PhysPlan) -> &'static str {
 
 /// Build the operator tree for a physical plan. Every node is wrapped in an
 /// [`InstrumentedOp`] carrying the plan node's operator id.
-///
-/// When an engaged [`ParallelSegment`] is supplied, the subtree rooted at
-/// `par.root_op_id` is replaced by a single **unwrapped**
-/// [`ParallelPipelineOp`], which replays the subsumed operators' accounting
-/// itself (wrapping it would double-count rows and cost).
-fn build(plan: &PhysPlan, par: Option<&ParallelSegment>) -> Result<BoxedOp> {
-    build_node(plan, par, None)
+fn build(plan: &PhysPlan) -> Result<BoxedOp> {
+    build_node(plan, None)
 }
 
 /// [`build`], where `limit` is the row bound of a `Limit` directly above
 /// `plan` (used by a `Sort`, ignored by every other node).
-fn build_node(
-    plan: &PhysPlan,
-    par: Option<&ParallelSegment>,
-    limit: Option<u64>,
-) -> Result<BoxedOp> {
-    if let Some(seg) = par {
-        if seg.root_op_id == plan.op_id() {
-            return Ok(Box::new(ParallelPipelineOp::new(seg.clone())));
-        }
-    }
+fn build_node(plan: &PhysPlan, limit: Option<u64>) -> Result<BoxedOp> {
     let inner: BoxedOp = match plan {
         PhysPlan::ScanFrames {
             dataset,
@@ -167,15 +151,14 @@ fn build_node(
         )),
         PhysPlan::Filter {
             input, predicate, ..
-        } => Box::new(FilterOp::new(build(input, par)?, predicate.clone())),
+        } => Box::new(FilterOp::new(build(input)?, predicate.clone())),
         PhysPlan::Apply {
             input,
             spec,
             schema,
             ..
         } => Box::new(
-            ApplyOp::new(build(input, par)?, spec.clone(), Arc::clone(schema))?
-                .with_op_id(plan.op_id()),
+            ApplyOp::new(build(input)?, spec.clone(), Arc::clone(schema))?.with_op_id(plan.op_id()),
         ),
         PhysPlan::Project {
             input,
@@ -183,7 +166,7 @@ fn build_node(
             schema,
             ..
         } => Box::new(ProjectOp::new(
-            build(input, par)?,
+            build(input)?,
             items.clone(),
             Arc::clone(schema),
         )),
@@ -194,13 +177,13 @@ fn build_node(
             schema,
             ..
         } => Box::new(AggregateOp::new(
-            build(input, par)?,
+            build(input)?,
             group_by.clone(),
             aggs.clone(),
             Arc::clone(schema),
         )),
         PhysPlan::Sort { input, keys, .. } => {
-            let sort = SortOp::new(build(input, par)?, keys.clone());
+            let sort = SortOp::new(build(input)?, keys.clone());
             Box::new(match limit {
                 Some(k) => sort.with_limit(k),
                 None => sort,
@@ -209,7 +192,7 @@ fn build_node(
         PhysPlan::Limit { input, n, .. } => {
             // A sort directly below needs only the first `n` of its order.
             let bound = matches!(**input, PhysPlan::Sort { .. }).then_some(*n);
-            Box::new(LimitOp::new(build_node(input, par, bound)?, *n))
+            Box::new(LimitOp::new(build_node(input, bound)?, *n))
         }
     };
     Ok(Box::new(InstrumentedOp {
@@ -232,8 +215,8 @@ fn dataset_of(plan: &PhysPlan) -> Result<&str> {
     }
 }
 
-/// Execute a physical plan to completion on the shared worker pool.
-#[allow(clippy::too_many_arguments)]
+/// Execute a physical plan to completion, ungoverned, on the caller's
+/// thread.
 pub fn execute(
     plan: &PhysPlan,
     storage: &StorageEngine,
@@ -243,24 +226,6 @@ pub fn execute(
     funcache: &FunCacheTable,
     config: ExecConfig,
 ) -> Result<QueryOutput> {
-    execute_with_pool(
-        plan, storage, registry, stats, clock, funcache, config, None,
-    )
-}
-
-/// [`execute`] with an injected worker pool — tests and scaling benchmarks
-/// pin the worker count; `None` uses the process-wide pool.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_pool(
-    plan: &PhysPlan,
-    storage: &StorageEngine,
-    registry: &UdfRegistry,
-    stats: &InvocationStats,
-    clock: &SimClock,
-    funcache: &FunCacheTable,
-    config: ExecConfig,
-    pool: Option<&crate::pool::WorkerPool>,
-) -> Result<QueryOutput> {
     execute_governed(
         plan,
         storage,
@@ -269,7 +234,6 @@ pub fn execute_with_pool(
         clock,
         funcache,
         config,
-        pool,
         QueryGovernor::ungoverned(),
         None,
     )
@@ -280,7 +244,7 @@ pub fn execute_with_pool(
 /// function of the row count, never of allocator behavior.
 pub const RESULT_ROW_BYTES: u64 = 64;
 
-/// [`execute_with_pool`] under a [`QueryGovernor`] and an optional UDF
+/// [`execute`] under a [`QueryGovernor`] and an optional UDF
 /// circuit breaker — the session's governed entry point. The governor's
 /// token/deadline is checked at every batch boundary of the engine's pull
 /// loop (and inside the cooperating operators), and the retained result
@@ -295,7 +259,6 @@ pub fn execute_governed(
     clock: &SimClock,
     funcache: &FunCacheTable,
     config: ExecConfig,
-    pool: Option<&crate::pool::WorkerPool>,
     governor: QueryGovernor,
     breaker: Option<&UdfBreaker>,
 ) -> Result<QueryOutput> {
@@ -309,14 +272,6 @@ pub fn execute_governed(
         .begin_query(explain.lines().next().unwrap_or("query").trim());
     let dataset = storage.dataset(dataset_of(plan)?)?;
     let op_stats = OpStatsCollector::new();
-    // Morsel-driven engagement is deterministic: it depends only on the plan
-    // shape, the configured thresholds, and the scan-range size — never on
-    // the worker count — so counters and results are machine-independent.
-    let segment = if config.parallel_scan_min_rows > 0 && config.morsel_rows > 0 {
-        parallel_segment(plan).filter(|s| s.range_len() >= config.parallel_scan_min_rows)
-    } else {
-        None
-    };
     let ctx = ExecCtx {
         storage,
         registry,
@@ -326,16 +281,10 @@ pub fn execute_governed(
         funcache,
         op_stats: &op_stats,
         config,
-        pool,
         governor: governor.clone(),
         breaker,
     };
-    // Surface the pool width as a gauge (masked from deterministic
-    // comparisons) so `\metrics` and snapshots report the parallelism level.
-    storage
-        .metrics()
-        .set(Counter::n_workers, ctx.pool().n_workers() as u64);
-    let mut root = build(plan, segment.as_ref())?;
+    let mut root = build(plan)?;
     let schema = root.schema();
     let mut out = Batch::empty(schema);
     // The engine's pull loop is the outermost batch boundary: check the

@@ -18,7 +18,6 @@ pub mod context;
 pub mod engine;
 pub mod funcache;
 pub mod ops;
-pub mod pool;
 
 #[cfg(test)]
 mod ops_tests;
@@ -27,6 +26,5 @@ mod testing;
 
 pub use config::ExecConfig;
 pub use context::ExecCtx;
-pub use engine::{execute, execute_governed, execute_with_pool, QueryOutput, RESULT_ROW_BYTES};
+pub use engine::{execute, execute_governed, QueryOutput, RESULT_ROW_BYTES};
 pub use funcache::{FunCacheBatch, FunCacheTable};
-pub use pool::{LaneReport, WorkerPool};

@@ -2,12 +2,11 @@
 //!
 //! Aggregation is structured around *mergeable partial states*: every input
 //! batch folds into a fresh partial [`Groups`] table which is then merged
-//! into the running total in batch-arrival order. The serial operator and
-//! the morsel-parallel pipeline breaker share this core
-//! ([`AggPlan`]/[`AggState::merge`]), and because a parallel pipeline's
-//! morsel boundaries reproduce the serial batch boundaries, merging
-//! per-morsel partials in morsel order is *bit-identical* to the serial
-//! fold — including float accumulation order.
+//! into the running total in batch-arrival order. The budget-degraded mode
+//! streams those partials into a spill through the same merge
+//! ([`AggPlan::merge_into`]/[`AggState::merge`]), so its result is
+//! *bit-identical* to the in-memory fold — including float accumulation
+//! order.
 //!
 //! The fold has two shapes:
 //!
@@ -41,7 +40,7 @@ use crate::ops::{BoxedOp, Operator};
 /// One aggregate's running state. `Min`/`Max` keep the winning cell with its
 /// tag, so an `Int` stored in a `FLOAT` column comes back an `Int`.
 #[derive(Debug, Clone)]
-pub(crate) enum AggState {
+enum AggState {
     Count(i64),
     Sum(f64),
     Min(Option<Value>),
@@ -173,10 +172,10 @@ impl AggState {
 
     /// Fold a later partial into this one. Merging is the associative half
     /// of the aggregate algebra; determinism comes from the *caller*
-    /// merging partials in batch/morsel order. Min/Max replace only on a
-    /// strict inequality, so the earlier partial wins ties exactly like
-    /// the sequential fold.
-    pub(crate) fn merge(&mut self, later: AggState) {
+    /// merging partials in batch order. Min/Max replace only on a strict
+    /// inequality, so the earlier partial wins ties exactly like the
+    /// sequential fold.
+    fn merge(&mut self, later: AggState) {
         match (self, later) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::Sum(a), AggState::Sum(b)) => *a += b,
@@ -223,7 +222,7 @@ enum ArgPlan {
 /// The group table: every group seen so far, numbered in order of first
 /// appearance. Without `GROUP BY` it holds at most the one group of the
 /// empty key.
-pub(crate) struct Groups {
+struct Groups {
     /// Open-addressing index over the groups: `id + 1`, or 0 for a free
     /// slot. A power of two long and at most half full.
     slots: Vec<u32>,
@@ -247,7 +246,7 @@ fn hash_key(key: &[u8]) -> u64 {
 
 impl Groups {
     /// Number of groups.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.hashes.len()
     }
 
@@ -284,7 +283,7 @@ impl Groups {
     }
 
     /// Make room for `additional` more groups without regrowing.
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    fn reserve(&mut self, additional: usize) {
         if self.slots.len() < 2 * (self.len() + additional) {
             self.regrow(self.len() + additional);
         }
@@ -307,11 +306,9 @@ impl Groups {
 }
 
 /// A resolved aggregation: group-key positions and argument plans bound
-/// against a concrete input schema. Shared by the serial [`AggregateOp`]
-/// and the morsel-parallel pipeline breaker — both fold batches into
-/// partial [`Groups`] through this and merge partials in arrival order.
-/// `Send + Sync`, so workers can fold morsels through a shared `Arc`.
-pub(crate) struct AggPlan {
+/// against a concrete input schema. [`AggregateOp`] folds each batch into a
+/// partial [`Groups`] through this and merges partials in arrival order.
+struct AggPlan {
     funcs: Vec<AggFunc>,
     key_idx: Vec<usize>,
     args: Vec<ArgPlan>,
@@ -319,7 +316,7 @@ pub(crate) struct AggPlan {
 
 impl AggPlan {
     /// Bind `group_by` names and aggregate arguments against `in_schema`.
-    pub(crate) fn resolve(
+    fn resolve(
         group_by: &[String],
         aggs: &[(AggFunc, Option<Expr>, String)],
         in_schema: &Schema,
@@ -353,7 +350,7 @@ impl AggPlan {
     }
 
     /// An empty group table for this aggregation.
-    pub(crate) fn new_groups(&self) -> Groups {
+    fn new_groups(&self) -> Groups {
         Groups {
             slots: Vec::new(),
             hashes: Vec::new(),
@@ -381,7 +378,7 @@ impl AggPlan {
     /// group first (keys encode exactly like [`Value::write_bytes`], the
     /// order `finish` sorts by); then every aggregate folds its argument
     /// column into the states of those groups, in row order.
-    pub(crate) fn consume(&self, cb: &ColumnarBatch, groups: &mut Groups) -> Result<()> {
+    fn consume(&self, cb: &ColumnarBatch, groups: &mut Groups) -> Result<()> {
         let active = cb.physical_indices();
         if active.is_empty() {
             return Ok(());
@@ -462,8 +459,8 @@ impl AggPlan {
     /// Merge a *later* partial into the running total, its groups in their
     /// order of first appearance: states of known groups update in place,
     /// new groups append. Determinism needs only that the caller present
-    /// partials in batch/morsel order.
-    pub(crate) fn merge_into(&self, total: &mut Groups, later: Groups) {
+    /// partials in batch order.
+    fn merge_into(&self, total: &mut Groups, later: Groups) {
         // An empty total with no more room reserved than `later` has.
         if total.len() == 0 && total.slots.len() <= later.slots.len() {
             *total = later;
@@ -498,7 +495,7 @@ impl AggPlan {
     /// Finalize: one output row per group, sorted by key bytes for
     /// reproducibility — and, without `GROUP BY`, exactly one row even when
     /// no input row arrived.
-    pub(crate) fn finish(&self, mut groups: Groups, out_schema: &Arc<Schema>) -> ColumnarBatch {
+    fn finish(&self, mut groups: Groups, out_schema: &Arc<Schema>) -> ColumnarBatch {
         if self.key_idx.is_empty() {
             self.open_global_group(&mut groups);
         }

@@ -3,7 +3,6 @@
 pub mod aggregate;
 pub mod apply;
 pub mod filter;
-pub mod parallel;
 pub mod project;
 pub mod scan;
 pub mod sort_limit;

@@ -10,10 +10,8 @@ use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
 
 /// How the projection executes, resolved once against the input schema
-/// instead of re-binding column names per row. Shared with the
-/// morsel-parallel pipeline, whose workers run the same columnar kernel
-/// per morsel.
-pub(crate) enum ProjPlan {
+/// instead of re-binding column names per row.
+enum ProjPlan {
     /// Every item is a bare input column: reorder by position, zero-copy
     /// (`Arc`-shared columns, selection carried through).
     Reorder(Vec<usize>),
@@ -25,7 +23,7 @@ impl ProjPlan {
     /// `Reorder` when every item is a resolvable bare column. Unknown
     /// columns fall back to `Compute` so the evaluator reports them with
     /// the standard binder error.
-    pub(crate) fn resolve(items: &[(Expr, String)], in_schema: &Schema) -> ProjPlan {
+    fn resolve(items: &[(Expr, String)], in_schema: &Schema) -> ProjPlan {
         let mut idx = Vec::with_capacity(items.len());
         for (expr, _) in items {
             match expr {
@@ -39,9 +37,8 @@ impl ProjPlan {
         ProjPlan::Reorder(idx)
     }
 
-    /// The columnar projection kernel: pure compute, no clock, no metrics
-    /// — safe on worker threads.
-    pub(crate) fn apply_columnar(
+    /// The columnar projection kernel: pure compute, no clock, no metrics.
+    fn apply_columnar(
         &self,
         items: &[(Expr, String)],
         schema: &Arc<Schema>,

@@ -13,7 +13,7 @@ use eva_planner::{ApplyReuse, ApplySpec, PhysPlan, Segment};
 use eva_storage::{ViewKey, ViewKeyKind};
 use eva_udf::runtime::DetRng;
 
-use crate::ops::aggregate::AggregateOp;
+use crate::ops::aggregate::{AggregateOp, AGG_GROUP_BYTES};
 use crate::ops::apply::ApplyOp;
 use crate::ops::filter::FilterOp;
 use crate::ops::project::ProjectOp;
@@ -837,25 +837,20 @@ fn segment_plan(predicate: Expr, group_by: Option<&[&str]>) -> PhysPlan {
 }
 
 /// Run `plan` on a fresh 100-frame environment whose clock already reads
-/// `clock_ns` — serially when `width` is `None`, else morsel-parallel on a
-/// pool that wide — in batches / morsels of `morsel` frames.
+/// `clock_ns`, in batches of `batch` frames.
 fn run_segment(
     plan: &PhysPlan,
-    morsel: usize,
-    width: Option<usize>,
+    batch: usize,
     clock_ns: u64,
     governor: GovernorConfig,
-) -> (TestEnv, eva_common::Result<crate::engine::QueryOutput>) {
+) -> eva_common::Result<crate::engine::QueryOutput> {
     let env = TestEnv::new(44, 100);
     env.clock.charge(CostCategory::ReadVideo, clock_ns);
     let config = crate::config::ExecConfig {
-        batch_size: morsel,
-        morsel_rows: morsel,
-        parallel_scan_min_rows: width.is_some() as u64,
+        batch_size: batch,
         ..crate::config::ExecConfig::default()
     };
-    let pool = width.map(crate::pool::WorkerPool::new);
-    let out = crate::engine::execute_governed(
+    crate::engine::execute_governed(
         plan,
         &env.storage,
         &env.registry,
@@ -863,18 +858,17 @@ fn run_segment(
         &env.clock,
         &env.funcache,
         config,
-        pool.as_ref(),
         QueryGovernor::new(governor, env.clock.total_ms()),
         None,
-    );
-    (env, out)
+    )
 }
 
-/// Everything a parallel run must share with the serial one.
+/// Everything a degraded run must share with an in-memory one: rows to the
+/// bit, cost, per-operator stats and every deterministic counter but
+/// `degraded_queries`.
 fn observable(out: &crate::engine::QueryOutput) -> impl PartialEq + std::fmt::Debug {
     let mut counters = out.metrics.deterministic();
-    counters.morsels_dispatched = 0;
-    counters.parallel_pipelines = 0;
+    counters.degraded_queries = 0;
     (
         bitwise(out.batch.rows()),
         out.breakdown,
@@ -883,16 +877,19 @@ fn observable(out: &crate::engine::QueryOutput) -> impl PartialEq + std::fmt::De
     )
 }
 
-/// The morsel-parallel breaker equals the serial `AggregateOp` — rows to the
-/// bit, cost, per-operator stats, counters — at every pool width, for no
+/// A byte budget that trips on the first batch's groups sends the
+/// aggregate to its streaming spill, and the result equals the in-memory
+/// fold — rows to the bit, cost, per-operator stats, counters — for no
 /// key, a recurring key, an all-distinct key and a filter that leaves
-/// nothing; and a run cancelled after four of ten morsels accounts for
-/// exactly that prefix at every width.
+/// nothing.
 #[test]
-fn parallel_breaker_matches_serial_aggregate_at_every_width() {
+fn degraded_aggregate_matches_in_memory_at_every_shape() {
     let kept = || Expr::col("id").ge(3).and(Expr::col("id").lt(95));
     let nothing = || Expr::col("timestamp").lt(0);
-    let free = GovernorConfig::default;
+    let tight = GovernorConfig {
+        budget_bytes: Some(AGG_GROUP_BYTES),
+        ..GovernorConfig::default()
+    };
     for (predicate, group_by) in [
         (kept(), &[][..]),
         (kept(), &["early"]),
@@ -902,66 +899,48 @@ fn parallel_breaker_matches_serial_aggregate_at_every_width() {
         (nothing(), &["early"]),
     ] {
         let plan = segment_plan(predicate, Some(group_by));
-        let (_, serial) = run_segment(&plan, 10, None, 0, free());
-        let serial = serial.unwrap();
-        assert_eq!(serial.metrics.parallel_pipelines, 0);
+        let free = run_segment(&plan, 10, 0, GovernorConfig::default()).unwrap();
         assert_eq!(
-            serial.batch.len(),
-            match (group_by, serial.metrics.columnar_rows > 200) {
+            free.batch.len(),
+            match (group_by, free.metrics.columnar_rows > 200) {
                 ([], _) => 1,
                 (_, false) => 0,
                 (["early"], true) => 2,
                 _ => 92,
             }
         );
-        for width in [1, 2, 4] {
-            let (_, par) = run_segment(&plan, 10, Some(width), 0, free());
-            let par = par.unwrap();
-            assert_eq!(par.metrics.morsels_dispatched, 10);
-            assert_eq!(
-                format!("{:?}", observable(&par)),
-                format!("{:?}", observable(&serial)),
-                "group by {group_by:?} at width {width}"
-            );
-        }
+        let degraded = run_segment(&plan, 10, 0, tight).unwrap();
+        // Only a grouping with more than one group outgrows the budget.
+        let trips = !group_by.is_empty() && free.batch.len() > 1;
+        assert_eq!(degraded.metrics.degraded_queries, trips as u64);
+        assert_eq!(
+            format!("{:?}", observable(&degraded)),
+            format!("{:?}", observable(&free)),
+            "group by {group_by:?}"
+        );
     }
-    let plan = segment_plan(kept(), Some(&["early"]));
-    let cancelled = |width: usize| {
-        let gate = GovernorConfig {
-            cancel_at_morsel: Some(4),
-            ..GovernorConfig::default()
-        };
-        let (env, out) = run_segment(&plan, 10, Some(width), 0, gate);
-        let err = out.expect_err("the gate refuses morsel 4");
-        let counters = env.storage.metrics().snapshot().deterministic();
-        assert_eq!(counters.frames_scanned, 40, "width {width}");
-        (err.to_string(), env.clock.snapshot(), counters)
-    };
-    assert_eq!(cancelled(1), cancelled(2));
-    assert_eq!(cancelled(1), cancelled(4));
 }
 
-/// A serial wrapper books a stage's cost as one clock difference spanning
-/// every batch the filter above the scan skipped; the replay books the sum
-/// of the morsel charges it consumed. On the integer ledger the two agree
-/// whatever the session clock read when the query started.
+/// A wrapper books a stage's cost as one clock difference spanning every
+/// batch the filter above the scan skipped. On the integer ledger that
+/// difference, and every other per-query figure, is the same whatever the
+/// session clock read when the query started.
 #[test]
-fn replayed_operator_costs_match_serial_on_a_running_clock() {
+fn operator_costs_do_not_depend_on_the_starting_clock() {
     let sparse = Expr::col("timestamp")
         .ge(400)
         .and(Expr::col("timestamp").lt(600));
     for group_by in [None, Some(&["early"][..])] {
         let plan = segment_plan(sparse.clone(), group_by);
-        for clock_ns in [0, 100_000, 700_001, 3_300_000, 1_234_567_891] {
-            let free = GovernorConfig::default;
-            let (_, serial) = run_segment(&plan, 1, None, clock_ns, free());
-            let (_, par) = run_segment(&plan, 1, Some(2), clock_ns, free());
-            let (serial, par) = (serial.unwrap(), par.unwrap());
-            assert!(serial.op_stats.values().any(|s| s.batches > 1));
+        let free = GovernorConfig::default;
+        let at_zero = run_segment(&plan, 1, 0, free()).unwrap();
+        assert!(at_zero.op_stats.values().any(|s| s.batches > 1));
+        for clock_ns in [100_000, 700_001, 3_300_000, 1_234_567_891] {
+            let later = run_segment(&plan, 1, clock_ns, free()).unwrap();
             assert_eq!(
-                format!("{:?}", observable(&par)),
-                format!("{:?}", observable(&serial)),
-                "breaker {group_by:?}, clock at {clock_ns}ns"
+                format!("{:?}", observable(&later)),
+                format!("{:?}", observable(&at_zero)),
+                "aggregate {group_by:?}, clock at {clock_ns}ns"
             );
         }
     }

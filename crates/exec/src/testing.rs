@@ -62,7 +62,7 @@ impl TestEnv {
         })
     }
 
-    /// Context with explicit tunables (threshold/parallelism tests).
+    /// Context with explicit tunables.
     pub fn ctx_with(&self, config: ExecConfig) -> ExecCtx<'_> {
         ExecCtx {
             storage: &self.storage,
@@ -73,7 +73,6 @@ impl TestEnv {
             funcache: &self.funcache,
             op_stats: &self.op_stats,
             config,
-            pool: None,
             governor: eva_common::QueryGovernor::ungoverned(),
             breaker: None,
         }

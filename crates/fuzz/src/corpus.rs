@@ -115,7 +115,6 @@ fn case_to_json(case: &FuzzCase) -> Json {
                 ("deadline_ms", Json::from(governor.deadline_ms)),
                 ("wall_deadline_ms", Json::from(governor.wall_deadline_ms)),
                 ("budget_bytes", Json::from(governor.budget_bytes)),
-                ("cancel_at_morsel", Json::from(governor.cancel_at_morsel)),
             ]),
         ),
         ("admission_width", Json::from(case.admission_width)),
@@ -130,7 +129,6 @@ fn case_from_json(json: &Json) -> Result<FuzzCase, String> {
             deadline_ms: optional(g, "deadline_ms", Json::as_f64)?,
             wall_deadline_ms: optional(g, "wall_deadline_ms", Json::as_u64)?,
             budget_bytes: optional(g, "budget_bytes", Json::as_u64)?,
-            cancel_at_morsel: optional(g, "cancel_at_morsel", Json::as_u64)?,
         },
     };
     let stmts = field(json, "stmts")?

@@ -6,7 +6,7 @@
 //! cycles and `EVA_FAILPOINTS`-style fault plans. The generator is
 //! schema-aware — every emitted statement binds — and *determinism-aware*:
 //! it only emits queries whose result set is a pure function of the
-//! dataset, so the four oracles in [`crate::oracles`] can demand exact
+//! dataset, so the three oracles in [`crate::oracles`] can demand exact
 //! equivalence without false positives. Concretely:
 //!
 //! * `LIMIT` only appears on apply-free queries ordered by the unique `id`
@@ -413,7 +413,7 @@ pub fn generate_case(seed: u64) -> FuzzCase {
         }
     }
 
-    // Roughly half the sessions replay governed (oracle 4). Tight knobs
+    // Roughly half the sessions replay governed (oracle 3). Tight knobs
     // are sized to trip on the standard detector queries (a sim-ms
     // deadline a few frames deep; a byte budget a few result rows deep);
     // loose knobs must be observably invisible.
@@ -512,7 +512,7 @@ mod tests {
             .collect();
         assert_eq!(
             eva_common::hash::xxhash64(text.as_bytes(), 0),
-            0x00F0_8B68_ED37_5C1A
+            0xEA60_E31F_43D0_21B7
         );
     }
 

@@ -7,11 +7,10 @@
 //!   schema-aware EVA-QL SELECTs (UDF predicates, AND/OR/NOT, aggregates,
 //!   ORDER BY/LIMIT) interleaved with view resets, save/load cycles and
 //!   failpoint plans.
-//! * [`session`] — deterministic replay of a case under one *arm*
-//!   configuration, collecting per-SELECT rows, simulated cost, metrics
-//!   and operator stats.
-//! * [`oracles`] — the four equivalence checks: warm-vs-cold reuse,
-//!   parallel-vs-serial execution, crash-at-every-write recovery, and governed replay (deadline/budget/
+//! * [`session`] — deterministic replay of a case, collecting per-SELECT
+//!   rows, simulated cost, metrics and operator stats.
+//! * [`oracles`] — the three equivalence checks: warm-vs-cold reuse,
+//!   crash-at-every-write recovery, and governed replay (deadline/budget/
 //!   admission cancellations must be structured and leave no trace).
 //! * [`shrink`] — greedy delta-debugging of a failing case to a minimal
 //!   repro that still fails the same way.
@@ -35,5 +34,5 @@ pub use corpus::{corpus_dir, load_corpus_dir, write_corpus_file, CorpusFile, COR
 pub use eva_common::rng::SplitMix64;
 pub use gen::{generate_case, sabotage_case, FuzzCase, FuzzStmt, Sabotage};
 pub use oracles::{check_case, CaseReport, FailKind, Failure, OracleId};
-pub use session::{replay, ArmCfg, ReplayOutcome, SelectObs};
+pub use session::{replay, ReplayOutcome, SelectObs};
 pub use shrink::{shrink_case, ShrinkResult};

@@ -106,11 +106,10 @@ fn run_fuzz(args: &Args) -> ExitCode {
         match check_case(&case) {
             Ok(report) => {
                 println!(
-                    "case {i:04} case_seed={case_seed:016x} stmts={} selects={} wc={} ps={} cr={} gv={} ok",
+                    "case {i:04} case_seed={case_seed:016x} stmts={} selects={} wc={} cr={} gv={} ok",
                     case.stmts.len(),
                     report.n_selects,
                     report.n_selects,
-                    report.parallel_cmps,
                     report.crash_points,
                     report.governed_cancelled,
                 );

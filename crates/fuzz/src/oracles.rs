@@ -1,4 +1,4 @@
-//! The four equivalence oracles.
+//! The three equivalence oracles.
 //!
 //! Each oracle replays the same [`FuzzCase`] under two configurations that
 //! the system contracts to be observably equivalent, then diffs:
@@ -8,16 +8,12 @@
 //!    row *multiset* as the same SELECT run alone in a fresh session.
 //!    This is the paper's core correctness claim: reuse rewrites never
 //!    change answers.
-//! 2. **Parallel vs serial** — morsel-parallel execution at several
-//!    (width × morsel) points must be bit-identical to serial: same rows
-//!    in the same order, same simulated cost, same deterministic counters,
-//!    same per-operator stats.
-//! 3. **Crash recovery** — for sessions that save, crash the save at every
+//! 2. **Crash recovery** — for sessions that save, crash the save at every
 //!    write ordinal with a cycling fault site (and, as ordinal 0, let it
 //!    finish), then recover in a fresh session; the recovered session's
 //!    remaining SELECTs must still answer correctly, and `load_state` must
 //!    never error on a torn store.
-//! 4. **Governed replay** — replay the session under the case's governance
+//! 3. **Governed replay** — replay the session under the case's governance
 //!    knobs (deadline, byte budget, admission width). Statements may be
 //!    cancelled or degraded, but only with structured `Cancelled` errors;
 //!    every SELECT that survives must answer identically when re-asked on
@@ -27,23 +23,18 @@
 use std::fmt;
 use std::path::Path;
 
-use eva_common::{GovernorConfig, MetricsSnapshot};
+use eva_common::GovernorConfig;
 use eva_core::{AdmissionConfig, AdmissionController, EvaDb};
-use eva_exec::ExecConfig;
 use eva_harness::TempDir;
 
 use crate::gen::{FuzzCase, FuzzStmt};
-use crate::session::{
-    exec_select, fresh_db, parse_select, replay, run_single_select, ArmCfg, SelectObs,
-};
+use crate::session::{exec_select, fresh_db, parse_select, replay, run_single_select, SelectObs};
 
 /// Which oracle flagged a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleId {
     /// Warm full-session replay vs each SELECT alone in a fresh session.
     WarmCold,
-    /// Morsel-parallel execution vs serial, at several config points.
-    ParallelSerial,
     /// Save crashed at every write ordinal, then recovered and resumed.
     CrashRecovery,
     /// Governed replay (deadline/budget/admission); surviving SELECTs
@@ -55,7 +46,6 @@ impl fmt::Display for OracleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             OracleId::WarmCold => "warm-vs-cold",
-            OracleId::ParallelSerial => "parallel-vs-serial",
             OracleId::CrashRecovery => "crash-recovery",
             OracleId::GovernedReplay => "governed-replay",
         })
@@ -117,8 +107,6 @@ impl Failure {
 pub struct CaseReport {
     /// SELECT statements in the session.
     pub n_selects: usize,
-    /// (SELECT × config-point) comparisons made by the parallel oracle.
-    pub parallel_cmps: usize,
     /// Save points swept by the recovery oracle — every crashed write
     /// ordinal plus the uninterrupted save (0 when the case never saves).
     pub crash_points: usize,
@@ -127,22 +115,8 @@ pub struct CaseReport {
     pub governed_cancelled: usize,
 }
 
-/// Width × morsel points for the parallel oracle. `(8, 1)` maximizes
-/// scheduling chaos (every frame its own morsel, more lanes than work);
-/// `(1, 4096)` degenerates to serial-through-the-pool.
-const PAIRS: [(usize, usize); 3] = [(8, 1), (2, 64), (1, 4096)];
-
 /// Write-site cycle for the crash sweep, in save-path write order.
 const SITES: [&str; 4] = ["torn_write", "rename_fail", "short_write", "bit_flip"];
-
-/// Scheduling-dependent counters masked for any cross-config comparison.
-fn core_mask(m: &MetricsSnapshot) -> MetricsSnapshot {
-    MetricsSnapshot {
-        morsels_dispatched: 0,
-        parallel_pipelines: 0,
-        ..m.deterministic()
-    }
-}
 
 /// The SQL of every SELECT in the case, in statement order.
 fn select_sqls(case: &FuzzCase) -> Vec<&str> {
@@ -157,7 +131,7 @@ fn select_sqls(case: &FuzzCase) -> Vec<&str> {
 
 /// Run every oracle against one case.
 pub fn check_case(case: &FuzzCase) -> Result<CaseReport, Failure> {
-    let base = replay(case, &ArmCfg::default(), "fuzz_base").map_err(Failure::replay)?;
+    let base = replay(case, "fuzz_base").map_err(Failure::replay)?;
     let sqls = select_sqls(case);
     debug_assert_eq!(base.selects.len(), sqls.len());
     let mut report = CaseReport {
@@ -166,7 +140,6 @@ pub fn check_case(case: &FuzzCase) -> Result<CaseReport, Failure> {
     };
 
     warm_vs_cold(case, &sqls, &base.selects)?;
-    report.parallel_cmps = parallel_vs_serial(case, &sqls)?;
     report.crash_points = crash_recovery(case, &base)?;
     report.governed_cancelled = governed_replay(case)?;
     Ok(report)
@@ -192,76 +165,9 @@ fn warm_vs_cold(case: &FuzzCase, sqls: &[&str], warm: &[SelectObs]) -> Result<()
     Ok(())
 }
 
-/// Oracle 2: for each (width, morsel) point, a fully-parallel replay must be
-/// bit-identical to a pipelines-disabled serial replay at the same batch
-/// cadence — rows in order, simulated cost, deterministic counters, and
-/// per-operator stats.
-fn parallel_vs_serial(case: &FuzzCase, sqls: &[&str]) -> Result<usize, Failure> {
-    let id = OracleId::ParallelSerial;
-    let mut cmps = 0;
-    for (width, morsel) in PAIRS {
-        // `batch_size = morsel_rows` in *both* arms keeps the serial arm on
-        // the exact batch boundaries the parallel arm's morsels produce.
-        let serial = ArmCfg {
-            exec: ExecConfig {
-                batch_size: morsel,
-                morsel_rows: morsel,
-                parallel_scan_min_rows: 0,
-                ..ExecConfig::default()
-            },
-            width: None,
-            ..ArmCfg::default()
-        };
-        let parallel = ArmCfg {
-            exec: ExecConfig {
-                batch_size: morsel,
-                morsel_rows: morsel,
-                parallel_scan_min_rows: 1,
-                ..ExecConfig::default()
-            },
-            width: Some(width),
-            ..ArmCfg::default()
-        };
-        let s = replay(case, &serial, "fuzz_ps_serial")
-            .map_err(|e| Failure::oracle(id, format!("serial arm (morsel {morsel}): {e}")))?;
-        let p = replay(case, &parallel, "fuzz_ps_parallel")
-            .map_err(|e| Failure::oracle(id, format!("parallel arm (w{width} m{morsel}): {e}")))?;
-        for (k, (sv, pv)) in s.selects.iter().zip(&p.selects).enumerate() {
-            let ctx = format!("select {k} `{}` at w{width} m{morsel}", sqls[k]);
-            if sv.rows != pv.rows {
-                return Err(Failure::oracle(id, format!("{ctx}: rows differ")));
-            }
-            if sv.breakdown != pv.breakdown {
-                return Err(Failure::oracle(
-                    id,
-                    format!(
-                        "{ctx}: simulated cost differs (serial {:?} vs parallel {:?})",
-                        sv.breakdown, pv.breakdown
-                    ),
-                ));
-            }
-            if core_mask(&sv.metrics) != core_mask(&pv.metrics) {
-                return Err(Failure::oracle(
-                    id,
-                    format!(
-                        "{ctx}: counters differ (serial {:?} vs parallel {:?})",
-                        core_mask(&sv.metrics),
-                        core_mask(&pv.metrics)
-                    ),
-                ));
-            }
-            if sv.op_stats != pv.op_stats {
-                return Err(Failure::oracle(id, format!("{ctx}: op_stats differ")));
-            }
-            cmps += 1;
-        }
-    }
-    Ok(cmps)
-}
-
-/// Replay a statement slice on an open session (serial, no pool), returning
-/// per-SELECT observations. `saved` seeds the load-gating flag — the crash
-/// survivor starts with it set, since it begins life by loading the store.
+/// Replay a statement slice on an open session, returning per-SELECT
+/// observations. `saved` seeds the load-gating flag — the crash survivor
+/// starts with it set, since it begins life by loading the store.
 fn drive(
     db: &mut EvaDb,
     stmts: &[FuzzStmt],
@@ -271,7 +177,7 @@ fn drive(
     let mut out = Vec::new();
     for stmt in stmts {
         match stmt {
-            FuzzStmt::Select(sql) => out.push(exec_select(db, sql, None)?),
+            FuzzStmt::Select(sql) => out.push(exec_select(db, sql)?),
             FuzzStmt::ResetViews => db.reset_reuse_state(),
             FuzzStmt::Save => {
                 if db.save_state(dir).is_ok() {
@@ -294,7 +200,7 @@ fn drive(
     Ok(out)
 }
 
-/// Oracle 3: crash the first save at every write ordinal and recover.
+/// Oracle 2: crash the first save at every write ordinal and recover.
 ///
 /// For each ordinal `nth` (cycling through the fault sites), a *victim*
 /// session replays up to the first `Save`, arms `site=nth:<n>`, and
@@ -334,7 +240,7 @@ fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Resu
         let crash_dir = TempDir::new("fuzz_crash");
 
         // Victim: run up to the save, then crash the save's nth write.
-        let mut victim = fresh_db(case, &ArmCfg::default()).map_err(Failure::replay)?;
+        let mut victim = fresh_db(case, GovernorConfig::default()).map_err(Failure::replay)?;
         drive(
             &mut victim,
             &case.stmts[..save_idx],
@@ -354,7 +260,7 @@ fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Resu
         drop(victim);
 
         // Survivor: recover from the torn store, then finish the session.
-        let mut survivor = fresh_db(case, &ArmCfg::default()).map_err(Failure::replay)?;
+        let mut survivor = fresh_db(case, GovernorConfig::default()).map_err(Failure::replay)?;
         survivor
             .load_state(crash_dir.path())
             .map_err(|e| Failure::oracle(id, format!("load_state after {point} errored: {e}")))?;
@@ -388,7 +294,7 @@ fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Resu
     Ok(points)
 }
 
-/// Oracle 4: replay under the case's governance knobs. Any statement may
+/// Oracle 3: replay under the case's governance knobs. Any statement may
 /// come back `Cancelled { Deadline | Budget | Shed | User }` — that is a
 /// tolerated, structured outcome — but a non-governance error is a replay
 /// failure, and a cancelled query must leave no trace: each surviving
@@ -400,11 +306,7 @@ fn governed_replay(case: &FuzzCase) -> Result<usize, Failure> {
     if !case.is_governed() {
         return Ok(0);
     }
-    let arm = ArmCfg {
-        governor: case.governor,
-        ..ArmCfg::default()
-    };
-    let mut db = fresh_db(case, &arm).map_err(Failure::replay)?;
+    let mut db = fresh_db(case, case.governor).map_err(Failure::replay)?;
     if let Some(width) = case.admission_width {
         db.set_admission(Some(AdmissionController::new(AdmissionConfig {
             max_concurrent: width.max(1),
@@ -421,7 +323,7 @@ fn governed_replay(case: &FuzzCase) -> Result<usize, Failure> {
         match stmt {
             FuzzStmt::Select(sql) => {
                 let parsed = parse_select(sql).map_err(Failure::replay)?;
-                match db.execute_select_with_pool(&parsed, None) {
+                match db.execute_select(&parsed) {
                     Ok(out) => {
                         let obs = SelectObs::from_output(out);
                         survivors.push((sql.as_str(), obs.row_multiset()));
@@ -464,7 +366,7 @@ fn governed_replay(case: &FuzzCase) -> Result<usize, Failure> {
     db.set_governor(GovernorConfig::default());
     db.set_admission(None);
     for (k, (sql, governed)) in survivors.iter().enumerate() {
-        let warm = exec_select(&mut db, sql, None)
+        let warm = exec_select(&mut db, sql)
             .map_err(|e| Failure::oracle(id, format!("post-governance warm select {k}: {e}")))?;
         if warm.row_multiset() != *governed {
             return Err(Failure::oracle(
@@ -528,20 +430,20 @@ mod tests {
         };
         // Select, arm the flip, save: the store now holds one segment.
         let dir = TempDir::new("sabotage_target");
-        let mut db = fresh_db(&case, &ArmCfg::default()).unwrap();
+        let mut db = fresh_db(&case, GovernorConfig::default()).unwrap();
         drive(&mut db, &case.stmts[..3], dir.path(), false).unwrap();
         let views: Vec<_> = db.storage().view_defs().iter().map(|d| d.id).collect();
         assert_eq!(views.len(), 1, "the first SELECT materializes one view");
 
         // A restarted session quarantines exactly that segment…
-        let survivor = fresh_db(&case, &ArmCfg::default()).unwrap();
+        let survivor = fresh_db(&case, GovernorConfig::default()).unwrap();
         let report = survivor.load_state(dir.path()).unwrap();
         let quarantined: Vec<_> = report.quarantined.iter().map(|q| q.view_id).collect();
         assert_eq!(quarantined, vec![Some(views[0])]);
         assert!(report.loaded.is_empty());
 
         // …and it is the view the second SELECT is answered from.
-        let warm = exec_select(&mut db, sql, None).unwrap();
+        let warm = exec_select(&mut db, sql).unwrap();
         assert_eq!(warm.metrics.udf_calls_executed, 0, "{:?}", warm.metrics);
         assert!(warm.metrics.view_rows_read > 0, "{:?}", warm.metrics);
     }
@@ -562,7 +464,7 @@ mod tests {
         assert_eq!(report.n_selects, 1);
         assert_eq!(
             report.governed_cancelled, 0,
-            "ungoverned case skips oracle 4"
+            "ungoverned case skips oracle 3"
         );
     }
 

@@ -1,8 +1,8 @@
-//! Deterministic replay of a [`FuzzCase`] under one *arm* configuration.
+//! Deterministic replay of a [`FuzzCase`].
 //!
 //! Every oracle in [`crate::oracles`] is "replay the same session twice
-//! under configurations that must be observably equivalent, then diff".
-//! This module owns the replay half: a fresh [`EvaDb`] per arm, the case's
+//! under conditions that must be observably equivalent, then diff".
+//! This module owns the replay half: a fresh [`EvaDb`] per side, the case's
 //! dataset loaded as `video`, and the statement list executed in order with
 //! deterministic semantics for the statements that can fail by design
 //! (faulted saves) or that only make sense conditionally (loads).
@@ -11,9 +11,9 @@
 //!
 //! * Failpoints are disarmed right after session construction — CI exports
 //!   `EVA_FAILPOINTS=all` for the chaos suite, and an env-armed registry
-//!   would desynchronize the arms' fault schedules.
+//!   would desynchronize the two sides' fault schedules.
 //! * `Save` may fail (a generated fault plan can be armed); the error is
-//!   swallowed and the session only counts a *successful* save. Both arms
+//!   swallowed and the session only counts a *successful* save. Both sides
 //!   replay the same statements against the same deterministic fault
 //!   schedule, so they agree on which saves succeeded.
 //! * `Load` replays only after a successful save. This keeps every
@@ -23,9 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use eva_common::{CostBreakdown, MetricsSnapshot, OpId, OpStats, Row};
-use eva_core::{EvaDb, SessionConfig, WorkerPool};
-use eva_exec::{ExecConfig, QueryOutput};
+use eva_common::{CostBreakdown, GovernorConfig, MetricsSnapshot, OpId, OpStats, Row};
+use eva_core::{EvaDb, SessionConfig};
+use eva_exec::QueryOutput;
 use eva_harness::{test_dataset, TempDir};
 use eva_parser::{parse, SelectStmt, Statement};
 use eva_planner::ReuseStrategy;
@@ -65,19 +65,6 @@ impl SelectObs {
     }
 }
 
-/// One arm of a differential pair: an exec configuration plus an optional
-/// worker-pool width for `execute_select_with_pool`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArmCfg {
-    /// Execution tunables for this arm.
-    pub exec: ExecConfig,
-    /// Worker-pool width (`None` ⇒ no pool, engine-internal threading only).
-    pub width: Option<usize>,
-    /// Per-query governance knobs. Default (ungoverned) for oracles 1–4;
-    /// the governed-replay oracle sets the case's knobs here.
-    pub governor: eva_common::GovernorConfig,
-}
-
 /// Everything an oracle needs from one full-session replay.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -99,12 +86,12 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt, String> {
     }
 }
 
-/// A fresh EVA-strategy session for one arm: case dataset loaded, env-armed
-/// failpoints cleared, sabotage flags applied.
-pub fn fresh_db(case: &FuzzCase, arm: &ArmCfg) -> Result<EvaDb, String> {
+/// A fresh EVA-strategy session under `governor` (the default is
+/// ungoverned; only the governed-replay oracle sets the case's knobs): case
+/// dataset loaded, env-armed failpoints cleared, sabotage flags applied.
+pub fn fresh_db(case: &FuzzCase, governor: GovernorConfig) -> Result<EvaDb, String> {
     let mut cfg = SessionConfig::for_strategy(ReuseStrategy::Eva);
-    cfg.exec = arm.exec;
-    cfg.governor = arm.governor;
+    cfg.governor = governor;
     let mut db = EvaDb::new(cfg).map_err(|e| format!("session construction: {e}"))?;
     db.load_video(test_dataset(case.dataset_seed, case.n_frames), "video")
         .map_err(|e| format!("dataset load: {e}"))?;
@@ -115,24 +102,19 @@ pub fn fresh_db(case: &FuzzCase, arm: &ArmCfg) -> Result<EvaDb, String> {
     Ok(db)
 }
 
-/// Execute one SELECT on an open session, with this arm's pool.
-pub fn exec_select(
-    db: &mut EvaDb,
-    sql: &str,
-    pool: Option<&WorkerPool>,
-) -> Result<SelectObs, String> {
+/// Execute one SELECT on an open session.
+pub fn exec_select(db: &mut EvaDb, sql: &str) -> Result<SelectObs, String> {
     let stmt = parse_select(sql)?;
-    db.execute_select_with_pool(&stmt, pool)
+    db.execute_select(&stmt)
         .map(SelectObs::from_output)
         .map_err(|e| format!("`{sql}`: {e}"))
 }
 
-/// Replay the whole session under one arm. `tag` names the scratch
+/// Replay the whole session, ungoverned. `tag` names the scratch
 /// directory (it must differ between concurrently-live replays only by
 /// what [`TempDir`] already guarantees; the tag is for debuggability).
-pub fn replay(case: &FuzzCase, arm: &ArmCfg, tag: &str) -> Result<ReplayOutcome, String> {
-    let mut db = fresh_db(case, arm)?;
-    let pool = arm.width.map(WorkerPool::new);
+pub fn replay(case: &FuzzCase, tag: &str) -> Result<ReplayOutcome, String> {
+    let mut db = fresh_db(case, GovernorConfig::default())?;
     let scratch = TempDir::new(tag);
     let mut outcome = ReplayOutcome {
         selects: Vec::new(),
@@ -144,8 +126,7 @@ pub fn replay(case: &FuzzCase, arm: &ArmCfg, tag: &str) -> Result<ReplayOutcome,
     for (i, stmt) in case.stmts.iter().enumerate() {
         match stmt {
             FuzzStmt::Select(sql) => {
-                let obs = exec_select(&mut db, sql, pool.as_ref())
-                    .map_err(|e| format!("stmt {i}: {e}"))?;
+                let obs = exec_select(&mut db, sql).map_err(|e| format!("stmt {i}: {e}"))?;
                 outcome.selects.push(obs);
             }
             FuzzStmt::ResetViews => db.reset_reuse_state(),
@@ -179,11 +160,11 @@ pub fn replay(case: &FuzzCase, arm: &ArmCfg, tag: &str) -> Result<ReplayOutcome,
     Ok(outcome)
 }
 
-/// Run one SELECT alone in a brand-new default-arm session (the "cold"
+/// Run one SELECT alone in a brand-new ungoverned session (the "cold"
 /// side of the warm-vs-cold oracle: no views, no carried-over faults).
 pub fn run_single_select(case: &FuzzCase, sql: &str) -> Result<SelectObs, String> {
-    let mut db = fresh_db(case, &ArmCfg::default())?;
-    exec_select(&mut db, sql, None)
+    let mut db = fresh_db(case, GovernorConfig::default())?;
+    exec_select(&mut db, sql)
 }
 
 #[cfg(test)]
@@ -197,7 +178,7 @@ mod tests {
             dataset_seed: 7,
             n_frames: 16,
             sabotage: None,
-            governor: eva_common::GovernorConfig::default(),
+            governor: GovernorConfig::default(),
             admission_width: None,
             stmts: vec![
                 FuzzStmt::Select("SELECT id FROM video WHERE id < 8 ORDER BY id".to_string()),
@@ -211,7 +192,7 @@ mod tests {
     #[test]
     fn replay_collects_per_select_observations() {
         let case = tiny_case();
-        let out = replay(&case, &ArmCfg::default(), "fuzz_session_test").expect("replay");
+        let out = replay(&case, "fuzz_session_test").expect("replay");
         assert_eq!(out.selects.len(), 2);
         assert_eq!(out.selects[0].rows.len(), 8);
         assert_eq!(out.first_save_index, Some(1));
@@ -221,8 +202,8 @@ mod tests {
     #[test]
     fn replay_is_deterministic_across_runs() {
         let case = generate_case(11);
-        let a = replay(&case, &ArmCfg::default(), "fuzz_session_det_a").expect("replay a");
-        let b = replay(&case, &ArmCfg::default(), "fuzz_session_det_b").expect("replay b");
+        let a = replay(&case, "fuzz_session_det_a").expect("replay a");
+        let b = replay(&case, "fuzz_session_det_b").expect("replay b");
         assert_eq!(a.selects.len(), b.selects.len());
         for (x, y) in a.selects.iter().zip(&b.selects) {
             assert_eq!(x.rows, y.rows);

@@ -16,7 +16,6 @@ pub mod bind;
 pub mod commits;
 pub mod cost;
 pub mod optimizer;
-pub mod parallel;
 pub mod plan;
 pub mod reorder;
 pub mod rules;
@@ -26,6 +25,5 @@ pub use bind::Binder;
 pub use commits::{CommitLog, PendingCommit};
 pub use cost::PredicateProfile;
 pub use optimizer::{Optimizer, PlannerConfig, ReuseStrategy};
-pub use parallel::{parallel_segment, ParallelBreaker, ParallelSegment, ParallelStage};
 pub use plan::{ApplyReuse, ApplySpec, LogicalPlan, PhysPlan, Segment};
 pub use reorder::RankingKind;

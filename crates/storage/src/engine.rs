@@ -185,29 +185,13 @@ impl StorageEngine {
     /// Scan a contiguous frame-id range `[from, to)` of a dataset (clamped
     /// to its length) as three contiguous all-valid `i64` arrays — `(id,
     /// timestamp, frame)` — charging frame-read IO and the `frames_scanned`
-    /// counter.
+    /// counter. An empty range charges nothing.
     pub fn scan_frames_columnar(
         &self,
         dataset: &str,
         from: u64,
         to: u64,
         clock: &SimClock,
-    ) -> Result<ColumnarBatch> {
-        let cb = self.scan_frames_columnar_uncharged(dataset, from, to)?;
-        self.charge_frame_scan(cb.len() as u64, clock);
-        Ok(cb)
-    }
-
-    /// The pure compute half of [`StorageEngine::scan_frames_columnar`]:
-    /// builds the columnar batch without touching the clock or the metrics
-    /// sink. Worker threads scan morsels through this; the **caller** replays
-    /// the cost via [`StorageEngine::charge_frame_scan`], keeping every
-    /// charge on the caller thread (module-level charging rule).
-    pub fn scan_frames_columnar_uncharged(
-        &self,
-        dataset: &str,
-        from: u64,
-        to: u64,
     ) -> Result<ColumnarBatch> {
         let ds = self.dataset(dataset)?;
         let to = to.min(ds.len());
@@ -224,6 +208,10 @@ impl StorageEngine {
             timestamps.push(f.timestamp_ms);
             frames.push(id as i64); // frame payload carried by reference
         }
+        if n > 0 {
+            clock.charge_n(CostCategory::ReadVideo, n as u64, self.cost.frame_read_ns);
+            self.shared.metrics.add(Counter::frames_scanned, n as u64);
+        }
         Ok(ColumnarBatch::new(
             schema,
             vec![
@@ -233,49 +221,6 @@ impl StorageEngine {
             ],
             n,
         ))
-    }
-
-    /// Replay the IO cost of `frames` scanned frames: charges `ReadVideo`
-    /// and the `frames_scanned` counter exactly as the charged scan paths
-    /// do. No-op at zero so empty ranges stay free in both forms.
-    pub fn charge_frame_scan(&self, frames: u64, clock: &SimClock) {
-        if frames > 0 {
-            clock.charge_n(CostCategory::ReadVideo, frames, self.cost.frame_read_ns);
-            self.shared.metrics.add(Counter::frames_scanned, frames);
-        }
-    }
-
-    /// Partition the frame-id range `[from, to)` of a dataset into
-    /// fixed-size morsels of at most `morsel_rows` frames each, clamped to
-    /// the dataset length. Purely arithmetic and deterministic: the morsel
-    /// list depends only on the range and the configured morsel size, never
-    /// on worker scheduling — which is why `morsels_dispatched` can stay a
-    /// deterministic counter. Each morsel scans independently via
-    /// [`StorageEngine::scan_frames_columnar_uncharged`].
-    ///
-    /// Checks the query's cancellation token before partitioning, so a
-    /// query cancelled before dispatch never fans out at all.
-    pub fn scan_morsels(
-        &self,
-        dataset: &str,
-        from: u64,
-        to: u64,
-        morsel_rows: u64,
-        governor: &eva_common::QueryGovernor,
-    ) -> Result<Vec<(u64, u64)>> {
-        governor.check_token()?;
-        debug_assert!(morsel_rows > 0, "morsel_rows must be positive");
-        let ds = self.dataset(dataset)?;
-        let to = to.min(ds.len());
-        let step = morsel_rows.max(1);
-        let mut morsels = Vec::new();
-        let mut lo = from;
-        while lo < to {
-            let hi = (lo + step).min(to);
-            morsels.push((lo, hi));
-            lo = hi;
-        }
-        Ok(morsels)
     }
 
     /// Create a new, empty materialized view.

@@ -24,8 +24,8 @@
 //! Everything is denominated in **simulated** milliseconds and driven by the
 //! seeded failpoint schedule, so breaker transitions are a pure function of
 //! the workload: the same session replays to the same open/half-open counter
-//! values on every run and at every worker-pool width (the breaker is only
-//! consulted from the caller thread, like every other accounting structure).
+//! values on every run (the breaker is only consulted from the thread that
+//! runs the query, like every other accounting structure).
 //! Interior mutability is atomic so the breaker can be owned by `EvaDb` and
 //! shared across queries, but the charging discipline keeps all transitions
 //! on the caller thread.

@@ -144,17 +144,16 @@ fn timestamps_follow_fps() {
 }
 
 /// An ungrouped aggregate answers with exactly one row even when its window
-/// holds no frame or its filter keeps none — serial and morsel-parallel
-/// (whose every morsel filters empty), under each reuse strategy — and a budget trip on a non-empty window still degrades to the
-/// ungoverned answer. A grouped aggregate over nothing has no group.
+/// holds no frame or its filter keeps none — in one batch and in batches of
+/// eight (every one of which filters empty), under each reuse strategy — and
+/// a budget trip on a non-empty window still degrades to the ungoverned
+/// answer. A grouped aggregate over nothing has no group.
 #[test]
 fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
-    let serial = ExecConfig::default();
-    let parallel = ExecConfig {
+    let one_batch = ExecConfig::default();
+    let small_batches = ExecConfig {
         batch_size: 8,
-        morsel_rows: 8,
-        parallel_scan_min_rows: 1,
-        ..serial
+        ..one_batch
     };
     let nothing = [Value::Int(0), Value::Null, Value::Null];
     for strategy in [
@@ -163,7 +162,7 @@ fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
         ReuseStrategy::HashStash,
         ReuseStrategy::FunCache,
     ] {
-        for exec in [serial, parallel] {
+        for exec in [one_batch, small_batches] {
             let mut cfg = SessionConfig::for_strategy(strategy);
             cfg.exec = exec;
             let mut db = EvaDb::new(cfg).unwrap();
@@ -173,8 +172,6 @@ fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
                 let sql = format!("SELECT COUNT(*), MIN(id), MAX(id) FROM video WHERE {window}");
                 let out = db.execute_sql(&sql).unwrap().rows().unwrap();
                 assert_eq!(out.batch.rows(), [nothing.to_vec()], "{what}");
-                let parallel_ran = out.metrics.parallel_pipelines == 1;
-                assert_eq!(parallel_ran, exec == parallel && window == "timestamp < 0");
                 let sql = format!(
                     "SELECT timestamp, COUNT(*) FROM video WHERE {window} GROUP BY timestamp"
                 );
@@ -187,17 +184,13 @@ fn ungrouped_aggregate_over_an_empty_window_returns_one_row() {
                 whole.batch.rows(),
                 [vec![Value::Int(37), Value::Int(3), Value::Int(39)]]
             );
-            // The serial operator is the one that degrades; the parallel
-            // breaker keeps no budgeted state.
-            if exec != parallel {
-                db.set_governor(GovernorConfig {
-                    budget_bytes: Some(32),
-                    ..GovernorConfig::default()
-                });
-                let degraded = db.execute_sql(sql).unwrap().rows().unwrap();
-                assert_eq!(degraded.metrics.degraded_queries, 1);
-                assert_eq!(degraded.batch.rows(), whole.batch.rows());
-            }
+            db.set_governor(GovernorConfig {
+                budget_bytes: Some(32),
+                ..GovernorConfig::default()
+            });
+            let degraded = db.execute_sql(sql).unwrap().rows().unwrap();
+            assert_eq!(degraded.metrics.degraded_queries, 1);
+            assert_eq!(degraded.batch.rows(), whole.batch.rows());
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every `tests/corpus/*.json` file is a self-contained [`FuzzCase`] —
 //! dataset parameters plus an EVA-QL session — that is replayed through all
-//! four oracles (warm-vs-cold, parallel-vs-serial, crash-recovery,
-//! governed-replay) on every `cargo test`. Entries are
+//! three oracles (warm-vs-cold, crash-recovery, governed-replay) on every
+//! `cargo test`. Entries are
 //! either shrunk repros of fixed bugs or hand-written pins of
 //! known-tricky interleavings; all of them must stay green.
 //!

@@ -2,18 +2,17 @@
 //!
 //! Four contracts, end to end through `EvaDb`:
 //!
-//! * **Cancellation sweep** — with `cancel_at_morsel = k`, a parallel
-//!   pipeline is cancelled between morsel `k-1` and `k` at every ordinal
-//!   and every worker-pool width. The cancelled run's deterministic
-//!   counters are width-invariant (the completed prefix is replayed on the
-//!   caller thread), the pool and session stay reusable (no poisoned
-//!   locks), and a governance-lifted re-run is bit-identical to a run that
-//!   was never cancelled.
+//! * **Cancellation sweep** — a simulated deadline set to trip after batch
+//!   `k` cancels the query there, for every batch boundary `k`, with
+//!   `Cancelled { Deadline }`. The cancelled run's counters cover exactly
+//!   the first `k` batches, the session stays usable, and a re-run with the
+//!   deadline lifted is bit-identical to a run that was never cancelled.
 //! * **Deadline / budget** — tripping unwinds with a structured
 //!   `Cancelled { Deadline | Budget }`, never a panic, and claims no view
 //!   coverage.
 //! * **Degradation** — an aggregation over budget completes exactly in the
-//!   streaming fallback and skips view materialization for that query.
+//!   streaming fallback, at any scan size, and skips view materialization
+//!   for that query.
 //! * **Breaker** — `K` consecutive `udf_transient` retry exhaustions open
 //!   the circuit; open fails fast without burning retries; the SimClock
 //!   cooldown half-opens it; a successful probe closes it. All transitions
@@ -22,19 +21,22 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
 
-use eva_common::clock::{ns_from_ms, CostCategory};
-use eva_common::{CancelReason, Failpoint, FireRule, GovernorConfig, MetricsSnapshot};
-use eva_core::{EvaDb, SessionConfig, WorkerPool};
+use eva_common::clock::{ms_from_ns, ns_from_ms, CostCategory};
+use eva_common::{CancelReason, Failpoint, FireRule, GovernorConfig};
+use eva_core::{EvaDb, SessionConfig};
 use eva_exec::ExecConfig;
 use eva_harness::test_dataset;
 use eva_parser::{parse, SelectStmt, Statement};
 use eva_planner::ReuseStrategy;
 use eva_udf::{BREAKER_BASE_COOLDOWN_MS, BREAKER_TRIP_THRESHOLD};
 
-/// Morsel size for the sweep: 48 frames / 8 = 6 ordinals.
-const MORSEL: usize = 8;
+/// Frames in the sweep's video.
+const FRAMES: u64 = 48;
 
-/// Non-UDF scan+project query — the columnar parallel-pipeline hot path.
+/// Batch size for the sweep: 48 frames / 8 = 6 batch boundaries.
+const BATCH: usize = 8;
+
+/// Non-UDF scan+project query: every batch charges the same frame reads.
 const SCAN_Q: &str = "SELECT id, timestamp FROM video";
 
 /// Detector query for the deadline, coverage, and breaker scenarios.
@@ -52,110 +54,73 @@ fn parse_select(sql: &str) -> SelectStmt {
     }
 }
 
-/// A session tuned so `SCAN_Q` runs as a parallel pipeline whenever a pool
-/// is supplied: tiny morsels, no minimum-row threshold.
+/// A session over a 48-frame video, run in batches of [`BATCH`] frames.
 fn session(governor: GovernorConfig) -> EvaDb {
     let mut cfg = SessionConfig::for_strategy(ReuseStrategy::Eva);
     cfg.exec = ExecConfig {
-        batch_size: MORSEL,
-        morsel_rows: MORSEL,
-        parallel_scan_min_rows: 1,
+        batch_size: BATCH,
         ..ExecConfig::default()
     };
     cfg.governor = governor;
     let mut db = EvaDb::new(cfg).expect("session construction");
-    db.load_video(test_dataset(777, 48), "video")
+    db.load_video(test_dataset(777, FRAMES), "video")
         .expect("dataset load");
     db.storage().failpoints().disarm_all();
     db
 }
 
-fn cancel_at(k: u64) -> GovernorConfig {
-    GovernorConfig {
-        cancel_at_morsel: Some(k),
-        ..GovernorConfig::default()
-    }
-}
-
 #[test]
-fn cancellation_at_every_morsel_ordinal_is_width_invariant_and_recoverable() {
+fn cancellation_at_every_batch_boundary_is_recoverable() {
     let stmt = parse_select(SCAN_Q);
-    let pool1 = WorkerPool::new(1);
-    let mut probe = session(GovernorConfig::default());
-    let base = probe
-        .execute_select_with_pool(&stmt, Some(&pool1))
-        .expect("ungoverned baseline");
-    let n_morsels = base.metrics.morsels_dispatched;
-    assert!(n_morsels >= 4, "need a real sweep, got {n_morsels} morsels");
+    let mut base_db = session(GovernorConfig::default());
+    let expect = base_db.execute_select(&stmt).expect("never-cancelled run");
+    let n_batches = FRAMES / BATCH as u64;
+    assert_eq!(expect.metrics.frames_scanned, FRAMES);
+    // Every batch charges the same; a deadline half a batch past the
+    // charge of `k` batches trips at the check after batch `k`.
+    let total_ns = expect.breakdown.total_ns();
+    assert_eq!(total_ns % n_batches, 0, "uniform batches");
+    let batch_ms = ms_from_ns(total_ns / n_batches);
+    assert!(batch_ms > 0.0);
 
-    // Deterministic session-counter snapshots of each cancelled run, per
-    // ordinal, collected across widths.
-    let mut per_ordinal: Vec<Vec<MetricsSnapshot>> = vec![Vec::new(); n_morsels as usize + 1];
-    for width in [1usize, 2, 8] {
-        // ONE pool reused for the entire sweep at this width: every
-        // cancelled dispatch must leave it reusable, with no poisoned
-        // locks and no stuck lanes.
-        let pool = WorkerPool::new(width);
-        let mut base_db = session(GovernorConfig::default());
-        let expect = base_db
-            .execute_select_with_pool(&stmt, Some(&pool))
-            .expect("never-cancelled run");
-        assert_eq!(expect.batch.rows(), base.batch.rows(), "width {width}");
+    for k in 1..=n_batches {
+        let mut db = session(GovernorConfig {
+            deadline_ms: Some((k as f64 - 0.5) * batch_ms),
+            ..GovernorConfig::default()
+        });
+        let err = db
+            .execute_select(&stmt)
+            .expect_err("the deadline falls inside the query");
+        assert_eq!(
+            err.cancel_reason(),
+            Some(CancelReason::Deadline),
+            "batch {k}: {err}"
+        );
+        // The cancelled run read exactly its first `k` batches.
+        assert_eq!(
+            db.metrics_snapshot().frames_scanned,
+            k * BATCH as u64,
+            "batch {k}: frames read before the trip"
+        );
 
-        for k in 0..=n_morsels {
-            let mut db = session(cancel_at(k));
-            let result = db.execute_select_with_pool(&stmt, Some(&pool));
-            if k < n_morsels {
-                let err = result.expect_err("gate must refuse an in-range ordinal");
-                assert_eq!(
-                    err.cancel_reason(),
-                    Some(CancelReason::User),
-                    "width {width} ordinal {k}: {err}"
-                );
-            } else {
-                // The gate sits beyond the last morsel: nothing trips.
-                let out = result.expect("gate beyond the last morsel never trips");
-                assert_eq!(out.batch.rows(), expect.batch.rows());
-            }
-            per_ordinal[k as usize].push(db.metrics_snapshot().deterministic());
-
-            // Same session, same pool, governance lifted: bit-identical to
-            // the never-cancelled run — rows, simulated cost, counters.
-            db.set_governor(GovernorConfig::default());
-            let rerun = db
-                .execute_select_with_pool(&stmt, Some(&pool))
-                .expect("re-run after cancellation");
-            assert_eq!(
-                rerun.batch.rows(),
-                expect.batch.rows(),
-                "width {width} ordinal {k}: re-run rows"
-            );
-            // The session clock accumulated the cancelled prefix's charges,
-            // so the re-run's per-query cost delta can differ from the
-            // never-cancelled run by float-summation ulps — but by nothing
-            // more (compare to a microsecond, far below one charge).
-            assert_eq!(
-                format!("{:.6?}", rerun.breakdown),
-                format!("{:.6?}", expect.breakdown),
-                "width {width} ordinal {k}: re-run simulated cost"
-            );
-            assert_eq!(
-                rerun.metrics.deterministic(),
-                expect.metrics.deterministic(),
-                "width {width} ordinal {k}: re-run counters"
-            );
-        }
-    }
-    // The cancelled run's counters cover exactly the completed prefix
-    // `0..k`, so they are a pure function of the ordinal — identical at
-    // width 1, 2 and 8.
-    for (k, snaps) in per_ordinal.iter().enumerate() {
-        for s in &snaps[1..] {
-            assert_eq!(
-                snaps[0], *s,
-                "ordinal {k}: cancelled-run counters must be width-invariant"
-            );
-        }
+        // Same session, deadline lifted: bit-identical to the run that was
+        // never cancelled — rows, simulated cost, counters.
+        db.set_governor(GovernorConfig::default());
+        let rerun = db.execute_select(&stmt).expect("re-run after cancellation");
+        assert_eq!(
+            rerun.batch.rows(),
+            expect.batch.rows(),
+            "batch {k}: re-run rows"
+        );
+        assert_eq!(
+            rerun.breakdown, expect.breakdown,
+            "batch {k}: re-run simulated cost"
+        );
+        assert_eq!(
+            rerun.metrics.deterministic(),
+            expect.metrics.deterministic(),
+            "batch {k}: re-run counters"
+        );
     }
 }
 
@@ -167,7 +132,7 @@ fn deadline_cancellation_is_structured_and_claims_no_coverage() {
         ..GovernorConfig::default()
     });
     let err = db
-        .execute_select_with_pool(&stmt, None)
+        .execute_select(&stmt)
         .expect_err("a 0ms simulated deadline must cancel");
     assert_eq!(err.cancel_reason(), Some(CancelReason::Deadline), "{err}");
     assert!(err.to_string().contains("deadline"), "{err}");
@@ -177,12 +142,10 @@ fn deadline_cancellation_is_structured_and_claims_no_coverage() {
     // like a fresh, never-governed session.
     db.set_governor(GovernorConfig::default());
     let warm = db
-        .execute_select_with_pool(&stmt, None)
+        .execute_select(&stmt)
         .expect("session stays usable after a deadline cancellation");
     let mut fresh = session(GovernorConfig::default());
-    let expect = fresh
-        .execute_select_with_pool(&stmt, None)
-        .expect("fresh baseline");
+    let expect = fresh.execute_select(&stmt).expect("fresh baseline");
     assert_eq!(warm.batch.rows(), expect.batch.rows());
     assert!(!warm.batch.rows().is_empty(), "workload must produce rows");
 }
@@ -202,7 +165,7 @@ fn simulated_deadline_trips_identically_in_fresh_sessions() {
     let run = || {
         let mut db = session(governed());
         let err = db
-            .execute_select_with_pool(&stmt, None)
+            .execute_select(&stmt)
             .expect_err("the deadline falls inside the query");
         (err.to_string(), err.cancel_reason(), db.cost_snapshot())
     };
@@ -221,7 +184,7 @@ fn budget_trip_cancels_wide_results_but_degrades_aggregates_exactly() {
         ..GovernorConfig::default()
     });
     let err = db
-        .execute_select_with_pool(&parse_select(SCAN_Q), None)
+        .execute_select(&parse_select(SCAN_Q))
         .expect_err("a 64-byte budget cannot hold 48 result rows");
     assert_eq!(err.cancel_reason(), Some(CancelReason::Budget), "{err}");
     assert!(err.to_string().contains("memory budget"), "{err}");
@@ -234,7 +197,7 @@ fn budget_trip_cancels_wide_results_but_degrades_aggregates_exactly() {
         ..GovernorConfig::default()
     });
     let out = governed
-        .execute_select_with_pool(&agg, None)
+        .execute_select(&agg)
         .expect("budget trip on aggregation degrades, not fails");
     assert_eq!(out.metrics.degraded_queries, 1, "{:?}", out.metrics);
     assert!(
@@ -243,14 +206,46 @@ fn budget_trip_cancels_wide_results_but_degrades_aggregates_exactly() {
         out.metrics
     );
     let mut fresh = session(GovernorConfig::default());
-    let expect = fresh
-        .execute_select_with_pool(&agg, None)
-        .expect("ungoverned baseline");
+    let expect = fresh.execute_select(&agg).expect("ungoverned baseline");
     assert_eq!(
         out.batch.rows(),
         expect.batch.rows(),
         "degraded aggregation must stay exact"
     );
+}
+
+/// A grouping over budget degrades the same way whatever its scan range:
+/// at default batch size, a 4,096-byte budget on 4,000 and on 5,000
+/// distinct ids both stream into the spill and return every group.
+#[test]
+fn budgeted_group_by_degrades_at_any_scan_size() {
+    let default_session = |governor: GovernorConfig| {
+        let mut cfg = SessionConfig::for_strategy(ReuseStrategy::Eva);
+        cfg.governor = governor;
+        let mut db = EvaDb::new(cfg).expect("session construction");
+        db.load_video(test_dataset(777, 6000), "video")
+            .expect("dataset load");
+        db.storage().failpoints().disarm_all();
+        db
+    };
+    for bound in [4000, 5000] {
+        let stmt = parse_select(&format!(
+            "SELECT id, COUNT(*) FROM video WHERE id < {bound} GROUP BY id"
+        ));
+        let mut governed = default_session(GovernorConfig {
+            budget_bytes: Some(4096),
+            ..GovernorConfig::default()
+        });
+        let out = governed
+            .execute_select(&stmt)
+            .unwrap_or_else(|e| panic!("id < {bound}: a budgeted grouping must degrade: {e}"));
+        assert_eq!(out.metrics.degraded_queries, 1, "id < {bound}");
+        assert_eq!(out.n_rows(), bound as usize, "id < {bound}");
+        let expect = default_session(GovernorConfig::default())
+            .execute_select(&stmt)
+            .expect("ungoverned baseline");
+        assert_eq!(out.batch.rows(), expect.batch.rows(), "id < {bound}");
+    }
 }
 
 /// The stock detector, meeting another thread at `barrier` on its first
@@ -294,7 +289,7 @@ fn external_cancel_flag_unwinds_with_user_reason() {
     // A stale flag from before the query must NOT kill it: the flag is
     // re-armed at query start.
     handle.store(true, std::sync::atomic::Ordering::SeqCst);
-    db.execute_select_with_pool(&parse_select(SCAN_Q), None)
+    db.execute_select(&parse_select(SCAN_Q))
         .expect("stale cancel flag is cleared at query start");
 
     // A flag raised by another thread while the query runs lands as
@@ -317,7 +312,7 @@ fn external_cancel_flag_unwinds_with_user_reason() {
         })
     };
     let err = db
-        .execute_select_with_pool(&parse_select(DETECTOR_Q), None)
+        .execute_select(&parse_select(DETECTOR_Q))
         .expect_err("a flag raised mid-query must cancel it");
     canceller.join().expect("canceller joins");
     assert_eq!(err.cancel_reason(), Some(CancelReason::User), "{err}");
@@ -325,7 +320,7 @@ fn external_cancel_flag_unwinds_with_user_reason() {
     // Session usable afterwards.
     db.cancel_handle()
         .store(false, std::sync::atomic::Ordering::SeqCst);
-    db.execute_select_with_pool(&parse_select(SCAN_Q), None)
+    db.execute_select(&parse_select(SCAN_Q))
         .expect("session stays usable after a user cancellation");
 }
 
@@ -343,7 +338,7 @@ fn udf_breaker_opens_fails_fast_half_opens_and_recloses() {
     // K consecutive retry-budget exhaustions trip the breaker.
     for i in 0..BREAKER_TRIP_THRESHOLD {
         let err = db
-            .execute_select_with_pool(&stmt, None)
+            .execute_select(&stmt)
             .expect_err("persistently failing UDF exhausts its retry budget");
         assert!(
             err.to_string().contains("retry budget"),
@@ -360,7 +355,7 @@ fn udf_breaker_opens_fails_fast_half_opens_and_recloses() {
     // Open: the next evaluation fails fast without burning retries.
     let retries_before = db.metrics_snapshot().udf_retries;
     let err = db
-        .execute_select_with_pool(&stmt, None)
+        .execute_select(&stmt)
         .expect_err("open breaker fails fast");
     assert!(err.to_string().contains("circuit breaker is open"), "{err}");
     assert_eq!(
@@ -377,7 +372,7 @@ fn udf_breaker_opens_fails_fast_half_opens_and_recloses() {
         ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
     );
     let out = db
-        .execute_select_with_pool(&stmt, None)
+        .execute_select(&stmt)
         .expect("half-open probe must be allowed through");
     assert!(!out.batch.rows().is_empty(), "probe answers the query");
     assert_eq!(db.breaker().state_label(), "closed");

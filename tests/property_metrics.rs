@@ -8,13 +8,19 @@
 //!   every requested invocation is either run or served from reuse.
 //! * `fuzzy_hits <= probe_hits` — fuzzy hits are a subset of hits.
 //! * Under `ReuseStrategy::NoReuse`, nothing is ever avoided.
+//! * `plus` and `since` add and subtract every counter, and queries from
+//!   several threads on one engine sum exactly.
 
 use eva_common::metrics::{Counter, CounterClass};
 use eva_common::rng::SmallRng;
 use eva_common::testutil::{for_cases, vec_of};
-use eva_common::MetricsSnapshot;
+use eva_common::{MetricsSnapshot, SimClock};
+use eva_exec::{execute, ExecConfig, FunCacheTable, QueryOutput};
 use eva_harness::test_session;
+use eva_parser::{parse, Statement};
 use eva_planner::ReuseStrategy;
+use eva_storage::StorageEngine;
+use eva_udf::{InvocationStats, UdfRegistry};
 
 const N: u64 = 90;
 
@@ -119,28 +125,89 @@ fn snapshot_algebra_is_consistent() {
             }
         };
         let (x, y) = (fill(), fill());
-        // plus/since are inverses…
-        assert_eq!(x.plus(&y).since(&y), x);
-        // …and plus preserves the structural invariants.
+        // plus adds and since subtracts, counter by counter, for every
+        // counter of the table — so they are inverses…
         let sum = x.plus(&y);
+        for &c in Counter::ALL {
+            assert_eq!(sum.get(c), x.get(c) + y.get(c), "{c:?}");
+            assert_eq!(sum.since(&x).get(c), y.get(c), "{c:?}");
+            assert_eq!(sum.since(&y).get(c), x.get(c), "{c:?}");
+        }
+        assert_eq!(sum.since(&y), x);
+        assert_eq!(x.since(&x), MetricsSnapshot::default());
+        // …and plus preserves the structural invariants.
         assert_eq!(sum.probes, sum.probe_hits + sum.probe_misses);
         assert_eq!(
             sum.udf_calls_requested,
             sum.udf_calls_executed + sum.udf_calls_avoided
         );
         assert!(sum.fuzzy_hits <= sum.probe_hits);
-        // deterministic() clears exactly the scheduling-dependent counters
-        // and the gauges; governance outcomes, the morsel count and every
-        // other deterministic counter survive it.
+        // deterministic() clears exactly the scheduling-dependent counters;
+        // governance outcomes and every other deterministic counter survive
+        // it.
         let det = sum.deterministic();
         for &c in Counter::ALL {
             let kept = c.class() == CounterClass::Deterministic;
             assert_eq!(det.get(c), if kept { sum.get(c) } else { 0 }, "{c:?}");
         }
         assert_eq!(det.shard_lock_contention, 0);
-        assert_eq!(det.morsels_stolen, 0);
-        assert_eq!(det.n_workers, 0);
         assert_eq!(det.degraded_queries, sum.degraded_queries);
-        assert_eq!(det.morsels_dispatched, sum.morsels_dispatched);
     });
+}
+
+/// Queries from several threads interleaving on one shared storage engine:
+/// each answers like a query run alone, and the engine's counters, charged
+/// once per query by the thread that runs it, add up exactly.
+#[test]
+fn concurrent_queries_on_one_engine_add_up_exactly() {
+    let db = test_session(ReuseStrategy::NoReuse, 7, 3_000);
+    let sql = "SELECT COUNT(*), SUM(id), MIN(timestamp), MAX(timestamp), AVG(id) \
+               FROM video WHERE id >= 100 AND id < 2900";
+    let Statement::Select(stmt) = parse(sql).unwrap() else {
+        panic!("a SELECT")
+    };
+    let plan = db.plan_select(&stmt).unwrap();
+    let run = |storage: &StorageEngine| {
+        execute(
+            &plan,
+            storage,
+            &UdfRegistry::new(),
+            &InvocationStats::new(),
+            &SimClock::new(),
+            &FunCacheTable::new(),
+            ExecConfig {
+                batch_size: 256,
+                ..ExecConfig::default()
+            },
+        )
+        .expect("query execution")
+    };
+    let reference = run(db.storage());
+    let before = db.storage().metrics().snapshot();
+    let n_queries = 4;
+    let results: Vec<QueryOutput> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n_queries)
+            .map(|_| {
+                let storage = db.storage().clone();
+                let run = &run;
+                s.spawn(move || run(&storage))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for out in &results {
+        assert_eq!(out.batch.rows(), reference.batch.rows());
+        assert_eq!(out.breakdown, reference.breakdown);
+    }
+    let delta = db
+        .storage()
+        .metrics()
+        .snapshot()
+        .since(&before)
+        .deterministic();
+    let want = reference.metrics.deterministic();
+    for &c in Counter::ALL {
+        assert_eq!(delta.get(c), n_queries * want.get(c), "{c:?}");
+    }
+    assert!(delta.frames_scanned > 0);
 }
