@@ -7,13 +7,13 @@
 //! * fuzzy bbox matching on (the §6 future-work extension) — including how
 //!   many extra hits it buys.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_x, medium_dataset, row, session_with_config, write_json_with_metrics, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_core::SessionConfig;
 use eva_planner::RankingKind;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

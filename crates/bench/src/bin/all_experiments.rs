@@ -92,14 +92,6 @@ fn main() {
         };
         match status {
             Ok(s) if s.success() => {}
-            Ok(s) if s.code() == Some(eva_bench::EXIT_CANCELLED) => {
-                eprintln!(
-                    "experiment {name} was cancelled by lifecycle governance \
-                     (exit {}) — raise the deadline/budget or free capacity",
-                    eva_bench::EXIT_CANCELLED
-                );
-                failed.push(name);
-            }
             other => {
                 eprintln!("experiment {name} failed: {other:?}");
                 failed.push(name);

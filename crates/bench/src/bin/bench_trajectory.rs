@@ -14,11 +14,11 @@
 //! (`BENCH_trajectory.prom`) and a Chrome trace of the workload's last
 //! query (`BENCH_trajectory.trace.json`).
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     append_json_record, banner, medium_dataset, session_with, write_chrome_trace, write_prometheus,
     Json, TextTable,
 };
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
 /// Commit id for the record: `EVA_COMMIT` when set (CI passes it), else

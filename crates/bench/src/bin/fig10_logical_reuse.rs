@@ -8,10 +8,10 @@
 //! the reused high-accuracy view detects more objects, inflating dependent
 //! UDF work (§6's chained-function-calls limitation).
 
-use eva_baselines::{min_cost_noreuse_session, min_cost_session};
 use eva_bench::{
-    banner, fmt_f, medium_dataset, row, session_with, write_json_with_metrics, TextTable,
+    banner, fmt_f, medium_dataset, row, session_with_config, write_json_with_metrics, TextTable,
 };
+use eva_core::SessionConfig;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
@@ -21,17 +21,22 @@ fn main() -> eva_common::Result<()> {
     let queries = vbench_high(ds.len(), DetectorKind::Logical, false);
     let workload = Workload::new("vbench-high-logical", queries.clone());
 
+    // Min-Cost resolves each logical UDF to its cheapest eligible model with
+    // Algorithm 2's cross-model view cover off; Min-Cost-NoReuse also
+    // disables reuse.
+    let config = |strategy, logical_set_cover| {
+        let mut cfg = SessionConfig::for_strategy(strategy);
+        cfg.planner.logical_set_cover = logical_set_cover;
+        cfg
+    };
     let mut reports = Vec::new();
     let mut labels = Vec::new();
-    for (label, mut db) in [
-        ("Min-cost-noreuse", min_cost_noreuse_session()?),
-        ("Min-cost", min_cost_session()?),
-        ("EVA", session_with(ReuseStrategy::Eva, &ds)?),
+    for (label, cfg) in [
+        ("Min-cost-noreuse", config(ReuseStrategy::NoReuse, false)),
+        ("Min-cost", config(ReuseStrategy::Eva, false)),
+        ("EVA", config(ReuseStrategy::Eva, true)),
     ] {
-        // The min-cost constructors come without the dataset; load uniformly.
-        if db.catalog().table("video").is_err() {
-            db.load_video(ds.clone(), "video")?;
-        }
+        let mut db = session_with_config(cfg, &ds)?;
         reports.push(run_workload(&mut db, &workload)?);
         labels.push(label);
     }

@@ -5,11 +5,11 @@
 //! Paper shape: EVA still wins but the gaps shrink relative to UA-DETRAC —
 //! sparse video means far fewer CarType/ColorDet invocations to reuse.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_x, jackson_dataset, row, session_with, write_json_with_metrics, TextTable,
 };
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, vbench_low, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

@@ -5,11 +5,11 @@
 //! Paper shape: speedup does not drop with longer video — it rises slightly
 //! with LONG's higher vehicle density.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_f, fmt_x, row, session_with, sized_dataset, write_json_with_metrics, TextTable,
 };
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 use eva_video::UaDetracSize;
 

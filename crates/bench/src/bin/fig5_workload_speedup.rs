@@ -5,11 +5,11 @@
 //! Paper shape: EVA ≈ 4× on HIGH and best on LOW; FunCache *below 1×* on
 //! LOW (hashing overhead); EVA within ~0.9× of the Eq. 7 bound.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_x, medium_dataset, row, session_with, write_json_with_metrics, TextTable,
 };
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{eq7_upper_bound, run_workload, vbench_high, vbench_low, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

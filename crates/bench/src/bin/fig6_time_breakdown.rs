@@ -12,9 +12,9 @@
 //! much faster; reuse overheads are far below UDF savings; reading
 //! dominates among the overheads.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{banner, fmt_f, medium_dataset, session_with, write_json_with_metrics, TextTable};
 use eva_common::CostCategory;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, QueryReport, Workload};
 
 /// A Fig. 6b overhead source: its label and its milliseconds in one query.

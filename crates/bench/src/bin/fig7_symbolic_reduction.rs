@@ -7,11 +7,11 @@
 //! query over query — dramatically for the polyadic predicates of
 //! CarType/ColorDet, mildly for the detector's monadic `id` predicates.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, medium_dataset, row, session_with, symbolic_reduction_history, write_json_with_metrics,
     TextTable,
 };
+use eva_planner::ReuseStrategy;
 use eva_vbench::{vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

@@ -6,11 +6,11 @@
 //! Paper shape: EVA is ≥1.8× faster than HashStash on every permutation;
 //! view coverage rises monotonically toward 100%.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_f, medium_dataset, row, session_with, write_json_with_metrics, TextTable,
 };
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

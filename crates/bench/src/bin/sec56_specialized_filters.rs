@@ -6,11 +6,11 @@
 //! Paper values: EVA 1393 s vs EVA+Filter 1075 s (≈1.3× on top of reuse) —
 //! filtering and reuse are complementary.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_f, jackson_dataset, row, session_with, write_json_with_metrics, TextTable,
 };
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

@@ -4,9 +4,9 @@
 //! Paper values: LOW 2.02 / 24.68 / 24.68; HIGH 5.62 / 66.01 / 66.01.
 //! Expected shape: EVA ≫ HashStash on both workloads; FunCache close to EVA.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{banner, medium_dataset, row, session_with, write_json_with_metrics, TextTable};
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, vbench_low, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

@@ -6,8 +6,8 @@
 //! CarType 6 ms 114,431 / 414,119 GPU; ColorDet 5 ms 111,631 / 219,264 CPU.
 //! Storage footprint ≈ 14.3 MiB vs a 16 GiB video (~0.09%).
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{banner, medium_dataset, row, session_with, write_json_with_metrics, TextTable};
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

@@ -6,12 +6,12 @@
 //! EVA = 5 s UDF + 19 s read-video + 10 s read-view + 2 s materialize —
 //! i.e. EVA replaces ~1000 s of inference with ~15 s of view IO.
 
-use eva_baselines::ReuseStrategy;
 use eva_bench::{
     banner, fmt_f, medium_dataset, row, session_with, write_json_with_metrics, TextTable,
 };
 use eva_common::CostCategory;
 use eva_common::MetricsSnapshot;
+use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
 fn main() -> eva_common::Result<()> {

@@ -27,11 +27,10 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use eva_baselines::ReuseStrategy;
 use eva_common::{EvaError, Result, SimClock};
 use eva_core::{EvaDb, SessionConfig};
 use eva_parser::{parse, Statement};
-use eva_planner::{Binder, CommitLog, Optimizer};
+use eva_planner::{Binder, CommitLog, Optimizer, ReuseStrategy};
 use eva_symbolic::naive::ops as naive_ops;
 use eva_symbolic::{diff, inter, union, Dnf, NaiveDnf};
 use eva_udf::UdfSignature;
@@ -260,27 +259,6 @@ pub fn append_json_record(name: &str, record: Json) {
 /// Print an experiment banner.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Process exit code for a run ended by lifecycle governance (deadline,
-/// budget, shed, user cancel) — `EX_TEMPFAIL`, distinct from the panic/`1`
-/// of a real failure so wrappers can tell "re-run later / raise the limit"
-/// from "the benchmark is broken".
-pub const EXIT_CANCELLED: i32 = 75;
-
-/// Unwrap an experiment step: governance cancellations exit with
-/// [`EXIT_CANCELLED`] and the structured reason; real errors panic.
-pub fn expect_uncancelled<T>(result: Result<T>, what: &str) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => match e.cancel_reason() {
-            Some(reason) => {
-                eprintln!("{what}: cancelled ({reason}): {e}");
-                std::process::exit(EXIT_CANCELLED);
-            }
-            None => panic!("{what}: {e}"),
-        },
-    }
 }
 
 #[cfg(test)]

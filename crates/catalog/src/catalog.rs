@@ -113,18 +113,6 @@ impl Catalog {
             .ok_or_else(|| EvaError::Catalog(format!("unknown UDF '{name}'")))
     }
 
-    /// Record a profiled per-tuple cost for a UDF.
-    pub fn set_udf_cost(&self, name: &str, cost_ms: f64) -> Result<()> {
-        let mut inner = self.inner.write();
-        match inner.udfs.get_mut(&name.to_ascii_lowercase()) {
-            Some(def) => {
-                def.cost_ms = Some(cost_ms);
-                Ok(())
-            }
-            None => Err(EvaError::Catalog(format!("unknown UDF '{name}'"))),
-        }
-    }
-
     /// Physical UDFs implementing `logical_type` with accuracy ≥ `required`,
     /// sorted by ascending cost (unprofiled last). This is the `PhysicalUDFs`
     /// lookup of Algorithm 2 (§4.3).
@@ -145,14 +133,6 @@ impl Catalog {
             ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
         });
         out
-    }
-
-    /// *All* physical UDFs of a logical type regardless of accuracy — the
-    /// candidate views Algorithm 2 may read from (a higher-accuracy view can
-    /// serve a lower-accuracy request, and reading any view can beat
-    /// recomputing).
-    pub fn physical_udfs_any_accuracy(&self, logical_type: &str) -> Vec<UdfDef> {
-        self.physical_udfs(logical_type, AccuracyLevel::Low)
     }
 }
 
@@ -274,15 +254,5 @@ mod tests {
 
         let med = c.physical_udfs("objectdetector", AccuracyLevel::Medium);
         assert_eq!(med.len(), 2);
-    }
-
-    #[test]
-    fn profiling_updates_cost() {
-        let c = Catalog::new();
-        c.create_udf(udf("f", None, AccuracyLevel::Low, None), false)
-            .unwrap();
-        c.set_udf_cost("F", 42.0).unwrap();
-        assert_eq!(c.udf("f").unwrap().cost_ms, Some(42.0));
-        assert!(c.set_udf_cost("missing", 1.0).is_err());
     }
 }

@@ -209,7 +209,7 @@ fn optional<T>(
 mod tests {
     use super::*;
     use crate::gen::{generate_case, sabotage_case};
-    use eva_harness::TempDir;
+    use eva_common::testutil::TempDir;
 
     #[test]
     fn corpus_files_round_trip() {

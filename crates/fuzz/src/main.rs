@@ -156,7 +156,7 @@ fn run_sabotage(args: &Args) -> ExitCode {
     let dir = args
         .corpus_dir
         .clone()
-        .unwrap_or_else(|| eva_harness::unique_temp_dir("fuzz_sabotage_repro"));
+        .unwrap_or_else(|| eva_common::testutil::unique_temp_dir("fuzz_sabotage_repro"));
     let shrunk = shrink_case(&case, failure.kind, SHRINK_BUDGET);
     println!(
         "shrunk to {} statement(s) in {} oracle evaluation(s)",

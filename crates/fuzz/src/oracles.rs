@@ -23,9 +23,9 @@
 use std::fmt;
 use std::path::Path;
 
+use eva_common::testutil::TempDir;
 use eva_common::GovernorConfig;
 use eva_core::{AdmissionConfig, AdmissionController, EvaDb};
-use eva_harness::TempDir;
 
 use crate::gen::{FuzzCase, FuzzStmt};
 use crate::session::{exec_select, fresh_db, parse_select, replay, run_single_select, SelectObs};

@@ -23,12 +23,13 @@
 
 use std::collections::BTreeMap;
 
+use eva_common::testutil::TempDir;
 use eva_common::{CostBreakdown, GovernorConfig, MetricsSnapshot, OpId, OpStats, Row};
 use eva_core::{EvaDb, SessionConfig};
 use eva_exec::QueryOutput;
-use eva_harness::{test_dataset, TempDir};
 use eva_parser::{parse, SelectStmt, Statement};
 use eva_planner::ReuseStrategy;
+use eva_video::generator::test_dataset;
 
 use crate::gen::{FuzzCase, FuzzStmt, Sabotage};
 

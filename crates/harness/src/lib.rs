@@ -2,31 +2,13 @@
 //!
 //! Hosts the repository-root `examples/` and `tests/` (Cargo targets must
 //! belong to a package; this crate points its example and test paths at the
-//! repository root). It also provides small fixtures shared by the
-//! integration tests.
+//! repository root). It also provides the session fixture the integration
+//! tests share; their dataset is [`eva_video::generator::test_dataset`] and
+//! their temp dirs come from `eva_common::testutil`.
 
 use eva_core::{EvaDb, SessionConfig};
 use eva_planner::ReuseStrategy;
-use eva_video::generator::generate;
-use eva_video::{VideoConfig, VideoDataset};
-
-// The blessed per-test unique temp-dir helpers (implemented in eva-common so
-// in-crate unit tests can use them too; integration tests import from here).
-pub use eva_common::testutil::{unique_temp_dir, TempDir};
-
-/// A small deterministic dataset sized for fast integration tests.
-pub fn test_dataset(seed: u64, n_frames: u64) -> VideoDataset {
-    generate(VideoConfig {
-        name: format!("itest_{seed}_{n_frames}"),
-        n_frames,
-        width: 192,
-        height: 108,
-        fps: 25.0,
-        target_density: 6.0,
-        person_fraction: 0.05,
-        seed,
-    })
-}
+use eva_video::generator::test_dataset;
 
 /// A session with the given strategy and a test dataset loaded as `video`.
 pub fn test_session(strategy: ReuseStrategy, seed: u64, n_frames: u64) -> EvaDb {

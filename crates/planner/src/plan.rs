@@ -230,17 +230,6 @@ pub struct ApplySpec {
     pub output: Arc<Schema>,
 }
 
-impl ApplySpec {
-    /// The UDF actually evaluated on misses (fallback), if any.
-    pub fn fallback_udf(&self) -> Option<&UdfDef> {
-        match &self.reuse {
-            ApplyReuse::None { udf } => Some(udf),
-            ApplyReuse::FunCache { udf } => Some(udf),
-            ApplyReuse::Views { segments, .. } => segments.iter().find(|s| s.eval).map(|s| &s.udf),
-        }
-    }
-}
-
 /// A physical plan.
 ///
 /// Every node carries an [`OpId`] assigned in pre-order by

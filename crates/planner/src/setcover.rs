@@ -117,44 +117,6 @@ fn cost_of(udf: &UdfDef) -> f64 {
     udf.cost_ms.unwrap_or(f64::INFINITY)
 }
 
-// ---------------------------------------------------------------------------
-// Generic greedy weighted set cover (the textbook form behind Theorem 4.2),
-// kept for direct testing of the approximation behaviour.
-// ---------------------------------------------------------------------------
-
-/// Greedy weighted set cover over an explicit universe: returns the indices
-/// of chosen sets. Elements that no set contains are simply never covered.
-pub fn greedy_weighted_set_cover(universe: usize, sets: &[(f64, BTreeSet<usize>)]) -> Vec<usize> {
-    let mut uncovered: BTreeSet<usize> = (0..universe).collect();
-    let mut chosen = Vec::new();
-    let mut available: Vec<usize> = (0..sets.len()).collect();
-    while !uncovered.is_empty() {
-        let mut best: Option<(usize, f64)> = None;
-        for &i in &available {
-            let (w, s) = &sets[i];
-            let gain = s.intersection(&uncovered).count();
-            if gain == 0 {
-                continue;
-            }
-            let ratio = w / gain as f64;
-            if best.map(|(_, br)| ratio < br).unwrap_or(true) {
-                best = Some((i, ratio));
-            }
-        }
-        match best {
-            Some((i, _)) => {
-                for e in &sets[i].1 {
-                    uncovered.remove(e);
-                }
-                available.retain(|&j| j != i);
-                chosen.push(i);
-            }
-            None => break, // nothing can cover the rest
-        }
-    }
-    chosen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,41 +234,5 @@ mod tests {
         assert_eq!(views.len(), 2);
         assert!(views.contains(&"rcnn50") && views.contains(&"rcnn101"));
         assert!(matches!(choices.last(), Some(Choice::Evaluate { udf }) if udf.name == "yolo"));
-    }
-
-    #[test]
-    fn greedy_cover_matches_brute_force_on_small_instances() {
-        // Greedy is a ln(n)-approximation; on these instances it is optimal.
-        let sets: Vec<(f64, BTreeSet<usize>)> = vec![
-            (1.0, [0, 1].into_iter().collect()),
-            (1.0, [2, 3].into_iter().collect()),
-            (2.5, [0, 1, 2, 3].into_iter().collect()),
-        ];
-        let chosen = greedy_weighted_set_cover(4, &sets);
-        let weight: f64 = chosen.iter().map(|&i| sets[i].0).sum();
-        assert!((weight - 2.0).abs() < 1e-9, "chosen {chosen:?}");
-    }
-
-    #[test]
-    fn greedy_known_suboptimal_case_still_covers() {
-        // Classic greedy trap: a large cheap set vs two medium ones.
-        let sets: Vec<(f64, BTreeSet<usize>)> = vec![
-            (1.0, [0, 1, 2].into_iter().collect()),
-            (1.0, [3, 4, 5].into_iter().collect()),
-            (1.1, [0, 1, 2, 3].into_iter().collect()),
-        ];
-        let chosen = greedy_weighted_set_cover(6, &sets);
-        let covered: BTreeSet<usize> = chosen
-            .iter()
-            .flat_map(|&i| sets[i].1.iter().cloned())
-            .collect();
-        assert_eq!(covered.len(), 6, "must cover the universe");
-    }
-
-    #[test]
-    fn uncoverable_elements_terminate() {
-        let sets: Vec<(f64, BTreeSet<usize>)> = vec![(1.0, [0].into_iter().collect())];
-        let chosen = greedy_weighted_set_cover(3, &sets);
-        assert_eq!(chosen, vec![0]);
     }
 }

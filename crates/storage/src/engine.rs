@@ -129,14 +129,6 @@ impl StorageEngine {
         StorageEngine::default()
     }
 
-    /// New engine with a custom IO cost model.
-    pub fn with_cost_model(cost: IoCostModel) -> StorageEngine {
-        StorageEngine {
-            shared: Arc::default(),
-            cost,
-        }
-    }
-
     /// The IO cost model in effect.
     pub fn cost_model(&self) -> &IoCostModel {
         &self.cost
@@ -366,12 +358,6 @@ impl StorageEngine {
             .metrics
             .add(Counter::rows_served_zero_copy, matched as u64);
         Ok(hits)
-    }
-
-    /// Does the view contain the key? (No IO charge — membership is answered
-    /// by the in-memory hash/index.)
-    pub fn view_contains(&self, id: ViewId, key: &ViewKey) -> Result<bool> {
-        Ok(self.shared.view(id)?.read().contains(key))
     }
 
     /// Total approximate bytes across all views (the storage-footprint

@@ -264,12 +264,6 @@ impl MaterializedView {
         u64::from(self.total_rows)
     }
 
-    /// Is the key materialized? (Zero output rows still counts: the UDF ran
-    /// and produced nothing.)
-    pub fn contains(&self, key: &ViewKey) -> bool {
-        self.index.contains_key(key)
-    }
-
     /// Record one evaluated chunk: `entries` names, in chunk order, each
     /// input key and how many consecutive rows of `chunk` the UDF produced
     /// for it. A key that is already materialized — by an earlier append or
@@ -465,11 +459,9 @@ mod tests {
         let mut v = demo_view(ViewKeyKind::Frame);
         let key = ViewKey::frame(FrameId(3));
         append_rows(&mut v, &[(key, vec![car(0.9)])]).unwrap();
-        assert!(v.contains(&key));
         assert_eq!(rows_at(&v, key), Some(vec![car(0.9)]));
         assert_eq!(v.n_keys(), 1);
         assert_eq!(v.n_rows(), 1);
-        assert!(!v.contains(&ViewKey::frame(FrameId(4))));
         assert_eq!(rows_at(&v, ViewKey::frame(FrameId(4))), None);
     }
 
@@ -503,7 +495,6 @@ mod tests {
         let mut v = demo_view(ViewKeyKind::Frame);
         let key = ViewKey::frame(FrameId(9));
         append_rows(&mut v, &[(key, vec![])]).unwrap();
-        assert!(v.contains(&key));
         assert_eq!(rows_at(&v, key), Some(vec![]));
         assert_eq!(v.n_rows(), 0);
     }
@@ -528,7 +519,7 @@ mod tests {
         let bad = ViewKey::frame_box(FrameId(0), &BBox::new(0.0, 0.0, 0.1, 0.1));
         // A wrong-kind key anywhere in the chunk stores nothing.
         assert!(append_rows(&mut v, &[(good, vec![car(0.9)]), (bad, vec![])]).is_err());
-        assert!(!v.contains(&good));
+        assert_eq!(rows_at(&v, good), None);
         // Entries that name more rows than the columns hold.
         let chunk = Column::from_rows(2, 1, [car(0.9).as_slice()]);
         assert!(v.append(&[(good, 2)], &chunk).is_err());
@@ -543,9 +534,12 @@ mod tests {
         let b1 = BBox::new(0.0, 0.0, 0.1, 0.1);
         let b2 = BBox::new(0.5, 0.5, 0.9, 0.9);
         append_rows(&mut v, &[(ViewKey::frame_box(FrameId(0), &b1), vec![])]).unwrap();
-        assert!(v.contains(&ViewKey::frame_box(FrameId(0), &b1)));
-        assert!(!v.contains(&ViewKey::frame_box(FrameId(0), &b2)));
-        assert!(!v.contains(&ViewKey::frame_box(FrameId(1), &b1)));
+        assert_eq!(
+            rows_at(&v, ViewKey::frame_box(FrameId(0), &b1)),
+            Some(vec![])
+        );
+        assert_eq!(rows_at(&v, ViewKey::frame_box(FrameId(0), &b2)), None);
+        assert_eq!(rows_at(&v, ViewKey::frame_box(FrameId(1), &b1)), None);
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl UdfRegistry {
             .cloned()
             .ok_or_else(|| EvaError::Exec(format!("unknown UDF implementation '{impl_id}'")))
     }
-
-    /// All registered implementation ids.
-    pub fn impl_ids(&self) -> Vec<String> {
-        self.impls.read().keys().cloned().collect()
-    }
 }
 
 fn frame_input() -> Schema {

@@ -145,9 +145,9 @@ impl WorkloadReport {
 mod tests {
     use super::*;
     use crate::queries::{vbench_high, DetectorKind};
-    use eva_baselines::ReuseStrategy;
     use eva_common::CostCategory;
     use eva_core::SessionConfig;
+    use eva_planner::ReuseStrategy;
     use eva_video::generator::generate;
     use eva_video::VideoConfig;
 

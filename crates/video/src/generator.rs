@@ -83,6 +83,22 @@ pub fn jackson(seed: u64) -> VideoDataset {
     })
 }
 
+/// A small deterministic dataset sized for fast tests (192×108, ~6 objects
+/// per frame). The integration tests and the fuzzer's sessions load it, so
+/// its configuration, name included, pins their fixture data.
+pub fn test_dataset(seed: u64, n_frames: u64) -> VideoDataset {
+    generate(VideoConfig {
+        name: format!("itest_{seed}_{n_frames}"),
+        n_frames,
+        width: 192,
+        height: 108,
+        fps: 25.0,
+        target_density: 6.0,
+        person_fraction: 0.05,
+        seed,
+    })
+}
+
 /// A live track during generation.
 struct Track {
     obj: TrackedObject,

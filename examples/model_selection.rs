@@ -3,7 +3,7 @@
 //! logical vision task.
 //!
 //! ```sh
-//! cargo run --release -p eva-harness --example model_selection
+//! cargo run --release --example model_selection
 //! ```
 
 use eva_core::EvaDb;

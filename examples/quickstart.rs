@@ -2,7 +2,7 @@
 //! watch EVA's materialized-view reuse kick in.
 //!
 //! ```sh
-//! cargo run --release -p eva-harness --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use eva_core::EvaDb;

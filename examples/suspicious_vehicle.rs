@@ -3,7 +3,7 @@
 //! each step's expensive UDF results in the next.
 //!
 //! ```sh
-//! cargo run --release -p eva-harness --example suspicious_vehicle
+//! cargo run --release --example suspicious_vehicle
 //! ```
 
 use eva_common::CostCategory;

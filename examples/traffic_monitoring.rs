@@ -3,7 +3,7 @@
 //! high-accuracy detections a tracking application materialized earlier.
 //!
 //! ```sh
-//! cargo run --release -p eva-harness --example traffic_monitoring
+//! cargo run --release --example traffic_monitoring
 //! ```
 
 use eva_core::EvaDb;

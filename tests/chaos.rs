@@ -29,7 +29,7 @@ const QUERIES: [&str; 2] = [
 const N_WRITES: u64 = 4;
 
 fn unique_dir(tag: &str) -> std::path::PathBuf {
-    eva_harness::unique_temp_dir(&format!("chaos_{tag}"))
+    eva_common::testutil::unique_temp_dir(&format!("chaos_{tag}"))
 }
 
 /// A session over the standard chaos dataset with every failpoint disarmed

@@ -8,9 +8,10 @@ use eva_common::{
 };
 use eva_core::{EvaDb, SessionConfig, StatementResult};
 use eva_exec::ExecConfig;
-use eva_harness::{test_dataset, test_session};
+use eva_harness::test_session;
 use eva_planner::ReuseStrategy;
 use eva_storage::ViewKeyKind;
+use eva_video::generator::test_dataset;
 
 #[test]
 fn full_lifecycle_with_projection_udf() {

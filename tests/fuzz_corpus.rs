@@ -7,8 +7,8 @@
 //! either shrunk repros of fixed bugs or hand-written pins of
 //! known-tricky interleavings; all of them must stay green.
 //!
-//! This target is hosted by the `eva-fuzz` crate (see its `Cargo.toml`),
-//! the same arrangement `eva-harness` uses for the other root tests.
+//! Like the other repository-root tests, this target is hosted by
+//! `eva-harness` (see its `Cargo.toml`).
 
 use eva_fuzz::{
     check_case, corpus_dir, generate_case, load_corpus_dir, SplitMix64, CORPUS_VERSION,

@@ -25,10 +25,10 @@ use eva_common::clock::{ms_from_ns, ns_from_ms, CostCategory};
 use eva_common::{CancelReason, Failpoint, FireRule, GovernorConfig};
 use eva_core::{EvaDb, SessionConfig};
 use eva_exec::ExecConfig;
-use eva_harness::test_dataset;
 use eva_parser::{parse, SelectStmt, Statement};
 use eva_planner::ReuseStrategy;
 use eva_udf::{BREAKER_BASE_COOLDOWN_MS, BREAKER_TRIP_THRESHOLD};
+use eva_video::generator::test_dataset;
 
 /// Frames in the sweep's video.
 const FRAMES: u64 = 48;

@@ -9,7 +9,7 @@ use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
 use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
-    eva_harness::unique_temp_dir(&format!("persist_{tag}"))
+    eva_common::testutil::unique_temp_dir(&format!("persist_{tag}"))
 }
 
 #[test]
@@ -121,8 +121,11 @@ fn assert_golden_probes(engine: &StorageEngine) {
 }
 
 /// Every file of the saved store `dir` equals the golden's, byte for byte.
+/// The files of `tests/goldens/segments_v2/`.
+const GOLDEN_FILES: [&str; 3] = ["view_1.seg", "view_2.seg", "views.manifest"];
+
 fn assert_same_files(golden: &std::path::Path, dir: &std::path::Path) {
-    for file in ["view_1.seg", "view_2.seg", "views.manifest"] {
+    for file in GOLDEN_FILES {
         let (old, new) = (
             std::fs::read(golden.join(file)),
             std::fs::read(dir.join(file)),
@@ -143,7 +146,14 @@ fn assert_same_files(golden: &std::path::Path, dir: &std::path::Path) {
 fn golden_segments_load_and_re_encode_byte_for_byte() {
     let v2 =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/segments_v2");
-    let engine = load_golden(&v2);
+    // Recovery renames a corrupt segment aside, so it loads a copy: a broken
+    // golden fails this test without changing the checkout.
+    let copy = temp_dir("golden_copy");
+    for file in GOLDEN_FILES {
+        std::fs::copy(v2.join(file), copy.join(file))
+            .unwrap_or_else(|e| panic!("golden {file}: {e}"));
+    }
+    let engine = load_golden(&copy);
     assert_golden_probes(&engine);
 
     let resaved = temp_dir("golden_resaved");
@@ -153,6 +163,7 @@ fn golden_segments_load_and_re_encode_byte_for_byte() {
     assert_golden_probes(&reloaded);
     assert_eq!(reloaded.total_view_bytes(), engine.total_view_bytes());
     let _ = std::fs::remove_dir_all(&resaved);
+    let _ = std::fs::remove_dir_all(&copy);
 }
 
 /// Full session round trip: a new session restoring saved state reuses the

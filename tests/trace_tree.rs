@@ -21,9 +21,9 @@
 //!   below locks only the digit-redacted rendering of that projection.
 //!
 //! Bless mode: `EVA_BLESS=1 cargo test --test trace_tree` re-records the
-//! golden under `tests/goldens/trace_tree/`; a missing golden is recorded
-//! on first run rather than failing, since the redacted tree is only
-//! produced by an actual execution.
+//! golden under `tests/goldens/trace_tree/`. Without it a missing golden
+//! fails, so a golden path that points at the wrong place cannot pass by
+//! recording a fresh file.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -210,20 +210,20 @@ fn trace_tree_structure_matches_golden() {
     }
     let redacted = redact(&rendered);
     let path = golden_dir().join("warm_cold_windows.golden");
-    let bless = std::env::var("EVA_BLESS").is_ok();
-    let expected = fs::read_to_string(&path).ok();
-    match expected {
-        Some(expected) if !bless => {
-            assert_eq!(
-                expected.trim_end(),
-                redacted.trim_end(),
-                "trace tree structure drifted (EVA_BLESS=1 to re-record)"
-            );
-        }
-        _ => {
-            // First run (or explicit bless): record the golden.
-            fs::create_dir_all(golden_dir()).unwrap();
-            fs::write(&path, redacted.trim_end()).unwrap();
-        }
+    if std::env::var("EVA_BLESS").is_ok() {
+        fs::create_dir_all(golden_dir()).unwrap();
+        fs::write(&path, redacted.trim_end()).unwrap();
+        return;
     }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with EVA_BLESS=1 to record",
+            path.display()
+        )
+    });
+    assert_eq!(
+        expected.trim_end(),
+        redacted.trim_end(),
+        "trace tree structure drifted (EVA_BLESS=1 to re-record)"
+    );
 }
