@@ -252,8 +252,8 @@ impl QueryGovernor {
         }
     }
 
-    /// Release previously charged bytes (e.g. aggregation state flushed
-    /// into a merged spill).
+    /// Release previously charged bytes (e.g. an aggregation's group state
+    /// once it degrades and stops charging).
     pub fn release_bytes(&self, n: u64) {
         let _ = self
             .inner

@@ -1,12 +1,11 @@
 //! Hash aggregation (GROUP BY) over typed columns.
 //!
-//! Aggregation is structured around *mergeable partial states*: every input
-//! batch folds into a fresh partial [`Groups`] table which is then merged
-//! into the running total in batch-arrival order. The budget-degraded mode
-//! streams those partials into a spill through the same merge
-//! ([`AggPlan::merge_into`]/[`AggState::merge`]), so its result is
-//! *bit-identical* to the in-memory fold — including float accumulation
-//! order.
+//! One query folds every input batch, in arrival order, into one group
+//! table, so each group's `SUM`/`AVG` accumulates its rows in the order they
+//! arrive — the row fold a one-thread engine naturally computes. The
+//! budget-degraded mode keeps folding into the same table (it only stops
+//! charging the memory accountant), so its result is bit-identical to the
+//! never-degraded one.
 //!
 //! The fold has two shapes:
 //!
@@ -15,12 +14,14 @@
 //!   the selection, or cell by cell for nullable and `Mixed` columns — and
 //!   the aggregate always emits exactly one row, over empty input too.
 //! - **With keys:** [`Groups`] is a flat table. A group is found through its
-//!   key's [`Column::write_value_bytes`] encoding, written into one reused
-//!   scratch buffer and hashed with [`KeyHasher`]; key bytes live in one
-//!   arena, key cells once in a [`ColumnBuilder`] per key column, states in
-//!   one vector of stride `n_aggs`. A fold allocates only when a group is
-//!   new, a merge updates states in place, and [`AggPlan::finish`] sorts
-//!   group *ids* by key bytes and gathers straight into a columnar batch.
+//!   key's [`Column::write_value_bytes`] encoding hashed with [`KeyHasher`]:
+//!   a lone all-valid `Int` key column writes its 9 bytes in a typed loop
+//!   ([`int_keys`]), every other key is written cell by cell into one reused
+//!   scratch buffer. Key bytes live in one arena, key cells once in a
+//!   [`ColumnBuilder`] per key column, states in one vector of stride
+//!   `n_aggs`. A fold allocates only when a group is new, and
+//!   [`AggPlan::finish`] sorts group *ids* by key bytes and gathers straight
+//!   into a columnar batch.
 
 use std::cmp::Ordering;
 use std::hash::Hasher;
@@ -170,30 +171,6 @@ impl AggState {
         }
     }
 
-    /// Fold a later partial into this one. Merging is the associative half
-    /// of the aggregate algebra; determinism comes from the *caller*
-    /// merging partials in batch order. Min/Max replace only on a strict
-    /// inequality, so the earlier partial wins ties exactly like the
-    /// sequential fold.
-    fn merge(&mut self, later: AggState) {
-        match (self, later) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum(a), AggState::Sum(b)) => *a += b,
-            (AggState::Min(a), AggState::Min(Some(v))) => {
-                update_extreme(a, CellRef::from_value(&v), Ordering::Less)
-            }
-            (AggState::Max(a), AggState::Max(Some(v))) => {
-                update_extreme(a, CellRef::from_value(&v), Ordering::Greater)
-            }
-            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
-            (AggState::Avg { sum: a, n: an }, AggState::Avg { sum: b, n: bn }) => {
-                *a += b;
-                *an += bn;
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
     /// The aggregate's result cell.
     fn finish(&self) -> CellRef<'_> {
         match self {
@@ -206,6 +183,22 @@ impl AggState {
             AggState::Avg { sum, n } => CellRef::Float(sum / *n as f64),
         }
     }
+}
+
+/// One aggregate's result column over `states`, in output order: `COUNT`
+/// fills its `Int` array directly, every other function goes through a
+/// builder.
+fn result_column<'s>(func: AggFunc, states: impl ExactSizeIterator<Item = &'s AggState>) -> Column {
+    if let AggFunc::Count = func {
+        let count = |s: &AggState| match *s {
+            AggState::Count(c) => c,
+            _ => unreachable!("a COUNT state"),
+        };
+        return Column::from_ints(states.map(count).collect());
+    }
+    let mut out = ColumnBuilder::with_capacity(states.len());
+    states.for_each(|s| out.push_cell(s.finish()));
+    out.finish()
 }
 
 /// One aggregate's argument, resolved once against the input schema so the
@@ -244,10 +237,23 @@ fn hash_key(key: &[u8]) -> u64 {
     h.finish()
 }
 
+/// The keys the typed loop reads: a lone, all-valid `Int` key column. Every
+/// other key (NULLs, `Mixed`, floats, strings, more columns) is written cell
+/// by cell.
+fn int_keys<'a>(keys: &[&'a Column]) -> Option<&'a [i64]> {
+    match keys {
+        [key] if key.validity().is_all_valid() => match key.data() {
+            ColumnData::Int(v) => Some(v),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 impl Groups {
     /// Number of groups.
     fn len(&self) -> usize {
-        self.hashes.len()
+        self.key_ends.len()
     }
 
     fn key(&self, id: usize) -> &[u8] {
@@ -257,9 +263,9 @@ impl Groups {
 
     /// The id of the group whose encoded key is `key` (hashing to `hash`),
     /// or `Err(id)` of the group just opened for it — whose key cells and
-    /// states the caller must push.
+    /// states the caller must push. The caller has reserved room for it.
     fn find_or_open(&mut self, hash: u64, key: &[u8]) -> std::result::Result<usize, usize> {
-        self.reserve(1);
+        debug_assert!(self.slots.len() >= 2 * (self.len() + 1), "room reserved");
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         loop {
@@ -306,8 +312,8 @@ impl Groups {
 }
 
 /// A resolved aggregation: group-key positions and argument plans bound
-/// against a concrete input schema. [`AggregateOp`] folds each batch into a
-/// partial [`Groups`] through this and merges partials in arrival order.
+/// against a concrete input schema. [`AggregateOp`] folds every batch into
+/// its one [`Groups`] through this.
 struct AggPlan {
     funcs: Vec<AggFunc>,
     key_idx: Vec<usize>,
@@ -367,48 +373,81 @@ impl AggPlan {
             .extend(self.funcs.iter().map(|f| AggState::new(*f)));
     }
 
-    /// Without `GROUP BY`, every row belongs to the group of the empty key.
-    fn open_global_group(&self, groups: &mut Groups) {
-        if groups.find_or_open(hash_key(&[]), &[]).is_err() {
+    /// The id of the group whose key encodes as `key` (hashing to `hash`);
+    /// a new group takes `cells` as its key cells, and fresh states.
+    fn group_id<'c>(
+        &self,
+        groups: &mut Groups,
+        hash: u64,
+        key: &[u8],
+        cells: impl Iterator<Item = CellRef<'c>>,
+    ) -> usize {
+        groups.find_or_open(hash, key).unwrap_or_else(|id| {
+            groups
+                .key_cells
+                .iter_mut()
+                .zip(cells)
+                .for_each(|(builder, cell)| builder.push_cell(cell));
             self.push_fresh_states(groups);
-        }
+            id
+        })
     }
 
-    /// Fold one batch into `groups`. Each visible row is resolved to its
-    /// group first (keys encode exactly like [`Value::write_bytes`], the
-    /// order `finish` sorts by); then every aggregate folds its argument
-    /// column into the states of those groups, in row order.
+    /// Without `GROUP BY`, every row belongs to the group of the empty key.
+    fn open_global_group(&self, groups: &mut Groups) {
+        groups.reserve(1);
+        self.group_id(groups, hash_key(&[]), &[], std::iter::empty());
+    }
+
+    /// Each visible row's group, opening groups for new keys. Keys encode
+    /// exactly like [`Value::write_bytes`], the order `finish` sorts by.
+    fn group_rows(&self, cb: &ColumnarBatch, active: &[u32], groups: &mut Groups) -> Vec<usize> {
+        groups.reserve(active.len());
+        let keys: Vec<&Column> = self.key_idx.iter().map(|&i| &**cb.column(i)).collect();
+        let mut group_of = Vec::with_capacity(active.len());
+        match int_keys(&keys) {
+            Some(v) => group_of.extend(active.iter().map(|&phys| {
+                let x = v[phys as usize];
+                // `write_value_bytes` of an `Int`: tag 2, then the bytes.
+                let mut key = [2; 9];
+                key[1..].copy_from_slice(&x.to_le_bytes());
+                self.group_id(
+                    groups,
+                    hash_key(&key),
+                    &key,
+                    std::iter::once(CellRef::Int(x)),
+                )
+            })),
+            None => {
+                // The batch's one key buffer.
+                let mut scratch = Vec::new();
+                for &phys in active {
+                    scratch.clear();
+                    for key in &keys {
+                        key.write_value_bytes(phys as usize, &mut scratch);
+                    }
+                    let cells = keys.iter().map(|key| key.cell(phys as usize));
+                    group_of.push(self.group_id(groups, hash_key(&scratch), &scratch, cells));
+                }
+            }
+        }
+        group_of
+    }
+
+    /// Fold one batch into `groups`: each visible row is resolved to its
+    /// group first, then every aggregate folds its argument column into the
+    /// states of those groups, in row order.
     fn consume(&self, cb: &ColumnarBatch, groups: &mut Groups) -> Result<()> {
         let active = cb.physical_indices();
         if active.is_empty() {
             return Ok(());
         }
         // `None`: no GROUP BY, and no row is hashed.
-        let group_of: Option<Vec<usize>> = if self.key_idx.is_empty() {
+        let group_of = if self.key_idx.is_empty() {
             self.open_global_group(groups);
             None
         } else {
-            let keys: Vec<&Column> = self.key_idx.iter().map(|&i| &**cb.column(i)).collect();
-            let mut group_of = Vec::with_capacity(active.len());
-            // The batch's one key buffer.
-            let mut scratch = Vec::new();
-            for &phys in &active {
-                scratch.clear();
-                for key in &keys {
-                    key.write_value_bytes(phys as usize, &mut scratch);
-                }
-                group_of.push(match groups.find_or_open(hash_key(&scratch), &scratch) {
-                    Ok(id) => id,
-                    Err(id) => {
-                        for (cells, key) in groups.key_cells.iter_mut().zip(&keys) {
-                            cells.push_cell(key.cell(phys as usize));
-                        }
-                        self.push_fresh_states(groups);
-                        id
-                    }
-                });
-            }
-            Some(group_of)
+            Some(self.group_rows(cb, &active, groups))
         };
         let stride = self.args.len();
         // A computed argument is a compact column: visible row `i` sits at
@@ -456,42 +495,6 @@ impl AggPlan {
         Ok(())
     }
 
-    /// Merge a *later* partial into the running total, its groups in their
-    /// order of first appearance: states of known groups update in place,
-    /// new groups append. Determinism needs only that the caller present
-    /// partials in batch order.
-    fn merge_into(&self, total: &mut Groups, later: Groups) {
-        // An empty total with no more room reserved than `later` has.
-        if total.len() == 0 && total.slots.len() <= later.slots.len() {
-            *total = later;
-            return;
-        }
-        let stride = self.args.len();
-        let later_keys: Vec<Column> = later
-            .key_cells
-            .into_iter()
-            .map(ColumnBuilder::finish)
-            .collect();
-        let mut later_states = later.states.into_iter();
-        let mut start = 0;
-        for (id, (&hash, &end)) in later.hashes.iter().zip(&later.key_ends).enumerate() {
-            match total.find_or_open(hash, &later.key_bytes[start..end]) {
-                Ok(known) => {
-                    for cur in &mut total.states[known * stride..][..stride] {
-                        cur.merge(later_states.next().expect("one state per aggregate"));
-                    }
-                }
-                Err(_) => {
-                    for (cells, key) in total.key_cells.iter_mut().zip(&later_keys) {
-                        cells.push_cell(key.cell(id));
-                    }
-                    total.states.extend(later_states.by_ref().take(stride));
-                }
-            }
-            start = end;
-        }
-    }
-
     /// Finalize: one output row per group, sorted by key bytes for
     /// reproducibility — and, without `GROUP BY`, exactly one row even when
     /// no input row arrived.
@@ -499,6 +502,9 @@ impl AggPlan {
         if self.key_idx.is_empty() {
             self.open_global_group(&mut groups);
         }
+        // No key is looked up any more: free the index before the sort
+        // allocates its buffer.
+        (groups.slots, groups.hashes) = (Vec::new(), Vec::new());
         // Order ids by key bytes. A key's first eight bytes read as a
         // big-endian word (zero-padded, which puts a key before its
         // extensions, as byte order does) decide nearly every comparison
@@ -521,12 +527,11 @@ impl AggPlan {
         let stride = self.args.len();
         let keys = std::mem::take(&mut groups.key_cells);
         let keys = keys.into_iter().map(|cells| cells.finish().gather(&ids));
-        let results = (0..stride).map(|nth| {
-            let mut out = ColumnBuilder::with_capacity(ids.len());
-            for &id in &ids {
-                out.push_cell(groups.states[id as usize * stride + nth].finish());
-            }
-            out.finish()
+        let results = self.funcs.iter().enumerate().map(|(nth, &func)| {
+            let states = ids
+                .iter()
+                .map(|&id| &groups.states[id as usize * stride + nth]);
+            result_column(func, states)
         });
         let columns = keys.chain(results).map(Arc::new).collect();
         ColumnarBatch::new(Arc::clone(out_schema), columns, ids.len())
@@ -555,22 +560,19 @@ fn fold_numbers<T: Number>(
 /// be a pure function of the group count, never of allocator behavior.
 pub(crate) const AGG_GROUP_BYTES: u64 = 64;
 
-/// Blocking hash aggregation: drains its input, then emits one columnar
-/// batch of groups, sorted by key bytes for reproducibility. Each input
-/// batch folds into a fresh partial table merged in arrival order — see the
-/// module docs for why.
+/// Blocking hash aggregation: drains its input into one group table, then
+/// emits one columnar batch of groups, sorted by key bytes for
+/// reproducibility.
 ///
 /// ## Graceful degradation
 ///
 /// Under a governed query with a byte budget, the operator charges its
 /// retained group state to the memory accountant per batch. When the budget
-/// trips it does **not** fail: it enters a streaming/merging mode — the
-/// group table is flushed into a spill after every batch, so in-flight
-/// state stays bounded by one batch's groups. The spill is a second group
-/// table (it stands in for a run on disk) and the flush is the same
-/// in-order merge the in-memory fold uses, so the degraded result is
-/// bit-identical to the never-degraded one; only `degraded_queries` (and
-/// the planner's materialization-skip) reveal the downgrade.
+/// trips it does **not** fail: it marks the query degraded, releases what it
+/// charged and charges nothing more, and keeps folding into the same table.
+/// The result is therefore bit-identical to the never-degraded one; only
+/// `degraded_queries` (and the planner's materialization-skip) reveal the
+/// downgrade.
 pub struct AggregateOp {
     input: BoxedOp,
     group_by: Vec<String>,
@@ -611,40 +613,146 @@ impl Operator for AggregateOp {
         let plan = AggPlan::resolve(&self.group_by, &self.aggs, &self.input.schema())?;
         let governor = &ctx.governor;
         let budgeted = governor.config().budget_bytes.is_some();
-        let mut total = plan.new_groups();
-        let mut spill: Option<Groups> = None;
+        let mut groups = plan.new_groups();
         let mut charged = 0u64;
+        let mut degraded = false;
         while let Some(cb) = self.input.next(ctx)? {
             governor.check(ctx.clock)?;
-            let mut partial = plan.new_groups();
-            plan.consume(&cb, &mut partial)?;
-            if let Some(sp) = spill.as_mut() {
-                // Already degraded: every batch's groups stream into the
-                // spill, so no table in memory outgrows one batch.
-                plan.merge_into(sp, partial);
+            plan.consume(&cb, &mut groups)?;
+            if !budgeted || degraded {
                 continue;
             }
-            plan.merge_into(&mut total, partial);
-            if budgeted {
-                let want = total.len() as u64 * AGG_GROUP_BYTES;
-                if want > charged {
-                    if governor.charge_bytes(want - charged) {
-                        charged = want;
-                    } else {
-                        // Budget tripped: degrade to streaming/merging mode
-                        // instead of failing the query.
-                        if governor.enter_degraded() {
-                            ctx.metrics().add(Counter::degraded_queries, 1);
-                        }
-                        governor.release_bytes(want);
-                        charged = 0;
-                        spill = Some(std::mem::replace(&mut total, plan.new_groups()));
+            let want = groups.len() as u64 * AGG_GROUP_BYTES;
+            if want > charged {
+                if governor.charge_bytes(want - charged) {
+                    charged = want;
+                } else {
+                    // Budget tripped: degrade instead of failing the query.
+                    if governor.enter_degraded() {
+                        ctx.metrics().add(Counter::degraded_queries, 1);
                     }
+                    governor.release_bytes(want);
+                    charged = 0;
+                    degraded = true;
                 }
             }
         }
         governor.release_bytes(charged);
-        let groups = spill.unwrap_or(total);
         Ok(Some(plan.finish(groups, &self.schema)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eva_common::rng::SplitMix64;
+    use eva_common::{BBox, Bitmap, DataType, Field};
+
+    /// A `COUNT(*)` plan grouped by every column of `columns`, and one batch
+    /// holding them.
+    fn grouped(columns: Vec<Column>) -> (AggPlan, ColumnarBatch) {
+        let n = columns[0].len();
+        let fields = (0..columns.len()).map(|i| Field::new(format!("k{i}"), DataType::Int));
+        let schema = Schema::new(fields.collect()).unwrap();
+        let names: Vec<String> = schema.fields().iter().map(|f| f.name.clone()).collect();
+        let plan =
+            AggPlan::resolve(&names, &[(AggFunc::Count, None, "n".into())], &schema).unwrap();
+        let columns = columns.into_iter().map(Arc::new).collect();
+        (plan, ColumnarBatch::new(Arc::new(schema), columns, n))
+    }
+
+    /// Fold `columns` as one batch's keys and check the group table against
+    /// the cell encoding: every row's group holds the row's
+    /// `write_value_bytes` key and its `hash_key`, and distinct keys have
+    /// distinct groups.
+    fn fold_keys(columns: Vec<Column>) {
+        let (plan, cb) = grouped(columns);
+        let mut groups = plan.new_groups();
+        let active = cb.physical_indices();
+        let group_of = plan.group_rows(&cb, &active, &mut groups);
+        let mut seen = std::collections::HashMap::new();
+        for (&phys, &id) in active.iter().zip(&group_of) {
+            let mut key = Vec::new();
+            for c in cb.columns() {
+                c.write_value_bytes(phys as usize, &mut key);
+            }
+            assert_eq!(groups.key(id), &key[..], "row {phys}");
+            assert_eq!(groups.hashes[id], hash_key(&key), "row {phys}");
+            assert_eq!(*seen.entry(key).or_insert(id), id, "row {phys}");
+        }
+        assert_eq!(groups.len(), seen.len());
+    }
+
+    fn floats(vals: Vec<f64>) -> Column {
+        let n = vals.len();
+        Column::new(ColumnData::Float(vals), Bitmap::all_valid(n))
+    }
+
+    /// An all-valid `Int` key column takes the typed loop, which writes the
+    /// cell path's key bytes and hash: seeded draws, repeats, and the edges.
+    #[test]
+    fn typed_keys_match_the_cell_encoding_byte_for_byte_and_hash_for_hash() {
+        let mut rng = SplitMix64::new(39);
+        let mut ints = vec![0, -1, 1, i64::MIN, i64::MAX, i64::MIN + 1];
+        ints.extend((0..500).map(|_| match rng.below(3) {
+            0 => rng.next_u64() as i64,
+            _ => rng.below(40) as i64 - 20,
+        }));
+        let int_col = Column::from_ints(ints);
+        assert!(int_keys(&[&int_col]).is_some());
+        fold_keys(vec![int_col]);
+    }
+
+    /// Keys the typed loop does not take — floats (both zeros, NaNs,
+    /// infinities among them), NULL-bearing, `Mixed`, strings, booleans,
+    /// boxes, two columns — go cell by cell and group the same way.
+    #[test]
+    fn other_keys_take_the_cell_path() {
+        let mut rng = SplitMix64::new(40);
+        let mut fl = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+        ];
+        fl.extend((0..300).map(|_| match rng.below(3) {
+            0 => f64::from_bits(rng.next_u64()),
+            _ => rng.below(40) as f64 / 4.0,
+        }));
+        let mut draw = |f: &dyn Fn(u64) -> Value| -> Column {
+            let vals: Vec<Value> = (0..300)
+                .map(|_| match rng.below(5) {
+                    0 => Value::Null,
+                    _ => f(rng.below(12)),
+                })
+                .collect();
+            Column::from_values(&vals)
+        };
+        let cases = vec![
+            vec![floats(fl)],
+            vec![draw(&|x| Value::Int(x as i64))],
+            vec![draw(&|x| Value::Float(x as f64))],
+            vec![draw(&|x| match x % 2 {
+                0 => Value::Int(x as i64),
+                _ => Value::Float(x as f64),
+            })],
+            vec![draw(&|x| Value::from(format!("k{x}")))],
+            vec![draw(&|x| Value::Bool(x % 2 == 0))],
+            vec![draw(&|x| {
+                Value::Box(BBox::new(0.0, 0.0, x as f32 / 12.0, 0.5))
+            })],
+            vec![
+                Column::from_ints((0..300).map(|i| i % 7).collect()),
+                floats((0..300).map(|i| (i % 5) as f64).collect()),
+            ],
+        ];
+        for columns in cases {
+            let keys: Vec<&Column> = columns.iter().collect();
+            assert!(int_keys(&keys).is_none(), "{:?}", columns[0].data());
+            fold_keys(columns);
+        }
     }
 }

@@ -458,18 +458,6 @@ impl RefState {
         }
     }
 
-    fn merge(&mut self, later: &RefState) {
-        self.count += later.count;
-        self.sum += later.sum;
-        self.n += later.n;
-        if let Some(v) = &later.min {
-            Self::extreme(&mut self.min, v, std::cmp::Ordering::Less);
-        }
-        if let Some(v) = &later.max {
-            Self::extreme(&mut self.max, v, std::cmp::Ordering::Greater);
-        }
-    }
-
     fn finish(&self, func: AggFunc) -> Value {
         match func {
             AggFunc::Count => Value::Int(self.count),
@@ -482,51 +470,35 @@ impl RefState {
     }
 }
 
-/// What the aggregate documents, as a row fold: every batch folds into a
-/// fresh partial, partials merge in arrival order (which fixes the float
-/// accumulation order), groups come out in key-byte order, and no `GROUP BY`
-/// means exactly one row.
+/// What the aggregate documents, as a row fold: every row of every batch
+/// folds, in arrival order, into one table (which fixes the float
+/// accumulation order), groups come out in key-byte order, and no
+/// `GROUP BY` means exactly one row.
 fn reference_aggregate(
     batches: &[Vec<Vec<Value>>],
     keys: &[usize],
     aggs: &[(AggFunc, Option<usize>)],
 ) -> Vec<Vec<Value>> {
-    type Table = std::collections::BTreeMap<Vec<u8>, (Vec<Value>, Vec<RefState>)>;
     let fresh = || vec![RefState::default(); aggs.len()];
-    let mut total = Table::new();
-    for batch in batches {
-        let mut partial = Table::new();
-        for row in batch {
-            let mut key = Vec::new();
-            keys.iter().for_each(|&k| row[k].write_bytes(&mut key));
-            let group = partial
-                .entry(key)
-                .or_insert_with(|| (keys.iter().map(|&k| row[k].clone()).collect(), fresh()));
-            for (state, (_, arg)) in group.1.iter_mut().zip(aggs) {
-                state.update(arg.map(|i| &row[i]));
-            }
-        }
-        for (key, (cells, states)) in partial {
-            match total.get_mut(&key) {
-                Some(known) => known
-                    .1
-                    .iter_mut()
-                    .zip(&states)
-                    .for_each(|(s, l)| s.merge(l)),
-                None => {
-                    total.insert(key, (cells, states));
-                }
-            }
+    let mut table = std::collections::BTreeMap::<Vec<u8>, (Vec<Value>, Vec<RefState>)>::new();
+    for row in batches.iter().flatten() {
+        let mut key = Vec::new();
+        keys.iter().for_each(|&k| row[k].write_bytes(&mut key));
+        let group = table
+            .entry(key)
+            .or_insert_with(|| (keys.iter().map(|&k| row[k].clone()).collect(), fresh()));
+        for (state, (_, arg)) in group.1.iter_mut().zip(aggs) {
+            state.update(arg.map(|i| &row[i]));
         }
     }
-    if keys.is_empty() && total.is_empty() {
-        total.insert(Vec::new(), (Vec::new(), fresh()));
+    if keys.is_empty() && table.is_empty() {
+        table.insert(Vec::new(), (Vec::new(), fresh()));
     }
     let finish = |(mut row, states): (Vec<Value>, Vec<RefState>)| {
         row.extend(states.iter().zip(aggs).map(|(s, (f, _))| s.finish(*f)));
         row
     };
-    total.into_values().map(finish).collect()
+    table.into_values().map(finish).collect()
 }
 
 /// All five functions over the `Mixed`, `Int` and `Float` columns, and a
@@ -564,8 +536,9 @@ fn breaker_aggregate(input: BoxedOp, keys: &[usize]) -> AggregateOp {
 
 /// The aggregate equals the row-fold reference — rows in order, `SUM`/`AVG`
 /// to the bit — for no key, a string key, a two-column key and an integer
-/// key, over three splits of the same rows held to the same split in the
-/// reference, in each input form, and over no batch at all.
+/// key, over three splits of the same rows (the reference ignores the
+/// split: one table folds every row in arrival order), in each input form,
+/// and over no batch at all.
 #[test]
 fn aggregate_matches_a_row_fold_reference_across_splits_and_forms() {
     let rows = breaker_rows(&mut rng(1), 400);
@@ -877,9 +850,9 @@ fn observable(out: &crate::engine::QueryOutput) -> impl PartialEq + std::fmt::De
     )
 }
 
-/// A byte budget that trips on the first batch's groups sends the
-/// aggregate to its streaming spill, and the result equals the in-memory
-/// fold — rows to the bit, cost, per-operator stats, counters — for no
+/// A byte budget that trips on the first batch's groups degrades the
+/// aggregate — it stops charging and keeps folding into its one table — and
+/// the result equals the never-degraded fold — rows to the bit, cost, per-operator stats, counters — for no
 /// key, a recurring key, an all-distinct key and a filter that leaves
 /// nothing.
 #[test]

@@ -12,7 +12,8 @@
 //! * `--corpus-dir` — where shrunk repros are written (default: the
 //!   committed `tests/corpus/`, so a fixed failure can be committed as a
 //!   regression test; the sabotage drill defaults to a scratch directory
-//!   instead, because its repro *fails* by design).
+//!   instead, because its repro *fails* by design, and removes it when the
+//!   drill passes).
 //! * `--sabotage` — self-test drill: replay a session against a session
 //!   flag that deliberately reintroduces a fixed wrong-answer bug, and
 //!   verify the harness flags it, shrinks it to ≤ 5 statements, and writes
@@ -153,10 +154,6 @@ fn run_sabotage(args: &Args) -> ExitCode {
         }
     };
     println!("caught: {failure}");
-    let dir = args
-        .corpus_dir
-        .clone()
-        .unwrap_or_else(|| eva_common::testutil::unique_temp_dir("fuzz_sabotage_repro"));
     let shrunk = shrink_case(&case, failure.kind, SHRINK_BUDGET);
     println!(
         "shrunk to {} statement(s) in {} oracle evaluation(s)",
@@ -181,12 +178,29 @@ fn run_sabotage(args: &Args) -> ExitCode {
         note: format!("sabotage drill repro (replays red by design): {failure}"),
         case: shrunk.case,
     };
+    // Without --corpus-dir the repro goes to a fresh temp dir, which a
+    // passing drill removes and a failing one leaves for inspection.
+    let dir = args
+        .corpus_dir
+        .clone()
+        .unwrap_or_else(|| eva_common::testutil::unique_temp_dir("fuzz_sabotage_repro"));
     match write_corpus_file(&dir, &file) {
         Ok(path) => println!("repro written to {}", path.display()),
         Err(e) => {
             eprintln!("DRILL FAILED: could not write repro: {e}");
+            eprintln!("repro directory kept: {}", dir.display());
             return ExitCode::FAILURE;
         }
+    }
+    if args.corpus_dir.is_none() {
+        if let Err(e) = std::fs::remove_dir_all(&dir) {
+            eprintln!("DRILL FAILED: could not remove {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "removed {} (pass --corpus-dir to keep the repro)",
+            dir.display()
+        );
     }
     println!("sabotage drill passed");
     ExitCode::SUCCESS

@@ -216,7 +216,8 @@ fn budget_trip_cancels_wide_results_but_degrades_aggregates_exactly() {
 
 /// A grouping over budget degrades the same way whatever its scan range:
 /// at default batch size, a 4,096-byte budget on 4,000 and on 5,000
-/// distinct ids both stream into the spill and return every group.
+/// distinct ids both degrade (stop charging, keep folding) and return every
+/// group.
 #[test]
 fn budgeted_group_by_degrades_at_any_scan_size() {
     let default_session = |governor: GovernorConfig| {
