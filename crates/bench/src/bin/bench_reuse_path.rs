@@ -1,5 +1,5 @@
 //! Wall-clock snapshot of the reuse hot path, written to
-//! `experiments_out/BENCH_reuse_path.json` by the experiment suite.
+//! `perf_out/BENCH_reuse_path.json` (CI's perf gate diffs its counters).
 //!
 //! Unlike the paper-figure binaries (which report *simulated* time), this
 //! one measures real throughput of the concurrent view store and FunCache:
@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use eva_bench::{banner, car_chunk, funcache_car_batch, write_json_with_metrics, Json, TextTable};
+use eva_bench::{banner, car_chunk, funcache_car_batch, perf_out, with_metrics, Json, TextTable};
 use eva_common::{DataType, Field, FrameId, MetricsSnapshot, Schema, SimClock};
 use eva_exec::FunCacheTable;
 use eva_storage::{StorageEngine, ViewKey, ViewKeyKind};
@@ -139,7 +139,7 @@ fn funcache_hits() -> (f64, MetricsSnapshot) {
     (ops, MetricsSnapshot::default())
 }
 
-fn main() {
+fn main() -> eva_common::Result<()> {
     banner("BENCH reuse path: concurrent view store throughput");
     let results = [
         ("probe_single_thread", probe_single()),
@@ -173,5 +173,7 @@ fn main() {
             ])
         })
         .collect();
-    write_json_with_metrics("BENCH_reuse_path", json, &metrics);
+    let artifact = with_metrics(json, &metrics).pretty();
+    std::fs::write(perf_out("BENCH_reuse_path.json")?, artifact)?;
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! The perf-trajectory harness: run the vBENCH-HIGH workload under the
 //! full EVA strategy and *append* one `{commit, counters, quantiles}`
-//! record to `experiments_out/BENCH_trajectory.json`, so the file
+//! record to `perf_out/BENCH_trajectory.json`, so the file
 //! accumulates a per-commit history of the reuse path's behaviour instead
 //! of a single overwritten snapshot.
 //!
@@ -14,10 +14,7 @@
 //! (`BENCH_trajectory.prom`) and a Chrome trace of the workload's last
 //! query (`BENCH_trajectory.trace.json`).
 
-use eva_bench::{
-    append_json_record, banner, medium_dataset, session_with, write_chrome_trace, write_prometheus,
-    Json, TextTable,
-};
+use eva_bench::{banner, medium_dataset, perf_out, session_with, Json, TextTable};
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
@@ -40,10 +37,10 @@ fn commit_id() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn main() {
+fn main() -> eva_common::Result<()> {
     banner("BENCH trajectory: reuse counters + latency quantiles per commit");
     let ds = medium_dataset();
-    let mut db = session_with(ReuseStrategy::Eva, &ds).expect("session");
+    let mut db = session_with(ReuseStrategy::Eva, &ds)?;
     let workload = Workload::new(
         "vbench-high",
         vbench_high(
@@ -52,7 +49,7 @@ fn main() {
             false,
         ),
     );
-    let report = run_workload(&mut db, &workload).expect("workload");
+    let report = run_workload(&mut db, &workload)?;
 
     let counters = report.metrics.deterministic();
     let hists = db.session_latency();
@@ -86,17 +83,23 @@ fn main() {
     );
 
     let commit = commit_id();
-    append_json_record(
-        "BENCH_trajectory",
-        Json::obj([
-            ("commit", Json::from(commit.as_str())),
-            ("workload", Json::from(report.workload.as_str())),
-            ("total_sim_secs", Json::from(report.total_sim_secs)),
-            ("counters", counters.to_json()),
-            ("quantiles", Json::obj(quantiles)),
-        ]),
-    );
-    write_prometheus("BENCH_trajectory", &db.metrics_snapshot(), &hists);
-    write_chrome_trace("BENCH_trajectory", &db.last_trace());
+    let path = perf_out("BENCH_trajectory.json")?;
+    let mut records = match std::fs::read_to_string(&path).map(|s| Json::parse(&s)) {
+        Ok(Ok(Json::Arr(records))) => records,
+        _ => Vec::new(),
+    };
+    records.push(Json::obj([
+        ("commit", Json::from(commit.as_str())),
+        ("workload", Json::from(report.workload.as_str())),
+        ("total_sim_secs", Json::from(report.total_sim_secs)),
+        ("counters", counters.to_json()),
+        ("quantiles", Json::obj(quantiles)),
+    ]));
+    std::fs::write(&path, Json::Arr(records).pretty())?;
+    let prometheus = eva_common::prometheus_text(&db.metrics_snapshot(), &hists);
+    std::fs::write(perf_out("BENCH_trajectory.prom")?, prometheus)?;
+    let trace = db.last_trace().to_chrome_json();
+    std::fs::write(perf_out("BENCH_trajectory.trace.json")?, trace)?;
     println!("appended trajectory record for commit {commit}");
+    Ok(())
 }

@@ -1,11 +1,15 @@
 //! # eva-bench
 //!
 //! The experiment harness reproducing **every table and figure** of the
-//! paper's evaluation (§5). Each experiment is a binary under `src/bin/`
-//! printing the same rows/series the paper reports; `all_experiments` runs
-//! the full suite and writes machine-readable JSON next to the text output.
+//! paper's evaluation (§5). [`EXPERIMENTS`] is the registry: one
+//! [`Experiment`] per artifact, each in its own module under `src/paper/`
+//! that prints the rows or series the paper reports and returns them as
+//! JSON. The `eva-paper` binary runs them (all, or the ids it is given) and
+//! writes `experiments_out/<id>.json`; each experiment's
+//! `paper::matches_committed::<id>` test recomputes its artifact in memory
+//! and fails on the first JSON path that differs from the committed file.
 //!
-//! | binary | paper artifact |
+//! | id | paper artifact |
 //! |---|---|
 //! | `tab2_hit_percentage` | Table 2 |
 //! | `fig5_workload_speedup` | Fig. 5 (+ Eq. 7 upper bounds) |
@@ -20,12 +24,15 @@
 //! | `fig11_video_content` | Fig. 11 |
 //! | `fig12_video_length` | Fig. 12 |
 //! | `sec56_specialized_filters` | §5.6 |
+//! | `ablations` | beyond the paper: one design choice at a time |
 //!
 //! Reported "time" is simulated time from the virtual clock (DESIGN.md §1),
-//! so results are deterministic for a fixed dataset seed.
+//! so results are deterministic for a fixed dataset seed. The
+//! `bench_reuse_path` and `bench_trajectory` binaries measure wall time
+//! instead; they write to the untracked `perf_out/` ([`perf_out`]).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use eva_common::{EvaError, Result, SimClock};
 use eva_core::{EvaDb, SessionConfig};
@@ -37,8 +44,11 @@ use eva_udf::UdfSignature;
 use eva_vbench::Workload;
 use eva_video::{jackson, ua_detrac, UaDetracSize, VideoDataset};
 
+mod paper;
+
 pub use eva_common::json::Json;
 pub use eva_common::table_fmt::{fmt_f, fmt_x, TextTable};
+pub use paper::{artifact_path, Experiment, EXPERIMENTS};
 
 /// One evaluated chunk for the view-store micro-benchmarks, in the shape
 /// STORE hands over: `n` frame keys from `first` on, one `"car"` row each.
@@ -176,39 +186,18 @@ pub fn symbolic_reduction_history(
     Ok(history)
 }
 
-/// Directory where experiments drop their JSON results.
-pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from(
-        std::env::var("EVA_BENCH_OUT").unwrap_or_else(|_| "experiments_out".to_string()),
-    );
-    let _ = std::fs::create_dir_all(&dir);
-    dir
-}
-
-/// Write a result to `experiments_out/<name>.json`.
-fn write_json(name: &str, value: &Json) {
-    let path = out_dir().join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.pretty()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
-/// Write a result to `experiments_out/<name>.json` wrapped as
-/// `{ "result": …, "metrics": … }`, attaching the runtime-metrics snapshot
-/// of the session (or sessions, summed) that produced it. Every experiment
-/// binary goes through this so each JSON artifact records probe hit rates,
-/// UDF calls avoided, and zero-copy traffic next to its headline numbers.
-/// The snapshot is written [`deterministic`](eva_common::MetricsSnapshot::deterministic)
+/// `{ "result": …, "metrics": … }`: an experiment's result with the
+/// runtime-metrics snapshot of the session (or sessions, summed) that
+/// produced it, so every artifact records probe hit rates, UDF calls
+/// avoided and zero-copy traffic next to its headline numbers. The snapshot
+/// is taken [`deterministic`](eva_common::MetricsSnapshot::deterministic)
 /// (scheduling counters and gauges read 0), so two runs of an experiment
-/// write the same bytes.
-pub fn write_json_with_metrics(
-    name: &str,
-    result: impl Into<Json>,
-    metrics: &eva_common::MetricsSnapshot,
-) {
-    let metrics = metrics.deterministic().to_json();
-    let wrapped = Json::obj([("result", result.into()), ("metrics", metrics)]);
-    write_json(name, &wrapped);
+/// produce the same bytes.
+pub fn with_metrics(result: impl Into<Json>, metrics: &eva_common::MetricsSnapshot) -> Json {
+    Json::obj([
+        ("result", result.into()),
+        ("metrics", metrics.deterministic().to_json()),
+    ])
 }
 
 /// One artifact row: `row![a, b, ..]` is the JSON array of its cells, each
@@ -220,40 +209,22 @@ macro_rules! row {
     };
 }
 
-/// Write a Prometheus text-format snapshot (counters + span-latency
-/// histograms) to `experiments_out/<name>.prom` — a scrape-ready export of
-/// one experiment's runtime behaviour.
-pub fn write_prometheus(
-    name: &str,
-    metrics: &eva_common::MetricsSnapshot,
-    hists: &eva_common::SpanHists,
-) {
-    let path = out_dir().join(format!("{name}.prom"));
-    if let Err(e) = std::fs::write(&path, eva_common::prometheus_text(metrics, hists)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+/// `<workspace root>/<dir>/<file>`, whatever the working directory.
+fn workspace_path(dir: &str, file: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    root.join(dir).join(file)
 }
 
-/// Write a query trace to `experiments_out/<name>.trace.json` in the Chrome
-/// trace-event format (open via `chrome://tracing` or ui.perfetto.dev).
-pub fn write_chrome_trace(name: &str, trace: &eva_common::QueryTrace) {
-    let path = out_dir().join(format!("{name}.trace.json"));
-    if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
-/// Append one record to `experiments_out/<name>.json`, treating the file as
-/// a growing JSON array (created fresh when missing or unparsable). This is
-/// how `bench_trajectory` accumulates one record per commit.
-pub fn append_json_record(name: &str, record: Json) {
-    let path = out_dir().join(format!("{name}.json"));
-    let mut records = match std::fs::read_to_string(&path).map(|s| Json::parse(&s)) {
-        Ok(Ok(Json::Arr(records))) => records,
-        _ => Vec::new(),
-    };
-    records.push(record);
-    write_json(name, &Json::Arr(records));
+/// `perf_out/<file>` at the workspace root (created on first use), where
+/// the `bench_*` binaries write. Their wall-clock numbers differ from run
+/// to run, so they stay out of the paper's record and git ignores them.
+pub fn perf_out(file: &str) -> Result<PathBuf> {
+    let path = workspace_path("perf_out", file);
+    std::fs::create_dir_all(path.parent().expect("a file under perf_out/"))?;
+    Ok(path)
 }
 
 /// Print an experiment banner.

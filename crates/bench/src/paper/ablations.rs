@@ -7,8 +7,8 @@
 //! * fuzzy bbox matching on (the §6 future-work extension) — including how
 //!   many extra hits it buys.
 
-use eva_bench::{
-    banner, fmt_x, medium_dataset, row, session_with_config, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_x, medium_dataset, row, session_with_config, with_metrics, Json, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_core::SessionConfig;
@@ -16,7 +16,7 @@ use eva_planner::RankingKind;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Ablations (VBENCH-HIGH, medium UA-DETRAC)");
     let ds = medium_dataset();
     let physical = Workload::new(
@@ -108,6 +108,5 @@ fn main() -> eva_common::Result<()> {
     json.push(row!["alg2_off", s, h]);
 
     println!("{}", table.render());
-    write_json_with_metrics("ablations", json, &metrics);
-    Ok(())
+    Ok(with_metrics(json, &metrics))
 }

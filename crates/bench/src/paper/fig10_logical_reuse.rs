@@ -8,14 +8,14 @@
 //! the reused high-accuracy view detects more objects, inflating dependent
 //! UDF work (§6's chained-function-calls limitation).
 
-use eva_bench::{
-    banner, fmt_f, medium_dataset, row, session_with_config, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_f, medium_dataset, row, session_with_config, with_metrics, Json, TextTable,
 };
 use eva_core::SessionConfig;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Figure 10: Logical UDF reuse (times in seconds, per query)");
     let ds = medium_dataset();
     let queries = vbench_high(ds.len(), DetectorKind::Logical, false);
@@ -56,6 +56,21 @@ fn main() -> eva_common::Result<()> {
     }
     println!("{}", table.render());
     // reports[2] is the EVA system (see the loop above).
-    write_json_with_metrics("fig10_logical_reuse", json, &reports[2].metrics);
-    Ok(())
+    Ok(with_metrics(json, &reports[2].metrics))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::paper::committed;
+
+    /// §6's chained-function-call pathology: on Q6 the reused high-accuracy
+    /// view finds more boxes, so EVA is slower than Min-Cost.
+    #[test]
+    fn eva_is_slower_than_min_cost_on_q6() {
+        let rows = committed::rows("fig10_logical_reuse");
+        let q6 = rows.iter().find(|r| r[0].as_str() == Some("Q6")).expect("a Q6 row");
+        let times = q6[1].as_array().expect("[Min-cost-noreuse, Min-cost, EVA]");
+        let (min_cost, eva) = (times[1].as_f64().unwrap(), times[2].as_f64().unwrap());
+        assert!(min_cost / eva < 1.0, "Q6: EVA vs Min-cost {}", min_cost / eva);
+    }
 }

@@ -5,14 +5,14 @@
 //! Paper shape: EVA still wins but the gaps shrink relative to UA-DETRAC —
 //! sparse video means far fewer CarType/ColorDet invocations to reuse.
 
-use eva_bench::{
-    banner, fmt_x, jackson_dataset, row, session_with, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_x, jackson_dataset, row, session_with, with_metrics, Json, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, vbench_low, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Figure 11: Workload speedup on Jackson");
     let ds = jackson_dataset();
     println!(
@@ -64,6 +64,5 @@ fn main() -> eva_common::Result<()> {
         table.row(cells);
     }
     println!("{}", table.render());
-    write_json_with_metrics("fig11_video_content", json, &eva_metrics);
-    Ok(())
+    Ok(with_metrics(json, &eva_metrics))
 }

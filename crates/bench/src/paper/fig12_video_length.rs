@@ -5,15 +5,15 @@
 //! Paper shape: speedup does not drop with longer video — it rises slightly
 //! with LONG's higher vehicle density.
 
-use eva_bench::{
-    banner, fmt_f, fmt_x, row, session_with, sized_dataset, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_f, fmt_x, row, session_with, sized_dataset, with_metrics, Json, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 use eva_video::UaDetracSize;
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Figure 12: Impact of video length (VBENCH-HIGH)");
     let mut table = TextTable::new(vec![
         "dataset",
@@ -58,6 +58,21 @@ fn main() -> eva_common::Result<()> {
         ]);
     }
     println!("{}", table.render());
-    write_json_with_metrics("fig12_video_length", json, &eva_metrics);
-    Ok(())
+    Ok(with_metrics(json, &eva_metrics))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::paper::committed;
+
+    #[test]
+    fn speedup_is_flat_within_5_percent_across_lengths() {
+        let speedups: Vec<f64> = committed::rows("fig12_video_length")
+            .iter()
+            .map(|r| r[2].as_f64().expect("a speedup"))
+            .collect();
+        let max = speedups.iter().copied().fold(f64::MIN, f64::max);
+        let min = speedups.iter().copied().fold(f64::MAX, f64::min);
+        assert!(max / min <= 1.05, "{speedups:?}");
+    }
 }

@@ -12,7 +12,7 @@
 //! much faster; reuse overheads are far below UDF savings; reading
 //! dominates among the overheads.
 
-use eva_bench::{banner, fmt_f, medium_dataset, session_with, write_json_with_metrics, TextTable};
+use crate::{banner, fmt_f, medium_dataset, session_with, with_metrics, Json, TextTable};
 use eva_common::CostCategory;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, QueryReport, Workload};
@@ -20,7 +20,7 @@ use eva_vbench::{run_workload, vbench_high, DetectorKind, QueryReport, Workload}
 /// A Fig. 6b overhead source: its label and its milliseconds in one query.
 type Source = (&'static str, fn(&QueryReport) -> f64);
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Figure 6a: Per-query time breakdown (VBENCH-HIGH under EVA)");
     let ds = medium_dataset();
     let workload = Workload::new(
@@ -81,6 +81,5 @@ fn main() -> eva_common::Result<()> {
         ]);
     }
     println!("{}", table.render());
-    write_json_with_metrics("fig6_time_breakdown", report.to_json(), &report.metrics);
-    Ok(())
+    Ok(with_metrics(report.to_json(), &report.metrics))
 }

@@ -6,14 +6,14 @@
 //! Paper shape: EVA is ≥1.8× faster than HashStash on every permutation;
 //! view coverage rises monotonically toward 100%.
 
-use eva_bench::{
-    banner, fmt_f, medium_dataset, row, session_with, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_f, medium_dataset, row, session_with, with_metrics, Json, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Figure 8a: Execution time across query permutations (hours)");
     let ds = medium_dataset();
     let base_queries = vbench_high(
@@ -70,6 +70,5 @@ fn main() -> eva_common::Result<()> {
         }
     }
     println!("{}", table.render());
-    write_json_with_metrics("fig8_query_order", row![json, json_b], &eva_metrics);
-    Ok(())
+    Ok(with_metrics(row![json, json_b], &eva_metrics))
 }

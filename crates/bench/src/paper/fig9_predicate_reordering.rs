@@ -6,15 +6,15 @@
 //! Paper shape: 3–6× on most multi-predicate queries; ~1× where both
 //! rankings pick the same order.
 
-use eva_bench::{
-    banner, medium_dataset, row, session_with_config, write_json_with_metrics, Json, TextTable,
+use crate::{
+    banner, medium_dataset, row, session_with_config, with_metrics, Json, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_core::SessionConfig;
 use eva_planner::{RankingKind, ReuseStrategy};
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Figure 9: Canonical vs materialization-aware predicate reordering");
     let ds = medium_dataset();
     let base_queries = vbench_high(
@@ -62,6 +62,29 @@ fn main() -> eva_common::Result<()> {
         .fold(f64::MIN, f64::max);
     println!("max reordering speedup: {best:.2}x");
     let rows: Vec<Json> = json.into_iter().map(|(id, c, m)| row![id, c, m]).collect();
-    write_json_with_metrics("fig9_predicate_reordering", rows, &eva_metrics);
-    Ok(())
+    Ok(with_metrics(rows, &eva_metrics))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::paper::committed;
+
+    /// Q7 sits last in permutations 1 and 2 (global ids 8 and 16), where
+    /// Eq. 4's order costs 33.5 s against Eq. 2's 29.1 s: a measured
+    /// deviation from "never worse than Eq. 2", pinned so that a fix shows.
+    const SLOWER_UNDER_EQ4: [u64; 2] = [8, 16];
+
+    #[test]
+    fn eq4_ranking_is_never_worse_than_eq2_except_the_named_queries() {
+        for row in committed::rows("fig9_predicate_reordering") {
+            let id = row[0].as_u64().expect("a global query id");
+            let (canonical, mat_aware) = (row[1].as_f64().unwrap(), row[2].as_f64().unwrap());
+            let speedup = canonical / mat_aware;
+            if SLOWER_UNDER_EQ4.contains(&id) {
+                assert!(speedup < 1.0, "Q{id} is no longer slower: {speedup}");
+            } else {
+                assert!(speedup >= 1.0, "Q{id}: {speedup}");
+            }
+        }
+    }
 }

@@ -6,14 +6,14 @@
 //! Paper values: EVA 1393 s vs EVA+Filter 1075 s (≈1.3× on top of reuse) —
 //! filtering and reuse are complementary.
 
-use eva_bench::{
-    banner, fmt_f, jackson_dataset, row, session_with, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_f, jackson_dataset, row, session_with, with_metrics, Json, TextTable,
 };
 use eva_common::MetricsSnapshot;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Section 5.6: Reuse + specialized filters (Jackson, VBENCH-HIGH)");
     let ds = jackson_dataset();
     let det = DetectorKind::Physical("fasterrcnn_resnet50");
@@ -35,6 +35,5 @@ fn main() -> eva_common::Result<()> {
         times[0] / times[1].max(1e-9)
     );
     let rows = vec![row!["EVA", times[0]], row!["EVA+Filter", times[1]]];
-    write_json_with_metrics("sec56_specialized_filters", rows, &eva_metrics);
-    Ok(())
+    Ok(with_metrics(rows, &eva_metrics))
 }

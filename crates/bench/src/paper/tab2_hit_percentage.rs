@@ -4,12 +4,12 @@
 //! Paper values: LOW 2.02 / 24.68 / 24.68; HIGH 5.62 / 66.01 / 66.01.
 //! Expected shape: EVA ≫ HashStash on both workloads; FunCache close to EVA.
 
-use eva_bench::{banner, medium_dataset, row, session_with, write_json_with_metrics, TextTable};
+use crate::{banner, medium_dataset, row, session_with, with_metrics, Json, TextTable};
 use eva_common::MetricsSnapshot;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, vbench_low, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Table 2: Hit Percentage");
     let ds = medium_dataset();
     let det = DetectorKind::Physical("fasterrcnn_resnet50");
@@ -47,6 +47,5 @@ fn main() -> eva_common::Result<()> {
         table.row(row);
     }
     println!("{}", table.render());
-    write_json_with_metrics("tab2_hit_percentage", json, &eva_metrics);
-    Ok(())
+    Ok(with_metrics(json, &eva_metrics))
 }

@@ -6,11 +6,11 @@
 //! CarType 6 ms 114,431 / 414,119 GPU; ColorDet 5 ms 111,631 / 219,264 CPU.
 //! Storage footprint ≈ 14.3 MiB vs a 16 GiB video (~0.09%).
 
-use eva_bench::{banner, medium_dataset, row, session_with, write_json_with_metrics, TextTable};
+use crate::{banner, medium_dataset, row, session_with, with_metrics, Json, TextTable};
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Table 3: UDF Statistics (VBENCH-HIGH, medium UA-DETRAC)");
     let ds = medium_dataset();
     let workload = Workload::new(
@@ -55,6 +55,5 @@ fn main() -> eva_common::Result<()> {
          (overhead {:.3}%)",
         view_mib / (video_gib * 1024.0) * 100.0
     );
-    write_json_with_metrics("tab3_udf_statistics", json, &report.metrics);
-    Ok(())
+    Ok(with_metrics(json, &report.metrics))
 }

@@ -6,15 +6,15 @@
 //! EVA = 5 s UDF + 19 s read-video + 10 s read-view + 2 s materialize —
 //! i.e. EVA replaces ~1000 s of inference with ~15 s of view IO.
 
-use eva_bench::{
-    banner, fmt_f, medium_dataset, row, session_with, write_json_with_metrics, TextTable,
+use crate::{
+    banner, fmt_f, medium_dataset, row, session_with, with_metrics, Json, TextTable,
 };
 use eva_common::CostCategory;
 use eva_common::MetricsSnapshot;
 use eva_planner::ReuseStrategy;
 use eva_vbench::{run_workload, vbench_high, DetectorKind, Workload};
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Table 4: Time breakdown of Q8 (VBENCH-HIGH)");
     let ds = medium_dataset();
     let workload = Workload::new(
@@ -59,6 +59,5 @@ fn main() -> eva_common::Result<()> {
         }
     }
     println!("{}", table.render());
-    write_json_with_metrics("tab4_q8_breakdown", json, &eva_metrics);
-    Ok(())
+    Ok(with_metrics(json, &eva_metrics))
 }

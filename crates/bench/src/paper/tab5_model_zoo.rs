@@ -4,12 +4,12 @@
 //! Paper values: YOLO-tiny 9 ms / 17.6 (LOW); FasterRCNN-ResNet50 99 ms /
 //! 37.9 (MEDIUM); FasterRCNN-ResNet101 120 ms / 42.0 (HIGH).
 
-use eva_bench::{banner, row, write_json_with_metrics, TextTable};
+use crate::{banner, row, with_metrics, Json, TextTable};
 use eva_catalog::Catalog;
 use eva_udf::registry::install_standard_zoo;
 use eva_udf::UdfRegistry;
 
-fn main() -> eva_common::Result<()> {
+pub fn run() -> eva_common::Result<Json> {
     banner("Table 5: Object-detector statistics");
     let catalog = Catalog::new();
     let registry = UdfRegistry::new();
@@ -28,6 +28,5 @@ fn main() -> eva_common::Result<()> {
     println!("{}", table.render());
     // Catalog-only experiment: no engine runs, so the metrics section is
     // all zeros (kept for a uniform artifact schema).
-    write_json_with_metrics("tab5_model_zoo", json, &Default::default());
-    Ok(())
+    Ok(with_metrics(json, &Default::default()))
 }

@@ -37,8 +37,6 @@ pub struct QueryReport {
     pub sim_secs: f64,
     /// Per-category breakdown (Fig. 6a / Table 4).
     pub breakdown: CostBreakdown,
-    /// Wall-clock milliseconds actually spent executing.
-    pub wall_ms: f64,
     /// Wall-clock milliseconds the planner spent binding and optimizing
     /// (Fig. 6's optimization overhead). Wall time: planning is real work,
     /// never charged to the simulated clock.
@@ -80,7 +78,6 @@ pub fn run_workload(db: &mut EvaDb, workload: &Workload) -> Result<WorkloadRepor
             n_rows: out.n_rows(),
             sim_secs: out.sim_secs(),
             breakdown: out.breakdown,
-            wall_ms: out.wall_ms,
             optimize_wall_ms: out.plan_wall_ms,
         });
     }
@@ -111,9 +108,9 @@ impl WorkloadReport {
         self.per_query.iter().map(|q| q.n_rows).collect()
     }
 
-    /// The report as the experiment artifacts record it: simulated numbers,
-    /// the deterministic counters, and two labelled wall-clock fields per
-    /// query (`wall_ms`, `optimize_wall_ms`).
+    /// The report as the experiment artifacts record it: simulated numbers
+    /// and the deterministic counters, nothing measured on a wall clock, so
+    /// two runs write the same bytes.
     pub fn to_json(&self) -> Json {
         let query = |q: &QueryReport| {
             Json::obj([
@@ -121,8 +118,6 @@ impl WorkloadReport {
                 ("n_rows", Json::from(q.n_rows)),
                 ("sim_secs", Json::Num(q.sim_secs)),
                 ("breakdown", q.breakdown.to_json()),
-                ("wall_ms", Json::Num(q.wall_ms)),
-                ("optimize_wall_ms", Json::Num(q.optimize_wall_ms)),
             ])
         };
         Json::obj([
