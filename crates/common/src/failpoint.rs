@@ -4,23 +4,15 @@
 //! if every failure mode it claims to survive is actually exercised. This
 //! module provides a small, fully deterministic failpoint facility: named
 //! injection *sites* wired through the storage save/load path and the UDF
-//! runtime, each armed with a [`FireRule`] deciding *when* the site fires.
+//! evaluation path, each armed with a [`FireRule`] deciding *when* the site
+//! fires.
 //!
-//! Determinism is the design constraint throughout:
-//!
-//! * **Ordinal sites** (the storage IO sites) fire on hit indices
-//!   (`nth:3`, `every:2`, `always`). Save/load walk segments in a fixed
-//!   order, so "the 3rd write crashes" is perfectly reproducible.
-//! * **Keyed sites** (`udf_transient`) decide per *input key* via a seeded
-//!   hash, never per hit order — a UDF invocation for frame 17 fails on the
-//!   same attempts whatever batch it lands in and in whatever order the
-//!   batch is evaluated. The *set* of failures is a function of the keys, so
-//!   the `CostBreakdown` under injected faults repeats exactly; the executor
-//!   charges all retry backoff on the caller thread.
-//!
-//! Nothing here touches wall-clock time: injected failures are free, and
-//! the *response* to them (retry backoff in the executor) is charged to the
-//! session's [`SimClock`](crate::SimClock) like any other simulated cost.
+//! Every site is *ordinal*: it fires on hit indices (`nth:3`, `every:2`,
+//! `always`). Save/load walk segments in a fixed order and the executor
+//! evaluates batches in a fixed order, so "the 3rd write crashes" or "the
+//! 2nd evaluation fails" is perfectly reproducible. Nothing here touches
+//! wall-clock time or the [`SimClock`](crate::SimClock): an injected failure
+//! is free.
 //!
 //! Registries are armed programmatically ([`FailpointRegistry::arm`]) or
 //! from the `EVA_FAILPOINTS` environment variable (see
@@ -31,7 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::{EvaError, Result};
-use crate::hash::xxhash64;
 
 /// Environment variable consulted by [`FailpointRegistry::from_env`].
 pub const FAILPOINTS_ENV: &str = "EVA_FAILPOINTS";
@@ -50,9 +41,9 @@ pub enum Failpoint {
     /// Silent corruption: one bit of an already-persisted file is flipped
     /// after a successful save.
     BitFlip,
-    /// A transient UDF failure (flaky model server); the executor's retry
-    /// path owns the response.
-    UdfTransient,
+    /// A UDF evaluation fails: hit once per evaluation batch and once per
+    /// FunCache miss; the query fails with an `Exec` error naming the UDF.
+    UdfFail,
 }
 
 impl Failpoint {
@@ -62,7 +53,7 @@ impl Failpoint {
         Failpoint::ShortWrite,
         Failpoint::RenameFail,
         Failpoint::BitFlip,
-        Failpoint::UdfTransient,
+        Failpoint::UdfFail,
     ];
 
     /// The site's name as used in `EVA_FAILPOINTS` specs.
@@ -72,7 +63,7 @@ impl Failpoint {
             Failpoint::ShortWrite => "short_write",
             Failpoint::RenameFail => "rename_fail",
             Failpoint::BitFlip => "bit_flip",
-            Failpoint::UdfTransient => "udf_transient",
+            Failpoint::UdfFail => "udf_fail",
         }
     }
 
@@ -87,14 +78,8 @@ impl Failpoint {
             Failpoint::ShortWrite => 1,
             Failpoint::RenameFail => 2,
             Failpoint::BitFlip => 3,
-            Failpoint::UdfTransient => 4,
+            Failpoint::UdfFail => 4,
         }
-    }
-
-    /// Per-site salt folded into keyed decisions so two sites armed with the
-    /// same probability select different key sets.
-    fn salt(&self) -> u64 {
-        0x5EED_FA11_0000_0000 | self.index() as u64
     }
 }
 
@@ -109,17 +94,6 @@ pub enum FireRule {
     Nth(u64),
     /// Fire on every `n`-th hit (`n ≥ 1`).
     Every(u64),
-    /// Keyed decision for [`Failpoint::UdfTransient`]: a key is *selected*
-    /// with probability `prob_permille / 1000` (seeded hash of the key — the
-    /// same key is always selected or never, independent of evaluation
-    /// order), and a selected key fails its first `fails` attempts before
-    /// succeeding.
-    Keyed {
-        /// Selection probability in permille (0..=1000).
-        prob_permille: u16,
-        /// Number of leading attempts that fail for a selected key.
-        fails: u32,
-    },
 }
 
 #[derive(Debug, Default)]
@@ -129,18 +103,13 @@ struct Site {
     fires: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    sites: [Site; 5],
-    seed: AtomicU64,
-}
-
 /// A set of armed failpoints. Cheap to clone (shared state), `Sync`, and
-/// disarmed by default so production paths pay one relaxed atomic load per
-/// site check.
+/// disarmed by default. Every site check locks that site's `Mutex` to read
+/// its rule (uncontended: a query checks its sites from one thread); an
+/// armed site then bumps its hit counter with a relaxed atomic add.
 #[derive(Debug, Clone, Default)]
 pub struct FailpointRegistry {
-    inner: Arc<Inner>,
+    sites: Arc<[Site; 5]>,
 }
 
 impl FailpointRegistry {
@@ -161,20 +130,9 @@ impl FailpointRegistry {
         reg
     }
 
-    /// The seed folded into keyed decisions (chaos runs record it so every
-    /// injected failure is replayable).
-    pub fn seed(&self) -> u64 {
-        self.inner.seed.load(Ordering::Relaxed)
-    }
-
-    /// Set the keyed-decision seed.
-    pub fn set_seed(&self, seed: u64) {
-        self.inner.seed.store(seed, Ordering::Relaxed);
-    }
-
     /// Arm one site. Resets the site's hit/fire counters.
     pub fn arm(&self, site: Failpoint, rule: FireRule) {
-        let s = &self.inner.sites[site.index()];
+        let s = &self.sites[site.index()];
         *s.rule.lock().expect("failpoint lock") = match rule {
             FireRule::Never => None,
             other => Some(other),
@@ -197,7 +155,7 @@ impl FailpointRegistry {
 
     /// The rule currently arming a site.
     pub fn rule(&self, site: Failpoint) -> FireRule {
-        self.inner.sites[site.index()]
+        self.sites[site.index()]
             .rule
             .lock()
             .expect("failpoint lock")
@@ -213,19 +171,18 @@ impl FailpointRegistry {
 
     /// How many times a site has fired since it was last armed.
     pub fn fires(&self, site: Failpoint) -> u64 {
-        self.inner.sites[site.index()].fires.load(Ordering::Relaxed)
+        self.sites[site.index()].fires.load(Ordering::Relaxed)
     }
 
-    /// Register one hit on an ordinal site and decide whether it fires.
-    /// Keyed rules never fire through this path.
+    /// Register one hit on a site and decide whether it fires.
     pub fn should_fire(&self, site: Failpoint) -> bool {
-        let s = &self.inner.sites[site.index()];
+        let s = &self.sites[site.index()];
         let Some(rule) = *s.rule.lock().expect("failpoint lock") else {
             return false;
         };
         let hit = s.hits.fetch_add(1, Ordering::Relaxed) + 1;
         let fire = match rule {
-            FireRule::Never | FireRule::Keyed { .. } => false,
+            FireRule::Never => false,
             FireRule::Always => true,
             FireRule::Nth(n) => hit == n,
             FireRule::Every(n) => n > 0 && hit % n == 0,
@@ -236,43 +193,18 @@ impl FailpointRegistry {
         fire
     }
 
-    /// Keyed decision: should attempt number `attempt` (0-based) for input
-    /// `key` fail at this site? Deterministic in `(seed, site, key,
-    /// attempt)` and independent of call order, so any batch size or
-    /// evaluation order injects the identical failure set.
-    pub fn should_fail_keyed(&self, site: Failpoint, key: u64, attempt: u32) -> bool {
-        let s = &self.inner.sites[site.index()];
-        let Some(FireRule::Keyed {
-            prob_permille,
-            fails,
-        }) = *s.rule.lock().expect("failpoint lock")
-        else {
-            return false;
-        };
-        s.hits.fetch_add(1, Ordering::Relaxed);
-        let seed = self.seed() ^ site.salt();
-        let selected = xxhash64(&key.to_le_bytes(), seed) % 1000 < prob_permille as u64;
-        let fire = selected && attempt < fails;
-        if fire {
-            s.fires.fetch_add(1, Ordering::Relaxed);
-        }
-        fire
-    }
-
     /// Arm sites from a spec string. Grammar (`;`- or `,`-separated items):
     ///
     /// ```text
-    /// all                      arm every site with its default rule
-    /// seed:<u64>               set the keyed-decision seed
-    /// <site>=off               disarm one site
-    /// <site>=always            fire on every hit
-    /// <site>=nth:<n>           fire once, on the n-th hit
-    /// <site>=every:<n>         fire on every n-th hit
-    /// udf_transient=p:<f>:fails:<n>   keyed: select keys w.p. f, fail n attempts
+    /// all                arm the four storage sites with `nth:1`
+    /// <site>=off         disarm one site
+    /// <site>=always      fire on every hit
+    /// <site>=nth:<n>     fire once, on the n-th hit
+    /// <site>=every:<n>   fire on every n-th hit
     /// ```
     ///
-    /// Default rules under `all`: ordinal sites get `nth:1`,
-    /// `udf_transient` gets `p:0.25:fails:1`.
+    /// `all` leaves `udf_fail` alone: armed, it fails queries outright
+    /// rather than exercising a recovery path, so it is armed by name.
     pub fn apply_spec(&self, spec: &str) -> Result<()> {
         for item in spec
             .split([';', ','])
@@ -281,15 +213,10 @@ impl FailpointRegistry {
         {
             if item == "all" {
                 for site in Failpoint::ALL {
-                    self.arm(site, default_rule(site));
+                    if site != Failpoint::UdfFail {
+                        self.arm(site, FireRule::Nth(1));
+                    }
                 }
-                continue;
-            }
-            if let Some(seed) = item.strip_prefix("seed:") {
-                let seed: u64 = seed
-                    .parse()
-                    .map_err(|_| EvaError::Config(format!("bad failpoint seed '{seed}'")))?;
-                self.set_seed(seed);
                 continue;
             }
             let (name, rule) = item.split_once('=').ok_or_else(|| {
@@ -303,17 +230,6 @@ impl FailpointRegistry {
     }
 }
 
-/// The rule `all` arms a site with.
-fn default_rule(site: Failpoint) -> FireRule {
-    match site {
-        Failpoint::UdfTransient => FireRule::Keyed {
-            prob_permille: 250,
-            fails: 1,
-        },
-        _ => FireRule::Nth(1),
-    }
-}
-
 fn parse_rule(rule: &str) -> Result<FireRule> {
     let bad = || EvaError::Config(format!("bad failpoint rule '{rule}'"));
     let parts: Vec<&str> = rule.split(':').collect();
@@ -322,20 +238,6 @@ fn parse_rule(rule: &str) -> Result<FireRule> {
         ["always"] => Ok(FireRule::Always),
         ["nth", n] => n.parse().map(FireRule::Nth).map_err(|_| bad()),
         ["every", n] => n.parse().map(FireRule::Every).map_err(|_| bad()),
-        ["p", p] | ["p", p, "fails", _] => {
-            let prob: f64 = p.parse().map_err(|_| bad())?;
-            if !(0.0..=1.0).contains(&prob) {
-                return Err(bad());
-            }
-            let fails = match parts.as_slice() {
-                [_, _, _, n] => n.parse().map_err(|_| bad())?,
-                _ => 1,
-            };
-            Ok(FireRule::Keyed {
-                prob_permille: (prob * 1000.0).round() as u16,
-                fails,
-            })
-        }
         _ => Err(bad()),
     }
 }
@@ -349,7 +251,6 @@ mod tests {
         let r = FailpointRegistry::new();
         for site in Failpoint::ALL {
             assert!(!r.should_fire(site));
-            assert!(!r.should_fail_keyed(site, 7, 0));
             assert_eq!(r.fires(site), 0);
         }
         assert!(!r.any_armed());
@@ -386,62 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn keyed_decisions_are_order_independent() {
-        let r = FailpointRegistry::new();
-        r.set_seed(42);
-        r.arm(
-            Failpoint::UdfTransient,
-            FireRule::Keyed {
-                prob_permille: 500,
-                fails: 2,
-            },
-        );
-        let forward: Vec<bool> = (0..100)
-            .map(|k| r.should_fail_keyed(Failpoint::UdfTransient, k, 0))
-            .collect();
-        let backward: Vec<bool> = (0..100)
-            .rev()
-            .map(|k| r.should_fail_keyed(Failpoint::UdfTransient, k, 0))
-            .collect();
-        let backward_reversed: Vec<bool> = backward.into_iter().rev().collect();
-        assert_eq!(forward, backward_reversed);
-        let n_selected = forward.iter().filter(|b| **b).count();
-        assert!((20..80).contains(&n_selected), "p=0.5 of 100: {n_selected}");
-        // A selected key fails attempts 0 and 1, then succeeds.
-        let k = forward.iter().position(|b| *b).unwrap() as u64;
-        assert!(r.should_fail_keyed(Failpoint::UdfTransient, k, 1));
-        assert!(!r.should_fail_keyed(Failpoint::UdfTransient, k, 2));
-    }
-
-    #[test]
-    fn seed_changes_the_selected_set() {
-        let select = |seed: u64| -> Vec<bool> {
-            let r = FailpointRegistry::new();
-            r.set_seed(seed);
-            r.arm(
-                Failpoint::UdfTransient,
-                FireRule::Keyed {
-                    prob_permille: 500,
-                    fails: 1,
-                },
-            );
-            (0..64)
-                .map(|k| r.should_fail_keyed(Failpoint::UdfTransient, k, 0))
-                .collect()
-        };
-        assert_ne!(select(1), select(2));
-        assert_eq!(select(3), select(3));
-    }
-
-    #[test]
     fn spec_round_trip() {
         let r = FailpointRegistry::new();
-        r.apply_spec("torn_write=nth:2; rename_fail=always, seed:99")
+        r.apply_spec("torn_write=nth:2; rename_fail=always, udf_fail=every:3")
             .unwrap();
         assert_eq!(r.rule(Failpoint::TornWrite), FireRule::Nth(2));
         assert_eq!(r.rule(Failpoint::RenameFail), FireRule::Always);
         assert_eq!(r.rule(Failpoint::ShortWrite), FireRule::Never);
-        assert_eq!(r.seed(), 99);
+        assert_eq!(r.rule(Failpoint::UdfFail), FireRule::Every(3));
         r.apply_spec("torn_write=off").unwrap();
         assert_eq!(r.rule(Failpoint::TornWrite), FireRule::Never);
     }
@@ -452,36 +305,12 @@ mod tests {
         r.apply_spec("all").unwrap();
         assert!(r.any_armed());
         for site in Failpoint::ALL {
-            assert_ne!(r.rule(site), FireRule::Never, "{}", site.name());
+            let want = match site {
+                Failpoint::UdfFail => FireRule::Never,
+                _ => FireRule::Nth(1),
+            };
+            assert_eq!(r.rule(site), want, "{}", site.name());
         }
-        assert_eq!(
-            r.rule(Failpoint::UdfTransient),
-            FireRule::Keyed {
-                prob_permille: 250,
-                fails: 1
-            }
-        );
-    }
-
-    #[test]
-    fn spec_keyed_grammar() {
-        let r = FailpointRegistry::new();
-        r.apply_spec("udf_transient=p:0.5:fails:3").unwrap();
-        assert_eq!(
-            r.rule(Failpoint::UdfTransient),
-            FireRule::Keyed {
-                prob_permille: 500,
-                fails: 3
-            }
-        );
-        r.apply_spec("udf_transient=p:0.1").unwrap();
-        assert_eq!(
-            r.rule(Failpoint::UdfTransient),
-            FireRule::Keyed {
-                prob_permille: 100,
-                fails: 1
-            }
-        );
     }
 
     #[test]
@@ -490,8 +319,8 @@ mod tests {
         assert!(r.apply_spec("nope=always").is_err());
         assert!(r.apply_spec("torn_write").is_err());
         assert!(r.apply_spec("torn_write=wat").is_err());
-        assert!(r.apply_spec("udf_transient=p:1.5").is_err());
-        assert!(r.apply_spec("seed:abc").is_err());
+        assert!(r.apply_spec("udf_fail=p:0.5").is_err());
+        assert!(r.apply_spec("seed:99").is_err());
     }
 
     #[test]

@@ -147,10 +147,11 @@ counters! {
     /// recovery pass. Quarantined views are simply cold: the conditional
     /// APPLY path recomputes and re-stores them.
     views_quarantined: Deterministic;
-    /// Transient UDF failures that were retried.
+    /// Always 0: UDF evaluation never retries. It stays only because the
+    /// benchmark harness (`crates/perfbench`) still reports it as
+    /// `udf.retries`, and goes with `morsels_dispatched` when that harness
+    /// next changes (ROADMAP item 1).
     udf_retries: Deterministic;
-    /// UDF invocations abandoned after exhausting the retry budget.
-    udf_gave_up: Deterministic;
     /// Always 0: the engine has no morsel-parallel scans. It stays only
     /// because the benchmark harness (`crates/perfbench`) still reports it
     /// as `exec.morsels_dispatched`, and goes when that harness next
@@ -164,13 +165,6 @@ counters! {
     /// degraded (or was cancelled) — the coverage predicate was never
     /// claimed, so later plans recompute instead of trusting partial state.
     materialization_skipped: Deterministic;
-    /// UDF circuit-breaker transitions to *open* (fail-fast) after K
-    /// consecutive retry-budget exhaustions, driven by the seeded failpoint
-    /// schedule and the SimClock cooldown timer.
-    udf_breaker_open: Deterministic;
-    /// UDF circuit-breaker transitions to *half-open* (one probe allowed)
-    /// once the SimClock cooldown elapses.
-    udf_breaker_halfopen: Deterministic;
     /// Queries granted an admission slot (recorded outside the per-query
     /// metrics window, so per-query deltas are unaffected).
     queries_admitted: Deterministic;
@@ -432,19 +426,13 @@ mod tests {
         let m = MetricsSink::new();
         m.add(Counter::views_recovered, 3);
         m.add(Counter::views_quarantined, 1);
-        m.add(Counter::udf_retries, 5);
-        m.add(Counter::udf_gave_up, 2);
         let s = m.snapshot();
         assert_eq!(s.views_recovered, 3);
         assert_eq!(s.views_quarantined, 1);
-        assert_eq!(s.udf_retries, 5);
-        assert_eq!(s.udf_gave_up, 2);
         let before = s;
         m.add(Counter::views_quarantined, 4);
-        m.add(Counter::udf_retries, 1);
         let delta = m.snapshot().since(&before);
         assert_eq!(delta.views_quarantined, 4);
-        assert_eq!(delta.udf_retries, 1);
         assert_eq!(delta.views_recovered, 0);
         let sum = before.plus(&delta);
         assert_eq!(sum, m.snapshot());
@@ -480,15 +468,11 @@ mod tests {
         let m = MetricsSink::new();
         m.add(Counter::degraded_queries, 1);
         m.add(Counter::materialization_skipped, 2);
-        m.add(Counter::udf_breaker_open, 1);
-        m.add(Counter::udf_breaker_halfopen, 1);
         m.add(Counter::queries_admitted, 2);
         m.add(Counter::queries_shed, 1);
         let s = m.snapshot();
         assert_eq!(s.degraded_queries, 1);
         assert_eq!(s.materialization_skipped, 2);
-        assert_eq!(s.udf_breaker_open, 1);
-        assert_eq!(s.udf_breaker_halfopen, 1);
         assert_eq!(s.queries_admitted, 2);
         assert_eq!(s.queries_shed, 1);
         let before = s;
@@ -508,8 +492,6 @@ mod tests {
         for name in [
             "degraded_queries",
             "materialization_skipped",
-            "udf_breaker_open",
-            "udf_breaker_halfopen",
             "queries_admitted",
             "queries_shed",
         ] {

@@ -89,7 +89,7 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
             println!("\\views — materialized view inventory");
             println!("\\save <dir> — persist views + aggregated predicates");
             println!("\\load <dir> — restore saved state (recovery pass)");
-            println!("\\health — last \\load recovery outcome + governance (breaker, admission)");
+            println!("\\health — last \\load recovery outcome + governance");
             println!("\\reset — drop all reuse state");
             println!("\\quit — leave");
         }
@@ -178,22 +178,16 @@ fn meta_command(db: &mut EvaDb, cmd: &str) -> bool {
                 m.funcache_hits, m.funcache_misses, m.shard_lock_contention
             );
             println!(
-                "resilience: views recovered={} quarantined={}; udf retries={} gave-up={}",
-                m.views_recovered, m.views_quarantined, m.udf_retries, m.udf_gave_up
+                "resilience: views recovered={} quarantined={}",
+                m.views_recovered, m.views_quarantined
             );
             println!(
                 "columnar: batches={} rows={} pivoted={}",
                 m.columnar_batches, m.columnar_rows, m.rows_pivoted
             );
             println!(
-                "governance: degraded={} materialization-skipped={} breaker open/half-open={}/{} \
-                 admitted={} shed={}",
-                m.degraded_queries,
-                m.materialization_skipped,
-                m.udf_breaker_open,
-                m.udf_breaker_halfopen,
-                m.queries_admitted,
-                m.queries_shed
+                "governance: degraded={} materialization-skipped={} admitted={} shed={}",
+                m.degraded_queries, m.materialization_skipped, m.queries_admitted, m.queries_shed
             );
         }
         "stats" => {

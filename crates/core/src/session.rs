@@ -15,7 +15,7 @@ use eva_planner::{Binder, CommitLog, Optimizer, PhysPlan, PlannerConfig, ReuseSt
 use eva_storage::{RecoveryReport, StorageEngine};
 use eva_symbolic::StatsCatalog;
 use eva_udf::registry::install_standard_zoo;
-use eva_udf::{InvocationStats, UdfBreaker, UdfManager, UdfRegistry};
+use eva_udf::{InvocationStats, UdfManager, UdfRegistry};
 use eva_video::{jackson, ua_detrac, UaDetracSize, VideoDataset};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
@@ -85,9 +85,6 @@ pub struct EvaDb {
     /// differential fuzzer flips it off to prove its recovery oracle
     /// catches the resulting wrong answers (see `set_recovery_prune`).
     prune_on_load: std::sync::atomic::AtomicBool,
-    /// Circuit breaker around UDF evaluation: opens after K consecutive
-    /// transient-retry exhaustions, half-opens on a SimClock timer.
-    breaker: UdfBreaker,
     /// Optional admission gate; `None` admits everything. Enabled by
     /// `EVA_MAX_CONCURRENT_QUERIES` or [`EvaDb::set_admission`].
     admission: Option<AdmissionController>,
@@ -116,7 +113,6 @@ impl EvaDb {
             config,
             last_recovery: std::sync::Mutex::new(None),
             prune_on_load: std::sync::atomic::AtomicBool::new(true),
-            breaker: UdfBreaker::default(),
             admission: AdmissionConfig::from_env().map(AdmissionController::new),
             cancel_flag: Arc::new(AtomicBool::new(false)),
         })
@@ -210,11 +206,6 @@ impl EvaDb {
 
     // -- governance -------------------------------------------------------------
 
-    /// The session's UDF circuit breaker.
-    pub fn breaker(&self) -> &UdfBreaker {
-        &self.breaker
-    }
-
     /// The admission controller, if admission control is on.
     pub fn admission(&self) -> Option<&AdmissionController> {
         self.admission.as_ref()
@@ -247,19 +238,13 @@ impl EvaDb {
     }
 
     /// Human-readable governance summary (the repl's `\health` tail):
-    /// degradation counters, breaker state, admission occupancy.
+    /// degradation counters and admission occupancy.
     pub fn governance_report(&self) -> String {
         let m = self.metrics_snapshot();
         let mut s = format!(
             "governor: degraded queries={} materialization skipped={}\n",
             m.degraded_queries, m.materialization_skipped
         );
-        s.push_str(&format!(
-            "udf breaker: state={} opened={} half-opened={}\n",
-            self.breaker.state_label(),
-            self.breaker.times_opened(),
-            self.breaker.times_halfopened()
-        ));
         match &self.admission {
             Some(gate) => {
                 let a = gate.snapshot();
@@ -369,7 +354,6 @@ impl EvaDb {
             &self.funcache,
             self.config.exec,
             governor.clone(),
-            Some(&self.breaker),
         );
         match result {
             Ok(mut out) => {
@@ -618,22 +602,16 @@ fn runtime_footer(out: &QueryOutput) -> String {
         ));
     }
     let m = &out.metrics;
-    if m.views_recovered + m.views_quarantined + m.udf_retries + m.udf_gave_up > 0 {
+    if m.views_recovered + m.views_quarantined > 0 {
         s.push_str(&format!(
-            "resilience: views recovered={} quarantined={} | udf retries={} gave-up={}\n",
-            m.views_recovered, m.views_quarantined, m.udf_retries, m.udf_gave_up
+            "resilience: views recovered={} quarantined={}\n",
+            m.views_recovered, m.views_quarantined
         ));
     }
-    if m.degraded_queries + m.materialization_skipped + m.udf_breaker_open + m.udf_breaker_halfopen
-        > 0
-    {
+    if m.degraded_queries + m.materialization_skipped > 0 {
         s.push_str(&format!(
-            "governance: degraded={} materialization skipped={} | breaker opened={} \
-             half-opened={}\n",
-            m.degraded_queries,
-            m.materialization_skipped,
-            m.udf_breaker_open,
-            m.udf_breaker_halfopen
+            "governance: degraded={} materialization skipped={}\n",
+            m.degraded_queries, m.materialization_skipped
         ));
     }
     s

@@ -16,14 +16,6 @@ pub struct ExecConfig {
     /// highest-IoU box on the same frame when IoU ≥ this threshold.
     /// `None` (the default) keeps reuse exact.
     pub fuzzy_box_iou: Option<f32>,
-    /// How many times a transient UDF failure (a flaky model server) is
-    /// retried before the query gives up with an error. `0` fails on the
-    /// first transient error.
-    pub udf_retry_budget: u32,
-    /// Simulated backoff before retry k (1-based), in nanoseconds:
-    /// `backoff_ns · 2^(k−1)`. Charged to the `Apply` cost category, once
-    /// per batch for all its input keys, before the batch is evaluated.
-    pub udf_retry_backoff_ns: u64,
 }
 
 impl Default for ExecConfig {
@@ -32,8 +24,6 @@ impl Default for ExecConfig {
             batch_size: 1024,
             apply_overhead_ns: 50_000,
             fuzzy_box_iou: None,
-            udf_retry_budget: 2,
-            udf_retry_backoff_ns: 5_000_000,
         }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use eva_common::{MetricsSink, OpId, OpStats, QueryGovernor, SimClock, TraceSink};
 use eva_storage::StorageEngine;
-use eva_udf::{InvocationStats, UdfBreaker, UdfRegistry};
+use eva_udf::{InvocationStats, UdfRegistry};
 use eva_video::VideoDataset;
 
 use crate::config::ExecConfig;
@@ -66,9 +66,6 @@ pub struct ExecCtx<'a> {
     /// accountant. Defaults to [`QueryGovernor::ungoverned`] (all checks are
     /// near-free no-ops); the session builds a governed one per query.
     pub governor: QueryGovernor,
-    /// UDF circuit breaker shared across the session's queries; `None` for
-    /// direct executor users and unit tests (no breaker gating).
-    pub breaker: Option<&'a UdfBreaker>,
 }
 
 impl ExecCtx<'_> {

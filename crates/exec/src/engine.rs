@@ -9,7 +9,7 @@ use eva_common::{
 };
 use eva_planner::PhysPlan;
 use eva_storage::StorageEngine;
-use eva_udf::{InvocationStats, UdfBreaker, UdfRegistry};
+use eva_udf::{InvocationStats, UdfRegistry};
 
 use crate::config::ExecConfig;
 use crate::context::{ExecCtx, OpStatsCollector};
@@ -235,7 +235,6 @@ pub fn execute(
         funcache,
         config,
         QueryGovernor::ungoverned(),
-        None,
     )
 }
 
@@ -244,12 +243,12 @@ pub fn execute(
 /// function of the row count, never of allocator behavior.
 pub const RESULT_ROW_BYTES: u64 = 64;
 
-/// [`execute`] under a [`QueryGovernor`] and an optional UDF
-/// circuit breaker — the session's governed entry point. The governor's
-/// token/deadline is checked at every batch boundary of the engine's pull
-/// loop (and inside the cooperating operators), and the retained result
-/// buffer is charged to the memory accountant; exceeding the budget here has
-/// no degradation path, so it cancels with `Cancelled { Budget }`.
+/// [`execute`] under a [`QueryGovernor`] — the session's governed entry
+/// point. The governor's token/deadline is checked at every batch boundary
+/// of the engine's pull loop (and inside the cooperating operators), and
+/// the retained result buffer is charged to the memory accountant;
+/// exceeding the budget here has no degradation path, so it cancels with
+/// `Cancelled { Budget }`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_governed(
     plan: &PhysPlan,
@@ -260,7 +259,6 @@ pub fn execute_governed(
     funcache: &FunCacheTable,
     config: ExecConfig,
     governor: QueryGovernor,
-    breaker: Option<&UdfBreaker>,
 ) -> Result<QueryOutput> {
     let started = std::time::Instant::now();
     let before = clock.snapshot();
@@ -282,7 +280,6 @@ pub fn execute_governed(
         op_stats: &op_stats,
         config,
         governor: governor.clone(),
-        breaker,
     };
     let mut root = build(plan)?;
     let schema = root.schema();

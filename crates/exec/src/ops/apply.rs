@@ -33,12 +33,11 @@
 
 use std::sync::Arc;
 
-use eva_common::clock::{ms_from_ns, ns_from_ms};
-use eva_common::hash::xxhash64;
+use eva_common::clock::ns_from_ms;
 use eva_common::metrics::Counter;
 use eva_common::{
     BBox, CellRef, Column, ColumnBuilder, ColumnarBatch, CostCategory, EvaError, Failpoint,
-    FireRule, FrameId, OpId, Result, Schema, SpanKind,
+    FrameId, OpId, Result, Schema, SpanKind,
 };
 use eva_expr::Expr;
 use eva_planner::{ApplyReuse, ApplySpec, Segment};
@@ -162,103 +161,24 @@ impl ApplyOp {
         Ok(keys)
     }
 
-    /// Stable identity of one UDF input, folded into keyed failpoint
-    /// decisions. Derived from the logical key (frame + box), never from
-    /// evaluation order or batch position.
-    fn retry_key(frame: FrameId, bbox: Option<BBox>) -> u64 {
-        match bbox {
-            None => frame.raw(),
-            Some(b) => {
-                let mut buf = [0u8; 16];
-                buf[..8].copy_from_slice(&frame.raw().to_le_bytes());
-                for (i, k) in b.key().iter().enumerate() {
-                    buf[8 + 2 * i..10 + 2 * i].copy_from_slice(&k.to_le_bytes());
-                }
-                xxhash64(&buf, 0)
-            }
-        }
-    }
-
-    /// What every evaluation site does before it evaluates. First the UDF
-    /// circuit breaker (when the session wired one in): fail fast while it
-    /// is open, let the half-open probe through once the SimClock cooldown
-    /// elapses. Then the deterministic transient-failure model (the
-    /// `udf_transient` failpoint): decide per input *key* how many injected
-    /// failures this evaluation suffers, charge the exponential retry
-    /// backoff to the clock, and bump the retry counters *before* the batch
-    /// is evaluated, so the failure set and every charge depend on the keys
-    /// alone, never on evaluation order.
-    ///
-    /// Returns `Err` when an input keeps failing past the retry budget.
-    fn admit_evaluation<I>(&self, ctx: &ExecCtx<'_>, udf_name: &str, inputs: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (FrameId, Option<BBox>)>,
-    {
-        if let Some(b) = ctx.breaker {
-            b.check(ctx.clock, ctx.metrics())?;
-        }
-        let fp = ctx.storage.failpoints();
-        if !matches!(fp.rule(Failpoint::UdfTransient), FireRule::Keyed { .. }) {
-            return Ok(());
-        }
-        let budget = ctx.config.udf_retry_budget;
-        let base = ctx.config.udf_retry_backoff_ns;
-        let mut retries = 0u64;
-        let mut backoff = 0u64;
-        let mut exhausted: Option<FrameId> = None;
-        for (frame, bbox) in inputs {
-            let key = Self::retry_key(frame, bbox);
-            let mut fails = 0u32;
-            while fails <= budget && fp.should_fail_keyed(Failpoint::UdfTransient, key, fails) {
-                fails += 1;
-            }
-            // Retry k (1-based) backs off base·2^(k−1); `sleeps` retries cost
-            // base·(2^sleeps − 1) in total. `fails > budget` means even the
-            // last retry failed — the sleeps happened, then we give up.
-            let sleeps = fails.min(budget);
-            backoff = backoff.saturating_add(base.saturating_mul((1u64 << sleeps.min(62)) - 1));
-            retries += sleeps as u64;
-            if fails > budget {
-                exhausted = Some(frame);
-                break;
-            }
-        }
-        ctx.clock.charge(CostCategory::Apply, backoff);
-        ctx.metrics().add(Counter::udf_retries, retries);
-        if let Some(frame) = exhausted {
-            ctx.metrics().add(Counter::udf_gave_up, 1);
-            // A retry-budget exhaustion feeds the circuit breaker's
-            // consecutive-failure streak (caller thread, deterministic).
-            if let Some(b) = ctx.breaker {
-                b.record_exhaustion(ctx.clock, ctx.metrics());
-            }
-            let last_backoff_ms = if budget == 0 {
-                0.0
-            } else {
-                ms_from_ns(base.saturating_mul(1u64 << (budget - 1).min(62)))
-            };
+    /// The `udf_fail` failpoint, hit once per evaluation (each eval batch,
+    /// each FunCache miss) before the model runs: when it fires the query
+    /// fails, with nothing charged, counted or stored for that evaluation.
+    fn check_udf_fail(ctx: &ExecCtx<'_>, udf_name: &str) -> Result<()> {
+        let site = Failpoint::UdfFail;
+        if ctx.storage.failpoints().should_fire(site) {
             return Err(EvaError::Exec(format!(
-                "udf '{udf_name}' kept failing transiently on frame {} after {} attempts \
-                 (retry budget {budget}, last backoff {last_backoff_ms}ms)",
-                frame.raw(),
-                budget as u64 + 1,
+                "udf '{udf_name}' failed (failpoint {})",
+                site.name()
             )));
         }
         Ok(())
     }
 
-    /// Report a successful evaluation to the breaker: closes a half-open
-    /// probe and resets the consecutive-exhaustion streak.
-    fn breaker_success(&self, ctx: &ExecCtx<'_>) {
-        if let Some(b) = ctx.breaker {
-            b.record_success();
-        }
-    }
-
     /// One eval batch: run `udf_def`'s model on the keys at `which`, in that
     /// order, into one set of column builders, and resolve those keys with
     /// the finished chunk — after lending it to STORE when `store_into`
-    /// names a view. Breaker gate, retry model, the batch's `Udf` charge,
+    /// names a view. The `udf_fail` check, the batch's `Udf` charge,
     /// counters and the `udf_eval` leaf span all happen here.
     fn eval_rows(
         &self,
@@ -272,8 +192,7 @@ impl ApplyOp {
         let udf = ctx.registry.get(&udf_def.impl_id)?;
         let eval_started = std::time::Instant::now();
         let eval_clock = ctx.clock.snapshot();
-        let inputs = which.iter().map(|&i| (keys[i].0, keys[i].1));
-        self.admit_evaluation(ctx, &udf_def.name, inputs)?;
+        Self::check_udf_fail(ctx, &udf_def.name)?;
         let mut builders: Vec<ColumnBuilder> = (0..self.spec.output.len())
             .map(|_| ColumnBuilder::with_capacity(which.len()))
             .collect();
@@ -286,14 +205,13 @@ impl ApplyOp {
             };
             owners.push((i, udf.eval_into(&input, &mut builders)?));
         }
-        self.breaker_success(ctx);
         let n_eval = owners.len() as u64;
         ctx.metrics().record_udf_calls(n_eval, 0, 0);
         ctx.op_stats
             .update(self.op_id, |s| s.udf_executed += n_eval);
         ctx.clock.charge_n(CostCategory::Udf, n_eval, udf.cost_ns());
-        // One leaf span per eval batch: retries + evaluations + the Udf
-        // charge, before any STORE append.
+        // One leaf span per eval batch: evaluations + the Udf charge, before
+        // any STORE append.
         ctx.trace().leaf(
             SpanKind::UdfEval,
             &udf_def.name,
@@ -469,15 +387,13 @@ impl ApplyOp {
                 }
                 hashed += 1;
                 let hit = batch.answer(&arg_bytes, |out| {
-                    self.admit_evaluation(ctx, &udf_def.name, std::iter::once((frame, bbox)))?;
+                    Self::check_udf_fail(ctx, &udf_def.name)?;
                     let input = UdfEvalContext {
                         dataset: &ctx.dataset,
                         frame,
                         bbox,
                     };
-                    let n_rows = udf.eval_into(&input, out)?;
-                    self.breaker_success(ctx);
-                    Ok(n_rows)
+                    udf.eval_into(&input, out)
                 })?;
                 match hit {
                     Some(n_rows) => {

@@ -832,7 +832,6 @@ fn run_segment(
         &env.funcache,
         config,
         QueryGovernor::new(governor, env.clock.total_ms()),
-        None,
     )
 }
 
@@ -1548,26 +1547,15 @@ fn apply_reports_key_type_errors_like_value_accessors() {
 }
 
 /// Run the standard views-mode detector query under a given config and
-/// return the cost breakdown plus the drained output rows.
+/// return the cost breakdown, counters and per-operator stats it left.
 struct ViewsRun {
     cost: eva_common::CostBreakdown,
-    rows: Vec<Vec<Value>>,
     metrics: eva_common::MetricsSnapshot,
     op_stats: std::collections::BTreeMap<eva_common::OpId, eva_common::OpStats>,
 }
 
 fn run_views_query(config: crate::config::ExecConfig) -> ViewsRun {
-    run_views_query_faulty(config, &|_| {})
-}
-
-/// Like [`run_views_query`], arming failpoints on the engine before the
-/// query runs (fault-injection tests).
-fn run_views_query_faulty(
-    config: crate::config::ExecConfig,
-    arm: &dyn Fn(&eva_common::FailpointRegistry),
-) -> ViewsRun {
     let env = TestEnv::new(42, 64);
-    arm(env.storage.failpoints());
     let def = env.catalog.udf("fasterrcnn_resnet50").unwrap();
     let view = env
         .storage
@@ -1601,13 +1589,9 @@ fn run_views_query_faulty(
     let mut op: Box<dyn crate::ops::Operator> =
         Box::new(ApplyOp::new(frame_source(&env, 64), spec, apply_schema(&env)).unwrap());
     let ctx = env.ctx_with(config);
-    let mut rows = Vec::new();
-    while let Some(b) = op.next(&ctx).unwrap() {
-        rows.extend(b.to_batch().into_rows());
-    }
+    while op.next(&ctx).unwrap().is_some() {}
     ViewsRun {
         cost: env.clock.snapshot(),
-        rows,
         metrics: env.storage.metrics().snapshot(),
         op_stats: env.op_stats.snapshot(),
     }
@@ -1656,123 +1640,58 @@ fn views_apply_charges_both_paths_and_keeps_counter_invariants() {
 }
 
 // ---------------------------------------------------------------------------
-// Transient-failure retry (the udf_transient failpoint)
+// UDF failure (the udf_fail failpoint)
 // ---------------------------------------------------------------------------
 
-/// Select ~40% of keys, each failing its first attempt — every selected key
-/// recovers within the default retry budget of 2.
-fn arm_flaky(fp: &eva_common::FailpointRegistry) {
-    fp.set_seed(7);
-    fp.arm(
-        eva_common::Failpoint::UdfTransient,
-        eva_common::FireRule::Keyed {
-            prob_permille: 400,
-            fails: 1,
-        },
-    );
-}
-
-#[test]
-fn transient_udf_failures_retry_and_recover() {
-    let config = crate::config::ExecConfig {
-        batch_size: 64,
-        ..Default::default()
-    };
-    let clean = run_views_query(config);
-    let flaky = run_views_query_faulty(config, &arm_flaky);
-    assert_eq!(
-        clean.rows, flaky.rows,
-        "retried evaluations must not change the answer"
-    );
-    assert!(flaky.metrics.udf_retries > 0, "{:?}", flaky.metrics);
-    assert_eq!(flaky.metrics.udf_gave_up, 0, "{:?}", flaky.metrics);
-    // Each retry backs off 5ms (base · 2^0), charged to Apply.
-    let extra = flaky.cost.get(CostCategory::Apply) - clean.cost.get(CostCategory::Apply);
-    let expected = flaky.metrics.udf_retries as f64 * 5.0;
-    assert!(
-        (extra - expected).abs() < 1e-6,
-        "backoff charge {extra} != {expected}"
-    );
-    // The failure set is keyed, not ordinal: a second run injects the same
-    // faults and charges the same cost, bit for bit.
-    let again = run_views_query_faulty(config, &arm_flaky);
-    assert_eq!(flaky.cost, again.cost);
-    assert_eq!(flaky.metrics.deterministic(), again.metrics.deterministic());
-}
-
-#[test]
-fn transient_udf_failure_exhausts_budget_and_errors() {
-    let env = TestEnv::new(13, 8);
-    env.storage.failpoints().arm(
-        eva_common::Failpoint::UdfTransient,
-        eva_common::FireRule::Keyed {
-            prob_permille: 1000,
-            fails: 10,
-        },
-    );
-    let def = env.catalog.udf("fasterrcnn_resnet50").unwrap();
-    let spec = detector_spec(&env, ApplyReuse::None { udf: def });
-    let op = ApplyOp::new(frame_source(&env, 8), spec, apply_schema(&env)).unwrap();
-    let err = env.drain(Box::new(op)).unwrap_err();
-    assert_eq!(err.stage(), "exec");
-    assert!(
-        err.to_string().contains("retry budget"),
-        "error names the cause: {err}"
-    );
-    let m = env.storage.metrics().snapshot();
-    assert_eq!(m.udf_gave_up, 1, "{m:?}");
-    assert_eq!(m.udf_retries, 2, "budget of 2 retries was spent: {m:?}");
-}
-
-/// A FunCache lookup that gives up part way through a batch still pays for
-/// the work it did: every key hashed up to and including the failing one,
-/// and the evaluation of every miss before it (on a cold cache, all of
-/// them).
+/// A FunCache lookup whose `k`-th miss fails still pays for the work it
+/// did: exactly the `k` keys hashed up to and including the failing one,
+/// and the evaluation of the `k − 1` misses before it (on a cold cache,
+/// every key misses). A fully warm cache never evaluates, so the same
+/// failpoint armed on every hit cannot fail it.
 #[test]
 fn funcache_lookup_failing_part_way_pays_for_its_work() {
+    use eva_common::{Failpoint, FireRule};
+    let k = 5u64;
     let env = TestEnv::new(14, 12);
-    env.storage.failpoints().set_seed(7);
-    env.storage.failpoints().arm(
-        eva_common::Failpoint::UdfTransient,
-        eva_common::FireRule::Keyed {
-            prob_permille: 400,
-            fails: 10,
-        },
-    );
+    env.storage
+        .failpoints()
+        .arm(Failpoint::UdfFail, FireRule::Nth(k));
     let def = env.catalog.udf("fasterrcnn_resnet50").unwrap();
     let spec = detector_spec(&env, ApplyReuse::FunCache { udf: def });
-    let op = ApplyOp::new(frame_source(&env, 12), spec, apply_schema(&env)).unwrap();
+    let op = ApplyOp::new(frame_source(&env, 12), spec.clone(), apply_schema(&env)).unwrap();
     let err = env.drain(Box::new(op)).unwrap_err();
-    assert!(err.to_string().contains("retry budget"), "{err}");
+    assert_eq!(err.stage(), "exec");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("fasterrcnn_resnet50") && msg.contains("udf_fail"),
+        "the error names the UDF and the site: {msg}"
+    );
     let cost = env.clock.snapshot();
     let per_key = env
         .storage
         .cost_model()
         .hash_cost_ns(env.dataset.frame_bytes());
-    let hashed = cost.get_ns(CostCategory::HashInput) / per_key;
-    assert_eq!(cost.get_ns(CostCategory::HashInput), hashed * per_key);
-    assert!((1..=12).contains(&hashed), "{cost:?}");
+    assert_eq!(
+        cost.get_ns(CostCategory::HashInput),
+        k * per_key,
+        "{cost:?}"
+    );
     assert_eq!(
         cost.get_ns(CostCategory::Udf),
-        (hashed - 1) * 99_000_000,
+        (k - 1) * 99_000_000,
         "every key before the failing one was a miss and was evaluated"
     );
-}
 
-#[test]
-fn transient_failures_hit_the_funcache_miss_path_only() {
-    let env = TestEnv::new(14, 12);
-    arm_flaky(env.storage.failpoints());
-    let def = env.catalog.udf("fasterrcnn_resnet50").unwrap();
-    let spec = detector_spec(&env, ApplyReuse::FunCache { udf: def });
+    env.storage.failpoints().disarm(Failpoint::UdfFail);
     let op = ApplyOp::new(frame_source(&env, 12), spec.clone(), apply_schema(&env)).unwrap();
-    env.drain(Box::new(op)).unwrap();
-    let retries_cold = env.storage.metrics().snapshot().udf_retries;
-    assert!(retries_cold > 0, "misses invoke the model and can fail");
-    // A fully warm cache never invokes the model, so nothing can fail.
+    let warmed = env.drain(Box::new(op)).unwrap().into_rows();
+    let udf_ns = env.clock.snapshot().get_ns(CostCategory::Udf);
+    env.storage
+        .failpoints()
+        .arm(Failpoint::UdfFail, FireRule::Always);
     let op = ApplyOp::new(frame_source(&env, 12), spec, apply_schema(&env)).unwrap();
-    env.drain(Box::new(op)).unwrap();
-    let m = env.storage.metrics().snapshot();
-    assert_eq!(m.udf_retries, retries_cold, "{m:?}");
-    assert_eq!(m.udf_gave_up, 0, "{m:?}");
+    let warm = env.drain(Box::new(op)).unwrap().into_rows();
+    assert_eq!(warm, warmed);
+    assert_eq!(env.clock.snapshot().get_ns(CostCategory::Udf), udf_ns);
+    assert_eq!(env.storage.failpoints().fires(Failpoint::UdfFail), 0);
 }

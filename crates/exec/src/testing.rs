@@ -74,7 +74,6 @@ impl TestEnv {
             op_stats: &self.op_stats,
             config,
             governor: eva_common::QueryGovernor::ungoverned(),
-            breaker: None,
         }
     }
 

@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use eva_fuzz::shrink::shrink_case;
 use eva_fuzz::{
     check_case, corpus_dir, generate_case, sabotage_case, write_corpus_file, CorpusFile, FuzzCase,
-    SplitMix64, CORPUS_VERSION,
+    FuzzStmt, SplitMix64, CORPUS_VERSION,
 };
 
 /// Oracle evaluations granted to each shrink run.
@@ -101,19 +101,27 @@ fn record_failure(
 fn run_fuzz(args: &Args) -> ExitCode {
     let mut master = SplitMix64::new(args.seed);
     println!("eva-fuzz: seed={} cases={}", args.seed, args.cases);
+    // Cases that armed `udf_fail`, and the SELECTs it failed in their base
+    // replays.
+    let (mut udf_fault_cases, mut udf_failed) = (0u64, 0usize);
     for i in 0..args.cases {
         let case_seed = master.next_u64();
         let case = generate_case(case_seed);
         match check_case(&case) {
             Ok(report) => {
                 println!(
-                    "case {i:04} case_seed={case_seed:016x} stmts={} selects={} wc={} cr={} gv={} ok",
+                    "case {i:04} case_seed={case_seed:016x} stmts={} selects={} wc={} cr={} gv={} uf={} ok",
                     case.stmts.len(),
                     report.n_selects,
                     report.n_selects,
                     report.crash_points,
                     report.governed_cancelled,
+                    report.udf_failed,
                 );
+                let arms_udf_fail =
+                    |s: &FuzzStmt| matches!(s, FuzzStmt::Fault(spec) if spec.contains("udf_fail"));
+                udf_fault_cases += u64::from(case.stmts.iter().any(arms_udf_fail));
+                udf_failed += report.udf_failed;
             }
             Err(failure) => {
                 println!(
@@ -133,7 +141,11 @@ fn run_fuzz(args: &Args) -> ExitCode {
             }
         }
     }
-    println!("eva-fuzz: all {} case(s) green", args.cases);
+    println!(
+        "eva-fuzz: all {} case(s) green; {udf_fault_cases} armed udf_fail, \
+         which failed {udf_failed} SELECT(s)",
+        args.cases
+    );
     ExitCode::SUCCESS
 }
 

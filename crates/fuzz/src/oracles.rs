@@ -5,14 +5,16 @@
 //!
 //! 1. **Warm vs cold** — every SELECT of the warm session (views
 //!    accumulating, save/load cycles, armed faults) must return the same
-//!    row *multiset* as the same SELECT run alone in a fresh session.
+//!    row *multiset* as the same SELECT run alone in a fresh session
+//!    (a SELECT the `udf_fail` failpoint failed is skipped; see
+//!    [`crate::session`]).
 //!    This is the paper's core correctness claim: reuse rewrites never
 //!    change answers.
 //! 2. **Crash recovery** — for sessions that save, crash the save at every
 //!    write ordinal with a cycling fault site (and, as ordinal 0, let it
 //!    finish), then recover in a fresh session; the recovered session's
-//!    remaining SELECTs must still answer correctly, and `load_state` must
-//!    never error on a torn store.
+//!    remaining SELECTs that ran must still answer correctly, and
+//!    `load_state` must never error on a torn store.
 //! 3. **Governed replay** — replay the session under the case's governance
 //!    knobs (deadline, byte budget, admission width). Statements may be
 //!    cancelled or degraded, but only with structured `Cancelled` errors;
@@ -28,7 +30,10 @@ use eva_common::GovernorConfig;
 use eva_core::{AdmissionConfig, AdmissionController, EvaDb};
 
 use crate::gen::{FuzzCase, FuzzStmt};
-use crate::session::{exec_select, fresh_db, parse_select, replay, run_single_select, SelectObs};
+use crate::session::{
+    exec_replayed_select, exec_select, fresh_db, parse_select, replay, run_single_select,
+    udf_fail_fires, SelectObs,
+};
 
 /// Which oracle flagged a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +112,8 @@ impl Failure {
 pub struct CaseReport {
     /// SELECT statements in the session.
     pub n_selects: usize,
+    /// SELECTs of the base replay the `udf_fail` failpoint failed.
+    pub udf_failed: usize,
     /// Save points swept by the recovery oracle — every crashed write
     /// ordinal plus the uninterrupted save (0 when the case never saves).
     pub crash_points: usize,
@@ -136,6 +143,7 @@ pub fn check_case(case: &FuzzCase) -> Result<CaseReport, Failure> {
     debug_assert_eq!(base.selects.len(), sqls.len());
     let mut report = CaseReport {
         n_selects: sqls.len(),
+        udf_failed: base.selects.iter().filter(|s| s.is_none()).count(),
         ..CaseReport::default()
     };
 
@@ -147,8 +155,9 @@ pub fn check_case(case: &FuzzCase) -> Result<CaseReport, Failure> {
 
 /// Oracle 1: each warm SELECT vs the same SELECT alone in a fresh session.
 /// Rows only, as multisets — a view-serving plan may emit in another order.
-fn warm_vs_cold(case: &FuzzCase, sqls: &[&str], warm: &[SelectObs]) -> Result<(), Failure> {
+fn warm_vs_cold(case: &FuzzCase, sqls: &[&str], warm: &[Option<SelectObs>]) -> Result<(), Failure> {
     for (k, (sql, w)) in sqls.iter().zip(warm).enumerate() {
+        let Some(w) = w else { continue };
         let cold = run_single_select(case, sql)
             .map_err(|e| Failure::oracle(OracleId::WarmCold, format!("cold select {k}: {e}")))?;
         if w.row_multiset() != cold.row_multiset() {
@@ -166,18 +175,19 @@ fn warm_vs_cold(case: &FuzzCase, sqls: &[&str], warm: &[SelectObs]) -> Result<()
 }
 
 /// Replay a statement slice on an open session, returning per-SELECT
-/// observations. `saved` seeds the load-gating flag — the crash survivor
-/// starts with it set, since it begins life by loading the store.
+/// observations (`None` where the `udf_fail` failpoint failed the
+/// SELECT). `saved` seeds the load-gating flag — the crash survivor starts
+/// with it set, since it begins life by loading the store.
 fn drive(
     db: &mut EvaDb,
     stmts: &[FuzzStmt],
     dir: &Path,
     mut saved: bool,
-) -> Result<Vec<SelectObs>, String> {
+) -> Result<Vec<Option<SelectObs>>, String> {
     let mut out = Vec::new();
     for stmt in stmts {
         match stmt {
-            FuzzStmt::Select(sql) => out.push(exec_select(db, sql)?),
+            FuzzStmt::Select(sql) => out.push(exec_replayed_select(db, sql)?),
             FuzzStmt::ResetViews => db.reset_reuse_state(),
             FuzzStmt::Save => {
                 if db.save_state(dir).is_ok() {
@@ -207,7 +217,11 @@ fn drive(
 /// attempts the save — which dies partway, leaving a torn store. A fresh
 /// *survivor* session must then `load_state` without error (quarantining
 /// whatever is damaged) and answer the session's remaining SELECTs with
-/// the same row multisets as the uninterrupted base replay.
+/// the same row multisets as the uninterrupted base replay. A recovered
+/// session evaluates differently, so an armed `udf_fail` plan may fail
+/// another SELECT there than in the base: a SELECT that failed on the
+/// survivor is skipped, and one that failed only in the base is checked
+/// against a fresh session instead.
 ///
 /// Ordinal 0 arms nothing: the survivor restarts from the store the save
 /// left when it ran to the end (under whatever faults the case itself
@@ -277,7 +291,19 @@ fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Resu
                 ),
             ));
         }
+        let sqls_after = &select_sqls(case)[n_selects_before..];
         for (k, (rv, bv)) in recovered.iter().zip(base_after).enumerate() {
+            let Some(rv) = rv else { continue };
+            let cold;
+            let bv = match bv {
+                Some(bv) => bv,
+                None => {
+                    cold = run_single_select(case, sqls_after[k]).map_err(|e| {
+                        Failure::oracle(id, format!("cold select {k} after {point}: {e}"))
+                    })?;
+                    &cold
+                }
+            };
             if rv.row_multiset() != bv.row_multiset() {
                 return Err(Failure::oracle(
                     id,
@@ -296,11 +322,12 @@ fn crash_recovery(case: &FuzzCase, base: &crate::session::ReplayOutcome) -> Resu
 
 /// Oracle 3: replay under the case's governance knobs. Any statement may
 /// come back `Cancelled { Deadline | Budget | Shed | User }` — that is a
-/// tolerated, structured outcome — but a non-governance error is a replay
-/// failure, and a cancelled query must leave no trace: each surviving
-/// SELECT is re-asked (a) on the same session with governance lifted and
-/// (b) in a fresh clean session, and all three answers must agree as row
-/// multisets. Returns the number of cancelled statements.
+/// tolerated, structured outcome, as is an error while the `udf_fail`
+/// failpoint fired — but any other error is a replay failure, and a
+/// cancelled query must leave no trace: each surviving SELECT is re-asked
+/// (a) on the same session with governance lifted and (b) in a fresh clean
+/// session, and all three answers must agree as row multisets. Returns the
+/// number of cancelled statements.
 fn governed_replay(case: &FuzzCase) -> Result<usize, Failure> {
     let id = OracleId::GovernedReplay;
     if !case.is_governed() {
@@ -323,12 +350,14 @@ fn governed_replay(case: &FuzzCase) -> Result<usize, Failure> {
         match stmt {
             FuzzStmt::Select(sql) => {
                 let parsed = parse_select(sql).map_err(Failure::replay)?;
+                let fired_before = udf_fail_fires(&db);
                 match db.execute_select(&parsed) {
                     Ok(out) => {
                         let obs = SelectObs::from_output(out);
                         survivors.push((sql.as_str(), obs.row_multiset()));
                     }
                     Err(e) if e.cancel_reason().is_some() => cancelled += 1,
+                    Err(_) if udf_fail_fires(&db) > fired_before => {}
                     Err(e) => {
                         return Err(Failure::replay(format!(
                             "governed stmt {i} `{sql}`: non-governance error: {e}"
@@ -466,6 +495,30 @@ mod tests {
             report.governed_cancelled, 0,
             "ungoverned case skips oracle 3"
         );
+    }
+
+    #[test]
+    fn a_udf_failed_select_is_skipped_and_the_rest_still_compared() {
+        // The first evaluation fails; the re-asked SELECT runs on the same
+        // session in all three oracles, governed replay included.
+        let sql = "SELECT id, label FROM video CROSS APPLY yolo_tiny(frame) WHERE id < 16";
+        let case = crate::gen::FuzzCase {
+            seed: 0,
+            dataset_seed: 5,
+            n_frames: 24,
+            sabotage: None,
+            governor: GovernorConfig::default(),
+            admission_width: Some(1),
+            stmts: vec![
+                FuzzStmt::Fault("udf_fail=nth:1".into()),
+                FuzzStmt::Select(sql.into()),
+                FuzzStmt::Save,
+                FuzzStmt::Select(sql.into()),
+            ],
+        };
+        let report = check_case(&case).expect("a udf_fail'd SELECT is tolerated");
+        assert_eq!(report.udf_failed, 1);
+        assert!(report.crash_points > 0);
     }
 
     #[test]

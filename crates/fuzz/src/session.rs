@@ -18,13 +18,18 @@
 //!   schedule, so they agree on which saves succeeded.
 //! * `Load` replays only after a successful save. This keeps every
 //!   statement *subset* replayable, which the shrinker depends on.
-//! * A SELECT error is a hard replay error — the oracles treat "fails to
-//!   execute" as its own failure kind, distinct from "wrong answer".
+//! * A SELECT may fail only when the `udf_fail` failpoint fired during it
+//!   (a generated `udf_fail=nth:<k>` plan reached that SELECT). It is
+//!   recorded as failed and never compared; every later SELECT still is,
+//!   so whatever the failed query left in the view store must not change
+//!   a later answer. Any other SELECT error is a hard replay error —
+//!   the oracles treat "fails to execute" as its own failure kind,
+//!   distinct from "wrong answer".
 
 use std::collections::BTreeMap;
 
 use eva_common::testutil::TempDir;
-use eva_common::{CostBreakdown, GovernorConfig, MetricsSnapshot, OpId, OpStats, Row};
+use eva_common::{CostBreakdown, Failpoint, GovernorConfig, MetricsSnapshot, OpId, OpStats, Row};
 use eva_core::{EvaDb, SessionConfig};
 use eva_exec::QueryOutput;
 use eva_parser::{parse, SelectStmt, Statement};
@@ -69,8 +74,9 @@ impl SelectObs {
 /// Everything an oracle needs from one full-session replay.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    /// Per-SELECT observations, in statement order.
-    pub selects: Vec<SelectObs>,
+    /// Per-SELECT observations, in statement order; `None` for a SELECT
+    /// the `udf_fail` failpoint failed.
+    pub selects: Vec<Option<SelectObs>>,
     /// Statement index of the first `Save`, if any.
     pub first_save_index: Option<usize>,
     /// Materialized-view count just *before* the first save ran — sizes the
@@ -111,6 +117,22 @@ pub fn exec_select(db: &mut EvaDb, sql: &str) -> Result<SelectObs, String> {
         .map_err(|e| format!("`{sql}`: {e}"))
 }
 
+/// How often the `udf_fail` failpoint has fired since it was last armed.
+pub(crate) fn udf_fail_fires(db: &EvaDb) -> u64 {
+    db.storage().failpoints().fires(Failpoint::UdfFail)
+}
+
+/// Execute one SELECT of a session that may carry a UDF fault plan:
+/// `Ok(None)` when it errored and the `udf_fail` failpoint fired during it.
+pub(crate) fn exec_replayed_select(db: &mut EvaDb, sql: &str) -> Result<Option<SelectObs>, String> {
+    let fired_before = udf_fail_fires(db);
+    match exec_select(db, sql) {
+        Ok(obs) => Ok(Some(obs)),
+        Err(_) if udf_fail_fires(db) > fired_before => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Replay the whole session, ungoverned. `tag` names the scratch
 /// directory (it must differ between concurrently-live replays only by
 /// what [`TempDir`] already guarantees; the tag is for debuggability).
@@ -127,7 +149,8 @@ pub fn replay(case: &FuzzCase, tag: &str) -> Result<ReplayOutcome, String> {
     for (i, stmt) in case.stmts.iter().enumerate() {
         match stmt {
             FuzzStmt::Select(sql) => {
-                let obs = exec_select(&mut db, sql).map_err(|e| format!("stmt {i}: {e}"))?;
+                let obs =
+                    exec_replayed_select(&mut db, sql).map_err(|e| format!("stmt {i}: {e}"))?;
                 outcome.selects.push(obs);
             }
             FuzzStmt::ResetViews => db.reset_reuse_state(),
@@ -195,7 +218,7 @@ mod tests {
         let case = tiny_case();
         let out = replay(&case, "fuzz_session_test").expect("replay");
         assert_eq!(out.selects.len(), 2);
-        assert_eq!(out.selects[0].rows.len(), 8);
+        assert_eq!(out.selects[0].as_ref().expect("ran").rows.len(), 8);
         assert_eq!(out.first_save_index, Some(1));
         assert_eq!(out.views_at_first_save, Some(0));
     }
@@ -207,6 +230,10 @@ mod tests {
         let b = replay(&case, "fuzz_session_det_b").expect("replay b");
         assert_eq!(a.selects.len(), b.selects.len());
         for (x, y) in a.selects.iter().zip(&b.selects) {
+            let (Some(x), Some(y)) = (x, y) else {
+                assert!(x.is_none() && y.is_none());
+                continue;
+            };
             assert_eq!(x.rows, y.rows);
             assert_eq!(x.breakdown, y.breakdown);
             assert_eq!(x.metrics, y.metrics);

@@ -321,7 +321,7 @@ pub fn write_atomic(
     if failpoints.should_fire(Failpoint::BitFlip) {
         let mut data = std::fs::read(&dst)?;
         if !data.is_empty() {
-            let bit = xxhash64(file_name.as_bytes(), failpoints.seed()) % (data.len() as u64 * 8);
+            let bit = xxhash64(file_name.as_bytes(), 0) % (data.len() as u64 * 8);
             data[(bit / 8) as usize] ^= 1 << (bit % 8);
             std::fs::write(&dst, &data)?;
         }

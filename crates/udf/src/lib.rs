@@ -16,7 +16,6 @@
 //! is a *pure deterministic function of (model, frame)* — independent of
 //! invocation order — which is what makes result reuse exact.
 
-pub mod breaker;
 pub mod manager;
 pub mod profiler;
 pub mod registry;
@@ -24,7 +23,6 @@ pub mod runtime;
 pub mod signature;
 pub mod zoo;
 
-pub use breaker::{UdfBreaker, BREAKER_BASE_COOLDOWN_MS, BREAKER_TRIP_THRESHOLD};
 pub use manager::{UdfManager, MANAGER_FILE};
 pub use profiler::InvocationStats;
 pub use registry::UdfRegistry;

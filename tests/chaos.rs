@@ -3,13 +3,13 @@
 //! For every injection site the durable store claims to survive, this test
 //! kills a save mid-flight (or corrupts its output), recovers into a fresh
 //! session, re-runs the workload, and asserts the results are bit-identical
-//! to a session that never crashed. Everything is deterministic: ordinal
-//! sites fire by write index, the keyed UDF site fires by seeded input
-//! hash, so any failure here replays exactly.
+//! to a session that never crashed. Everything is deterministic: storage
+//! sites fire by write index and the `udf_fail` site by evaluation index,
+//! so any failure here replays exactly.
 //!
 //! The suite is also the target of the CI `chaos` job, which runs it with
-//! `EVA_FAILPOINTS=all` exported — every engine then boots with all sites
-//! armed at their defaults, which is why each scenario starts from
+//! `EVA_FAILPOINTS=all` exported — every engine then boots with the four
+//! storage sites armed, which is why each scenario starts from
 //! `disarm_all` and arms exactly what it wants.
 
 use eva_common::{Failpoint, FireRule, Row};
@@ -132,43 +132,27 @@ fn corrupted_store_quarantines_and_recomputes_bit_identically() {
     }
 }
 
-/// The keyed UDF site: flaky evaluations retry deterministically and the
-/// answer is unchanged; the counters prove failures were actually injected.
-#[test]
-fn transient_udf_failures_do_not_change_results() {
-    let baseline = baseline_rows();
-    let mut db = fresh_session();
-    db.storage().failpoints().set_seed(42);
-    db.storage().failpoints().arm(
-        Failpoint::UdfTransient,
-        FireRule::Keyed {
-            prob_permille: 300,
-            fails: 2,
-        },
-    );
-    let rows = run_queries(&mut db);
-    assert_eq!(rows, baseline, "retried UDFs must not change the answer");
-    let m = db.metrics_snapshot();
-    assert!(m.udf_retries > 0, "failures actually injected: {m:?}");
-    assert_eq!(m.udf_gave_up, 0, "{m:?}");
-}
-
-/// A persistently failing UDF exhausts the retry budget with a clean error
-/// naming the model — never a panic, never a wrong answer.
+/// A UDF that fails on every evaluation errors cleanly, naming the model
+/// and the site — never a panic, never a wrong answer — and the failed
+/// query leaves nothing a later one trusts: disarmed, the session answers
+/// like one that never failed.
 #[test]
 fn persistent_udf_failure_errors_cleanly() {
+    let baseline = baseline_rows();
     let mut db = fresh_session();
-    db.storage().failpoints().arm(
-        Failpoint::UdfTransient,
-        FireRule::Keyed {
-            prob_permille: 1000,
-            fails: 100,
-        },
-    );
+    db.storage()
+        .failpoints()
+        .arm(Failpoint::UdfFail, FireRule::Always);
     let err = db.execute_sql(QUERIES[0]).unwrap_err();
     assert_eq!(err.stage(), "exec");
-    assert!(err.to_string().contains("retry budget"), "{err}");
-    assert_eq!(db.metrics_snapshot().udf_gave_up, 1);
+    let msg = err.to_string();
+    assert!(
+        msg.contains("fasterrcnn_resnet50") && msg.contains("udf_fail"),
+        "{msg}"
+    );
+    assert_eq!(db.metrics_snapshot().udf_calls_executed, 0);
+    db.storage().failpoints().disarm(Failpoint::UdfFail);
+    assert_eq!(run_queries(&mut db), baseline);
 }
 
 /// Crashing, recovering, and crashing again must not lose previously

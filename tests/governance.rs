@@ -13,21 +13,21 @@
 //! * **Degradation** — an aggregation over budget completes exactly in the
 //!   streaming fallback, at any scan size, and skips view materialization
 //!   for that query.
-//! * **Breaker** — `K` consecutive `udf_transient` retry exhaustions open
-//!   the circuit; open fails fast without burning retries; the SimClock
-//!   cooldown half-opens it; a successful probe closes it. All transitions
-//!   land in the `udf_breaker_*` counters.
+//! * **UDF failure sweep** — the `udf_fail` failpoint armed at evaluation
+//!   `k` fails the query there, for every evaluation `k`, with an `Exec`
+//!   error naming the UDF. The failed query claims no coverage: the same
+//!   session, disarmed, answers exactly like a fresh one, and then answers
+//!   again without evaluating the UDF at all.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
 
-use eva_common::clock::{ms_from_ns, ns_from_ms, CostCategory};
+use eva_common::clock::ms_from_ns;
 use eva_common::{CancelReason, Failpoint, FireRule, GovernorConfig};
 use eva_core::{EvaDb, SessionConfig};
 use eva_exec::ExecConfig;
 use eva_parser::{parse, SelectStmt, Statement};
 use eva_planner::ReuseStrategy;
-use eva_udf::{BREAKER_BASE_COOLDOWN_MS, BREAKER_TRIP_THRESHOLD};
 use eva_video::generator::test_dataset;
 
 /// Frames in the sweep's video.
@@ -39,7 +39,7 @@ const BATCH: usize = 8;
 /// Non-UDF scan+project query: every batch charges the same frame reads.
 const SCAN_Q: &str = "SELECT id, timestamp FROM video";
 
-/// Detector query for the deadline, coverage, and breaker scenarios.
+/// Detector query for the deadline, coverage, and UDF-failure scenarios.
 const DETECTOR_Q: &str = "SELECT id, label FROM video CROSS APPLY fasterrcnn_resnet50(frame) \
                           WHERE id < 40 AND label = 'car'";
 
@@ -326,59 +326,67 @@ fn external_cancel_flag_unwinds_with_user_reason() {
 }
 
 #[test]
-fn udf_breaker_opens_fails_fast_half_opens_and_recloses() {
+fn udf_failure_at_every_evaluation_is_recoverable() {
     let stmt = parse_select(DETECTOR_Q);
-    let mut db = session(GovernorConfig::default());
-    db.storage().failpoints().arm(
-        Failpoint::UdfTransient,
-        FireRule::Keyed {
-            prob_permille: 1000,
-            fails: 100,
-        },
+    let expect = session(GovernorConfig::default())
+        .execute_select(&stmt)
+        .expect("never-failed run");
+    assert!(
+        !expect.batch.rows().is_empty(),
+        "workload must produce rows"
     );
-    // K consecutive retry-budget exhaustions trip the breaker.
-    for i in 0..BREAKER_TRIP_THRESHOLD {
+    // One evaluation per batch of frames the detector sees.
+    let n_evals = expect.metrics.udf_calls_executed.div_ceil(BATCH as u64);
+    assert!(n_evals > 1, "the sweep needs several evaluations");
+
+    for k in 1..=n_evals {
+        let mut db = session(GovernorConfig::default());
+        db.storage()
+            .failpoints()
+            .arm(Failpoint::UdfFail, FireRule::Nth(k));
         let err = db
             .execute_select(&stmt)
-            .expect_err("persistently failing UDF exhausts its retry budget");
+            .expect_err("the failpoint fires inside the query");
+        assert_eq!(err.stage(), "exec", "evaluation {k}: {err}");
+        let msg = err.to_string();
         assert!(
-            err.to_string().contains("retry budget"),
-            "attempt {i}: {err}"
+            msg.contains("fasterrcnn_resnet50") && msg.contains("udf_fail"),
+            "evaluation {k}: {msg}"
         );
-        assert!(
-            err.to_string().contains("last backoff"),
-            "attempt {i}: {err}"
+
+        // Whatever the failed query stored, it claimed no coverage.
+        let manager = db.manager();
+        for sig in manager.view_sizes().into_keys() {
+            assert!(
+                manager.aggregated(&sig).is_false(),
+                "evaluation {k}: {sig:?} claimed coverage"
+            );
+        }
+
+        // Same session, disarmed: the answer is a fresh session's.
+        db.storage().failpoints().disarm(Failpoint::UdfFail);
+        let rerun = db.execute_select(&stmt).expect("re-run after the failure");
+        assert_eq!(
+            rerun.batch.rows(),
+            expect.batch.rows(),
+            "evaluation {k}: re-run rows"
+        );
+        // The re-run claimed its coverage: a third run evaluates nothing.
+        let third = db.execute_select(&stmt).expect("third run");
+        assert_eq!(third.batch.rows(), expect.batch.rows());
+        assert_eq!(
+            third.metrics.udf_calls_executed, 0,
+            "evaluation {k}: {:?}",
+            third.metrics
         );
     }
-    assert_eq!(db.breaker().state_label(), "open");
-    assert_eq!(db.breaker().times_opened(), 1);
 
-    // Open: the next evaluation fails fast without burning retries.
-    let retries_before = db.metrics_snapshot().udf_retries;
-    let err = db
-        .execute_select(&stmt)
-        .expect_err("open breaker fails fast");
-    assert!(err.to_string().contains("circuit breaker is open"), "{err}");
-    assert_eq!(
-        db.metrics_snapshot().udf_retries,
-        retries_before,
-        "no retries may be burned while the breaker is open"
-    );
-
-    // SimClock cooldown elapses → half-open; the probe (faults disarmed)
-    // succeeds and closes the breaker.
-    db.storage().failpoints().disarm_all();
-    db.clock().charge(
-        CostCategory::Other,
-        ns_from_ms(BREAKER_BASE_COOLDOWN_MS + 1.0),
-    );
-    let out = db
-        .execute_select(&stmt)
-        .expect("half-open probe must be allowed through");
-    assert!(!out.batch.rows().is_empty(), "probe answers the query");
-    assert_eq!(db.breaker().state_label(), "closed");
-    assert_eq!(db.breaker().times_halfopened(), 1);
-    let m = db.metrics_snapshot();
-    assert_eq!(m.udf_breaker_open, 1, "{m:?}");
-    assert_eq!(m.udf_breaker_halfopen, 1, "{m:?}");
+    // One past the last evaluation, the armed site never fires.
+    let mut db = session(GovernorConfig::default());
+    db.storage()
+        .failpoints()
+        .arm(Failpoint::UdfFail, FireRule::Nth(n_evals + 1));
+    let out = db.execute_select(&stmt).expect("no evaluation is failed");
+    assert_eq!(out.batch.rows(), expect.batch.rows());
+    assert_eq!(db.storage().failpoints().fires(Failpoint::UdfFail), 0);
 }
